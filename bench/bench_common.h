@@ -24,10 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "core/analysis.h"
 #include "core/checkpoint.h"
-#include "core/lab.h"
-#include "core/phase.h"
-#include "core/sampling.h"
 #include "obs/obs.h"
 
 namespace simprof::bench {

@@ -9,51 +9,24 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/sensitivity.h"
-#include "data/catalog.h"
 #include "support/table.h"
 
 int main(int argc, char** argv) {
   simprof::bench::ObsSession obs_session(argc, argv);
   using namespace simprof;
   core::WorkloadLab lab(bench::lab_config());
-  const auto catalog = data::snap_catalog();
 
   std::cout << "Figure 12 — % of simulation points in input-sensitive "
                "phases (training input: Google)\n";
   Table table({"config", "sensitive_points", "reduction"});
   double total_reduction = 0.0;
-  // One batch covers every (config, input) pair of the study: all cache
-  // misses simulate concurrently, and the per-config loop below just
-  // consumes the prefetched runs in order.
-  std::vector<core::BatchItem> items;
   for (const auto& name : bench::graph_config_names()) {
-    items.push_back({name, "Google", {}});
-    for (const auto& entry : catalog) {
-      if (!entry.training) items.push_back({name, entry.name, {}});
-    }
-  }
-  auto runs = lab.run_batch(items);
-  std::size_t next = 0;
-  for (const auto& name : bench::graph_config_names()) {
-    const auto train = std::move(runs[next++]);
-    const auto model = core::form_phases(train.profile);
-
-    std::vector<core::ThreadProfile> ref_profiles;
-    std::vector<std::string> ref_names;
-    for (const auto& entry : catalog) {
-      if (entry.training) continue;
-      ref_profiles.push_back(std::move(runs[next++].profile));
-      ref_names.push_back(entry.name);
-    }
-    std::vector<const core::ThreadProfile*> refs;
-    for (const auto& p : ref_profiles) refs.push_back(&p);
-
-    const auto report = core::input_sensitivity_test(model, refs, ref_names);
-    const auto plan =
-        core::simprof_sample(train.profile, model,
-                             bench::kFig7SampleSize, 4242);
-    const double frac = report.sensitive_point_fraction(plan);
+    core::SensitivityStudy study = core::graph_input_study(name, "Google");
+    study.budget_n = bench::kFig7SampleSize;
+    study.budget_seed = 4242;
+    const auto analysed = core::analyze_sensitivity(lab, study);
+    const double frac =
+        analysed.report.sensitive_point_fraction(*analysed.budget);
     table.row({name, Table::pct(frac), Table::pct(1.0 - frac)});
     total_reduction += 1.0 - frac;
   }

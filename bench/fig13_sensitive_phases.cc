@@ -7,50 +7,26 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/sensitivity.h"
-#include "data/catalog.h"
 #include "support/table.h"
 
 int main(int argc, char** argv) {
   simprof::bench::ObsSession obs_session(argc, argv);
   using namespace simprof;
   core::WorkloadLab lab(bench::lab_config());
-  const auto catalog = data::snap_catalog();
 
   std::cout << "Figure 13 — input-sensitive vs insensitive phases "
                "(training input: Google, 7 references)\n";
   Table table({"config", "sensitive", "insensitive", "total",
                "insensitive_frac"});
-  // Prefetch the whole (config, input) grid in one batch (see Fig. 12).
-  std::vector<core::BatchItem> items;
   for (const auto& name : bench::graph_config_names()) {
-    items.push_back({name, "Google", {}});
-    for (const auto& entry : catalog) {
-      if (!entry.training) items.push_back({name, entry.name, {}});
-    }
-  }
-  auto runs = lab.run_batch(items);
-  std::size_t next = 0;
-  for (const auto& name : bench::graph_config_names()) {
-    const auto train = std::move(runs[next++]);
-    const auto model = core::form_phases(train.profile);
-
-    std::vector<core::ThreadProfile> ref_profiles;
-    std::vector<std::string> ref_names;
-    for (const auto& entry : catalog) {
-      if (entry.training) continue;
-      ref_profiles.push_back(std::move(runs[next++].profile));
-      ref_names.push_back(entry.name);
-    }
-    std::vector<const core::ThreadProfile*> refs;
-    for (const auto& p : ref_profiles) refs.push_back(&p);
-    const auto report = core::input_sensitivity_test(model, refs, ref_names);
-
+    const auto analysed =
+        core::analyze_sensitivity(lab, core::graph_input_study(name, "Google"));
+    const auto& report = analysed.report;
+    const std::size_t k = analysed.model.k;
     table.row({name, std::to_string(report.num_sensitive()),
-               std::to_string(report.num_insensitive()),
-               std::to_string(model.k),
+               std::to_string(report.num_insensitive()), std::to_string(k),
                Table::pct(static_cast<double>(report.num_insensitive()) /
-                          static_cast<double>(model.k))});
+                          static_cast<double>(k))});
   }
   table.print(std::cout);
   return 0;

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/analysis.h"
 #include "features/feature_mode.h"
 #include "support/table.h"
 
@@ -37,8 +38,8 @@ struct Cell {
 constexpr std::size_t kModes = 3;
 constexpr std::size_t kEstimators = 2;
 
-const char* estimator_name(std::size_t e) {
-  return e == 0 ? "neyman" : "two-phase";
+core::Estimator estimator(std::size_t e) {
+  return static_cast<core::Estimator>(e);
 }
 
 }  // namespace
@@ -68,18 +69,14 @@ int main(int argc, char** argv) {
     const auto& prof = runs[i].profile;
     std::vector<std::string> row{names[i]};
     for (std::size_t m = 0; m < kModes; ++m) {
-      core::PhaseFormationConfig pcfg;
-      pcfg.features = static_cast<features::FeatureMode>(m);
-      const auto model = core::form_phases(prof, pcfg);
+      core::AnalysisOptions options;
+      options.features = static_cast<features::FeatureMode>(m);
+      const auto model = core::analyze_phases(prof, options);
       for (std::size_t e = 0; e < kEstimators; ++e) {
         Cell cell;
         for (int s = 0; s < bench::kErrorRepetitions; ++s) {
-          const core::SamplePlan plan =
-              e == 0 ? core::simprof_sample(prof, model,
-                                            bench::kFig7SampleSize, 1000 + s)
-                     : core::two_phase_sample(prof, model,
-                                              bench::kFig7SampleSize,
-                                              1000 + s);
+          const core::SamplePlan plan = core::stratified_sample(
+              prof, model, bench::kFig7SampleSize, 1000 + s, estimator(e));
           cell.error += core::relative_error(plan, prof);
           if (plan.estimated_cpi > 0.0) {
             cell.ci_rel_width += 2.0 * plan.ci.margin / plan.estimated_cpi;
@@ -138,7 +135,7 @@ int main(int argc, char** argv) {
         first = false;
         os << "{\"features\": \""
            << features::to_string(static_cast<features::FeatureMode>(m))
-           << "\", \"estimator\": \"" << estimator_name(e)
+           << "\", \"estimator\": \"" << core::to_string(estimator(e))
            << "\", \"error\": " << grid[i][m][e].error
            << ", \"ci_rel_width\": " << grid[i][m][e].ci_rel_width << "}";
       }
@@ -153,7 +150,7 @@ int main(int argc, char** argv) {
         if (!first) os << ", ";
         first = false;
         os << "\"" << features::to_string(static_cast<features::FeatureMode>(m))
-           << "|" << estimator_name(e) << "\": " << sums[m][e] / n;
+           << "|" << core::to_string(estimator(e)) << "\": " << sums[m][e] / n;
       }
     }
   }

@@ -54,6 +54,20 @@ hw::PmuCounters read_counters(BinaryReader& r) {
   return c;
 }
 
+void write_rng(BinaryWriter& w, const RngState& rng) {
+  for (const std::uint64_t s : rng.s) w.u64(s);
+  w.u8(rng.have_spare_gaussian ? 1 : 0);
+  w.f64(rng.spare_gaussian);
+}
+
+RngState read_rng(BinaryReader& r) {
+  RngState rng;
+  for (std::uint64_t& s : rng.s) s = r.u64();
+  rng.have_spare_gaussian = r.u8() != 0;
+  rng.spare_gaussian = r.f64();
+  return rng;
+}
+
 /// The state section of the payload: run identity + profiled thread +
 /// profiled cache hierarchy, captured at the unit boundary the archive
 /// restores to.
@@ -72,9 +86,7 @@ void encode_state(BinaryWriter& w, const exec::Cluster& cluster,
   write_counters(w, st.counters);
   w.f64(st.cycles_acc);
   w.u64(st.thread_id);
-  for (const std::uint64_t s : st.rng.s) w.u64(s);
-  w.u8(st.rng.have_spare_gaussian ? 1 : 0);
-  w.f64(st.rng.spare_gaussian);
+  write_rng(w, st.rng);
   w.u64(st.next_snapshot_at);
   w.u64(st.next_unit_at);
   write_counters(w, st.unit_start_counters);
@@ -88,12 +100,16 @@ void encode_state(BinaryWriter& w, const exec::Cluster& cluster,
 // Tape references are stored column-wise — one bulk u64 array of line
 // addresses plus one byte-string of flag bits per op — so encode/decode is
 // two block transfers per op instead of two stream reads per reference
-// (restore latency is the denominator of the checkpoint speedup).
+// (restore latency is the denominator of the checkpoint speedup). The few
+// boundary generator states follow the ops as a sparse (op index, state)
+// list, so they cost nothing per op.
 void write_tape(BinaryWriter& w, const CheckpointTape& tape) {
   std::vector<std::uint64_t> lines;
   std::string flags;
+  std::uint64_t boundaries = 0;
   w.u64(tape.size());
   for (const TapeOp& op : tape) {
+    if (op.boundary_rng) ++boundaries;
     w.u64(op.instrs);
     w.u32(op.llc_ways);
     w.vec_u32(op.frames);
@@ -108,6 +124,12 @@ void write_tape(BinaryWriter& w, const CheckpointTape& tape) {
     }
     w.vec_u64(lines);
     w.str(flags);
+  }
+  w.u64(boundaries);
+  for (std::size_t i = 0; i < tape.size(); ++i) {
+    if (!tape[i].boundary_rng) continue;
+    w.u64(i);
+    write_rng(w, *tape[i].boundary_rng);
   }
 }
 
@@ -128,6 +150,17 @@ CheckpointTape read_tape(BinaryReader& r) {
       op.refs[i].write = (flags[i] & 1) != 0;
       op.refs[i].prefetchable = (flags[i] & 2) != 0;
     }
+  }
+  const std::uint64_t boundaries = r.u64();
+  if (boundaries > tape.size()) {
+    throw CheckpointError("corrupt archive: more boundary states than ops");
+  }
+  for (std::uint64_t n = 0; n < boundaries; ++n) {
+    const std::uint64_t i = r.u64();
+    if (i >= tape.size()) {
+      throw CheckpointError("corrupt archive: boundary state past tape end");
+    }
+    tape[i].boundary_rng = read_rng(r);
   }
   return tape;
 }
@@ -227,9 +260,7 @@ std::uint64_t load_checkpoint(std::istream& in, exec::Cluster& cluster,
   st.counters = read_counters(r);
   st.cycles_acc = r.f64();
   st.thread_id = r.u64();
-  for (std::uint64_t& s : st.rng.s) s = r.u64();
-  st.rng.have_spare_gaussian = r.u8() != 0;
-  st.rng.spare_gaussian = r.f64();
+  st.rng = read_rng(r);
   st.next_snapshot_at = r.u64();
   st.next_unit_at = r.u64();
   st.unit_start_counters = read_counters(r);
@@ -300,6 +331,14 @@ void CheckpointRecorder::on_chunk(std::uint64_t instrs,
   op.frames.assign(frames.begin(), frames.end());
   op.refs.assign(refs.begin(), refs.end());
   tape_.push_back(std::move(op));
+}
+
+void CheckpointRecorder::on_boundary_rng(std::uint64_t unit_index,
+                                         const RngState& rng) {
+  // A stride boundary closes the window; the next archive's state section
+  // carries the generator from there on.
+  if (!window_open_ || tape_.empty() || unit_index % stride_ == 0) return;
+  tape_.back().boundary_rng = rng;
 }
 
 void CheckpointRecorder::finalize() { publish_window(); }
@@ -516,6 +555,7 @@ void CheckpointReplayer::replay(const exec::ClusterConfig& cc) {
       const TapeOp& op = tape[op_idx++];
       ctx.stack().restore_frames(op.frames);
       cluster.memory().llc().set_effective_ways(op.llc_ways);
+      if (op.boundary_rng) ctx.rng().set_state(*op.boundary_rng);
       ReplayStream rs(op.refs);
       ctx.execute(op.instrs, &rs);
     }

@@ -21,11 +21,16 @@
 // restored records are bit-identical to the oracle pass — enforced by
 // core_lab_test and verify_checkpoint_recovery.
 //
-// Archive format ("SCKP", version 2):
+// Archive format ("SCKP", version 3):
 //   u32 magic | u32 version | u64 FNV-1a(payload) | str payload
 // The payload carries the run identity (cache key, unit geometry), the
 // profiled thread's state, the three cache models of the profiled hierarchy
-// and the window's op tape. The payload hash catches corruption that
+// and the window's op tape. Version 3 added the generator state at each
+// unit boundary inside the window: workload code draws from the thread's
+// RNG between boundaries, the replay does not run it, and without the saved
+// state a boundary's migration draw would land on the wrong units. Older
+// archives are rejected with CheckpointError (measurement then runs cold).
+// The payload hash catches corruption that
 // field-level bounds checks cannot — a flipped bit inside a cache tag array
 // still decodes as a valid u64, but a wrong tag would silently change
 // restored PMU numbers, and the contract is "typed error or fallback, never
@@ -39,6 +44,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -58,7 +64,7 @@ class CheckpointError : public SerializeError {
 };
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x504b4353;  // "SCKP"
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// One recorded execute() chunk of the profiled core: enough to re-run the
 /// chunk bit-identically on a restored cluster (see exec::OpTapeSink).
@@ -67,6 +73,9 @@ struct TapeOp {
   std::uint32_t llc_ways = 0;  ///< shared-LLC effective ways (wave pressure)
   std::vector<jvm::MethodId> frames;  ///< shadow stack during the chunk
   std::vector<hw::MemRef> refs;       ///< references the chunk consumed
+  /// Generator state entering the unit boundary this chunk ends at; set only
+  /// for boundaries inside the window (archived sparsely, not per op).
+  std::optional<RngState> boundary_rng;
 };
 using CheckpointTape = std::vector<TapeOp>;
 
@@ -113,6 +122,7 @@ class CheckpointRecorder final : public exec::UnitGovernor,
   void on_chunk(std::uint64_t instrs, std::span<const hw::MemRef> refs,
                 std::uint32_t llc_ways,
                 std::span<const jvm::MethodId> frames) override;
+  void on_boundary_rng(std::uint64_t unit_index, const RngState& rng) override;
 
   /// Publish the still-open window. Idempotent.
   void finalize();

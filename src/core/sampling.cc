@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 
 #include "obs/obs.h"
 #include "stats/descriptive.h"
@@ -101,37 +102,47 @@ SamplePlan simprof_sample(const ThreadProfile& profile,
   return plan;
 }
 
+namespace {
+
+/// Equal-weight plan over `picks` with the finite-population-corrected SRS
+/// standard error: exact for SRS, the standard approximation for
+/// systematic designs.
+SamplePlan equal_weight_plan(const ThreadProfile& profile,
+                             std::span<const std::size_t> picks,
+                             SamplingTechnique technique, double z) {
+  SamplePlan plan;
+  plan.technique = technique;
+  const double take = static_cast<double>(picks.size());
+  double est = 0.0;
+  std::vector<double> sampled;
+  sampled.reserve(picks.size());
+  for (const std::size_t u : picks) {
+    plan.points.push_back(SimulationPoint{u, 0, 1.0 / take});
+    sampled.push_back(profile.units[u].cpi());
+    est += sampled.back() / take;
+  }
+  plan.estimated_cpi = est;
+  const double big_n = static_cast<double>(profile.num_units());
+  const double s = stats::sample_stddev(sampled);
+  const double fpc = 1.0 - take / big_n;
+  plan.standard_error = s / std::sqrt(take) * std::sqrt(std::max(fpc, 0.0));
+  plan.ci = stats::confidence_interval(est, plan.standard_error, z);
+  return plan;
+}
+
+}  // namespace
+
 SamplePlan srs_sample(const ThreadProfile& profile, std::size_t n,
                       std::uint64_t seed, double z) {
   SIMPROF_EXPECTS(n > 0, "sample size must be positive");
   SIMPROF_EXPECTS(profile.num_units() > 0, "empty profile");
-  const std::size_t take = std::min(n, profile.num_units());
-
   std::vector<std::size_t> idx(profile.num_units());
   std::iota(idx.begin(), idx.end(), std::size_t{0});
   Rng rng(seed);
   shuffle(idx, rng);
-
-  SamplePlan plan;
-  plan.technique = SamplingTechnique::kSrs;
-  double est = 0.0;
-  std::vector<double> sampled;
-  sampled.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    plan.points.push_back(
-        SimulationPoint{idx[i], 0, 1.0 / static_cast<double>(take)});
-    sampled.push_back(profile.units[idx[i]].cpi());
-    est += sampled.back() / static_cast<double>(take);
-  }
-  plan.estimated_cpi = est;
-  // SRS standard error with finite-population correction.
-  const double big_n = static_cast<double>(profile.num_units());
-  const double s = stats::sample_stddev(sampled);
-  const double fpc = 1.0 - static_cast<double>(take) / big_n;
-  plan.standard_error =
-      s / std::sqrt(static_cast<double>(take)) * std::sqrt(std::max(fpc, 0.0));
-  plan.ci = stats::confidence_interval(est, plan.standard_error, z);
-  return plan;
+  return equal_weight_plan(
+      profile, std::span(idx).first(std::min(n, idx.size())),
+      SamplingTechnique::kSrs, z);
 }
 
 SamplePlan second_sample(const ThreadProfile& profile, double seconds,
@@ -280,28 +291,8 @@ SamplePlan systematic_sample(const ThreadProfile& profile, std::size_t n,
   std::vector<std::size_t> all(profile.num_units());
   std::iota(all.begin(), all.end(), std::size_t{0});
   Rng rng(seed);
-  const auto picks = systematic_picks(all, n, rng);
-
-  SamplePlan plan;
-  plan.technique = SamplingTechnique::kSystematic;
-  std::vector<double> sampled;
-  sampled.reserve(picks.size());
-  double est = 0.0;
-  for (std::size_t u : picks) {
-    plan.points.push_back(
-        SimulationPoint{u, 0, 1.0 / static_cast<double>(picks.size())});
-    sampled.push_back(profile.units[u].cpi());
-    est += sampled.back() / static_cast<double>(picks.size());
-  }
-  plan.estimated_cpi = est;
-  // SRS-style SE as the standard approximation for systematic designs.
-  const double big_n = static_cast<double>(profile.num_units());
-  const double s = stats::sample_stddev(sampled);
-  const double fpc = 1.0 - static_cast<double>(picks.size()) / big_n;
-  plan.standard_error = s / std::sqrt(static_cast<double>(picks.size())) *
-                        std::sqrt(std::max(fpc, 0.0));
-  plan.ci = stats::confidence_interval(est, plan.standard_error, z);
-  return plan;
+  return equal_weight_plan(profile, systematic_picks(all, n, rng),
+                           SamplingTechnique::kSystematic, z);
 }
 
 SamplePlan smarts_sample(const ThreadProfile& profile, std::size_t n,

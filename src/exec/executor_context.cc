@@ -180,6 +180,9 @@ void ExecutorContext::maybe_fire_boundaries() {
     // is consumed in every mode — the generator must evolve identically in
     // fast-forward and detailed execution — but the cold-cache mechanics
     // only apply when the unit is simulated.
+    if (OpTapeSink* sink = cluster_.tape_sink(); sink != nullptr) {
+      sink->on_boundary_rng(ip / cfg.unit_instrs, rng_.state());
+    }
     const bool migrated = rng_.next_bool(cfg.migration_prob_per_unit);
     if (detailed && migrated) {
       cluster_.memory().migrate(core_);

@@ -58,6 +58,13 @@ class OpTapeSink {
                         std::span<const hw::MemRef> refs,
                         std::uint32_t llc_ways,
                         std::span<const jvm::MethodId> frames) = 0;
+  /// Fired at every sampling-unit boundary, right after the chunk that
+  /// reached it and before the boundary's migration draw, with the thread's
+  /// generator state. Workload code draws from rng() between boundaries and
+  /// a tape replay never runs it, so the replay restores this state before
+  /// re-drawing. `unit_index` is the unit the boundary starts.
+  virtual void on_boundary_rng(std::uint64_t unit_index,
+                               const RngState& rng) = 0;
 };
 
 /// How the profiled thread executes the upcoming sampling unit.

@@ -94,7 +94,7 @@ struct ProfileRequest {
   /// workload config still dedup into one lab run; only the analysis
   /// differs.
   std::uint8_t features = 0;
-  /// 0 = Neyman (simprof_sample), 1 = two-phase (two_phase_sample) (v2).
+  /// core::Estimator wire value: 0 = Neyman, 1 = two-phase (v2).
   std::uint8_t estimator = 0;
 
   void write(BinaryWriter& w) const;

@@ -5,14 +5,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
 
-#include "core/phase.h"
-#include "core/sampling.h"
-#include "core/sensitivity.h"
-#include "core/streaming.h"
-#include "features/feature_mode.h"
+#include "core/analysis.h"
 #include "obs/obs.h"
 #include "support/assert.h"
 #include "workloads/workloads.h"
@@ -143,11 +138,9 @@ std::size_t ServiceServer::admitted_level() const {
 
 core::WorkloadLab ServiceServer::make_lab(double scale,
                                           std::uint64_t seed) const {
-  core::LabConfig lc = cfg_.lab;
+  core::LabConfig lc = cfg_.lab;  // cache on, request_threads workers
   lc.scale = scale;
   lc.seed = seed;
-  lc.use_cache = true;
-  lc.threads = cfg_.request_threads;
   return core::WorkloadLab(lc);
 }
 
@@ -451,33 +444,29 @@ void ServiceServer::execute(QueuedRequest& req) {
 }
 
 void ServiceServer::run_profile(QueuedRequest& req, const ProfileRequest& q) {
-  // v2 analysis selectors. The lab cache key is mode-independent (profiles
-  // always carry the MAV blocks), so distinct feature modes over the same
-  // workload config still single-flight into one oracle pass — only the
-  // analysis below differs per request.
-  if (q.features > 2) {
-    throw ContractViolation("profile request: unknown feature mode " +
-                            std::to_string(q.features));
+  // The selectors are decoded before the lab runs, so a bad value is a
+  // typed rejection. The lab cache key is mode-independent (profiles always
+  // carry the MAV blocks): distinct feature modes over one workload config
+  // still single-flight into one oracle pass, and only the analysis differs.
+  core::ProfileAnalysisRequest analysis;
+  analysis.options.features = core::feature_mode_from_wire(q.features);
+  analysis.options.estimator = core::estimator_from_wire(q.estimator);
+  analysis.options.threads = cfg_.request_threads;
+  analysis.seed = q.seed;
+  analysis.sample_n = static_cast<std::size_t>(q.sample_n);
+  analysis.interim_n = analysis.sample_n;
+  if (q.stream) {
+    std::size_t retain = static_cast<std::size_t>(q.stream_retain);
+    if (cfg_.stream_retain_cap > 0) {
+      retain = retain == 0 ? cfg_.stream_retain_cap
+                           : std::min(retain, cfg_.stream_retain_cap);
+    }
+    analysis.stream.emplace();
+    analysis.stream->max_retained_units = retain;
   }
-  if (q.estimator > 1) {
-    throw ContractViolation("profile request: unknown estimator " +
-                            std::to_string(q.estimator));
-  }
-  const auto feature_mode = static_cast<features::FeatureMode>(q.features);
-  const bool two_phase = q.estimator == 1;
-  const auto stratified = [&](const core::ThreadProfile& p,
-                              const core::PhaseModel& m, std::size_t n,
-                              std::uint64_t seed) {
-    return two_phase ? core::two_phase_sample(p, m, n, seed)
-                     : core::simprof_sample(p, m, n, seed);
-  };
 
   core::WorkloadLab lab = make_lab(q.scale, q.seed);
-  core::BatchItem item;
-  item.workload = q.workload;
-  item.graph_input = q.input;
-  item.seed = q.seed;
-  auto runs = lab.run_batch({item});
+  auto runs = lab.run_batch({{q.workload, q.input, q.seed}});
   const core::ThreadProfile& profile = runs.front().profile;
 
   ProfileResult res;
@@ -490,69 +479,37 @@ void ServiceServer::run_profile(QueuedRequest& req, const ProfileRequest& q) {
     profile.save(os);
     res.profile_bytes = os.str();
   }
-
   res.features = q.features;
   res.estimator = q.estimator;
 
   if (q.analyze && profile.num_units() > 0) {
-    core::PhaseFormationConfig fc;
-    fc.features = feature_mode;
-    fc.threads = cfg_.request_threads;
-    core::PhaseModel model;
-    const core::ThreadProfile* sample_profile = &profile;
-    std::optional<core::StreamingPhaseFormer> former;
-    if (q.stream) {
-      core::StreamingConfig sc;
-      sc.formation = fc;
-      std::size_t retain = static_cast<std::size_t>(q.stream_retain);
-      if (cfg_.stream_retain_cap > 0) {
-        retain = retain == 0 ? cfg_.stream_retain_cap
-                             : std::min(retain, cfg_.stream_retain_cap);
-      }
-      sc.max_retained_units = retain;
-      former.emplace(sc);
-      former->set_update_hook([&](const core::StreamingPhaseFormer& f) {
-        StreamUpdate u;
-        u.recluster = f.reclusters();
-        u.units_ingested = f.units_ingested();
-        u.units_retained = f.units_retained();
-        u.phase_count = f.model().k;
-        if (q.sample_n > 0 && f.units_retained() > 0) {
-          const auto n = std::min<std::size_t>(
-              static_cast<std::size_t>(q.sample_n), f.units_retained());
-          const auto plan = stratified(f.profile(), f.model(), n, q.seed);
-          u.estimated_cpi = plan.estimated_cpi;
-          u.selected_units.reserve(plan.points.size());
-          for (const auto& p : plan.points) {
-            u.selected_units.push_back(f.profile().units[p.unit_index].unit_id);
+    auto analysed = core::analyze_profile(
+        profile, analysis, [&](const core::InterimSelection& s) {
+          StreamUpdate u;
+          u.recluster = s.recluster;
+          u.units_ingested = s.units_ingested;
+          u.units_retained = s.units_retained;
+          u.phase_count = s.phase_count;
+          if (s.selection) {
+            u.estimated_cpi = s.selection->plan.estimated_cpi;
+            u.selected_units = s.selection->unit_ids;
           }
-        }
-        stream_updates_.fetch_add(1, std::memory_order_relaxed);
-        svc_metrics().stream_updates.increment();
-        send_payload(req.conn,
-                     pack_message(MsgKind::kStreamUpdate, req.header.request_id,
-                                  [&](BinaryWriter& w) { u.write(w); }));
-      });
-      former->ingest_range(profile, 0, profile.num_units());
-      model = former->finalize();
-      sample_profile = &former->profile();
-    } else {
-      model = core::form_phases(profile, fc);
-    }
-    res.phase_count = model.k;
-    if (q.sample_n > 0 && sample_profile->num_units() > 0) {
-      const auto n = std::min<std::size_t>(
-          static_cast<std::size_t>(q.sample_n), sample_profile->num_units());
-      const auto plan = stratified(*sample_profile, model, n, q.seed);
+          stream_updates_.fetch_add(1, std::memory_order_relaxed);
+          svc_metrics().stream_updates.increment();
+          send_payload(req.conn, pack_message(MsgKind::kStreamUpdate,
+                                              req.header.request_id,
+                                              [&](BinaryWriter& w) {
+                                                u.write(w);
+                                              }));
+        });
+    res.phase_count = analysed.model.k;
+    if (analysed.selection) {
+      const core::SamplePlan& plan = analysed.selection->plan;
       res.estimated_cpi = plan.estimated_cpi;
       res.standard_error = plan.standard_error;
-      res.selected_units.reserve(plan.points.size());
+      res.selected_units = std::move(analysed.selection->unit_ids);
       res.weights.reserve(plan.points.size());
-      for (const auto& p : plan.points) {
-        res.selected_units.push_back(
-            sample_profile->units[p.unit_index].unit_id);
-        res.weights.push_back(p.weight);
-      }
+      for (const auto& p : plan.points) res.weights.push_back(p.weight);
     }
   }
 
@@ -564,24 +521,20 @@ void ServiceServer::run_profile(QueuedRequest& req, const ProfileRequest& q) {
 void ServiceServer::run_sensitivity(QueuedRequest& req,
                                     const SensitivityRequest& q) {
   core::WorkloadLab lab = make_lab(q.scale, q.seed);
-  std::vector<core::BatchItem> items;
-  items.push_back({q.workload, q.input, q.seed});
-  for (const auto& ref : q.references) items.push_back({ref, q.input, q.seed});
-  auto runs = lab.run_batch(items);
-
-  core::PhaseFormationConfig fc;
-  fc.threads = cfg_.request_threads;
-  const core::PhaseModel model = core::form_phases(runs.front().profile, fc);
-
-  std::vector<const core::ThreadProfile*> refs;
-  refs.reserve(q.references.size());
-  for (std::size_t i = 1; i < runs.size(); ++i) refs.push_back(&runs[i].profile);
-  const auto report =
-      core::input_sensitivity_test(model, refs, q.references, q.threshold);
+  core::SensitivityStudy study;
+  study.train = {q.workload, q.input, q.seed};
+  for (const auto& ref : q.references) {
+    study.references.push_back({ref, q.input, q.seed});
+  }
+  study.reference_names = q.references;
+  study.options.threads = cfg_.request_threads;
+  study.threshold = q.threshold;
+  const core::SensitivityAnalysis analysed =
+      core::analyze_sensitivity(lab, study);
 
   SensitivityResult res;
-  res.phases = report.phase_sensitive.size();
-  res.sensitive = report.num_sensitive();
+  res.phases = analysed.report.phase_sensitive.size();
+  res.sensitive = analysed.report.num_sensitive();
   send_payload(req.conn,
                pack_response(req.header.request_id, Status::kOk, "",
                              [&](BinaryWriter& w) { res.write(w); }));

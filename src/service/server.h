@@ -26,9 +26,10 @@
 // from the former's update hook, before the final response.
 //
 // Determinism: request execution is a pure function of the request (the
-// lab cache key covers every parameter), so daemon results are bit-identical
-// to the one-shot CLI for the same config+seed — enforced by
-// tests/service_test.cc via the profile_bytes blob. Admission control only
+// lab cache key covers every parameter), and the analysis runs through the
+// same core/analysis.h calls as the one-shot CLI, so daemon results are
+// bit-identical to it for the same config+seed (service_test compares the
+// profile_bytes blob and the selections). Admission control only
 // decides *when* a request runs, never what it computes.
 #pragma once
 

@@ -1,0 +1,216 @@
+// The shared analysis layer (core/analysis.h): the batch path equals
+// form_phases plus the sampler it wraps in every feature mode × estimator
+// cell, in-order streaming finalizes to the batch model and selection, the
+// SPRC selector decoding rejects out-of-range wire values, and the measured
+// estimate applies a selection's weights to measured CPIs.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "core/analysis.h"
+#include "support/assert.h"
+#include "test_util.h"
+
+namespace simprof::core {
+namespace {
+
+constexpr features::FeatureMode kModes[] = {features::FeatureMode::kFreq,
+                                            features::FeatureMode::kMav,
+                                            features::FeatureMode::kCombined};
+constexpr Estimator kEstimators[] = {Estimator::kNeyman, Estimator::kTwoPhase};
+
+ThreadProfile fixture() {
+  return testing::synthetic_profile(
+      {{70, 0.5, 0.02, 1}, {70, 2.0, 0.05, 2}, {70, 1.2, 0.03, 3}});
+}
+
+void expect_same_plan(const SamplePlan& a, const SamplePlan& b) {
+  EXPECT_EQ(a.technique, b.technique);
+  EXPECT_EQ(a.estimated_cpi, b.estimated_cpi);
+  EXPECT_EQ(a.standard_error, b.standard_error);
+  EXPECT_EQ(a.ci.margin, b.ci.margin);
+  EXPECT_EQ(a.allocation, b.allocation);
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (std::size_t i = 0; i < a.points.size(); ++i) {
+    EXPECT_EQ(a.points[i].unit_index, b.points[i].unit_index) << "point " << i;
+    EXPECT_EQ(a.points[i].phase, b.points[i].phase) << "point " << i;
+    EXPECT_EQ(a.points[i].weight, b.points[i].weight) << "point " << i;
+  }
+}
+
+std::vector<std::string> names(const QualityFigures& q) {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : q) out.push_back(name);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(Analysis, BatchEqualsFormPhasesPlusSamplerInEveryCell) {
+  const ThreadProfile p = fixture();
+  for (const auto mode : kModes) {
+    for (const auto est : kEstimators) {
+      SCOPED_TRACE(std::string(features::to_string(mode)) + "|" +
+                   std::string(to_string(est)));
+      ProfileAnalysisRequest req;
+      req.options.features = mode;
+      req.options.estimator = est;
+      req.seed = 7;
+      req.sample_n = 20;
+      const ProfileAnalysis got = analyze_profile(p, req);
+
+      PhaseFormationConfig pcfg;
+      pcfg.features = mode;
+      const PhaseModel model = form_phases(p, pcfg);
+      EXPECT_EQ(got.model.k, model.k);
+      EXPECT_EQ(got.model.labels, model.labels);
+      EXPECT_EQ(got.model.feature_names, model.feature_names);
+      const SamplePlan want = est == Estimator::kTwoPhase
+                                  ? two_phase_sample(p, model, 20, 7)
+                                  : simprof_sample(p, model, 20, 7);
+      ASSERT_TRUE(got.selection.has_value());
+      expect_same_plan(got.selection->plan, want);
+      ASSERT_EQ(got.selection->unit_ids.size(), want.points.size());
+      for (std::size_t i = 0; i < want.points.size(); ++i) {
+        EXPECT_EQ(got.selection->unit_ids[i],
+                  p.units[want.points[i].unit_index].unit_id);
+      }
+    }
+  }
+}
+
+TEST(Analysis, NoSampleSizeMeansNoSelection) {
+  ProfileAnalysisRequest req;
+  EXPECT_FALSE(analyze_profile(fixture(), req).selection.has_value());
+}
+
+TEST(Analysis, InOrderStreamingFinalizesToBatch) {
+  const ThreadProfile p = fixture();
+  for (const auto mode : kModes) {
+    for (const auto est : kEstimators) {
+      SCOPED_TRACE(std::string(features::to_string(mode)) + "|" +
+                   std::string(to_string(est)));
+      ProfileAnalysisRequest batch_req;
+      batch_req.options.features = mode;
+      batch_req.options.estimator = est;
+      batch_req.seed = 3;
+      batch_req.sample_n = 12;
+      ProfileAnalysisRequest stream_req = batch_req;
+      stream_req.interim_n = 8;
+      stream_req.stream.emplace();
+
+      std::vector<InterimSelection> interim;
+      const ProfileAnalysis streamed = analyze_profile(
+          p, stream_req,
+          [&](const InterimSelection& s) { interim.push_back(s); });
+      const ProfileAnalysis batch = analyze_profile(p, batch_req);
+
+      EXPECT_EQ(streamed.model.k, batch.model.k);
+      EXPECT_EQ(streamed.model.labels, batch.model.labels);
+      EXPECT_EQ(streamed.model.silhouette_scores,
+                batch.model.silhouette_scores);
+      ASSERT_TRUE(streamed.selection.has_value());
+      ASSERT_TRUE(batch.selection.has_value());
+      expect_same_plan(streamed.selection->plan, batch.selection->plan);
+      EXPECT_EQ(streamed.selection->unit_ids, batch.selection->unit_ids);
+
+      // Interim selections arrive at every recluster, before the last unit.
+      ASSERT_FALSE(interim.empty());
+      EXPECT_LT(interim.front().units_ingested, p.num_units());
+      EXPECT_GE(streamed.reclusters, interim.size());
+      for (const InterimSelection& s : interim) {
+        ASSERT_TRUE(s.selection.has_value());
+        EXPECT_EQ(s.selection->plan.sample_size(),
+                  std::min<std::size_t>(8, s.units_retained));
+        EXPECT_GE(s.phase_count, 1u);
+      }
+    }
+  }
+}
+
+TEST(Analysis, WireSelectorsRejectOutOfRangeValues) {
+  EXPECT_EQ(feature_mode_from_wire(0), features::FeatureMode::kFreq);
+  EXPECT_EQ(feature_mode_from_wire(1), features::FeatureMode::kMav);
+  EXPECT_EQ(feature_mode_from_wire(2), features::FeatureMode::kCombined);
+  EXPECT_THROW(feature_mode_from_wire(3), ContractViolation);
+  EXPECT_THROW(feature_mode_from_wire(255), ContractViolation);
+  EXPECT_EQ(estimator_from_wire(0), Estimator::kNeyman);
+  EXPECT_EQ(estimator_from_wire(1), Estimator::kTwoPhase);
+  EXPECT_THROW(estimator_from_wire(2), ContractViolation);
+  EXPECT_THROW(estimator_from_wire(255), ContractViolation);
+}
+
+TEST(Analysis, SelectorNamesRoundTrip) {
+  for (const auto est : kEstimators) {
+    EXPECT_EQ(parse_estimator(to_string(est)), est);
+  }
+  EXPECT_EQ(parse_estimator("two_phase"), Estimator::kTwoPhase);
+  EXPECT_FALSE(parse_estimator("bogus").has_value());
+  EXPECT_EQ(parse_technique("simprof"), SamplingTechnique::kSimProf);
+  EXPECT_EQ(parse_technique("simprof-sys"),
+            SamplingTechnique::kSimProfSystematic);
+  EXPECT_EQ(parse_technique("smarts"), SamplingTechnique::kSmarts);
+  EXPECT_FALSE(parse_technique("bogus").has_value());
+}
+
+TEST(Analysis, TechniquesDispatchToTheirSamplers) {
+  const ThreadProfile p = fixture();
+  expect_same_plan(sample_with(p, SamplingTechnique::kSrs, 10, 5, {}),
+                   srs_sample(p, 10, 5));
+  expect_same_plan(sample_with(p, SamplingTechnique::kSmarts, 10, 5, {}),
+                   smarts_sample(p, 10, 5));
+  AnalysisOptions two_phase;
+  two_phase.estimator = Estimator::kTwoPhase;
+  const SamplePlan plan =
+      sample_with(p, SamplingTechnique::kSimProf, 10, 5, two_phase);
+  EXPECT_EQ(plan.technique, SamplingTechnique::kSimProfTwoPhase);
+  expect_same_plan(plan, two_phase_sample(p, form_phases(p), 10, 5));
+}
+
+TEST(Analysis, PlanQualityNamesFollowModeAndEstimator) {
+  const ThreadProfile p = fixture();
+  const PhaseModel model = form_phases(p);
+  const SamplePlan plan = simprof_sample(p, model, 20, 1);
+  ASSERT_GT(plan.ci.margin, 0.0);
+  EXPECT_EQ(names(plan_quality(plan, p, {})),
+            (std::vector<std::string>{"ci_rel_width", "sampling_error_frac"}));
+  AnalysisOptions mav_two_phase;
+  mav_two_phase.features = features::FeatureMode::kCombined;
+  mav_two_phase.estimator = Estimator::kTwoPhase;
+  EXPECT_EQ(names(plan_quality(plan, p, mav_two_phase)),
+            (std::vector<std::string>{"ci_rel_width", "mav_sampling_error_frac",
+                                      "sampling_error_frac",
+                                      "two_phase_ci_rel_width"}));
+}
+
+TEST(Analysis, MeasuredEstimateWeightsMeasuredCpis) {
+  const ThreadProfile p = fixture();
+  AnalysisOptions options;
+  options.features = features::FeatureMode::kMav;
+  const Selection sel = measure_selection(p, 12, 3, options);
+  ASSERT_FALSE(sel.unit_ids.empty());
+
+  // Measuring the oracle's own records reproduces the plan's estimate.
+  std::vector<UnitRecord> measured;
+  for (const std::uint64_t id : sel.unit_ids) measured.push_back(p.units[id]);
+  const auto est = measured_estimate(sel, p, measured, options);
+  ASSERT_TRUE(est.has_value());
+  EXPECT_NEAR(est->cpi, sel.plan.estimated_cpi, 1e-12);
+  EXPECT_EQ(est->oracle_cpi, p.oracle_cpi());
+  EXPECT_NEAR(est->error, relative_error(sel.plan, p), 1e-12);
+  EXPECT_EQ(names(est->quality),
+            (std::vector<std::string>{"mav_sampling_error_frac",
+                                      "sampling_error_frac"}));
+
+  // A selected unit that was not measured yields no estimate.
+  measured.pop_back();
+  EXPECT_FALSE(measured_estimate(sel, p, measured, options).has_value());
+
+  // Without stratified options the selection is SMARTS-systematic.
+  expect_same_plan(measure_selection(p, 12, 3, std::nullopt).plan,
+                   smarts_sample(p, 12, 3));
+}
+
+}  // namespace
+}  // namespace simprof::core

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/lab.h"
 #include "obs/obs.h"
 #include "support/serialize.h"
@@ -288,6 +289,63 @@ TEST(LabMeasure, CorruptArchivesFallBackToExactReexecution) {
   const auto m = lab.measure_units("grep_sp", "Google", {2});
   EXPECT_TRUE(m.fallback);
   EXPECT_EQ(counter_value("ckpt.fallback") - fallbacks0, 1u);
+  ASSERT_EQ(m.records.size(), 1u);
+  expect_records_match_oracle(m.records, oracle);
+}
+
+TEST(LabMeasure, ReplayedMidWindowUnitsMatchOracleAcrossMigrations) {
+  // Workload code draws from the thread's generator between unit
+  // boundaries and a tape replay never runs it, so a migration drawn at a
+  // boundary inside a window must come from the archived generator state.
+  // wc_sp at this seed migrates at several mid-window boundaries.
+  ScratchDir dir;
+  LabConfig cfg = small_lab(dir.c_str());
+  cfg.scale = 0.1;
+  cfg.seed = 33;
+  cfg.checkpoint_stride = 2;
+  WorkloadLab lab(cfg);
+  const ThreadProfile oracle = lab.run("wc_sp").profile;
+
+  std::vector<std::uint64_t> targets;
+  std::size_t mid_window_migrations = 0;
+  for (const UnitRecord& u : oracle.units) {
+    targets.push_back(u.unit_id);
+    if (u.unit_id % 2 == 1 && u.counters.migrations > 0) {
+      ++mid_window_migrations;
+    }
+  }
+  ASSERT_GT(mid_window_migrations, 0u) << "fixture no longer migrates";
+
+  const auto m = lab.measure_units("wc_sp", "Google", targets);
+  EXPECT_TRUE(m.used_checkpoints);
+  EXPECT_FALSE(m.fallback);
+  ASSERT_EQ(m.records.size(), targets.size());
+  expect_records_match_oracle(m.records, oracle);
+}
+
+TEST(LabMeasure, PreviousFormatArchivesFallBackToExactReexecution) {
+  ScratchDir dir;
+  LabConfig cfg = small_lab(dir.c_str());
+  cfg.checkpoint_stride = 2;
+  WorkloadLab lab(cfg);
+  const ThreadProfile oracle = lab.run("grep_sp").profile;
+
+  // Rewrite every archive's version field (bytes 4..7, after the magic) to
+  // the previous format: the typed version check must reject it.
+  const std::filesystem::path ckpt_dir =
+      lab.checkpoint_dir_for("grep_sp", "Google", cfg.seed);
+  std::size_t rewritten = 0;
+  for (const auto& e : std::filesystem::directory_iterator(ckpt_dir)) {
+    std::fstream f(e.path(), std::ios::binary | std::ios::in | std::ios::out);
+    const std::uint32_t old_version = kCheckpointVersion - 1;
+    f.seekp(4);
+    f.write(reinterpret_cast<const char*>(&old_version), sizeof old_version);
+    ++rewritten;
+  }
+  ASSERT_GT(rewritten, 0u);
+
+  const auto m = lab.measure_units("grep_sp", "Google", {3});
+  EXPECT_TRUE(m.fallback);
   ASSERT_EQ(m.records.size(), 1u);
   expect_records_match_oracle(m.records, oracle);
 }

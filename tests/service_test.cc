@@ -463,6 +463,24 @@ TEST(ServiceServer, DistinctFeatureModesShareOraclePassNotAnalysis) {
   }
 }
 
+TEST(ServiceServer, OutOfRangeSelectorsAreTypedBadRequests) {
+  ScratchDir dir;
+  ServiceConfig cfg = small_service(dir);
+  ServiceServer server(cfg);
+  server.start();
+  ServiceClient client(cfg.socket_path);
+  ProfileRequest q;
+  q.workload = "grep_sp";
+  q.features = 3;
+  EXPECT_EQ(client.profile(q).status, Status::kBadRequest);
+  q.features = 0;
+  q.estimator = 2;
+  EXPECT_EQ(client.profile(q).status, Status::kBadRequest);
+  server.request_stop();
+  server.wait();
+  EXPECT_EQ(server.stats().completed, 0u);
+}
+
 TEST(ServiceServer, OverQuotaIsATypedRejectionNotAHang) {
   ScratchDir dir;
   ServiceConfig cfg = small_service(dir);

@@ -1,58 +1,25 @@
-// simprof — command-line driver for the framework.
+// simprof — command-line driver for the framework. `simprof --help` lists
+// the subcommands and global flags (the kCommands / kGlobalFlags tables
+// below), and `simprof <subcommand> --help` the flags of one verb.
 //
-//   simprof list
-//   simprof profile <workload> [--input NAME] [--scale S] [--seed N]
-//                   [--out FILE]
-//   simprof phases  <profile.sprf>
-//   simprof sample  <profile.sprf> [-n N] [--technique simprof|srs|second|
-//                   code|systematic|simprof-sys] [--seed N]
-//   simprof size    <profile.sprf> [--error 0.05] [--confidence 99.7]
-//   simprof sensitivity <workload> [--train NAME] [--scale S]
-//   simprof measure <workload> [--input NAME] [--scale S] [--seed N]
-//                   [--units LIST | -n N]
-//   simprof verify  [--cases N] [--seed N] [--resamples N] [--skip-lab]
-//   simprof report  <base.json> <new.json> | <manifest-dir>
-//   simprof serve   --socket PATH [--tickets-max N] [--fixed] ...
-//   simprof loadgen --socket PATH [--clients N] [--requests N] ...
-//   simprof --version
-//
-// Global flags (any subcommand):
-//   --threads N       worker count for the parallel engines: phase
-//                     formation and the batched lab pipeline (`sensitivity`
-//                     profiles its training + reference inputs as one
-//                     lab.run_batch). Default: hardware_concurrency;
-//                     results bit-identical for any N.
-//   --checkpoint-dir DIR
-//                     root for sampling-unit checkpoint archives (default:
-//                     $SIMPROF_CHECKPOINT_DIR or <cache>/ckpt)
-//   --checkpoint-stride K
-//                     save a checkpoint every K unit boundaries during
-//                     oracle passes; 0 disables recording (default 2)
-//   --log-level L     trace|debug|info|warn|error|off (default: info, or
-//                     $SIMPROF_LOG_LEVEL)
-//   --metrics-out F   write a JSON metrics snapshot on exit
-//   --trace-out F     collect Chrome trace events (load in Perfetto /
-//                     chrome://tracing) and write them on exit
-//   --manifest-out F  where the run manifest goes (default:
-//                     $SIMPROF_MANIFEST_DIR or .simprof_manifests/)
-//   --no-manifest     skip the run manifest for this invocation
-//   --heartbeat SECS  log a progress line every SECS seconds; SIGUSR1 dumps
-//                     a live flight record (open spans + metrics)
-//   --help, -h        this help (or per-subcommand usage)
+// `profile` runs a Table I workload on the simulated cluster and writes the
+// thread profile; the analysis subcommands operate on saved profiles, so a
+// profile collected once can be explored offline — the same split as the
+// real tool's agent/analyzer. Every analysis decision (feature space,
+// estimator, batch or streaming formation, selections, sensitivity, the
+// measured estimate) lives in core/analysis.h, shared with the daemon: a verb
+// here only decodes its flags, calls that module and prints the result. All
+// flags are decoded before any lab work starts; a malformed value exits 2.
 //
 // Every invocation (unless --no-manifest) writes a schema-versioned run
 // manifest at exit — build sha, config, metrics, span rollup, quality — and
 // `simprof report` diffs two of them (or gates the newest of a directory),
 // exiting non-zero on a latency/quality regression. See DESIGN.md §6g.
-//
-// `profile` runs a Table I workload on the simulated cluster and writes the
-// thread profile; the analysis subcommands operate on saved profiles, so a
-// profile collected once can be explored offline — the same split as the
-// real tool's agent/analyzer.
 #include <pthread.h>
 
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
@@ -60,18 +27,17 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "core/analysis.h"
 #include "core/checkpoint.h"
-#include "core/lab.h"
-#include "core/phase.h"
-#include "core/sampling.h"
-#include "core/sensitivity.h"
-#include "core/streaming.h"
 #include "data/catalog.h"
-#include "features/feature_mode.h"
 #include "obs/obs.h"
 #include "service/loadgen.h"
 #include "service/server.h"
@@ -121,6 +87,16 @@ struct CommandSpec {
   std::vector<FlagSpec> flags;
 };
 
+/// The --features / --estimator flags; `what` names what they select for.
+FlagSpec features_flag(const std::string& what) {
+  return {"features", "MODE", what + ": freq|mav|combined (default freq)"};
+}
+FlagSpec estimator_flag(const std::string& what, bool with_default = true) {
+  return {"estimator", "E",
+          what + ": neyman|two-phase" +
+              (with_default ? " (default neyman)" : "")};
+}
+
 const std::vector<CommandSpec> kCommands = {
     {"list", "", "list Table I workloads and Table II graph inputs", {}},
     {"profile",
@@ -140,17 +116,12 @@ const std::vector<CommandSpec> kCommands = {
        "mini-batch size for streaming center refinement (default 8)"},
       {"stream-retain", "N",
        "streaming retention cap in units, 0 = retain all (default 0)"},
-      {"features", "MODE",
-       "feature space for --stream phase formation: freq|mav|combined "
-       "(default freq)"},
-      {"estimator", "E",
-       "stratified estimator for --stream interim selections: "
-       "neyman|two-phase (default neyman)"}}},
+      features_flag("feature space for --stream phase formation"),
+      estimator_flag("stratified estimator for --stream interim selections")}},
     {"phases",
      "<profile.sprf>",
      "form phases from a saved profile and print the phase table",
-     {{"features", "MODE",
-       "feature space: freq|mav|combined (default freq)"}}},
+     {features_flag("feature space")}},
     {"sample",
      "<profile.sprf>",
      "draw simulation points with a sampling technique",
@@ -159,32 +130,22 @@ const std::vector<CommandSpec> kCommands = {
        "simprof|srs|second|code|systematic|smarts|simprof-sys "
        "(default simprof)"},
       {"seed", "N", "sampling seed (default 1)"},
-      {"features", "MODE",
-       "feature space for phase formation: freq|mav|combined "
-       "(default freq)"},
-      {"estimator", "E",
-       "stratified estimator for the simprof technique: neyman|two-phase "
-       "(default neyman)"}}},
+      features_flag("feature space for phase formation"),
+      estimator_flag("stratified estimator for the simprof technique")}},
     {"size",
      "<profile.sprf>",
      "required sample size for a target error bound",
      {{"error", "E", "relative error margin (default 0.05)"},
       {"confidence", "PCT", "confidence level: 90|95|99|99.7 (default 99.7)"},
-      {"features", "MODE",
-       "feature space for phase formation: freq|mav|combined "
-       "(default freq)"}}},
+      features_flag("feature space for phase formation")}},
     {"sensitivity",
      "<workload>",
      "train on one input, test phase sensitivity across the rest",
      {{"train", "NAME", "training graph input (default Google)"},
       {"scale", "S", "workload scale factor (default 1.0)"},
       {"seed", "N", "simulation seed (default 42)"},
-      {"features", "MODE",
-       "feature space for phase formation: freq|mav|combined "
-       "(default freq)"},
-      {"estimator", "E",
-       "stratified estimator for the point-budget sample: neyman|two-phase "
-       "(default neyman)"}}},
+      features_flag("feature space for phase formation"),
+      estimator_flag("stratified estimator for the point-budget sample")}},
     {"measure",
      "<workload>",
      "measure selected sampling units via checkpoint restore + "
@@ -195,12 +156,10 @@ const std::vector<CommandSpec> kCommands = {
       {"units", "LIST", "comma-separated unit ids (overrides -n)"},
       {"n", "N", "SMARTS systematic selection size (default 10)"},
       {"sample-seed", "N", "selection seed for -n (default 1)"},
-      {"features", "MODE",
-       "feature space for --estimator selection: freq|mav|combined "
-       "(default freq)"},
-      {"estimator", "E",
-       "select units with a stratified plan instead of SMARTS and report "
-       "its weighted CPI estimate: neyman|two-phase"}}},
+      features_flag("feature space for --estimator selection"),
+      estimator_flag("select units with a stratified plan instead of SMARTS "
+                     "and report its weighted CPI estimate",
+                     false)}},
     {"verify",
      "",
      "fault-injection + oracle verification of the archive/cache and "
@@ -252,12 +211,8 @@ const std::vector<CommandSpec> kCommands = {
       {"stream", "", "request streaming analysis with interim selections"},
       {"stream-retain", "N",
        "requested streaming retention cap in units (default 0)"},
-      {"features", "MODE",
-       "feature space for daemon-side analysis: freq|mav|combined "
-       "(default freq)"},
-      {"estimator", "E",
-       "stratified estimator for daemon-side selections: neyman|two-phase "
-       "(default neyman)"},
+      features_flag("feature space for daemon-side analysis"),
+      estimator_flag("stratified estimator for daemon-side selections"),
       {"json", "FILE", "write the loadgen report as JSON"}}},
     {"report",
      "<base.json> <new.json> | <manifest-dir>",
@@ -273,6 +228,23 @@ const std::vector<CommandSpec> kCommands = {
       {"json", "FILE", "also write the JSON report to FILE"}}},
 };
 
+/// A flag value that fails validation. main() prints it and exits 2; every
+/// verb decodes all of its flags before any lab work starts.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The whole of `s` as a T; nullopt for anything else (empty, trailing
+/// characters, a sign on an unsigned type, overflow).
+template <typename T>
+std::optional<T> parse_number(std::string_view s) {
+  T value{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  if (s.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;
@@ -283,7 +255,34 @@ struct Args {
     auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
+
+  /// Numeric flag value, or `fallback` when the flag is absent. A malformed
+  /// value throws UsageError naming the flag.
+  template <typename T>
+  T num(const std::string& key, T fallback) const {
+    const auto it = options.find(key);
+    if (it == options.end()) return fallback;
+    if (const auto v = parse_number<T>(it->second)) return *v;
+    throw UsageError("--" + key + " expects " +
+                     (std::is_integral_v<T> ? "a non-negative integer"
+                                            : "a number") +
+                     ", got '" + it->second + "'");
+  }
 };
+
+std::vector<std::string> split_csv(const std::string& s) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos <= s.size()) {
+    const std::size_t comma = s.find(',', pos);
+    const std::string tok =
+        s.substr(pos, comma == std::string::npos ? comma : comma - pos);
+    if (!tok.empty()) out.push_back(tok);
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return out;
+}
 
 const CommandSpec* find_command(const std::string& name) {
   for (const auto& c : kCommands) {
@@ -405,85 +404,48 @@ bool confidence_to_z(double pct, double& z) {
   return false;
 }
 
-/// Parse --features into a feature mode (default freq). Returns false after
-/// a diagnostic on an unknown name.
-bool parse_features_arg(const Args& args, features::FeatureMode& mode) {
-  const std::string s = args.opt("features", "freq");
-  if (const auto m = features::parse_feature_mode(s)) {
-    mode = *m;
-    return true;
+/// --features and --estimator (defaults freq and neyman).
+core::AnalysisOptions analysis_options(const Args& args) {
+  const std::string f = args.opt("features", "freq");
+  const auto mode = features::parse_feature_mode(f);
+  if (!mode) {
+    throw UsageError("--features must be freq|mav|combined (got '" + f +
+                     "')");
   }
-  std::cerr << "error: --features must be freq|mav|combined (got '" << s
-            << "')\n";
-  return false;
+  const std::string e = args.opt("estimator", "neyman");
+  const auto est = core::parse_estimator(e);
+  if (!est) {
+    throw UsageError("--estimator must be neyman|two-phase (got '" + e +
+                     "')");
+  }
+  core::AnalysisOptions options;
+  options.features = *mode;
+  options.estimator = *est;
+  return options;
 }
 
-enum class EstimatorKind { kNeyman, kTwoPhase };
-
-/// Parse --estimator (default neyman). Returns false after a diagnostic on
-/// an unknown name.
-bool parse_estimator_arg(const Args& args, EstimatorKind& est) {
-  const std::string s = args.opt("estimator", "neyman");
-  if (s == "neyman") {
-    est = EstimatorKind::kNeyman;
-    return true;
-  }
-  if (s == "two-phase" || s == "two_phase") {
-    est = EstimatorKind::kTwoPhase;
-    return true;
-  }
-  std::cerr << "error: --estimator must be neyman|two-phase (got '" << s
-            << "')\n";
-  return false;
+/// Echo the analysis selectors into the run manifest.
+void set_analysis_config(const core::AnalysisOptions& options) {
+  obs::ledger().set_config("features",
+                           std::string(features::to_string(options.features)));
+  obs::ledger().set_config("estimator",
+                           std::string(core::to_string(options.estimator)));
 }
 
-/// The stratified plan under the chosen estimator: classic Neyman-allocated
-/// SimProf or double sampling for stratification.
-core::SamplePlan stratified_plan(const core::ThreadProfile& profile,
-                                 const core::PhaseModel& model, std::size_t n,
-                                 std::uint64_t seed, EstimatorKind est) {
-  return est == EstimatorKind::kTwoPhase
-             ? core::two_phase_sample(profile, model, n, seed)
-             : core::simprof_sample(profile, model, n, seed);
-}
-
-/// Publish the estimator-grid quality figures for a stratified plan: the
-/// generic figures always, plus the mode/estimator-specific names the
-/// report gate tracks (lower is better for all of them).
-void set_plan_quality(const core::SamplePlan& plan,
-                      const core::ThreadProfile& profile,
-                      features::FeatureMode mode, EstimatorKind est) {
-  obs::ledger().set_quality("sampling_error_frac",
-                            core::relative_error(plan, profile));
-  const bool has_ci = plan.estimated_cpi > 0.0 && plan.ci.margin > 0.0;
-  if (has_ci) {
-    obs::ledger().set_quality("ci_rel_width",
-                              plan.ci.margin / plan.estimated_cpi);
-  }
-  if (mode != features::FeatureMode::kFreq) {
-    obs::ledger().set_quality("mav_sampling_error_frac",
-                              core::relative_error(plan, profile));
-  }
-  if (est == EstimatorKind::kTwoPhase && has_ci) {
-    obs::ledger().set_quality("two_phase_ci_rel_width",
-                              plan.ci.margin / plan.estimated_cpi);
+void set_quality(const core::QualityFigures& figures) {
+  for (const auto& [name, value] : figures) {
+    obs::ledger().set_quality(name, value);
   }
 }
 
-/// Fold the global checkpoint flags into a lab configuration.
-bool apply_checkpoint_flags(const Args& args, core::LabConfig& cfg) {
+/// --scale, --seed and the global checkpoint flags as a lab configuration.
+core::LabConfig lab_config(const Args& args) {
+  core::LabConfig cfg;
+  cfg.scale = args.num("scale", cfg.scale);
+  cfg.seed = args.num("seed", cfg.seed);
   cfg.checkpoint_dir = args.opt("checkpoint-dir", "");
-  if (const std::string s = args.opt("checkpoint-stride", ""); !s.empty()) {
-    try {
-      cfg.checkpoint_stride = std::stoull(s);
-    } catch (const std::exception&) {
-      std::cerr << "error: --checkpoint-stride expects a non-negative "
-                   "integer, got '"
-                << s << "'\n";
-      return false;
-    }
-  }
-  return true;
+  cfg.checkpoint_stride = args.num("checkpoint-stride", cfg.checkpoint_stride);
+  return cfg;
 }
 
 core::ThreadProfile load_profile(const std::string& path) {
@@ -511,18 +473,27 @@ int cmd_list() {
 
 int cmd_profile(const Args& args) {
   const std::string workload = args.positional[0];
-  core::LabConfig cfg;
-  cfg.scale = std::stod(args.opt("scale", "1.0"));
-  cfg.seed = std::stoull(args.opt("seed", "42"));
+  core::LabConfig cfg = lab_config(args);
   cfg.use_cache = false;
-  if (!apply_checkpoint_flags(args, cfg)) return 2;
-  features::FeatureMode mode = features::FeatureMode::kFreq;
-  EstimatorKind est = EstimatorKind::kNeyman;
-  if (!parse_features_arg(args, mode) || !parse_estimator_arg(args, est)) {
-    return 2;
-  }
-  core::WorkloadLab lab(cfg);
   const std::string input = args.opt("input", "Google");
+  const std::string out = args.opt("out", workload + "-" + input + ".sprf");
+  // --stream replays the collected units through the streaming former in
+  // arrival order (standing in for the live unit-boundary hook of a
+  // profiling daemon) with an interim selection at every recluster.
+  core::ProfileAnalysisRequest stream;
+  stream.options = analysis_options(args);
+  stream.seed = cfg.seed;
+  stream.interim_n = 16;
+  stream.stream.emplace();
+  stream.stream->warmup_units = args.num<std::size_t>("stream-warmup", 16);
+  stream.stream->refine_batch = args.num<std::size_t>("stream-batch", 8);
+  stream.stream->max_retained_units =
+      args.num<std::size_t>("stream-retain", 0);
+  if (stream.stream->warmup_units == 0 || stream.stream->refine_batch == 0) {
+    throw UsageError("--stream-warmup and --stream-batch must be positive");
+  }
+
+  core::WorkloadLab lab(cfg);
   obs::ledger().set_config("workload", workload);
   obs::ledger().set_config("input", input);
   obs::ledger().set_config("scale", args.opt("scale", "1.0"));
@@ -530,8 +501,6 @@ int cmd_profile(const Args& args) {
   std::cout << "running " << workload << " (input " << input << ", scale "
             << cfg.scale << ") ...\n";
   auto run = lab.run(workload, input);
-  const std::string out =
-      args.opt("out", workload + "-" + input + ".sprf");
   std::ofstream os(out, std::ios::binary | std::ios::trunc);
   run.profile.save(os);
   obs::ledger().set_quality("units", static_cast<double>(run.profile.num_units()));
@@ -540,69 +509,50 @@ int cmd_profile(const Args& args) {
             << run.profile.num_methods() << " methods) to " << out
             << "\noracle CPI " << Table::num(run.profile.oracle_cpi(), 4)
             << ", records out " << run.result.records_out << '\n';
+  if (!args.has("stream")) return 0;
 
-  if (args.has("stream")) {
-    // Online path: replay the collected units through the streaming former
-    // in arrival order (standing in for the live unit-boundary hook of a
-    // profiling daemon) and print an interim stratified selection at every
-    // recluster — selections exist long before the last unit is ingested.
-    core::StreamingConfig scfg;
-    scfg.warmup_units = std::stoull(args.opt("stream-warmup", "16"));
-    scfg.refine_batch = std::stoull(args.opt("stream-batch", "8"));
-    scfg.max_retained_units = std::stoull(args.opt("stream-retain", "0"));
-    scfg.formation.features = mode;
-    core::StreamingPhaseFormer former(scfg);
-    former.set_update_hook([&](const core::StreamingPhaseFormer& f) {
-      const std::size_t n = std::min<std::size_t>(16, f.units_retained());
-      const auto plan = stratified_plan(f.profile(), f.model(), n, cfg.seed,
-                                        est);
-      std::cout << "stream: recluster " << f.reclusters() << " @ "
-                << f.units_ingested() << " units -> k=" << f.model().k
-                << ", interim selection " << plan.sample_size()
-                << " points, est CPI " << Table::num(plan.estimated_cpi, 4)
-                << '\n';
-    });
-    former.ingest_range(run.profile, 0, run.profile.num_units());
-    const core::PhaseModel streamed = former.finalize();
+  const core::ProfileAnalysis streamed = core::analyze_profile(
+      run.profile, stream, [](const core::InterimSelection& s) {
+        const core::SamplePlan& plan = s.selection->plan;
+        std::cout << "stream: recluster " << s.recluster << " @ "
+                  << s.units_ingested << " units -> k=" << s.phase_count
+                  << ", interim selection " << plan.sample_size()
+                  << " points, est CPI " << Table::num(plan.estimated_cpi, 4)
+                  << '\n';
+      });
 
-    // Quality figures vs the batch model on the same profile — the manifest
-    // carries both the streamed structure and its distance from batch, so
-    // `simprof report` gates streaming drift across runs.
-    core::PhaseFormationConfig pcfg;
-    pcfg.features = mode;
-    const core::PhaseModel batch = core::form_phases(run.profile, pcfg);
-    const double phase_delta = static_cast<double>(
-        streamed.k > batch.k ? streamed.k - batch.k : batch.k - streamed.k);
-    obs::ledger().set_config("stream", "1");
-    obs::ledger().set_config("features", std::string(features::to_string(mode)));
-    obs::ledger().set_config(
-        "estimator", est == EstimatorKind::kTwoPhase ? "two-phase" : "neyman");
-    obs::ledger().set_quality("stream_phase_count",
-                              static_cast<double>(streamed.k));
-    if (streamed.k >= 1 && streamed.k <= streamed.silhouette_scores.size()) {
-      obs::ledger().set_quality("stream_silhouette",
-                                streamed.silhouette_scores[streamed.k - 1]);
-    }
-    obs::ledger().set_quality("stream_reclusters",
-                              static_cast<double>(former.reclusters()));
-    obs::ledger().set_quality("stream_batch_phase_delta", phase_delta);
-    std::cout << "stream: final k=" << streamed.k << " after "
-              << former.reclusters() << " reclusters (batch k=" << batch.k
-              << ", delta " << phase_delta << ")\n";
+  // Quality figures vs the batch model on the same profile — the manifest
+  // carries both the streamed structure and its distance from batch, so
+  // `simprof report` gates streaming drift across runs.
+  const core::PhaseModel batch = core::analyze_phases(run.profile,
+                                                      stream.options);
+  const std::size_t k = streamed.model.k;
+  const double phase_delta =
+      static_cast<double>(k > batch.k ? k - batch.k : batch.k - k);
+  obs::ledger().set_config("stream", "1");
+  set_analysis_config(stream.options);
+  obs::ledger().set_quality("stream_phase_count", static_cast<double>(k));
+  if (k >= 1 && k <= streamed.model.silhouette_scores.size()) {
+    obs::ledger().set_quality("stream_silhouette",
+                              streamed.model.silhouette_scores[k - 1]);
   }
+  obs::ledger().set_quality("stream_reclusters",
+                            static_cast<double>(streamed.reclusters));
+  obs::ledger().set_quality("stream_batch_phase_delta", phase_delta);
+  std::cout << "stream: final k=" << k << " after " << streamed.reclusters
+            << " reclusters (batch k=" << batch.k << ", delta "
+            << phase_delta << ")\n";
   return 0;
 }
 
 int cmd_phases(const Args& args) {
+  const core::AnalysisOptions options = analysis_options(args);
   const auto profile = load_profile(args.positional[0]);
-  features::FeatureMode mode = features::FeatureMode::kFreq;
-  if (!parse_features_arg(args, mode)) return 2;
-  core::PhaseFormationConfig pcfg;
-  pcfg.features = mode;
-  const auto model = core::form_phases(profile, pcfg);
+  const auto model = core::analyze_phases(profile, options);
   const auto cov = core::cov_summary(profile, model);
   obs::ledger().set_config("profile", args.positional[0]);
-  obs::ledger().set_config("features", std::string(features::to_string(mode)));
+  obs::ledger().set_config("features",
+                           std::string(features::to_string(options.features)));
   obs::ledger().set_quality("phase_count", static_cast<double>(model.k));
   if (model.k >= 1 && model.k <= model.silhouette_scores.size()) {
     obs::ledger().set_quality("silhouette",
@@ -639,50 +589,26 @@ int cmd_phases(const Args& args) {
 }
 
 int cmd_sample(const Args& args) {
-  const auto profile = load_profile(args.positional[0]);
-  const auto n = static_cast<std::size_t>(std::stoul(args.opt("n", "20")));
-  const auto seed = std::stoull(args.opt("seed", "1"));
+  const auto n = args.num<std::size_t>("n", 20);
+  const auto seed = args.num<std::uint64_t>("seed", 1);
+  const core::AnalysisOptions options = analysis_options(args);
   const std::string tech = args.opt("technique", "simprof");
-  features::FeatureMode mode = features::FeatureMode::kFreq;
-  EstimatorKind est = EstimatorKind::kNeyman;
-  if (!parse_features_arg(args, mode) || !parse_estimator_arg(args, est)) {
-    return 2;
+  const auto technique = core::parse_technique(tech);
+  if (!technique) {
+    throw UsageError("unknown technique '" + tech +
+                     "' (simprof|srs|second|code|systematic|smarts|"
+                     "simprof-sys)");
   }
-
-  core::SamplePlan plan;
-  if (tech == "srs") {
-    plan = core::srs_sample(profile, n, seed);
-  } else if (tech == "second") {
-    plan = core::second_sample(profile, 0.1, 2.0);
-  } else if (tech == "systematic") {
-    plan = core::systematic_sample(profile, n, seed);
-  } else if (tech == "smarts") {
-    plan = core::smarts_sample(profile, n, seed);
-  } else if (tech == "code" || tech == "simprof" || tech == "simprof-sys") {
-    core::PhaseFormationConfig pcfg;
-    pcfg.features = mode;
-    const auto model = core::form_phases(profile, pcfg);
-    plan = tech == "code"
-               ? core::code_sample(profile, model)
-               : (tech == "simprof"
-                      ? stratified_plan(profile, model, n, seed, est)
-                      : core::simprof_systematic_sample(profile, model, n,
-                                                        seed));
-  } else {
-    std::cerr << "error: unknown technique '" << tech
-              << "' (simprof|srs|second|code|systematic|smarts|"
-                 "simprof-sys)\n";
-    return 2;
-  }
+  const auto profile = load_profile(args.positional[0]);
+  const core::SamplePlan plan =
+      core::sample_with(profile, *technique, n, seed, options);
 
   obs::ledger().set_config("profile", args.positional[0]);
   obs::ledger().set_config("technique", tech);
   obs::ledger().set_config("n", args.opt("n", "20"));
   obs::ledger().set_config("seed", args.opt("seed", "1"));
-  obs::ledger().set_config("features", std::string(features::to_string(mode)));
-  obs::ledger().set_config(
-      "estimator", est == EstimatorKind::kTwoPhase ? "two-phase" : "neyman");
-  set_plan_quality(plan, profile, mode, est);
+  set_analysis_config(options);
+  set_quality(core::plan_quality(plan, profile, options));
   std::cout << to_string(plan.technique) << " selected "
             << plan.sample_size() << " simulation points\n";
   std::cout << "estimate " << Table::num(plan.estimated_cpi, 4) << " vs oracle "
@@ -700,20 +626,17 @@ int cmd_sample(const Args& args) {
 }
 
 int cmd_size(const Args& args) {
-  const auto profile = load_profile(args.positional[0]);
-  features::FeatureMode mode = features::FeatureMode::kFreq;
-  if (!parse_features_arg(args, mode)) return 2;
-  core::PhaseFormationConfig pcfg;
-  pcfg.features = mode;
-  const auto model = core::form_phases(profile, pcfg);
-  const double err = std::stod(args.opt("error", "0.05"));
-  const double conf = std::stod(args.opt("confidence", "99.7"));
+  const core::AnalysisOptions options = analysis_options(args);
+  const double err = args.num("error", 0.05);
+  const double conf = args.num("confidence", 99.7);
   double z = 3.0;
   if (!confidence_to_z(conf, z)) {
     std::cerr << "error: --confidence must be one of 90, 95, 99, 99.7 (got "
               << conf << ")\n";
     return 2;
   }
+  const auto profile = load_profile(args.positional[0]);
+  const auto model = core::analyze_phases(profile, options);
   const auto n = core::required_sample_size(model, err, z);
   std::cout << "units for " << Table::pct(err, 0) << " error at " << conf
             << "% confidence: " << n << " of " << profile.num_units() << " ("
@@ -725,126 +648,74 @@ int cmd_size(const Args& args) {
 
 int cmd_sensitivity(const Args& args) {
   const std::string workload = args.positional[0];
-  core::LabConfig cfg;
-  cfg.scale = std::stod(args.opt("scale", "1.0"));
-  cfg.seed = std::stoull(args.opt("seed", "42"));
-  if (!apply_checkpoint_flags(args, cfg)) return 2;
-  features::FeatureMode mode = features::FeatureMode::kFreq;
-  EstimatorKind est = EstimatorKind::kNeyman;
-  if (!parse_features_arg(args, mode) || !parse_estimator_arg(args, est)) {
-    return 2;
-  }
-  core::WorkloadLab lab(cfg);
+  const core::LabConfig cfg = lab_config(args);
   const std::string train_name = args.opt("train", "Google");
-  // One batch covers the training input and every reference: cache misses
-  // simulate concurrently on the thread pool (--threads), hits decode
-  // alongside them, and the results are bit-identical to serial runs.
-  std::vector<core::BatchItem> items;
-  items.push_back({workload, train_name, {}});
-  std::vector<std::string> names;
-  for (const auto& e : data::snap_catalog()) {
-    if (e.name == train_name) continue;
-    items.push_back({workload, e.name, {}});
-    names.push_back(e.name);
-  }
-  std::cout << "profiling " << train_name << " + " << names.size()
-            << " reference inputs as one batch...\n";
-  auto runs = lab.run_batch(items);
-  const auto train = std::move(runs.front());
-  core::PhaseFormationConfig pcfg;
-  pcfg.features = mode;
-  const auto model = core::form_phases(train.profile, pcfg);
+  core::SensitivityStudy study = core::graph_input_study(workload, train_name);
+  study.options = analysis_options(args);
+  study.budget_n = 20;
+  study.budget_seed = 1;
 
-  std::vector<const core::ThreadProfile*> ptrs;
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    ptrs.push_back(&runs[i].profile);
-  }
-  const auto report = core::input_sensitivity_test(model, ptrs, names);
+  core::WorkloadLab lab(cfg);
+  std::cout << "profiling " << train_name << " + " << study.references.size()
+            << " reference inputs as one batch...\n";
+  const core::SensitivityAnalysis analysed =
+      core::analyze_sensitivity(lab, study);
   obs::ledger().set_config("workload", workload);
   obs::ledger().set_config("train", train_name);
-  obs::ledger().set_config("features", std::string(features::to_string(mode)));
-  obs::ledger().set_config(
-      "estimator", est == EstimatorKind::kTwoPhase ? "two-phase" : "neyman");
-  obs::ledger().set_quality("phase_count", static_cast<double>(model.k));
-  obs::ledger().set_quality("sensitive_phases",
-                            static_cast<double>(report.num_sensitive()));
-  const auto budget_plan = stratified_plan(train.profile, model, 20, 1, est);
-  set_plan_quality(budget_plan, train.profile, mode, est);
-  std::cout << report.num_sensitive() << "/" << model.k
+  set_analysis_config(study.options);
+  obs::ledger().set_quality("phase_count",
+                            static_cast<double>(analysed.model.k));
+  obs::ledger().set_quality(
+      "sensitive_phases",
+      static_cast<double>(analysed.report.num_sensitive()));
+  set_quality(analysed.budget_quality);
+  std::cout << analysed.report.num_sensitive() << "/" << analysed.model.k
             << " phases input-sensitive; simulation points needed per "
                "reference input: "
-            << Table::pct(report.sensitive_point_fraction(budget_plan))
+            << Table::pct(
+                   analysed.report.sensitive_point_fraction(*analysed.budget))
             << '\n';
   return 0;
 }
 
 int cmd_measure(const Args& args) {
   const std::string workload = args.positional[0];
-  core::LabConfig cfg;
-  cfg.scale = std::stod(args.opt("scale", "1.0"));
-  cfg.seed = std::stoull(args.opt("seed", "42"));
-  if (!apply_checkpoint_flags(args, cfg)) return 2;
-  core::WorkloadLab lab(cfg);
+  const core::LabConfig cfg = lab_config(args);
   const std::string input = args.opt("input", "Google");
-
-  // The oracle pass populates the profile cache and (stride permitting)
-  // records the checkpoint archives the fast path restores from.
-  auto run = lab.run(workload, input);
-
   // --estimator switches the selection from SMARTS-systematic to a
   // stratified plan over the formed phases (in the chosen feature space);
   // the measured units then feed that plan's weighted CPI estimate.
-  features::FeatureMode mode = features::FeatureMode::kFreq;
-  if (!parse_features_arg(args, mode)) return 2;
-  EstimatorKind est = EstimatorKind::kNeyman;
-  const bool stratified = args.has("estimator");
-  if (stratified && !parse_estimator_arg(args, est)) return 2;
-  core::SamplePlan plan;
-
+  const core::AnalysisOptions options = analysis_options(args);
+  std::optional<core::AnalysisOptions> stratified;
+  if (args.has("estimator")) stratified = options;
   std::vector<std::uint64_t> units;
-  if (const std::string list = args.opt("units", ""); !list.empty()) {
-    std::size_t pos = 0;
-    while (pos < list.size()) {
-      const std::size_t comma = list.find(',', pos);
-      const std::string tok =
-          list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-      try {
-        units.push_back(std::stoull(tok));
-      } catch (const std::exception&) {
-        std::cerr << "error: --units expects comma-separated unit ids, got '"
-                  << tok << "'\n";
-        return 2;
-      }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
+  for (const std::string& tok : split_csv(args.opt("units", ""))) {
+    const auto id = parse_number<std::uint64_t>(tok);
+    if (!id) {
+      throw UsageError("--units expects comma-separated unit ids, got '" +
+                       tok + "'");
     }
-  } else {
-    const auto n = static_cast<std::size_t>(std::stoul(args.opt("n", "10")));
-    const auto sample_seed = std::stoull(args.opt("sample-seed", "1"));
-    if (stratified) {
-      core::PhaseFormationConfig pcfg;
-      pcfg.features = mode;
-      const auto model = core::form_phases(run.profile, pcfg);
-      plan = stratified_plan(run.profile, model, n, sample_seed, est);
-    } else {
-      plan = core::smarts_sample(run.profile, n, sample_seed);
-    }
-    for (const auto& pt : plan.points) {
-      units.push_back(run.profile.units[pt.unit_index].unit_id);
-    }
+    units.push_back(*id);
+  }
+  const auto n = args.num<std::size_t>("n", 10);
+  const auto sample_seed = args.num<std::uint64_t>("sample-seed", 1);
+
+  // The oracle pass populates the profile cache and (stride permitting)
+  // records the checkpoint archives the fast path restores from.
+  core::WorkloadLab lab(cfg);
+  const core::LabRun run = lab.run(workload, input);
+  std::optional<core::Selection> selection;
+  if (units.empty()) {
+    selection = core::measure_selection(run.profile, n, sample_seed,
+                                        stratified);
+    units = selection->unit_ids;
   }
 
   const auto m = lab.measure_units(workload, input, units);
   obs::ledger().set_config("workload", workload);
   obs::ledger().set_config("input", input);
   obs::ledger().set_config("seed", args.opt("seed", "42"));
-  if (stratified) {
-    obs::ledger().set_config("features",
-                             std::string(features::to_string(mode)));
-    obs::ledger().set_config(
-        "estimator",
-        est == EstimatorKind::kTwoPhase ? "two-phase" : "neyman");
-  }
+  if (stratified) set_analysis_config(options);
   obs::ledger().set_quality("units_measured",
                             static_cast<double>(m.records.size()));
   Table t({"unit_id", "instructions", "cycles", "cpi"});
@@ -859,48 +730,22 @@ int cmd_measure(const Args& args) {
             << " fallback=" << (m.fallback ? 1 : 0)
             << " fast_forwarded_instrs=" << m.fast_forwarded_instrs << '\n';
 
-  if (stratified && !plan.points.empty()) {
-    // The plan's weights (which sum to 1) applied to the *measured* per-unit
-    // CPIs — the estimator the measured sample actually induces.
-    std::map<std::uint64_t, double> cpi_of;
-    for (const auto& u : m.records) cpi_of[u.unit_id] = u.cpi();
-    double estimate = 0.0;
-    bool complete = true;
-    for (const auto& pt : plan.points) {
-      const auto it = cpi_of.find(run.profile.units[pt.unit_index].unit_id);
-      if (it == cpi_of.end()) {
-        complete = false;
-        break;
-      }
-      estimate += pt.weight * it->second;
-    }
-    if (complete) {
-      const double oracle = run.profile.oracle_cpi();
-      const double err =
-          oracle > 0.0 ? std::abs(estimate - oracle) / oracle : 0.0;
-      obs::ledger().set_quality("sampling_error_frac", err);
-      if (mode != features::FeatureMode::kFreq) {
-        obs::ledger().set_quality("mav_sampling_error_frac", err);
-      }
-      if (est == EstimatorKind::kTwoPhase && plan.estimated_cpi > 0.0 &&
-          plan.ci.margin > 0.0) {
-        obs::ledger().set_quality("two_phase_ci_rel_width",
-                                  plan.ci.margin / plan.estimated_cpi);
-      }
-      std::cout << "stratified estimate " << Table::num(estimate, 4)
-                << " vs oracle " << Table::num(oracle, 4) << " (error "
-                << Table::pct(err, 2) << ")\n";
+  if (stratified && selection) {
+    if (const auto est = core::measured_estimate(*selection, run.profile,
+                                                 m.records, options)) {
+      set_quality(est->quality);
+      std::cout << "stratified estimate " << Table::num(est->cpi, 4)
+                << " vs oracle " << Table::num(est->oracle_cpi, 4)
+                << " (error " << Table::pct(est->error, 2) << ")\n";
     }
   }
   return 0;
 }
 
 int cmd_verify(const Args& args) {
-  const auto cases =
-      static_cast<std::size_t>(std::stoul(args.opt("cases", "500")));
-  const auto seed = std::stoull(args.opt("seed", "1"));
-  const auto resamples =
-      static_cast<std::size_t>(std::stoul(args.opt("resamples", "10000")));
+  const auto cases = args.num<std::size_t>("cases", 500);
+  const auto seed = args.num<std::uint64_t>("seed", 1);
+  const auto resamples = args.num<std::size_t>("resamples", 10000);
 
   verify::VerifyReport report;
   std::cout << "round-trip differential check...\n";
@@ -945,16 +790,9 @@ int cmd_verify(const Args& args) {
 
 int cmd_report(const Args& args) {
   obs::ReportThresholds thresholds;
-  try {
-    thresholds.latency_frac =
-        std::stod(args.opt("latency-threshold", "0.25"));
-    thresholds.quality_frac =
-        std::stod(args.opt("quality-threshold", "0.10"));
-    thresholds.latency_min_delta_ms = std::stod(args.opt("min-delta", "5"));
-  } catch (const std::exception&) {
-    std::cerr << "error: report thresholds must be numbers\n";
-    return 2;
-  }
+  thresholds.latency_frac = args.num("latency-threshold", 0.25);
+  thresholds.quality_frac = args.num("quality-threshold", 0.10);
+  thresholds.latency_min_delta_ms = args.num("min-delta", 5.0);
 
   obs::RunReport report;
   std::string series_md;
@@ -1012,15 +850,15 @@ void print_version() {
 /// metrics snapshot, and the run manifest with the final exit code.
 class ObsFlags {
  public:
-  bool apply(const Args& args, const std::string& verb, int argc,
+  /// Throws UsageError on a malformed flag.
+  void apply(const Args& args, const std::string& verb, int argc,
              char** argv) {
     if (const std::string l = args.opt("log-level", ""); !l.empty()) {
       const auto level = obs::parse_log_level(l);
       if (!level) {
-        std::cerr << "error: --log-level must be "
-                     "trace|debug|info|warn|error|off (got '"
-                  << l << "')\n";
-        return false;
+        throw UsageError(
+            "--log-level must be trace|debug|info|warn|error|off (got '" + l +
+            "')");
       }
       obs::set_log_level(*level);
     }
@@ -1045,19 +883,12 @@ class ObsFlags {
       obs::start_tracing();
     }
 
-    if (const std::string hb = args.opt("heartbeat", ""); !hb.empty()) {
+    if (args.has("heartbeat")) {
       obs::HeartbeatConfig config;
-      try {
-        config.period_s = std::stod(hb);
-      } catch (const std::exception&) {
-        std::cerr << "error: --heartbeat expects seconds, got '" << hb
-                  << "'\n";
-        return false;
-      }
+      config.period_s = args.num("heartbeat", config.period_s);
       obs::start_heartbeat(config);
       heartbeat_ = true;
     }
-    return true;
   }
 
   void set_exit_code(int code) {
@@ -1140,42 +971,23 @@ void start_signal_watcher(ObsFlags* obs_flags) {
   }).detach();
 }
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    const std::string tok =
-        s.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!tok.empty()) out.push_back(tok);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
 int cmd_serve(const Args& args) {
   service::ServiceConfig cfg;
   cfg.socket_path = args.opt("socket", "");
   if (cfg.socket_path.empty()) {
-    std::cerr << "error: `simprof serve` needs --socket PATH\n";
-    return 2;
+    throw UsageError("`simprof serve` needs --socket PATH");
   }
-  if (!apply_checkpoint_flags(args, cfg.lab)) return 2;
-  try {
-    cfg.max_queue = std::stoull(args.opt("max-queue", "64"));
-    cfg.client_max_inflight = std::stoull(args.opt("client-inflight", "8"));
-    cfg.admission.initial_concurrency = std::stoull(args.opt("tickets", "2"));
-    cfg.admission.min_concurrency = std::stoull(args.opt("tickets-min", "1"));
-    cfg.admission.max_concurrency = std::stoull(args.opt("tickets-max", "16"));
-    cfg.admission.probe_interval_ms = static_cast<std::uint32_t>(
-        std::stoul(args.opt("probe-interval-ms", "200")));
-    cfg.stream_retain_cap = std::stoull(args.opt("stream-retain-cap", "0"));
-    cfg.request_threads = std::stoull(args.opt("request-threads", "1"));
-  } catch (const std::exception&) {
-    std::cerr << "error: serve flags expect non-negative integers\n";
-    return 2;
-  }
+  cfg.lab = lab_config(args);
+  cfg.max_queue = args.num("max-queue", cfg.max_queue);
+  cfg.client_max_inflight =
+      args.num("client-inflight", cfg.client_max_inflight);
+  cfg.admission.initial_concurrency = args.num<std::size_t>("tickets", 2);
+  cfg.admission.min_concurrency = args.num<std::size_t>("tickets-min", 1);
+  cfg.admission.max_concurrency = args.num<std::size_t>("tickets-max", 16);
+  cfg.admission.probe_interval_ms =
+      args.num("probe-interval-ms", cfg.admission.probe_interval_ms);
+  cfg.stream_retain_cap = args.num("stream-retain-cap", cfg.stream_retain_cap);
+  cfg.request_threads = args.num("request-threads", cfg.request_threads);
   cfg.fixed_concurrency = args.has("fixed");
 
   obs::ledger().set_config("socket", cfg.socket_path);
@@ -1220,37 +1032,26 @@ int cmd_loadgen(const Args& args) {
   service::LoadgenConfig cfg;
   cfg.socket_path = args.opt("socket", "");
   if (cfg.socket_path.empty()) {
-    std::cerr << "error: `simprof loadgen` needs --socket PATH\n";
-    return 2;
+    throw UsageError("`simprof loadgen` needs --socket PATH");
   }
-  try {
-    cfg.clients = std::stoull(args.opt("clients", "4"));
-    cfg.requests_per_client = std::stoull(args.opt("requests", "8"));
-    cfg.inflight_per_client = std::stoull(args.opt("inflight", "1"));
-    cfg.scale = std::stod(args.opt("scale", "0.05"));
-    cfg.seed = std::stoull(args.opt("seed", "42"));
-    cfg.sample_n = std::stoull(args.opt("sample", "8"));
-    cfg.stream_retain = std::stoull(args.opt("stream-retain", "0"));
-  } catch (const std::exception&) {
-    std::cerr << "error: loadgen flags expect numbers\n";
-    return 2;
-  }
+  cfg.clients = args.num("clients", cfg.clients);
+  cfg.requests_per_client = args.num("requests", cfg.requests_per_client);
+  cfg.inflight_per_client = args.num("inflight", cfg.inflight_per_client);
+  cfg.scale = args.num("scale", cfg.scale);
+  cfg.seed = args.num("seed", cfg.seed);
+  cfg.sample_n = args.num("sample", cfg.sample_n);
+  cfg.stream_retain = args.num("stream-retain", cfg.stream_retain);
   cfg.workloads = split_csv(args.opt("workloads", "grep_sp"));
   if (cfg.workloads.empty()) {
-    std::cerr << "error: --workloads needs at least one name\n";
-    return 2;
+    throw UsageError("--workloads needs at least one name");
   }
   cfg.input = args.opt("input", "Google");
   cfg.analyze = !args.has("no-analyze");
   cfg.stream = args.has("stream");
   cfg.vary_seed = args.has("vary-seed");
-  features::FeatureMode mode = features::FeatureMode::kFreq;
-  EstimatorKind est = EstimatorKind::kNeyman;
-  if (!parse_features_arg(args, mode) || !parse_estimator_arg(args, est)) {
-    return 2;
-  }
-  cfg.features = static_cast<std::uint8_t>(mode);
-  cfg.estimator = est == EstimatorKind::kTwoPhase ? 1 : 0;
+  const core::AnalysisOptions options = analysis_options(args);
+  cfg.features = static_cast<std::uint8_t>(options.features);
+  cfg.estimator = static_cast<std::uint8_t>(options.estimator);
 
   const service::LoadgenReport report = service::run_loadgen(cfg);
 
@@ -1329,25 +1130,18 @@ int main(int argc, char** argv) {
   }
 
   ObsFlags obs_flags;
-  if (!obs_flags.apply(args, cmd->name, argc, argv)) return 2;
-  // Signals are blocked before any thread exists (so workers inherit the
-  // mask) and handled by a dedicated watcher: graceful daemon drain on the
-  // first SIGINT/SIGTERM, flush-then-exit(128+sig) otherwise.
-  block_termination_signals();
-  start_signal_watcher(&obs_flags);
   int rc = 2;
   try {
+    obs_flags.apply(args, cmd->name, argc, argv);
+    // Signals are blocked before any worker thread exists (so workers
+    // inherit the mask) and handled by a dedicated watcher: graceful daemon
+    // drain on the first SIGINT/SIGTERM, flush-then-exit(128+sig) otherwise.
+    block_termination_signals();
+    start_signal_watcher(&obs_flags);
     // Global: --threads N caps the phase-formation thread pool for every
     // subcommand. Output is bit-identical regardless of the value.
-    if (const std::string t = args.opt("threads", ""); !t.empty()) {
-      try {
-        support::set_default_thread_count(std::stoull(t));
-      } catch (const std::exception&) {
-        obs_flags.set_exit_code(2);
-        std::cerr << "error: --threads expects a non-negative integer, got '"
-                  << t << "'\n";
-        return 2;
-      }
+    if (args.has("threads")) {
+      support::set_default_thread_count(args.num<std::size_t>("threads", 0));
     }
     if (cmd->name == "list") rc = cmd_list();
     else if (cmd->name == "profile") rc = cmd_profile(args);
@@ -1360,6 +1154,9 @@ int main(int argc, char** argv) {
     else if (cmd->name == "report") rc = cmd_report(args);
     else if (cmd->name == "serve") rc = cmd_serve(args);
     else if (cmd->name == "loadgen") rc = cmd_loadgen(args);
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    rc = 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     rc = 1;
