@@ -9,32 +9,43 @@ namespace simprof::data {
 
 Graph Graph::from_edges(VertexId num_vertices, std::vector<Edge> edges,
                         bool symmetrize) {
-  if (symmetrize) {
-    const std::size_t n = edges.size();
-    edges.reserve(n * 2);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (edges[i].src != edges[i].dst) {
-        edges.push_back(Edge{edges[i].dst, edges[i].src});
-      }
-    }
-  }
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-  });
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
   Graph g;
-  g.offsets_.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
-  g.neighbors_.reserve(edges.size());
+  auto& off = g.offsets_;
+  auto& nbr = g.neighbors_;
+  // Count each vertex's slots (reverse edges included), then scatter every
+  // edge into its source's slots. After the scatter off[v] is the end of
+  // v's slots, i.e. the start of v + 1's.
+  off.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
   for (const Edge& e : edges) {
     SIMPROF_EXPECTS(e.src < num_vertices && e.dst < num_vertices,
                     "edge endpoint out of range");
-    ++g.offsets_[e.src + 1];
-    g.neighbors_.push_back(e.dst);
+    ++off[e.src + 1];
+    if (symmetrize && e.src != e.dst) ++off[e.dst + 1];
   }
-  std::partial_sum(g.offsets_.begin(), g.offsets_.end(), g.offsets_.begin());
-  SIMPROF_ENSURES(g.offsets_.back() == g.neighbors_.size(),
-                  "CSR construction mismatch");
+  std::partial_sum(off.begin(), off.end(), off.begin());
+  nbr.resize(off.back());
+  for (const Edge& e : edges) {
+    nbr[off[e.src]++] = e.dst;
+    if (symmetrize && e.src != e.dst) nbr[off[e.dst]++] = e.src;
+  }
+  std::vector<Edge>().swap(edges);  // free the edge list before compaction
+
+  // Sort and deduplicate each adjacency list, compacting the lists in
+  // place toward the front (a list never moves past its own slots).
+  std::uint64_t begin = 0, out = 0;
+  for (VertexId v = 0; v < num_vertices; ++v) {
+    const std::uint64_t end = off[v];
+    VertexId* first = nbr.data() + begin;
+    VertexId* last = nbr.data() + end;
+    std::sort(first, last);
+    last = std::unique(first, last);
+    off[v] = out;
+    if (out != begin) std::copy(first, last, nbr.data() + out);
+    out += static_cast<std::uint64_t>(last - first);
+    begin = end;
+  }
+  off[num_vertices] = out;
+  nbr.resize(out);
   return g;
 }
 

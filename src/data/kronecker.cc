@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "support/assert.h"
 
 namespace simprof::data {
@@ -19,10 +20,18 @@ Graph kronecker_graph(const KroneckerConfig& cfg, bool symmetrize) {
 
   const double sum = cfg.a + cfg.b + cfg.c + cfg.d;
   const double pa = cfg.a / sum, pb = cfg.b / sum, pc = cfg.c / sum;
+  // Blend the initiator toward uniform by `noise` (the same at every level).
+  const double qa = pa * (1.0 - 2.0 * cfg.noise) + 0.25 * 2.0 * cfg.noise;
+  const double qb = pb * (1.0 - 2.0 * cfg.noise) + 0.25 * 2.0 * cfg.noise;
+  const double qc = pc * (1.0 - 2.0 * cfg.noise) + 0.25 * 2.0 * cfg.noise;
+  // Cumulative quadrant thresholds, non-decreasing since qa, qb, qc ≥ 0.
+  const double t1 = qa, t2 = qa + qb, t3 = qa + qb + qc;
 
   const VertexId n = VertexId{1} << cfg.scale;
   const auto num_edges = static_cast<std::uint64_t>(
       cfg.edge_factor * static_cast<double>(n));
+  obs::ObsSpan span("data.graph_synth",
+                    {{"edges", num_edges}, {"scale", cfg.scale}});
 
   Rng rng(cfg.seed);
   std::vector<Edge> edges;
@@ -31,16 +40,10 @@ Graph kronecker_graph(const KroneckerConfig& cfg, bool symmetrize) {
   for (std::uint64_t e = 0; e < num_edges; ++e) {
     VertexId src = 0, dst = 0;
     for (std::uint32_t level = 0; level < cfg.scale; ++level) {
-      // Blend the initiator toward uniform by `noise` at every level.
-      const double qa = pa * (1.0 - 2.0 * cfg.noise) + 0.25 * 2.0 * cfg.noise;
-      const double qb = pb * (1.0 - 2.0 * cfg.noise) + 0.25 * 2.0 * cfg.noise;
-      const double qc = pc * (1.0 - 2.0 * cfg.noise) + 0.25 * 2.0 * cfg.noise;
       const double u = rng.next_double();
-      std::uint32_t quad;
-      if (u < qa) quad = 0;
-      else if (u < qa + qb) quad = 1;
-      else if (u < qa + qb + qc) quad = 2;
-      else quad = 3;
+      const VertexId quad = static_cast<VertexId>(u >= t1) +
+                            static_cast<VertexId>(u >= t2) +
+                            static_cast<VertexId>(u >= t3);
       src = (src << 1) | (quad >> 1);
       dst = (dst << 1) | (quad & 1);
     }

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "support/assert.h"
 #include "support/zipf.h"
 
@@ -16,6 +17,10 @@ TextCorpus TextCorpus::synthesize(const TextConfig& cfg) {
   SIMPROF_EXPECTS(cfg.num_words > 0, "empty corpus requested");
   SIMPROF_EXPECTS(cfg.vocabulary > 0, "empty vocabulary");
   SIMPROF_EXPECTS(cfg.mean_doc_words > 0, "documents must be non-empty");
+  SIMPROF_EXPECTS(cfg.num_classes <= cfg.vocabulary,
+                  "more classes than vocabulary words leaves empty class bands");
+  obs::ObsSpan span("data.corpus_synth", {{"words", cfg.num_words},
+                                          {"vocabulary", cfg.vocabulary}});
 
   TextCorpus out;
   out.cfg_ = cfg;

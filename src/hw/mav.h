@@ -25,7 +25,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/cache.h"
@@ -74,10 +73,20 @@ struct MavBlock {
 /// Exact intra-unit reuse-distance tracker. Feed it every line touch of the
 /// profiled core (in execution order) with the level that served it; read
 /// block() at the unit boundary and reset(). State is O(distinct lines
-/// touched since reset); reset keeps capacity so steady-state units do not
-/// reallocate.
+/// touched since reset); reset is O(1) and keeps capacity, so steady-state
+/// units neither reallocate nor clear.
+///
+/// Last touches live in a flat open-addressing table (linear probing) whose
+/// slots carry the unit's generation stamp: a slot whose stamp is not the
+/// current one is empty, so reset() just advances the stamp. Line addresses
+/// come from a bump allocator, but the engines reserve many 64 MB regions
+/// they touch only in part, so a dense last-touch array would cost RSS.
 class ReuseTracker {
  public:
+  /// `stamp_bits` narrows the generation stamp below its 32-bit default so
+  /// tests can reach the wraparound (which clears every slot) quickly.
+  explicit ReuseTracker(unsigned stamp_bits = 32);
+
   void record(LineAddr line, AccessLevel level);
   void reset();
   const MavBlock& block() const { return block_; }
@@ -86,17 +95,30 @@ class ReuseTracker {
   bool empty() const { return now_ == 0; }
 
  private:
-  std::uint64_t prefix(std::uint64_t i) const;
-  void add(std::uint64_t i, std::uint64_t delta);
+  struct Slot {
+    LineAddr line = 0;
+    std::uint32_t time = 0;   ///< timestamp of the line's latest touch
+    std::uint32_t stamp = 0;  ///< generation; 0 never matches a live unit
+  };
+
+  std::uint32_t prefix(std::uint32_t i) const;
+  void add(std::uint32_t i, std::uint32_t delta);
+  void grow_table();
+  void grow_tree();
 
   MavBlock block_;
-  std::unordered_map<LineAddr, std::uint64_t> last_;  ///< line → timestamp
-  /// Fenwick tree (1-based) over timestamps; a set bit marks the *most
-  /// recent* touch position of some line, so a prefix-sum difference counts
-  /// distinct lines touched in a timestamp interval.
-  std::vector<std::uint64_t> bit_;
-  std::vector<std::uint8_t> mark_;  ///< plain marks, for capacity rebuilds
-  std::uint64_t now_ = 0;
+  std::vector<Slot> slots_;  ///< power-of-two capacity
+  unsigned shift_ = 0;       ///< 64 − log2(slots_.size()), for hashing
+  std::uint32_t stamp_ = 1;
+  std::uint32_t max_stamp_ = 0;
+  /// Lines touched since reset; also the Fenwick tree's total mark count.
+  std::uint32_t distinct_ = 0;
+  /// Fenwick tree (1-based) over timestamps; a mark at a position means some
+  /// line's *most recent* touch happened then, so distinct_ − prefix(t0)
+  /// counts the distinct lines touched after t0. Its logical size is
+  /// bit_.size() − 1, a power of two, and reset() shrinks it back.
+  std::vector<std::uint32_t> bit_;
+  std::uint32_t now_ = 0;
 };
 
 }  // namespace simprof::hw

@@ -5,6 +5,7 @@
 // the combiner hit-rate and hash-map sizes in WordCount/Grep/NaiveBayes.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -14,7 +15,10 @@
 namespace simprof {
 
 /// Samples ranks in [0, n) with P(rank k) ∝ 1/(k+1)^s using an inverted-CDF
-/// table built once at construction (O(n) memory, O(log n) per sample).
+/// table built once at construction. A guide table (indexed search) narrows
+/// each draw's binary search to the CDF entries of one of m ≥ n equal-width
+/// buckets of [0, 1), so a draw costs O(1) expected time; the rank returned
+/// is exactly the first CDF entry ≥ u, as a full binary search would give.
 class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double s);
@@ -23,15 +27,33 @@ class ZipfSampler {
   double exponent() const { return s_; }
 
   /// Draw one rank; rank 0 is the most frequent item.
-  std::size_t sample(Rng& rng) const;
+  std::size_t sample(Rng& rng) const { return rank_at(rng.next_double()); }
+
+  /// The rank a draw of u ∈ [0, 1) maps to: the first k with cdf()[k] ≥ u.
+  std::size_t rank_at(double u) const {
+    // m is a power of two, so u·m is exact and its floor is the bucket j
+    // with j/m ≤ u < (j+1)/m, j < m. The CDF is monotone, hence the first
+    // entry ≥ u lies in [guide_[j], guide_[j+1]].
+    const auto j = static_cast<std::size_t>(u * bucket_scale_);
+    const double* first = cdf_.data() + guide_[j];
+    const double* last = cdf_.data() + guide_[j + 1];
+    return static_cast<std::size_t>(std::lower_bound(first, last, u) -
+                                    cdf_.data());
+  }
 
   /// Expected probability of a given rank (for tests).
   double probability(std::size_t rank) const;
 
+  /// The cumulative distribution: cdf()[k] = P(rank ≤ k), cdf().back() = 1.
+  const std::vector<double>& cdf() const { return cdf_; }
+
  private:
   double s_ = 1.0;
   double norm_ = 1.0;
+  double bucket_scale_ = 1.0;  ///< m, the bucket count (a power of two ≥ n)
   std::vector<double> cdf_;
+  /// guide_[j] = first k with cdf_[k] ≥ j/m, for j in [0, m].
+  std::vector<std::uint32_t> guide_;
 };
 
 }  // namespace simprof

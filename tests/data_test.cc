@@ -2,6 +2,7 @@
 // Kronecker generation and the Table II catalog.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -10,6 +11,7 @@
 #include "data/kronecker.h"
 #include "data/text.h"
 #include "support/assert.h"
+#include "support/rng.h"
 
 namespace simprof::data {
 namespace {
@@ -71,6 +73,17 @@ TEST(TextCorpus, LabelsOnlyWhenRequested) {
   EXPECT_EQ(seen.size(), 3u);
 }
 
+TEST(TextCorpus, MoreClassesThanVocabularyViolatesContract) {
+  // Each class owns a band of vocabulary / num_classes words; with more
+  // classes than words that band is empty and `w % band` would divide by 0.
+  auto cfg = tiny_text();
+  cfg.vocabulary = 4;
+  cfg.num_classes = 5;
+  EXPECT_THROW(TextCorpus::synthesize(cfg), ContractViolation);
+  cfg.num_classes = 4;  // one word per class band is still well defined
+  EXPECT_EQ(TextCorpus::synthesize(cfg).words().size(), cfg.num_words);
+}
+
 TEST(TextCorpus, WordBytesDeterministicAndBounded) {
   for (WordId w : {0u, 1u, 17u, 100'000u}) {
     const auto b = TextCorpus::word_bytes(w);
@@ -119,6 +132,68 @@ TEST(Graph, SelfLoopNotDuplicatedBySymmetrize) {
 TEST(Graph, OutOfRangeEndpointThrows) {
   std::vector<Edge> edges{{0, 5}};
   EXPECT_THROW(Graph::from_edges(2, edges, false), ContractViolation);
+}
+
+// The CSR a global sort + unique of all (src, dst) pairs produces.
+std::pair<std::vector<std::uint64_t>, std::vector<VertexId>> reference_csr(
+    VertexId n, std::vector<Edge> edges, bool symmetrize) {
+  if (symmetrize) {
+    const std::size_t m = edges.size();
+    for (std::size_t i = 0; i < m; ++i) {
+      if (edges[i].src != edges[i].dst) {
+        edges.push_back(Edge{edges[i].dst, edges[i].src});
+      }
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  });
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<VertexId> neighbors;
+  for (const Edge& e : edges) {
+    ++offsets[e.src + 1];
+    neighbors.push_back(e.dst);
+  }
+  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  return {offsets, neighbors};
+}
+
+TEST(Graph, FromEdgesMatchesSortUniqueReference) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Few vertices relative to edges forces duplicates and self-loops;
+    // many vertices leaves some isolated, including the first and last.
+    const auto n = static_cast<VertexId>(1 + rng.next_below(trial % 2 ? 8 : 300));
+    const std::size_t m = rng.next_below(4 * n + 10);
+    std::vector<Edge> edges;
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto src = static_cast<VertexId>(rng.next_below(n));
+      const auto dst = rng.next_bool(0.1) ? src
+                                          : static_cast<VertexId>(rng.next_below(n));
+      edges.push_back(Edge{src, dst});
+      if (rng.next_bool(0.2)) edges.push_back(edges.back());
+    }
+    for (const bool symmetrize : {false, true}) {
+      const Graph g = Graph::from_edges(n, edges, symmetrize);
+      const auto [offsets, neighbors] = reference_csr(n, edges, symmetrize);
+      ASSERT_EQ(g.num_vertices(), n);
+      ASSERT_TRUE(std::ranges::equal(g.offsets(), offsets))
+          << "trial " << trial << " symmetrize " << symmetrize;
+      ASSERT_TRUE(std::ranges::equal(g.edges_flat(), neighbors))
+          << "trial " << trial << " symmetrize " << symmetrize;
+    }
+  }
+  const Graph empty = Graph::from_edges(5, {}, true);
+  EXPECT_EQ(empty.num_edges(), 0u);
+  EXPECT_EQ(empty.offsets().size(), 6u);
+  // Either endpoint out of range throws, with or without the reverse edges.
+  for (const bool symmetrize : {false, true}) {
+    EXPECT_THROW(Graph::from_edges(3, {{0, 1}, {3, 0}}, symmetrize),
+                 ContractViolation);
+    EXPECT_THROW(Graph::from_edges(3, {{0, 1}, {1, 7}}, symmetrize),
+                 ContractViolation);
+  }
 }
 
 TEST(Graph, UnionFindGroundTruth) {
@@ -190,6 +265,34 @@ TEST(Kronecker, NoiseFlattensDegreeDistribution) {
   };
   EXPECT_LT(max_degree(kronecker_graph(road, false)),
             max_degree(kronecker_graph(skewed, false)));
+}
+
+std::uint64_t csr_digest(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over 64-bit words
+  auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; };
+  for (const std::uint64_t o : g.offsets()) mix(o);
+  for (const VertexId v : g.edges_flat()) mix(v);
+  return h;
+}
+
+TEST(Kronecker, EdgeStreamAndCsrPinnedAtScale10) {
+  // The edge stream and the CSR layout feed every graph profile, so any
+  // change to them would change profiles. Road's noise exercises the
+  // blended initiator.
+  struct Pin {
+    const char* name;
+    bool symmetrize;
+    std::uint64_t edges;
+    std::uint64_t digest;
+  };
+  for (const Pin& p : {Pin{"Google", false, 11329, 0xed770827ff604ebbULL},
+                       Pin{"Google", true, 20150, 0x2dc4a94f147d8b61ULL},
+                       Pin{"Road", false, 8154, 0xa30738b4780cdb87ULL},
+                       Pin{"Road", true, 16228, 0x767c91a86336aa67ULL}}) {
+    const Graph g = kronecker_graph(catalog_entry(p.name, 10).kron, p.symmetrize);
+    EXPECT_EQ(g.num_edges(), p.edges) << p.name << " symmetrize " << p.symmetrize;
+    EXPECT_EQ(csr_digest(g), p.digest) << p.name << " symmetrize " << p.symmetrize;
+  }
 }
 
 TEST(Kronecker, RejectsBadConfig) {

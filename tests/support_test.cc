@@ -2,6 +2,8 @@
 // sampling, string interning, binary serialization and table formatting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -132,6 +134,43 @@ TEST(Zipf, ZeroExponentIsUniform) {
   ZipfSampler z(10, 0.0);
   for (std::size_t r = 0; r < 10; ++r) {
     EXPECT_NEAR(z.probability(r), 0.1, 1e-12);
+  }
+}
+
+TEST(Zipf, GuideTableRankEqualsFullBinarySearch) {
+  // The guide table must return exactly the rank a lower_bound over the
+  // whole CDF returns, for Rng draws and for the inputs closest to its
+  // bucket edges: every exact edge j/m, the double just below it, and the
+  // largest draw below 1.
+  auto reference = [](const ZipfSampler& z, double u) {
+    const auto& cdf = z.cdf();
+    return static_cast<std::size_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+  };
+  Rng rng(13);
+  for (const std::size_t n : {1UL, 2UL, 3UL, 1000UL, 85196UL, 131072UL, 262144UL}) {
+    for (const double s : {0.0, 0.5, 1.0, 1.2, 2.0}) {
+      const ZipfSampler z(n, s);
+      std::size_t mismatches = 0;
+      for (int i = 0; i < 1'000'000; ++i) {
+        Rng peek = rng;
+        const double u = peek.next_double();
+        mismatches += z.sample(rng) != reference(z, u);
+      }
+      const std::size_t m = std::bit_ceil(n);
+      for (std::size_t j = 0; j < m; ++j) {
+        const double edge = static_cast<double>(j) / static_cast<double>(m);
+        mismatches += z.rank_at(edge) != reference(z, edge);
+        if (j > 0) {
+          const double below = std::nextafter(edge, 0.0);
+          mismatches += z.rank_at(below) != reference(z, below);
+        }
+      }
+      const double top = std::nextafter(1.0, 0.0);
+      mismatches += z.rank_at(top) != reference(z, top);
+      EXPECT_EQ(mismatches, 0u) << "n " << n << " s " << s;
+      EXPECT_LT(z.rank_at(top), n);
+    }
   }
 }
 
