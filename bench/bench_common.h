@@ -9,7 +9,8 @@
 //   SIMPROF_SCALE      — data-volume scale (default 1.0)
 //   SIMPROF_CACHE_DIR  — profile cache directory (default .simprof_cache)
 //
-// Observability flags (every bench, stripped before any other parsing):
+// Observability flags (every bench, stripped before any other parsing; the
+// run itself is an obs::RunSession, see obs/session.h):
 //   --log-level LEVEL  — trace|debug|info|warn|error|off
 //   --metrics-out FILE — JSON metrics snapshot written at exit
 //   --trace-out FILE   — Chrome trace events (Perfetto) written at exit
@@ -19,9 +20,10 @@
 #pragma once
 
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/analysis.h"
@@ -30,89 +32,67 @@
 
 namespace simprof::bench {
 
-/// RAII observability session for bench mains: strips the obs flags out of
-/// argc/argv (so downstream parsers like google-benchmark never see them),
-/// applies the log level, arms tracing, starts the run ledger, and writes
-/// the requested trace / metrics files plus the run manifest on destruction.
-class ObsSession {
- public:
-  ObsSession(int& argc, char** argv) {
-    std::vector<std::string> raw_args(argv + 1, argv + argc);
-    bool no_manifest = false;
-    std::string manifest_out;
-    int keep = 1;
-    for (int i = 1; i < argc; ++i) {
-      std::string value;
-      if (match(argc, argv, i, "--log-level", value)) {
-        if (const auto level = obs::parse_log_level(value)) {
-          obs::set_log_level(*level);
-        } else {
-          std::cerr << "warning: ignoring unknown --log-level '" << value
-                    << "'\n";
-        }
-      } else if (match(argc, argv, i, "--metrics-out", value)) {
-        metrics_out_ = value;
-      } else if (match(argc, argv, i, "--trace-out", value)) {
-        trace_out_ = value;
-      } else if (match(argc, argv, i, "--manifest-out", value)) {
-        manifest_out = value;
-      } else if (std::strcmp(argv[i], "--no-manifest") == 0) {
-        no_manifest = true;
-      } else {
-        argv[keep++] = argv[i];
-      }
-    }
-    argc = keep;
-
-    // Bench name from argv[0]'s basename — the manifest's verb.
-    std::string verb = argv[0];
-    if (const auto slash = verb.find_last_of('/');
-        slash != std::string::npos) {
-      verb = verb.substr(slash + 1);
-    }
-    obs::ledger().begin("simprof-bench", verb, std::move(raw_args));
-    obs::ledger().set_schema("cache", core::kLabCacheSchema);
-    obs::ledger().set_schema("checkpoint", core::kCheckpointVersion);
-    if (no_manifest) obs::ledger().disable();
-    if (!manifest_out.empty()) obs::ledger().set_output_path(manifest_out);
-    if (const char* s = std::getenv("SIMPROF_SCALE")) {
-      obs::ledger().set_config("scale", s);
-    }
-    // Span rollups need trace events, so a manifest-emitting bench always
-    // collects spans (observation only — cannot perturb results).
-    if (!trace_out_.empty() || obs::ledger().enabled()) obs::start_tracing();
-  }
-
-  ~ObsSession() {
-    if (obs::trace_enabled()) obs::stop_tracing();
-    if (!trace_out_.empty()) obs::write_trace(trace_out_);
-    if (!metrics_out_.empty()) obs::metrics().write_json(metrics_out_);
-    obs::ledger().write();
-  }
-
-  ObsSession(const ObsSession&) = delete;
-  ObsSession& operator=(const ObsSession&) = delete;
-
- private:
-  /// "--flag VALUE" (consumes the next arg) or "--flag=VALUE".
-  static bool match(int argc, char** argv, int& i, const char* flag,
-                    std::string& value) {
-    const std::size_t len = std::strlen(flag);
-    if (std::strncmp(argv[i], flag, len) != 0) return false;
-    if (argv[i][len] == '=') {
-      value = argv[i] + len + 1;
-      return true;
-    }
-    if (argv[i][len] == '\0' && i + 1 < argc) {
+/// Strips the obs flags out of argc/argv, so downstream parsers such as
+/// google-benchmark never see them, and returns this bench's run-session
+/// config (verb = argv[0]'s basename; $SIMPROF_SCALE goes to the manifest).
+inline obs::RunSessionConfig strip_obs_flags(int& argc, char** argv) {
+  obs::RunSessionConfig config;
+  config.tool = "simprof-bench";
+  config.verb = std::filesystem::path(argv[0]).filename().string();
+  config.args.assign(argv + 1, argv + argc);
+  config.schemas = {{"cache", core::kLabCacheSchema},
+                    {"checkpoint", core::kCheckpointVersion}};
+  // "--flag VALUE" (consumes the next arg) or "--flag=VALUE".
+  auto take = [&](int& i, const std::string& flag, std::string& value) {
+    const std::string arg = argv[i];
+    if (arg.rfind(flag + "=", 0) == 0) {
+      value = arg.substr(flag.size() + 1);
+    } else if (arg == flag && i + 1 < argc) {
       value = argv[++i];
-      return true;
+    } else {
+      return false;
     }
-    return false;
+    return true;
+  };
+  std::string level;
+  int keep = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--no-manifest") {
+      config.no_manifest = true;
+    } else if (!take(i, "--log-level", level) &&
+               !take(i, "--metrics-out", config.metrics_out) &&
+               !take(i, "--trace-out", config.trace_out) &&
+               !take(i, "--manifest-out", config.manifest_out)) {
+      argv[keep++] = argv[i];
+    }
   }
+  argc = keep;
+  if (!level.empty() && !(config.log_level = obs::parse_log_level(level))) {
+    std::cerr << "warning: ignoring unknown --log-level '" << level << "'\n";
+  }
+  if (const char* s = std::getenv("SIMPROF_SCALE")) {
+    obs::ledger().set_config("scale", s);
+  }
+  return config;
+}
 
-  std::string metrics_out_;
-  std::string trace_out_;
+/// A bench's run session (obs/session.h), opened from its obs flags. Its
+/// destructor writes the manifest with exit code 0; a bench that can fail
+/// runs through run_main instead.
+struct ObsSession : obs::RunSession {
+  ObsSession(int& argc, char** argv)
+      : obs::RunSession(strip_obs_flags(argc, argv)) {}
 };
+
+/// Runs `body` on the stripped argv inside the bench's run session and
+/// writes the manifest with body's return code.
+template <typename Body>
+int run_main(int argc, char** argv, Body&& body) {
+  ObsSession session(argc, argv);
+  const int rc = body(argc, argv);
+  session.flush(rc);
+  return rc;
+}
 
 /// Paper-order config names (Table I).
 inline const std::vector<std::string>& config_names() {

@@ -4,16 +4,18 @@
 // planned cold, which must run detailed simulation from unit 0 up to every
 // target (O(run length)) instead of O(selected units).
 //
-// Run via bench/run_checkpoint.sh to refresh BENCH_checkpoint.json.
+// Run via `bench/run.sh checkpoint` to refresh BENCH_checkpoint.json.
 // Both paths return bit-identical records (asserted once during setup);
 // only wall clock changes with the archive availability.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <string>
 #include <vector>
 
-#include "bench_common.h"
+#include "benchmark_main.h"
 #include "core/lab.h"
 #include "core/profile.h"
 #include "core/sampling.h"
@@ -26,25 +28,48 @@ constexpr const char* kWorkload = "grep_sp";
 constexpr const char* kInput = "Google";
 constexpr std::uint64_t kSelectSeed = 42;
 
+/// Private, freshly created root for this run's profile cache and archive
+/// directories, under $SIMPROF_CACHE_DIR (default .simprof_cache). A cached
+/// profile would skip the oracle pass and leave stale or no archives, so
+/// the warm lab always records current-format ones. main() removes it.
+const std::string& bench_root() {
+  static const std::string root = [] {
+    const char* env = std::getenv("SIMPROF_CACHE_DIR");
+    const std::filesystem::path parent =
+        env != nullptr && *env != '\0' ? env : ".simprof_cache";
+    std::filesystem::create_directories(parent);
+    std::string dir = (parent / "perf_checkpoint-XXXXXX").string();
+    if (mkdtemp(dir.data()) == nullptr) {
+      std::perror("perf_checkpoint: mkdtemp");
+      std::exit(1);
+    }
+    return dir;
+  }();
+  return root;
+}
+
 /// Lab whose oracle pass records checkpoint archives (default stride;
 /// bench::lab_config turns recording off for the figure benches).
 core::WorkloadLab& warm_lab() {
   static core::WorkloadLab lab = [] {
     core::LabConfig cfg = bench::lab_config();
     cfg.checkpoint_stride = core::LabConfig{}.checkpoint_stride;
+    cfg.cache_dir = bench_root() + "/cache";
+    cfg.checkpoint_dir = bench_root() + "/ckpt";
     return core::WorkloadLab(cfg);
   }();
   return lab;
 }
 
-/// Baseline lab: same configuration, but its archive directory is empty and
+/// Baseline lab: same profile cache, but its archive directory is empty and
 /// recording is disabled, so measure_units plans cold detailed segments from
 /// unit 0 — the path every measurement paid before checkpointing.
 core::WorkloadLab& cold_lab() {
   static core::WorkloadLab lab = [] {
     core::LabConfig cfg = bench::lab_config();
     cfg.checkpoint_stride = 0;
-    cfg.checkpoint_dir = ".simprof_cache/ckpt_cold_bench";
+    cfg.cache_dir = bench_root() + "/cache";
+    cfg.checkpoint_dir = bench_root() + "/ckpt_cold";
     return core::WorkloadLab(cfg);
   }();
   return lab;
@@ -151,13 +176,16 @@ BENCHMARK(BM_OraclePassFull)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// Custom main (see perf_core.cc): ObsSession strips the obs flags before
-// google-benchmark parses the remainder.
 int main(int argc, char** argv) {
-  simprof::bench::ObsSession obs_session(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  const int rc = simprof::bench::benchmark_main(
+      argc, argv, [](const simprof::bench::RunTimes& times) {
+        for (const std::string n : {"1", "2", "5", "10"}) {
+          simprof::bench::record_speedup(
+              times, "speedup_vs_cold.units_" + n,
+              "BM_MeasureCheckpointed/" + n, "BM_MeasureNoCheckpoint/" + n);
+        }
+      });
+  std::error_code ec;
+  std::filesystem::remove_all(bench_root(), ec);
+  return rc;
 }

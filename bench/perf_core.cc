@@ -5,7 +5,7 @@
 // snapshot interval) and sampling-plan construction.
 #include <benchmark/benchmark.h>
 
-#include "bench_common.h"
+#include "benchmark_main.h"
 #include "core/phase.h"
 #include "core/profile.h"
 #include "core/sampling.h"
@@ -61,7 +61,7 @@ void BM_ChooseK(benchmark::State& state) {
 BENCHMARK(BM_ChooseK)->Arg(200)->Arg(800)->Unit(benchmark::kMillisecond);
 
 // Thread-count sweeps for the parallel phase-formation engine. Run via
-// bench/run_phase_formation.sh to refresh BENCH_phase_formation.json (the
+// `bench/run.sh phase_formation` to refresh BENCH_phase_formation.json (the
 // perf trajectory across PRs). Output is bit-identical across thread
 // counts; only wall clock changes.
 void BM_KMeansThreads(benchmark::State& state) {
@@ -262,14 +262,12 @@ BENCHMARK(BM_UnitClassification);
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): the ObsSession strips the obs
-// flags (--log-level/--metrics-out/--trace-out) before google-benchmark
-// parses the remainder, so both flag families coexist.
 int main(int argc, char** argv) {
-  simprof::bench::ObsSession obs_session(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  // Seed-PR serial baselines (1-core CI host), kept in the output's context
+  // so later runs compare against the original per-pair-loop code.
+  benchmark::AddCustomContext("seed_BM_ChooseK_200_ms", "68.3");
+  benchmark::AddCustomContext("seed_BM_ChooseK_800_ms", "381");
+  benchmark::AddCustomContext("seed_BM_KMeans_20_ms", "27.7");
+  benchmark::AddCustomContext("seed_BM_SilhouetteSampled_ms", "10.0");
+  return simprof::bench::benchmark_main(argc, argv);
 }

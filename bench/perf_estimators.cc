@@ -1,4 +1,4 @@
-// Estimator × feature-mode accuracy grid (run via bench/run_estimators.sh
+// Estimator × feature-mode accuracy grid (run via `bench/run.sh estimators`
 // → BENCH_estimators.json).
 //
 // The deliverable of the MAV + two-phase subsystem: CPI sampling error at
@@ -44,8 +44,7 @@ core::Estimator estimator(std::size_t e) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::ObsSession obs_session(argc, argv);
+int run_grid(int argc, char** argv) {
   std::string out = "BENCH_estimators.json";
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0) out = argv[i + 1];
@@ -167,4 +166,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_grid);
 }

@@ -4,7 +4,7 @@
 // seed-era serial baseline (dense feature matrix, per-column copy + two-pass
 // Pearson, per-unit vectorize-and-scan classification).
 //
-// Run via bench/run_lab_pipeline.sh to refresh BENCH_lab_pipeline.json.
+// Run via `bench/run.sh lab_pipeline` to refresh BENCH_lab_pipeline.json.
 // All parallel variants are bit-identical to the serial path; only wall
 // clock changes with the thread count.
 #include <benchmark/benchmark.h>
@@ -14,7 +14,7 @@
 #include <span>
 #include <vector>
 
-#include "bench_common.h"
+#include "benchmark_main.h"
 #include "core/phase.h"
 #include "core/profile.h"
 #include "core/sensitivity.h"
@@ -271,13 +271,16 @@ BENCHMARK(BM_LabBatchDecode)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 
 }  // namespace
 
-// Custom main (see perf_core.cc): ObsSession strips the obs flags before
-// google-benchmark parses the remainder.
 int main(int argc, char** argv) {
-  simprof::bench::ObsSession obs_session(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  // The seed pipeline BM_PipelineNaive reproduces, for the output's context.
+  benchmark::AddCustomContext("seed_pipeline",
+                              "dense_column_copy_pearson_serial");
+  return simprof::bench::benchmark_main(
+      argc, argv, [](const simprof::bench::RunTimes& times) {
+        for (const std::string t : {"1", "2", "4", "8"}) {
+          simprof::bench::record_speedup(
+              times, "speedup_vs_naive.pipeline_x" + t,
+              "BM_PipelineBatch/" + t, "BM_PipelineNaive");
+        }
+      });
 }

@@ -1,5 +1,5 @@
 // Saturation-curve bench for the service daemon (run via
-// bench/run_service.sh → BENCH_service.json).
+// `bench/run.sh service` → BENCH_service.json).
 //
 // Unlike the perf_* google-benchmark suites this is a custom sweep driver:
 // the quantity under test is the whole daemon's throughput knee, not a
@@ -131,8 +131,7 @@ void write_report(std::ostream& os, const service::LoadgenReport& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::ObsSession obs_session(argc, argv);
+int run_sweeps(int argc, char** argv) {
   BenchOptions opt;
   for (int i = 1; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
@@ -401,4 +400,8 @@ int main(int argc, char** argv) {
   std::printf("perf_service: wrote %s (knee level %zu, %.1f qps)\n",
               opt.out.c_str(), best_level, best_qps);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run_sweeps);
 }

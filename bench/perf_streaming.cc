@@ -3,7 +3,7 @@
 // and the full stream-then-finalize pass against batch form_phases on the
 // same profile.
 //
-// Run via bench/run_streaming.sh to refresh BENCH_streaming.json.
+// Run via `bench/run.sh streaming` to refresh BENCH_streaming.json.
 // Setup asserts the equivalence contract before any timing: in-order full
 // ingestion with no retention cap must finalize to a model bit-identical to
 // the batch pipeline — streaming throughput over a drifted model would be
@@ -14,7 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "bench_common.h"
+#include "benchmark_main.h"
 #include "core/streaming.h"
 
 namespace {
@@ -140,13 +140,12 @@ BENCHMARK(BM_BatchFormPhases)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// Custom main (see perf_core.cc): ObsSession strips the obs flags before
-// google-benchmark parses the remainder.
 int main(int argc, char** argv) {
-  simprof::bench::ObsSession obs_session(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return simprof::bench::benchmark_main(
+      argc, argv, [](const simprof::bench::RunTimes&) {
+        // The check exits non-zero on any divergence, so a run that gets
+        // here recorded a zero delta.
+        assert_stream_matches_batch();
+        simprof::bench::record_figure("stream_batch_phase_delta", 0.0);
+      });
 }

@@ -14,14 +14,19 @@ namespace {
 
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
+/// Geometric recluster schedule: recluster when the retained population
+/// reaches this multiple of its size at the previous recluster. 1.5 means
+/// ~2.7 full passes per doubling — O(log n) reclusters over a run.
+constexpr double kReclusterGrowth = 1.5;
+static_assert(kReclusterGrowth >= 1.0,
+              "a growth below 1 would recluster in place forever");
+
 }  // namespace
 
 StreamingPhaseFormer::StreamingPhaseFormer(StreamingConfig cfg)
     : cfg_(std::move(cfg)) {
   SIMPROF_EXPECTS(cfg_.warmup_units > 0, "warmup_units must be positive");
   SIMPROF_EXPECTS(cfg_.refine_batch > 0, "refine_batch must be positive");
-  SIMPROF_EXPECTS(cfg_.recluster_growth >= 1.0,
-                  "recluster_growth below 1 would recluster in place forever");
 }
 
 void StreamingPhaseFormer::adopt_method_table(const ThreadProfile& source) {
@@ -71,7 +76,7 @@ std::size_t StreamingPhaseFormer::ingest(const ThreadProfile& source,
       reclusters_ == 0
           ? n >= cfg_.warmup_units
           : static_cast<double>(n) >=
-                cfg_.recluster_growth *
+                kReclusterGrowth *
                     static_cast<double>(last_recluster_units_);
   if (due) {
     recluster();

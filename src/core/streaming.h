@@ -11,7 +11,7 @@
 //   * periodic reclusters — full form_phases_from_sparse passes over a
 //     normalized snapshot of the accumulated matrix, on a geometric
 //     schedule (warmup_units, then whenever the population has grown by
-//     recluster_growth×). Each recluster re-runs feature selection AND the
+//     1.5×). Each recluster re-runs feature selection AND the
 //     silhouette k-sweep, so k is revisited as the workload reveals itself;
 //   * mini-batch refinement — between reclusters, arriving units nudge the
 //     centers with stats::MiniBatchKMeans (per-center learning rate 1/n_c),
@@ -58,10 +58,6 @@ struct StreamingConfig {
   /// Units to accumulate before the first recluster. Below this the former
   /// has no model and ingest() returns kNoPhase.
   std::size_t warmup_units = 16;
-  /// Geometric recluster schedule: recluster when the retained population
-  /// reaches growth × its size at the previous recluster. 1.5 means ~2.7
-  /// full passes per doubling — O(log n) reclusters over a run.
-  double recluster_growth = 1.5;
   /// Units per mini-batch center refinement between reclusters (pending
   /// units buffer up and flush through MiniBatchKMeans::partial_fit).
   std::size_t refine_batch = 8;

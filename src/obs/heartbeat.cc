@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <fstream>
 #include <mutex>
 #include <thread>
 
@@ -40,15 +39,9 @@ void sigusr1_handler(int) {
 }
 
 void write_flight_record(const std::string& path) {
-  const std::string doc = flight_record_json();
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    SIMPROF_LOG(kError) << "heartbeat: cannot write flight record " << path;
-    return;
+  if (write_json_file(path, flight_record_json(), "flight record")) {
+    SIMPROF_LOG(kInfo) << "heartbeat: flight record written to " << path;
   }
-  out << doc;
-  out.flush();
-  SIMPROF_LOG(kInfo) << "heartbeat: flight record written to " << path;
 }
 
 void heartbeat_main(HeartbeatConfig config) {
@@ -167,11 +160,7 @@ std::string flight_record_json() {
     out += ", \"elapsed_us\": " + json_number(span.elapsed_us) + "}";
   }
   out += first ? "],\n" : "\n  ],\n";
-  std::string metrics_json = metrics().to_json();
-  while (!metrics_json.empty() && metrics_json.back() == '\n') {
-    metrics_json.pop_back();
-  }
-  out += "  \"metrics\": " + metrics_json + "\n}\n";
+  out += "  \"metrics\": " + metrics().to_json() + "\n}\n";
   return out;
 }
 

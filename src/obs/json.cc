@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -69,5 +70,17 @@ std::string json_number(double v) {
 
 std::string json_number(std::uint64_t v) { return std::to_string(v); }
 std::string json_number(std::int64_t v) { return std::to_string(v); }
+
+bool write_json_file(const std::string& path, std::string_view doc,
+                     std::string_view what) {
+  std::ofstream out(path, std::ios::trunc);
+  out << doc;
+  out.flush();
+  if (!out) {
+    SIMPROF_LOG(kError) << "cannot write " << what << ' ' << path;
+    return false;
+  }
+  return true;
+}
 
 }  // namespace simprof::obs

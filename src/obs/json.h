@@ -1,5 +1,6 @@
 // Minimal JSON emission helpers shared by the metrics exporter, the
-// Chrome-trace writer and the run-ledger manifest. Emission only — the one
+// Chrome-trace writer, the flight recorder and the run-ledger manifest, plus
+// the one file writer all of them use. Emission only — the one
 // obs component that *reads* JSON (`simprof report`, obs/report.h) carries
 // its own small recursive-descent reader.
 #pragma once
@@ -25,5 +26,10 @@ std::string json_number(double v);
 
 std::string json_number(std::uint64_t v);
 std::string json_number(std::int64_t v);
+
+/// Write `doc` to `path`, truncating. On failure logs a kError line naming
+/// `what` (e.g. "run manifest") and returns false.
+bool write_json_file(const std::string& path, std::string_view doc,
+                     std::string_view what);
 
 }  // namespace simprof::obs

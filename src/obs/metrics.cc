@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 
 #include "obs/json.h"
 #include "obs/log.h"
@@ -34,50 +32,6 @@ void Gauge::add(double delta) noexcept {
   while (!v_.compare_exchange_weak(cur, cur + delta,
                                    std::memory_order_relaxed)) {
   }
-}
-
-Histogram::Histogram(std::string name, std::vector<double> bounds)
-    : bounds_(std::move(bounds)),
-      cells_((bounds_.size() + 1) * kMetricShards),
-      name_(std::move(name)) {
-  if (bounds_.empty()) {
-    throw std::invalid_argument("histogram needs at least one bound: " +
-                                name_);
-  }
-  for (std::size_t i = 1; i < bounds_.size(); ++i) {
-    if (!(bounds_[i - 1] < bounds_[i])) {
-      throw std::invalid_argument("histogram bounds must be increasing: " +
-                                  name_);
-    }
-  }
-}
-
-void Histogram::observe(double v) noexcept {
-  std::size_t bucket = bounds_.size();  // overflow by default
-  for (std::size_t i = 0; i < bounds_.size(); ++i) {
-    if (v <= bounds_[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  cells_[bucket * kMetricShards + this_thread_shard()].v.fetch_add(
-      1, std::memory_order_relaxed);
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(bounds_.size() + 1, 0);
-  for (std::size_t b = 0; b < out.size(); ++b) {
-    for (std::size_t s = 0; s < kMetricShards; ++s) {
-      out[b] += cells_[b * kMetricShards + s].v.load(std::memory_order_relaxed);
-    }
-  }
-  return out;
-}
-
-std::uint64_t Histogram::count() const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : bucket_counts()) total += c;
-  return total;
 }
 
 QuantileHistogram::QuantileHistogram(std::string name)
@@ -205,12 +159,25 @@ void QuantileHistogram::reset() noexcept {
 }
 
 struct MetricsRegistry::Impl {
+  template <typename Metric>
+  using Map = std::map<std::string, std::unique_ptr<Metric>, std::less<>>;
+
   mutable std::mutex mu;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
-  std::map<std::string, std::unique_ptr<QuantileHistogram>, std::less<>>
-      quantiles;
+  Map<Counter> counters;
+  Map<Gauge> gauges;
+  Map<QuantileHistogram> quantiles;
+
+  template <typename Metric>
+  Metric& find_or_create(Map<Metric>& map, std::string_view name) {
+    std::lock_guard<std::mutex> lock(mu);
+    auto it = map.find(name);
+    if (it == map.end()) {
+      it = map.emplace(std::string(name),
+                       std::unique_ptr<Metric>(new Metric(std::string(name))))
+               .first;
+    }
+    return *it->second;
+  }
 };
 
 MetricsRegistry::Impl& MetricsRegistry::impl() const {
@@ -219,58 +186,15 @@ MetricsRegistry::Impl& MetricsRegistry::impl() const {
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  auto it = im.counters.find(name);
-  if (it == im.counters.end()) {
-    it = im.counters
-             .emplace(std::string(name),
-                      std::unique_ptr<Counter>(new Counter(std::string(name))))
-             .first;
-  }
-  return *it->second;
+  return impl().find_or_create(impl().counters, name);
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  auto it = im.gauges.find(name);
-  if (it == im.gauges.end()) {
-    it = im.gauges
-             .emplace(std::string(name),
-                      std::unique_ptr<Gauge>(new Gauge(std::string(name))))
-             .first;
-  }
-  return *it->second;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> bounds) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  auto it = im.histograms.find(name);
-  if (it == im.histograms.end()) {
-    it = im.histograms
-             .emplace(std::string(name),
-                      std::unique_ptr<Histogram>(
-                          new Histogram(std::string(name), std::move(bounds))))
-             .first;
-  }
-  return *it->second;
+  return impl().find_or_create(impl().gauges, name);
 }
 
 QuantileHistogram& MetricsRegistry::quantile_histogram(std::string_view name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  auto it = im.quantiles.find(name);
-  if (it == im.quantiles.end()) {
-    it = im.quantiles
-             .emplace(std::string(name),
-                      std::unique_ptr<QuantileHistogram>(
-                          new QuantileHistogram(std::string(name))))
-             .first;
-  }
-  return *it->second;
+  return impl().find_or_create(impl().quantiles, name);
 }
 
 std::vector<std::pair<std::string, std::uint64_t>>
@@ -286,47 +210,22 @@ MetricsRegistry::counters_snapshot() const {
 std::string MetricsRegistry::to_json() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, c] : im.counters) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    json_append_quoted(out, name);
-    out += ": " + json_number(c->value());
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : im.gauges) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    json_append_quoted(out, name);
-    out += ": " + json_number(g->value());
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : im.histograms) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    json_append_quoted(out, name);
-    out += ": {\"bounds\": [";
-    const auto& bounds = h->bounds();
-    for (std::size_t i = 0; i < bounds.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += json_number(bounds[i]);
+  std::string out = "{\n";
+  auto scalars = [&out](const char* section, const auto& map) {
+    out += std::string("  \"") + section + "\": {";
+    bool first = true;
+    for (const auto& [name, metric] : map) {
+      out += first ? "\n    " : ",\n    ";
+      first = false;
+      json_append_quoted(out, name);
+      out += ": " + json_number(metric->value());
     }
-    out += "], \"counts\": [";
-    const auto counts = h->bucket_counts();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += json_number(counts[i]);
-    }
-    out += "], \"count\": " + json_number(h->count()) + "}";
-  }
-  out += first ? "},\n" : "\n  },\n";
+    out += first ? "},\n" : "\n  },\n";
+  };
+  scalars("counters", im.counters);
+  scalars("gauges", im.gauges);
   out += "  \"quantile_histograms\": {";
-  first = true;
+  bool first = true;
   for (const auto& [name, q] : im.quantiles) {
     out += first ? "\n    " : ",\n    ";
     first = false;
@@ -352,18 +251,8 @@ std::string MetricsRegistry::to_json() const {
     }
     out += "]}";
   }
-  out += first ? "}\n}\n" : "\n  }\n}\n";
+  out += first ? "}\n}" : "\n  }\n}";
   return out;
-}
-
-void MetricsRegistry::write_json(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    SIMPROF_LOG(kError) << "metrics: cannot write " << path;
-    return;
-  }
-  out << to_json();
-  SIMPROF_LOG(kDebug) << "metrics: wrote snapshot to " << path;
 }
 
 void MetricsRegistry::reset() {
@@ -371,12 +260,7 @@ void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(im.mu);
   for (auto& [name, c] : im.counters) c->reset();
   for (auto& [name, g] : im.gauges) g->reset();
-  for (auto& [name, h] : im.histograms) h->reset();
   for (auto& [name, q] : im.quantiles) q->reset();
-}
-
-void Histogram::reset() noexcept {
-  for (Cell& c : cells_) c.v.store(0, std::memory_order_relaxed);
 }
 
 MetricsRegistry& metrics() {

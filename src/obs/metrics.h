@@ -1,5 +1,5 @@
-// Metrics registry: named counters, gauges and fixed-bucket histograms for
-// the profiling pipeline.
+// Metrics registry: named counters, gauges and log-bucketed quantile
+// histograms for the profiling pipeline.
 //
 // Hot-path design: counter increments and histogram observations are
 // lock-free — each metric keeps kMetricShards cache-line-aligned atomic
@@ -76,34 +76,6 @@ class Gauge {
   std::string name_;
 };
 
-/// Fixed-bucket histogram. A value lands in the first bucket whose upper
-/// bound satisfies v <= bound; values above the last bound land in the
-/// overflow bucket (index bounds.size()). Bucket counts are sharded like
-/// counters, so merged totals are exact for any thread count.
-class Histogram {
- public:
-  void observe(double v) noexcept;
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Per-bucket totals, length bounds().size() + 1 (last = overflow).
-  std::vector<std::uint64_t> bucket_counts() const;
-  std::uint64_t count() const;
-
-  const std::string& name() const { return name_; }
-
- private:
-  friend class MetricsRegistry;
-  Histogram(std::string name, std::vector<double> bounds);
-  void reset() noexcept;
-
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::vector<double> bounds_;          // strictly increasing upper bounds
-  std::vector<Cell> cells_;             // (bounds+1) × kMetricShards
-  std::string name_;
-};
-
 /// Log-bucketed (HDR-style) histogram with deterministic quantile
 /// estimation — the latency/size workhorse of the run ledger.
 ///
@@ -175,9 +147,6 @@ class MetricsRegistry {
   /// Find-or-create. Handles are stable for the process lifetime.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// `bounds` must be strictly increasing; on re-lookup of an existing
-  /// histogram the bounds argument is ignored.
-  Histogram& histogram(std::string_view name, std::vector<double> bounds);
   QuantileHistogram& quantile_histogram(std::string_view name);
 
   /// Merged (name, value) snapshot of every counter, sorted by name — the
@@ -185,9 +154,9 @@ class MetricsRegistry {
   std::vector<std::pair<std::string, std::uint64_t>> counters_snapshot() const;
 
   /// Deterministic JSON snapshot: metrics sorted by name, sharded cells
-  /// merged by integer summation.
+  /// merged by integer summation. No trailing newline, so the manifest and
+  /// the flight record embed it verbatim.
   std::string to_json() const;
-  void write_json(const std::string& path) const;
 
   /// Zero every registered metric (handles stay valid). Test support.
   void reset();

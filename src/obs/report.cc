@@ -221,14 +221,7 @@ std::string RunLedger::to_json() const {
   }
   out += "},\n";
 
-  // The full metrics snapshot, embedded verbatim (it is already a complete
-  // JSON object ending in a newline).
-  std::string metrics_json = metrics().to_json();
-  while (!metrics_json.empty() &&
-         (metrics_json.back() == '\n' || metrics_json.back() == ' ')) {
-    metrics_json.pop_back();
-  }
-  out += "  \"metrics\": " + metrics_json + ",\n";
+  out += "  \"metrics\": " + metrics().to_json() + ",\n";
 
   out += "  \"span_rollup\": [";
   first = true;
@@ -262,18 +255,7 @@ bool RunLedger::write() {
   std::error_code ec;
   const fs::path path(s.output_path);
   if (path.has_parent_path()) fs::create_directories(path.parent_path(), ec);
-  std::ofstream out(s.output_path, std::ios::trunc);
-  if (!out) {
-    SIMPROF_LOG(kError) << "ledger: cannot write manifest " << s.output_path;
-    return false;
-  }
-  out << doc;
-  out.flush();
-  if (!out) {
-    SIMPROF_LOG(kError) << "ledger: manifest write failed for "
-                        << s.output_path;
-    return false;
-  }
+  if (!write_json_file(s.output_path, doc, "run manifest")) return false;
   s.written = true;
   SIMPROF_LOG(kInfo) << "ledger: wrote run manifest " << s.output_path;
   return true;

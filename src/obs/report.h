@@ -42,8 +42,8 @@ struct BuildInfo {
 };
 
 /// Compile-time provenance (CMake-injected), overridable at runtime via
-/// $SIMPROF_GIT_SHA / $SIMPROF_BUILD_TYPE (the bench prelude exports both so
-/// manifests and BENCH JSONs agree).
+/// $SIMPROF_GIT_SHA / $SIMPROF_BUILD_TYPE (bench/run.sh stamps HEAD's sha,
+/// which may be newer than the last configure).
 BuildInfo build_info();
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <set>
@@ -324,17 +323,7 @@ std::vector<OpenSpanInfo> open_spans() {
 }
 
 bool write_trace(const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    SIMPROF_LOG(kError) << "trace: cannot write " << path;
-    return false;
-  }
-  out << trace_to_json();
-  out.flush();
-  if (!out) {
-    SIMPROF_LOG(kError) << "trace: write failed for " << path;
-    return false;
-  }
+  if (!write_json_file(path, trace_to_json(), "trace")) return false;
   SIMPROF_LOG(kDebug) << "trace: wrote events to " << path;
   return true;
 }

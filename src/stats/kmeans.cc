@@ -127,8 +127,8 @@ KMeansResult lloyd(const Matrix& points, std::span<const double> norms,
     prev_inertia = inertia;
   }
   res.centers = std::move(centers);
-  static obs::Histogram& iters = obs::metrics().histogram(
-      "kmeans.lloyd_iterations", {1, 2, 4, 8, 16, 32, 64});
+  static obs::QuantileHistogram& iters =
+      obs::metrics().quantile_histogram("kmeans.lloyd_iterations");
   iters.observe(static_cast<double>(res.iterations));
   return res;
 }

@@ -126,8 +126,8 @@ double sampled_silhouette(const Matrix& points,
   const std::size_t n = points.rows();
   SIMPROF_EXPECTS(labels.size() == n, "labels length mismatch");
   SIMPROF_EXPECTS(max_points >= 2, "need at least two sampled points");
-  static obs::Histogram& sample_sizes = obs::metrics().histogram(
-      "silhouette.sample_size", {64, 256, 1024, 4096, 16384, 65536});
+  static obs::QuantileHistogram& sample_sizes =
+      obs::metrics().quantile_histogram("silhouette.sample_size");
   sample_sizes.observe(static_cast<double>(std::min(n, max_points)));
   if (n <= max_points) {
     return exact_silhouette(points, labels, num_clusters, threads);

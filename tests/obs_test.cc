@@ -1,7 +1,8 @@
 // Observability layer tests: log gating/format, sharded metric merge
-// determinism, histogram bucket edges, trace-JSON well-formedness (parsed
-// by a mini JSON validator in-test), and the zero-perturbation contract —
-// the pipeline's results are bit-identical with tracing on vs off.
+// determinism, quantile-histogram bucket edges, trace-JSON well-formedness
+// (parsed by a mini JSON validator in-test), the run session's lifecycle,
+// and the zero-perturbation contract — the pipeline's results are
+// bit-identical with tracing on vs off.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -26,6 +27,7 @@
 #include "core/sampling.h"
 #include "obs/json.h"
 #include "obs/obs.h"
+#include "stats/kmeans.h"
 #include "support/thread_pool.h"
 #include "test_util.h"
 
@@ -272,68 +274,37 @@ TEST(MetricsTest, CounterMergeDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(MetricsTest, HistogramBucketEdges) {
-  Histogram& h = metrics().histogram("test.bucket_edges", {1.0, 2.0, 4.0});
-  ASSERT_EQ(h.bounds(), (std::vector<double>{1.0, 2.0, 4.0}));
-  const auto before = h.bucket_counts();
-  ASSERT_EQ(before.size(), 4u);  // 3 bounds + overflow
-
-  h.observe(0.5);   // bucket 0
-  h.observe(1.0);   // bucket 0 (v <= bound is inclusive)
-  h.observe(1.5);   // bucket 1
-  h.observe(2.0);   // bucket 1
-  h.observe(4.0);   // bucket 2
-  h.observe(4.001); // overflow
-  h.observe(1e9);   // overflow
-
-  const auto after = h.bucket_counts();
-  EXPECT_EQ(after[0] - before[0], 2u);
-  EXPECT_EQ(after[1] - before[1], 2u);
-  EXPECT_EQ(after[2] - before[2], 1u);
-  EXPECT_EQ(after[3] - before[3], 2u);
-  EXPECT_EQ(h.count(), after[0] + after[1] + after[2] + after[3]);
-}
-
-TEST(MetricsTest, HistogramMergeDeterministicAcrossThreadCounts) {
-  Histogram& h = metrics().histogram("test.hist_merge", {10.0, 100.0});
-  constexpr std::uint64_t kPerThread = 5'000;
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    const auto before = h.bucket_counts();
-    std::vector<std::thread> pool;
-    for (std::size_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&h] {
-        for (std::uint64_t i = 0; i < kPerThread; ++i) {
-          h.observe(static_cast<double>(i % 3) * 60.0);  // 0, 60, 120
-        }
-      });
-    }
-    for (auto& t : pool) t.join();
-    const auto after = h.bucket_counts();
-    // i%3==0 → bucket 0; ==1 → bucket 1; ==2 → overflow. kPerThread divides
-    // evenly by 3? 5000 % 3 = 2, so counts are 1667/1667/1666 per thread.
-    EXPECT_EQ(after[0] - before[0], threads * 1667u);
-    EXPECT_EQ(after[1] - before[1], threads * 1667u);
-    EXPECT_EQ(after[2] - before[2], threads * 1666u);
-  }
-}
-
-TEST(MetricsTest, HistogramRejectsNonIncreasingBounds) {
-  EXPECT_THROW(metrics().histogram("test.bad_bounds_eq", {1.0, 1.0}),
-               std::invalid_argument);
-  EXPECT_THROW(metrics().histogram("test.bad_bounds_dec", {2.0, 1.0}),
-               std::invalid_argument);
-  EXPECT_THROW(metrics().histogram("test.bad_bounds_empty", {}),
-               std::invalid_argument);
-}
-
 TEST(MetricsTest, HandlesAreStable) {
   Counter& a = metrics().counter("test.stable_handle");
   Counter& b = metrics().counter("test.stable_handle");
   EXPECT_EQ(&a, &b);
-  Histogram& h1 = metrics().histogram("test.stable_hist", {1.0, 2.0});
-  Histogram& h2 = metrics().histogram("test.stable_hist", {9.0});  // ignored
+  QuantileHistogram& h1 = metrics().quantile_histogram("test.stable_hist");
+  QuantileHistogram& h2 = metrics().quantile_histogram("test.stable_hist");
   EXPECT_EQ(&h1, &h2);
-  EXPECT_EQ(h2.bounds(), (std::vector<double>{1.0, 2.0}));
+}
+
+TEST(MetricsTest, KMeansLloydIterationsIsAQuantileHistogram) {
+  metrics().reset();
+  stats::Matrix points(8, 1);
+  for (std::size_t i = 0; i < 8; ++i) {
+    points.at(i, 0) = i < 4 ? static_cast<double>(i) : 100.0 + i;
+  }
+  Rng rng(7);
+  stats::KMeansConfig cfg;
+  cfg.restarts = 1;
+  const stats::KMeansResult res = stats::kmeans(points, 2, rng, cfg);
+  ASSERT_GT(res.iterations, 0u);
+
+  const auto parsed = parse_json(metrics().to_json());
+  ASSERT_TRUE(parsed.has_value());
+  const JsonValue* quantiles = parsed->find("quantile_histograms");
+  ASSERT_NE(quantiles, nullptr);
+  const JsonValue* iters = quantiles->find("kmeans.lloyd_iterations");
+  ASSERT_NE(iters, nullptr);
+  const double exact = static_cast<double>(res.iterations);
+  EXPECT_DOUBLE_EQ(iters->number_or("count", 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(iters->number_or("min", 0.0), exact);
+  EXPECT_DOUBLE_EQ(iters->number_or("max", 0.0), exact);
 }
 
 TEST(MetricsTest, GaugeSetAndAdd) {
@@ -349,13 +320,15 @@ TEST(MetricsTest, GaugeSetAndAdd) {
 TEST(MetricsTest, JsonSnapshotWellFormed) {
   metrics().counter("test.json \"quoted\\name").increment();
   metrics().gauge("test.json_gauge").set(0.5);
-  metrics().histogram("test.json_hist", {1.0, 10.0}).observe(3.0);
+  metrics().quantile_histogram("test.json_hist").observe(3.0);
   const std::string json = metrics().to_json();
   EXPECT_TRUE(json_well_formed(json)) << json;
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  EXPECT_NE(json.find("\"quantile_histograms\""), std::string::npos);
   EXPECT_NE(json.find("test.json_hist"), std::string::npos);
+  // One histogram type: no fixed-bucket section.
+  EXPECT_EQ(json.find("\"histograms\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -903,6 +876,112 @@ TEST(RunLedgerTest, WriteHonorsOutputPathAndDisable) {
   ledger().disable();
   EXPECT_FALSE(ledger().enabled());
   EXPECT_FALSE(ledger().write());
+}
+
+// ---------------------------------------------------------------------------
+// Run session: the one lifecycle the CLI and every bench share.
+
+RunSessionConfig session_config(const std::string& manifest_out) {
+  RunSessionConfig config;
+  config.tool = "simprof-test";
+  config.verb = "unit";
+  config.manifest_out = manifest_out;
+  return config;
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST(RunSessionTest, NoManifestNoTraceOutWritesNothingAndNeverTraces) {
+  LedgerGuard guard;
+  TraceGuard trace_guard;
+  ScratchDir dir;
+  const std::string root = dir.c_str();
+  std::filesystem::create_directories(root);
+  {
+    RunSessionConfig config = session_config(root + "/m.json");
+    config.no_manifest = true;
+    RunSession session(config);
+    EXPECT_FALSE(trace_enabled());
+    EXPECT_FALSE(ledger().enabled());
+    session.flush(0);
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(root));
+}
+
+TEST(RunSessionTest, TraceOutWritesValidTraceJson) {
+  LedgerGuard guard;
+  TraceGuard trace_guard;
+  ScratchDir dir;
+  const std::string root = dir.c_str();
+  std::filesystem::create_directories(root);
+  RunSessionConfig config = session_config("");
+  config.no_manifest = true;
+  config.trace_out = root + "/trace.json";
+  {
+    RunSession session(config);
+    EXPECT_TRUE(trace_enabled());
+    { ObsSpan span("session_span"); }
+  }
+  EXPECT_FALSE(trace_enabled());
+  const std::string json = read_text(config.trace_out);
+  EXPECT_TRUE(json_well_formed(json)) << json;
+  EXPECT_NE(json.find("session_span"), std::string::npos);
+}
+
+TEST(RunSessionTest, FlushRecordsExitCodeAndWritesManifestOnce) {
+  LogGuard log_guard;
+  std::ostringstream sink;
+  set_log_sink(&sink);
+  LedgerGuard guard;
+  TraceGuard trace_guard;
+  ScratchDir dir;
+  const std::string path = std::string(dir.c_str()) + "/m.json";
+  {
+    RunSession session(session_config(path));
+    EXPECT_TRUE(trace_enabled());  // span rollups need trace events
+    session.flush(1);
+    const auto parsed = load_json_file(path);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_DOUBLE_EQ(parsed->number_or("exit_code", -1.0), 1.0);
+
+    std::filesystem::remove(path);
+    session.flush(0);
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));  // nor did the destructor
+}
+
+TEST(RunSessionTest, ConcurrentFlushesWriteOneManifest) {
+  LogGuard log_guard;
+  std::ostringstream sink;
+  set_log_sink(&sink);
+  LedgerGuard guard;
+  TraceGuard trace_guard;
+  ScratchDir dir;
+  const std::string path = std::string(dir.c_str()) + "/m.json";
+  {
+    // A signal watcher and the exiting main thread both flush.
+    RunSession session(session_config(path));
+    std::vector<std::thread> watchers;
+    for (int code = 1; code <= 4; ++code) {
+      watchers.emplace_back([&session, code] { session.flush(code); });
+    }
+    session.flush(0);
+    for (auto& t : watchers) t.join();
+
+    const auto parsed = load_json_file(path);
+    ASSERT_TRUE(parsed.has_value());
+    const double code = parsed->number_or("exit_code", -1.0);
+    EXPECT_GE(code, 0.0);
+    EXPECT_LE(code, 4.0);
+    std::filesystem::remove(path);
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 // ---------------------------------------------------------------------------

@@ -845,87 +845,36 @@ void print_version() {
             << obs::kManifestSchemaVersion << "\n";
 }
 
-/// Applies the observability flags at startup and flushes the requested
-/// outputs on destruction (normal exit and error paths alike): trace,
-/// metrics snapshot, and the run manifest with the final exit code.
-class ObsFlags {
- public:
-  /// Throws UsageError on a malformed flag.
-  void apply(const Args& args, const std::string& verb, int argc,
-             char** argv) {
-    if (const std::string l = args.opt("log-level", ""); !l.empty()) {
-      const auto level = obs::parse_log_level(l);
-      if (!level) {
-        throw UsageError(
-            "--log-level must be trace|debug|info|warn|error|off (got '" + l +
-            "')");
-      }
-      obs::set_log_level(*level);
-    }
-    metrics_out_ = args.opt("metrics-out", "");
-    trace_out_ = args.opt("trace-out", "");
-
-    std::vector<std::string> raw_args(argv + 2, argv + argc);
-    obs::ledger().begin("simprof", verb, std::move(raw_args));
-    obs::ledger().set_schema("cache", core::kLabCacheSchema);
-    obs::ledger().set_schema("checkpoint", core::kCheckpointVersion);
-    if (args.has("no-manifest")) {
-      obs::ledger().disable();
-    } else if (const std::string m = args.opt("manifest-out", "");
-               !m.empty()) {
-      obs::ledger().set_output_path(m);
-    }
-
-    // Tracing feeds both --trace-out and the manifest's span rollup, so a
-    // manifest-emitting run always collects spans (observation only — it
-    // cannot perturb results; see the determinism contract in obs/trace.h).
-    if (!trace_out_.empty() || obs::ledger().enabled()) {
-      obs::start_tracing();
-    }
-
-    if (args.has("heartbeat")) {
-      obs::HeartbeatConfig config;
-      config.period_s = args.num("heartbeat", config.period_s);
-      obs::start_heartbeat(config);
-      heartbeat_ = true;
+/// The run-session config for the global observability flags. All values
+/// are decoded here, before the session starts; throws UsageError on a
+/// malformed flag.
+obs::RunSessionConfig session_config(const Args& args, const std::string& verb,
+                                     int argc, char** argv) {
+  obs::RunSessionConfig config;
+  config.tool = "simprof";
+  config.verb = verb;
+  config.args.assign(argv + 2, argv + argc);
+  config.schemas = {{"cache", core::kLabCacheSchema},
+                    {"checkpoint", core::kCheckpointVersion}};
+  if (const std::string l = args.opt("log-level", ""); !l.empty()) {
+    config.log_level = obs::parse_log_level(l);
+    if (!config.log_level) {
+      throw UsageError(
+          "--log-level must be trace|debug|info|warn|error|off (got '" + l +
+          "')");
     }
   }
-
-  void set_exit_code(int code) {
-    exit_code_ = code;
-    obs::ledger().set_exit_code(code);
+  config.metrics_out = args.opt("metrics-out", "");
+  config.trace_out = args.opt("trace-out", "");
+  config.manifest_out = args.opt("manifest-out", "");
+  config.no_manifest = args.has("no-manifest");
+  if (args.has("heartbeat")) {
+    config.heartbeat.emplace();
+    config.heartbeat->period_s =
+        args.num("heartbeat", config.heartbeat->period_s);
   }
-
-  /// Flush every requested output exactly once: trace, metrics snapshot and
-  /// the run manifest. Runs on the normal exit path (destructor) and from
-  /// the signal watcher before a forced exit — an interrupt no longer loses
-  /// the run ledger entry.
-  void flush(int exit_code) {
-    if (flushed_.exchange(true)) return;
-    obs::ledger().set_exit_code(exit_code);
-    if (heartbeat_) obs::stop_heartbeat();
-    if (obs::trace_enabled()) obs::stop_tracing();
-    if (!trace_out_.empty()) {
-      obs::write_trace(trace_out_);
-      std::cerr << "wrote trace to " << trace_out_
-                << " (load in Perfetto or chrome://tracing)\n";
-    }
-    if (!metrics_out_.empty()) {
-      obs::metrics().write_json(metrics_out_);
-      std::cerr << "wrote metrics to " << metrics_out_ << '\n';
-    }
-    obs::ledger().write();
-  }
-
-  ~ObsFlags() { flush(exit_code_); }
-
- private:
-  std::string metrics_out_;
-  std::string trace_out_;
-  bool heartbeat_ = false;
-  std::atomic<bool> flushed_{false};
-  int exit_code_ = 2;
-};
+  return config;
+}
 
 /// The running `serve` daemon, if any — the signal watcher routes the first
 /// SIGINT/SIGTERM to its graceful drain instead of exiting.
@@ -948,8 +897,8 @@ void block_termination_signals() {
 /// drains and the command returns 0 through the normal path; a one-shot
 /// verb flushes manifests/metrics/trace and exits 128+sig (the distinct
 /// interrupted exit code). Second signal: force-exit immediately.
-void start_signal_watcher(ObsFlags* obs_flags) {
-  std::thread([obs_flags] {
+void start_signal_watcher(obs::RunSession* session) {
+  std::thread([session] {
     int signals_seen = 0;
     for (;;) {
       int sig = 0;
@@ -965,7 +914,7 @@ void start_signal_watcher(ObsFlags* obs_flags) {
       }
       std::cerr << "\nsimprof: caught " << strsignal(sig)
                 << ", flushing observability outputs\n";
-      obs_flags->flush(128 + sig);
+      session->flush(128 + sig);
       std::_Exit(128 + sig);
     }
   }).detach();
@@ -1129,15 +1078,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  ObsFlags obs_flags;
+  std::optional<obs::RunSession> session;
   int rc = 2;
   try {
-    obs_flags.apply(args, cmd->name, argc, argv);
-    // Signals are blocked before any worker thread exists (so workers
-    // inherit the mask) and handled by a dedicated watcher: graceful daemon
-    // drain on the first SIGINT/SIGTERM, flush-then-exit(128+sig) otherwise.
+    // Signals are blocked before any thread exists, the session's heartbeat
+    // included (so every thread inherits the mask), and handled by a
+    // dedicated watcher: graceful daemon drain on the first SIGINT/SIGTERM,
+    // flush-then-exit(128+sig) otherwise.
     block_termination_signals();
-    start_signal_watcher(&obs_flags);
+    session.emplace(session_config(args, cmd->name, argc, argv));
+    start_signal_watcher(&*session);
     // Global: --threads N caps the phase-formation thread pool for every
     // subcommand. Output is bit-identical regardless of the value.
     if (args.has("threads")) {
@@ -1161,8 +1111,6 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << '\n';
     rc = 1;
   }
-  // The manifest is written by obs_flags' destructor after this return, so
-  // record the exit code first.
-  obs_flags.set_exit_code(rc);
+  if (session) session->flush(rc);
   return rc;
 }
