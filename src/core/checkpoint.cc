@@ -1,9 +1,7 @@
 #include "core/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -184,10 +182,6 @@ class ReplayStream final : public hw::AccessStream {
     return true;
   }
   std::uint64_t total_refs() const override { return refs_.size(); }
-  void skip(std::uint64_t n) override {
-    pos_ = std::min<std::uint64_t>(refs_.size(), pos_ + n);
-  }
-  std::uint64_t remaining() const override { return refs_.size() - pos_; }
 
  private:
   const std::vector<hw::MemRef>& refs_;
@@ -298,11 +292,9 @@ CheckpointRecorder::CheckpointRecorder(std::string dir, std::string cache_key,
     : dir_(std::move(dir)), cache_key_(std::move(cache_key)),
       stride_(stride) {}
 
-exec::ExecMode CheckpointRecorder::on_unit_start(std::uint64_t unit_index,
-                                                 exec::ExecutorContext& ctx) {
-  if (stride_ == 0 || unit_index % stride_ != 0) {
-    return exec::ExecMode::kDetailed;
-  }
+void CheckpointRecorder::on_unit_start(std::uint64_t unit_index,
+                                       exec::ExecutorContext& ctx) {
+  if (stride_ == 0 || unit_index % stride_ != 0) return;
   publish_window();
   // Open the next window: capture the state payload right now — this is the
   // governor sequence point, after the boundary's migration draw, which is
@@ -317,7 +309,6 @@ exec::ExecMode CheckpointRecorder::on_unit_start(std::uint64_t unit_index,
   window_unit_ = unit_index;
   tape_.clear();
   window_open_ = true;
-  return exec::ExecMode::kDetailed;
 }
 
 void CheckpointRecorder::on_chunk(std::uint64_t instrs,
@@ -353,47 +344,25 @@ void CheckpointRecorder::publish_window() {
   const std::string path =
       (std::filesystem::path(dir_) / checkpoint_file_name(window_unit_))
           .string();
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
   try {
     if (!dir_ready_) {
       std::filesystem::create_directories(dir_);
       dir_ready_ = true;
     }
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        SIMPROF_LOG(kWarn) << "ckpt: cannot open " << tmp
-                           << " for writing, skipping checkpoint";
-        return;
-      }
+    const bool published = publish_file(path, [&](std::ostream& out) {
       std::ostringstream payload_stream;
-      payload_stream.write(
-          window_state_.data(),
-          static_cast<std::streamsize>(window_state_.size()));
+      payload_stream.write(window_state_.data(),
+                           static_cast<std::streamsize>(window_state_.size()));
       {
         BinaryWriter w(payload_stream);
         write_tape(w, tape_);
       }
       write_archive(out, payload_stream.str());
-      out.flush();
-      if (!out) {
-        SIMPROF_LOG(kWarn) << "ckpt: short write to " << tmp
-                           << ", skipping checkpoint";
-        std::error_code ec;
-        std::filesystem::remove(tmp, ec);
-        return;
-      }
-    }
-    if (const int fd = ::open(tmp.c_str(), O_WRONLY); fd >= 0) {
-      ::fsync(fd);
-      ::close(fd);
-    }
-    std::filesystem::rename(tmp, path);
-    if (const int dfd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY);
-        dfd >= 0) {
-      ::fsync(dfd);
-      ::close(dfd);
+    });
+    if (!published) {
+      SIMPROF_LOG(kWarn) << "ckpt: cannot write " << path
+                         << ", skipping checkpoint";
+      return;
     }
     ++saved_;
     saves.increment();
@@ -406,8 +375,6 @@ void CheckpointRecorder::publish_window() {
     SIMPROF_LOG(kWarn) << "ckpt: save failed for unit " << window_unit_
                        << " (" << e.what()
                        << "), continuing without checkpoint";
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
   }
 }
 
@@ -433,21 +400,8 @@ void UnitRecordCollector::on_snapshot(std::span<const jvm::MethodId> stack) {
 void UnitRecordCollector::on_unit_boundary(const hw::PmuCounters& delta,
                                            const hw::MavBlock& mav) {
   if (is_target(current_unit_)) {
-    UnitRecord u;
-    u.unit_id = current_unit_;
-    u.counters = delta;
-    u.mav = mav;
-    // Deterministic order: sorted by method id (mirrors SamplingManager).
-    std::vector<std::pair<jvm::MethodId, std::uint32_t>> entries(
-        current_histogram_.begin(), current_histogram_.end());
-    std::sort(entries.begin(), entries.end());
-    u.methods.reserve(entries.size());
-    u.counts.reserve(entries.size());
-    for (const auto& [m, c] : entries) {
-      u.methods.push_back(m);
-      u.counts.push_back(c);
-    }
-    records_.push_back(std::move(u));
+    records_.push_back(
+        make_unit_record(current_unit_, delta, mav, current_histogram_));
   }
   current_histogram_.clear();
   ++current_unit_;
@@ -481,13 +435,13 @@ CheckpointReplayer::CheckpointReplayer(std::string dir, std::string cache_key,
             0) {
       continue;
     }
-    const std::string digits =
-        name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    available_.push_back(std::stoull(digits));
+    // Digits only, and in range: a stray name must not abort the scan.
+    const char* first = name.data() + prefix.size();
+    const char* last = name.data() + name.size() - suffix.size();
+    std::uint64_t unit = 0;
+    const auto [end_ptr, err] = std::from_chars(first, last, unit);
+    if (err != std::errc{} || end_ptr != last) continue;
+    available_.push_back(unit);
   }
   std::sort(available_.begin(), available_.end());
 }
@@ -562,18 +516,15 @@ void CheckpointReplayer::replay(const exec::ClusterConfig& cc) {
 
     if (current_unit_ <= t) {
       // Tape exhausted before unit `t` completed: either the run's trailing
-      // partial unit (measurable iff at least one snapshot interval long,
-      // mirroring Cluster::finish()), a target past the end of the run
-      // (skipped, like the oracle pass would), or — if archives exist past
-      // this window — a tape that should have reached the next stride
-      // boundary but did not, i.e. archive damage.
-      const std::uint64_t ip = ctx.counters().instructions;
-      if (ip / cc.unit_instrs == t &&
-          ip % cc.unit_instrs >= cc.snapshot_interval) {
-        on_unit_boundary(
-            ctx.counters().delta_since(ctx.capture_state().unit_start_counters),
-            ctx.unit_mav());
-      } else if (available_.back() > loaded_unit) {
+      // partial unit (measured under the same rule as Cluster::finish), a
+      // target past the end of the run (skipped, like the oracle pass
+      // would), or — if archives exist past this window — a tape that should
+      // have reached the next stride boundary but did not, i.e. archive
+      // damage.
+      const bool measured_tail =
+          ctx.counters().instructions / cc.unit_instrs == t &&
+          ctx.finish_partial_unit(*this);
+      if (!measured_tail && available_.back() > loaded_unit) {
         throw CheckpointError("op tape in archive for unit " +
                               std::to_string(loaded_unit) +
                               " ends before unit " + std::to_string(t));
@@ -585,15 +536,13 @@ void CheckpointReplayer::replay(const exec::ClusterConfig& cc) {
 ColdMeasurer::ColdMeasurer(std::vector<std::uint64_t> target_units)
     : UnitRecordCollector(std::move(target_units)) {}
 
-exec::ExecMode ColdMeasurer::on_unit_start(std::uint64_t unit_index,
-                                           exec::ExecutorContext&) {
+void ColdMeasurer::on_unit_start(std::uint64_t unit_index,
+                                 exec::ExecutorContext& ctx) {
   current_unit_ = unit_index;
   // Everything up to the last target runs detailed so each target unit sees
-  // exactly the cache state the oracle pass saw; past it, only functional
-  // execution remains.
-  return targets_.empty() || unit_index > targets_.back()
-             ? exec::ExecMode::kFastForward
-             : exec::ExecMode::kDetailed;
+  // exactly the cache state the oracle pass saw; past it, nothing is
+  // measured, so the profiled core stops.
+  if (targets_.empty() || unit_index > targets_.back()) ctx.stop();
 }
 
 }  // namespace simprof::core

@@ -46,7 +46,6 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/profile.h"
@@ -105,11 +104,11 @@ std::uint64_t load_checkpoint(std::istream& in, exec::Cluster& cluster,
 /// UnitGovernor + OpTapeSink that records checkpoint windows during a
 /// detailed (oracle) pass: state captured when a window opens at a stride
 /// boundary, chunks buffered while it is live, archive published when the
-/// next window opens. Never changes the execution mode. Save failures are
-/// logged and skipped — checkpointing is an optimization, not a correctness
-/// dependency of the oracle pass. The owner must call finalize() after the
-/// workload returns to publish the last window (it covers the run's
-/// trailing units, including a trailing partial unit).
+/// next window opens. Save failures are logged and skipped — checkpointing
+/// is an optimization, not a correctness dependency of the oracle pass. The
+/// owner must call finalize() after the workload returns to publish the last
+/// window (it covers the run's trailing units, including a trailing partial
+/// unit).
 class CheckpointRecorder final : public exec::UnitGovernor,
                                  public exec::OpTapeSink {
  public:
@@ -117,8 +116,8 @@ class CheckpointRecorder final : public exec::UnitGovernor,
   CheckpointRecorder(std::string dir, std::string cache_key,
                      std::uint64_t stride);
 
-  exec::ExecMode on_unit_start(std::uint64_t unit_index,
-                               exec::ExecutorContext& ctx) override;
+  void on_unit_start(std::uint64_t unit_index,
+                     exec::ExecutorContext& ctx) override;
   void on_chunk(std::uint64_t instrs, std::span<const hw::MemRef> refs,
                 std::uint32_t llc_ways,
                 std::span<const jvm::MethodId> frames) override;
@@ -165,7 +164,7 @@ class UnitRecordCollector : public exec::ProfilingHook {
   std::uint64_t current_unit_ = 0;
 
  private:
-  std::unordered_map<jvm::MethodId, std::uint32_t> current_histogram_;
+  MethodHistogram current_histogram_;
   std::vector<UnitRecord> records_;
 };
 
@@ -179,7 +178,9 @@ class UnitRecordCollector : public exec::ProfilingHook {
 /// exact cold re-execution.
 class CheckpointReplayer final : public UnitRecordCollector {
  public:
-  /// `dir` is scanned for `ckpt-u*.sckp` archives at construction.
+  /// `dir` is scanned for `ckpt-u<unit>.sckp` archives at construction;
+  /// other names, including digit runs too long for a unit index, are
+  /// skipped.
   CheckpointReplayer(std::string dir, std::string cache_key,
                      std::vector<std::uint64_t> target_units);
 
@@ -192,8 +193,8 @@ class CheckpointReplayer final : public UnitRecordCollector {
 
   std::size_t restores() const { return restores_; }
   std::uint64_t restored_bytes() const { return restored_bytes_; }
-  /// Instructions skipped entirely (never re-executed, not even
-  /// functionally) by restoring past them.
+  /// Instructions skipped entirely (the workload never runs) by restoring
+  /// past them.
   std::uint64_t fast_forwarded_instrs() const { return ff_instrs_; }
 
  private:
@@ -207,17 +208,17 @@ class CheckpointReplayer final : public UnitRecordCollector {
 };
 
 /// UnitGovernor + collector for exact measurement with no archives: the
-/// workload runs functionally, units [0, max target] execute detailed (so
-/// the cache state entering each target is exact) and everything after the
-/// last target fast-forwards. Used when no archives exist and as the
-/// fallback when one is corrupt.
+/// workload runs, units [0, max target] execute detailed (so the cache state
+/// entering each target is exact) and the profiled core stops once the unit
+/// after the last target starts (ExecutorContext::stop). Used when no
+/// archives exist and as the fallback when one is corrupt.
 class ColdMeasurer final : public UnitRecordCollector,
                            public exec::UnitGovernor {
  public:
   explicit ColdMeasurer(std::vector<std::uint64_t> target_units);
 
-  exec::ExecMode on_unit_start(std::uint64_t unit_index,
-                               exec::ExecutorContext& ctx) override;
+  void on_unit_start(std::uint64_t unit_index,
+                     exec::ExecutorContext& ctx) override;
 };
 
 }  // namespace simprof::core

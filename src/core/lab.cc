@@ -1,9 +1,7 @@
 #include "core/lab.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -63,27 +61,24 @@ void prune_stale_checkpoint_dirs_once(const std::string& root) {
 
 std::size_t prune_stale_checkpoint_dirs(const std::string& root) {
   static obs::Counter& pruned = obs::metrics().counter("ckpt.pruned");
-  std::error_code ec;
-  std::filesystem::directory_iterator it(root, ec);
-  if (ec) return 0;  // missing/unreadable root: nothing to prune
   std::size_t removed = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(root, ec)) {
-    if (ec) break;
+  // A missing/unreadable root leaves `ec` set: nothing to prune.
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(root, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    const std::filesystem::directory_entry& entry = *it;
     std::error_code dec;
     if (!entry.is_directory(dec) || dec) continue;
     // Checkpoint dirs are named after their cache key, which ends in the
     // schema suffix "-v<digits>". Anything else in the root is left alone.
     const std::string name = entry.path().filename().string();
     const std::size_t vpos = name.rfind("-v");
-    if (vpos == std::string::npos || vpos + 2 >= name.size()) continue;
-    const std::string digits = name.substr(vpos + 2);
-    if (digits.find_first_not_of("0123456789") != std::string::npos) continue;
-    std::uint32_t schema = 0;
-    try {
-      schema = static_cast<std::uint32_t>(std::stoul(digits));
-    } catch (...) {
-      continue;
-    }
+    if (vpos == std::string::npos) continue;
+    const char* first = name.data() + vpos + 2;
+    const char* last = name.data() + name.size();
+    std::uint64_t schema = 0;
+    const auto [end_ptr, err] = std::from_chars(first, last, schema);
+    if (err != std::errc{} || end_ptr != last) continue;
     if (schema == kLabCacheSchema) continue;
     std::error_code rec;
     std::filesystem::remove_all(entry.path(), rec);
@@ -255,12 +250,6 @@ LabRun WorkloadLab::run_config(const std::string& workload_name,
     cluster.set_tape_sink(&*recorder);
   }
 
-  workloads::WorkloadParams params;
-  params.scale = cfg_.scale;
-  params.seed = seed;
-  params.graph_input = graph_input;
-  params.graph_scale_override = cfg_.graph_scale_override;
-
   static obs::QuantileHistogram& run_ms =
       obs::metrics().quantile_histogram("lab.run_ms");
   LabRun r;
@@ -268,7 +257,11 @@ LabRun WorkloadLab::run_config(const std::string& workload_name,
     obs::ObsSpan run_span("lab.workload_run", {{"workload", workload_name},
                                                {"input", graph_input}});
     const auto t0 = std::chrono::steady_clock::now();
-    r.result = info.run(cluster, params);
+    r.result = info.run(cluster, {.scale = cfg_.scale,
+                                  .seed = seed,
+                                  .graph_input = graph_input,
+                                  .graph_scale_override =
+                                      cfg_.graph_scale_override});
     if (recorder) recorder->finalize();  // publish the trailing window
     r.profile = manager.take_profile();
     run_ms.observe(std::chrono::duration<double, std::milli>(
@@ -281,31 +274,11 @@ LabRun WorkloadLab::run_config(const std::string& workload_name,
   if (cfg_.use_cache) {
     obs::ObsSpan save_span("lab.cache_save", {{"workload", workload_name}});
     std::filesystem::create_directories(cache_dir_);
-    // Atomic + durable publish: write the whole profile to a .tmp sibling,
-    // fsync it, then rename into place and fsync the directory. A run killed
-    // mid-write leaves only a .tmp that no reader ever opens — the published
-    // name is either absent or a complete profile. The pid suffix keeps
-    // separate processes (which don't share the single-flight locks) off
-    // each other's temporaries.
-    const std::string tmp =
-        path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      SIMPROF_EXPECTS(static_cast<bool>(out), "cannot write profile cache");
-      r.profile.save(out);
-      out.flush();
-      SIMPROF_EXPECTS(static_cast<bool>(out), "short write to profile cache");
-    }
-    if (const int fd = ::open(tmp.c_str(), O_WRONLY); fd >= 0) {
-      ::fsync(fd);
-      ::close(fd);
-    }
-    std::filesystem::rename(tmp, path);
-    if (const int dfd = ::open(cache_dir_.c_str(), O_RDONLY | O_DIRECTORY);
-        dfd >= 0) {
-      ::fsync(dfd);
-      ::close(dfd);
-    }
+    // A run killed mid-write leaves only a .tmp that no reader ever opens:
+    // the published name is either absent or a complete profile.
+    SIMPROF_EXPECTS(
+        publish_file(path, [&](std::ostream& out) { r.profile.save(out); }),
+        "cannot write profile cache");
     r.cache_path = path;
     SIMPROF_LOG(kDebug) << "lab: cached " << r.profile.num_units()
                         << " units -> " << path;
@@ -322,12 +295,6 @@ MeasureResult WorkloadLab::measure_units(
   const std::uint64_t seed = cfg_.seed;
   const std::string key = cache_key(workload_name, graph_input, seed);
   const workloads::WorkloadInfo& info = workloads::workload(workload_name);
-
-  workloads::WorkloadParams params;
-  params.scale = cfg_.scale;
-  params.seed = seed;
-  params.graph_input = graph_input;
-  params.graph_scale_override = cfg_.graph_scale_override;
 
   obs::ObsSpan span("lab.measure_units", {{"workload", workload_name},
                                           {"input", graph_input},
@@ -367,17 +334,20 @@ MeasureResult WorkloadLab::measure_units(
 
   // Cold path (no archives, or fallback from a corrupt one): run the
   // workload with units [0, max target] detailed so each target unit sees
-  // exactly the oracle pass's cache state.
+  // exactly the oracle pass's cache state, then stop the profiled core.
   exec::Cluster cluster(cc);
   ColdMeasurer cold(units);
   cluster.set_profiling_hook(&cold);
   cluster.set_unit_governor(&cold);
+  info.run(cluster, {.scale = cfg_.scale,
+                     .seed = seed,
+                     .graph_input = graph_input,
+                     .graph_scale_override = cfg_.graph_scale_override});
   MeasureResult m;
-  m.result = info.run(cluster, params);
   m.records = cold.take_records();
   m.fallback = fell_back;
   m.fast_forwarded_instrs =
-      cluster.context(cc.profiled_core).ff_skipped_instrs();
+      cluster.context(cc.profiled_core).skipped_instrs();
   ff_insts.add(m.fast_forwarded_instrs);
   return m;
 }

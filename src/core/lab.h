@@ -84,10 +84,6 @@ struct MeasureResult {
   bool fallback = false;           ///< a bad archive forced re-execution
   std::size_t checkpoints_restored = 0;
   std::uint64_t fast_forwarded_instrs = 0;
-  /// Zeroed on the checkpointed fast path — the measurement replays the
-  /// archived op tape, so the workload's functional result is never
-  /// recomputed. Populated only when measuring cold (no archives/fallback).
-  workloads::WorkloadResult result;
 };
 
 class WorkloadLab {

@@ -130,6 +130,26 @@ ThreadProfile ThreadProfile::load(std::istream& in) {
   return p;
 }
 
+UnitRecord make_unit_record(std::uint64_t unit_id,
+                            const hw::PmuCounters& delta,
+                            const hw::MavBlock& mav,
+                            const MethodHistogram& histogram) {
+  UnitRecord u;
+  u.unit_id = unit_id;
+  u.counters = delta;
+  u.mav = mav;
+  std::vector<std::pair<jvm::MethodId, std::uint32_t>> entries(
+      histogram.begin(), histogram.end());
+  std::sort(entries.begin(), entries.end());
+  u.methods.reserve(entries.size());
+  u.counts.reserve(entries.size());
+  for (const auto& [m, c] : entries) {
+    u.methods.push_back(m);
+    u.counts.push_back(c);
+  }
+  return u;
+}
+
 void SamplingManager::on_snapshot(std::span<const jvm::MethodId> stack) {
   ++snapshots_;
   for (jvm::MethodId m : stack) ++current_histogram_[m];
@@ -140,21 +160,8 @@ void SamplingManager::on_unit_boundary(const hw::PmuCounters& delta,
   // Progress feed for the heartbeat (units/s); observation only.
   static obs::Counter& units_done = obs::metrics().counter("progress.units");
   units_done.increment();
-  UnitRecord u;
-  u.unit_id = units_.size();
-  u.counters = delta;
-  u.mav = mav;
-  u.methods.reserve(current_histogram_.size());
-  u.counts.reserve(current_histogram_.size());
-  // Deterministic order: sorted by method id.
-  std::vector<std::pair<jvm::MethodId, std::uint32_t>> entries(
-      current_histogram_.begin(), current_histogram_.end());
-  std::sort(entries.begin(), entries.end());
-  for (const auto& [m, c] : entries) {
-    u.methods.push_back(m);
-    u.counts.push_back(c);
-  }
-  units_.push_back(std::move(u));
+  units_.push_back(
+      make_unit_record(units_.size(), delta, mav, current_histogram_));
   current_histogram_.clear();
 }
 

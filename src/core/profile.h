@@ -33,6 +33,17 @@ struct UnitRecord {
   double ipc() const { return counters.ipc(); }
 };
 
+/// Frame frequencies of one unit's call-stack snapshots, by method id.
+using MethodHistogram = std::unordered_map<jvm::MethodId, std::uint32_t>;
+
+/// Build the record of one completed unit from its counter deltas, its MAV
+/// and its snapshot histogram. Methods come out sorted by id: the one
+/// deterministic order of profiles and measured records alike.
+UnitRecord make_unit_record(std::uint64_t unit_id,
+                            const hw::PmuCounters& delta,
+                            const hw::MavBlock& mav,
+                            const MethodHistogram& histogram);
+
 /// The profile of one executor thread across a whole job.
 class ThreadProfile {
  public:
@@ -75,7 +86,7 @@ class SamplingManager final : public exec::ProfilingHook {
 
  private:
   const jvm::MethodRegistry* registry_;
-  std::unordered_map<jvm::MethodId, std::uint32_t> current_histogram_;
+  MethodHistogram current_histogram_;
   std::vector<UnitRecord> units_;
   std::uint64_t snapshots_ = 0;
 };

@@ -91,8 +91,8 @@ SamplePlan simprof_systematic_sample(const ThreadProfile& profile,
 
 /// SMARTS baseline (Wunderlich et al., ISCA'03): systematic unit selection
 /// — every k-th unit from a random offset — whose selected units are meant
-/// to be *measured through checkpoint restore + functional fast-forward*
-/// rather than by re-simulating the whole run (WorkloadLab::measure_units
+/// to be *measured through checkpoint restore + op-tape replay* rather
+/// than by re-simulating the whole run (WorkloadLab::measure_units
 /// composes that half; this function only plans the selection and its
 /// estimator). Selection math matches systematic_sample; the techniques
 /// differ in measurement cost, not statistics.

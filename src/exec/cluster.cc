@@ -88,22 +88,8 @@ void Cluster::run_stage(std::string_view stage_name, std::vector<Task> tasks,
 }
 
 void Cluster::finish() {
-  // Fire a trailing unit boundary if the profiled thread has a partial unit
-  // at least one snapshot long; shorter tails carry too few call stacks to
-  // vectorize and are dropped, mirroring the paper's fixed-size units.
-  ExecutorContext& ctx = *contexts_[cfg_.profiled_core];
-  if (hook_ == nullptr) return;
-  // A fast-forwarded tail carries no simulated counters — dropping it
-  // mirrors the replayer never selecting the trailing partial unit.
-  if (ctx.fast_forwarding()) return;
-  const std::uint64_t into_unit =
-      ctx.counters().instructions % cfg_.unit_instrs;
-  if (into_unit >= cfg_.snapshot_interval) {
-    hook_->on_unit_boundary(
-        ctx.counters().delta_since(ctx.unit_start_counters_),
-        ctx.unit_mav());
-    ctx.unit_start_counters_ = ctx.counters();
-    ctx.mav_tracker_.reset();
+  if (hook_ != nullptr) {
+    contexts_[cfg_.profiled_core]->finish_partial_unit(*hook_);
   }
 }
 

@@ -59,8 +59,8 @@ class Cluster {
   void set_profiling_hook(ProfilingHook* hook) { hook_ = hook; }
   ProfilingHook* profiling_hook() const { return hook_; }
 
-  /// Install the per-unit execution-mode policy (checkpoint record/replay;
-  /// see core/checkpoint.h). May be null: every unit runs detailed.
+  /// Install the unit-start observer (checkpoint recording, cold
+  /// measurement; see core/checkpoint.h). May be null.
   void set_unit_governor(UnitGovernor* g) { governor_ = g; }
   UnitGovernor* unit_governor() const { return governor_; }
 
@@ -78,8 +78,8 @@ class Cluster {
   void run_stage(std::string_view stage_name, std::vector<Task> tasks,
                  bool thread_per_task = false);
 
-  /// Flush the profiled thread's trailing partial sampling unit (fires a
-  /// final on_unit_boundary if at least one snapshot interval completed).
+  /// Flush the profiled thread's trailing partial sampling unit (see
+  /// ExecutorContext::finish_partial_unit).
   void finish();
 
  private:

@@ -33,63 +33,70 @@ std::uint64_t ExecutorContext::pipeline_slice_instrs() const {
 
 void ExecutorContext::prime_governor_if_needed() {
   // The first profiled instruction of a run is a unit start too: consult the
-  // governor once so a replayer can fast-forward from instruction zero (or a
-  // recorder can treat unit 0 as already recorded by construction).
+  // governor once so a cold measurement with nothing to measure can stop
+  // from instruction zero (and a recorder opens its first window at unit 0).
   if (governor_primed_) return;
   governor_primed_ = true;
   if (UnitGovernor* g = cluster_.unit_governor(); g != nullptr) {
-    mode_ = g->on_unit_start(
-        counters_.instructions / cluster_.config().unit_instrs, *this);
+    g->on_unit_start(counters_.instructions / cluster_.config().unit_instrs,
+                     *this);
   }
 }
 
-void ExecutorContext::execute(std::uint64_t instrs, hw::AccessStream* stream) {
-  if (is_profiled()) prime_governor_if_needed();
-
-  if (instrs == 0) {
-    // Still drain the stream so kernels can emit pure-traffic work.
-    if (stream != nullptr && is_profiled()) {
-      if (mode_ == ExecMode::kFastForward) {
-        // Advance the cursor without simulation; positions stay identical
-        // to a detailed drain so later detailed units see the same stream.
-        stream->skip(stream->remaining());
-        return;
-      }
-      OpTapeSink* sink = cluster_.tape_sink();
-      if (sink != nullptr) tape_refs_.clear();
-      hw::MemRef ref;
-      double cycles = 0.0;
-      while (stream->next(ref)) {
-        const auto out = cluster_.memory().access_outcome(core_, ref);
-        cycles += out.cycles;
-        mav_tracker_.record(ref.line, out.level);
-        ++counters_.line_touches;
-        if (sink != nullptr) tape_refs_.push_back(ref);
-      }
-      charge_cycles(cycles);
-      if (sink != nullptr && !tape_refs_.empty()) {
-        sink->on_chunk(0, tape_refs_,
-                       cluster_.memory().llc().effective_ways(),
-                       stack_.frames());
-      }
-    }
-    return;
+// The one detailed reference loop: runs up to `limit` references of `stream`
+// through the profiled core's hierarchy, adding their latencies to `cycles`
+// and feeding the MAV tracker and (when `record_tape`) the chunk buffer.
+// Returns how many references ran; `stream` may be null when `limit` is 0.
+[[gnu::always_inline]] inline std::uint64_t ExecutorContext::simulate_refs(
+    hw::AccessStream* stream, std::uint64_t limit, double& cycles,
+    bool record_tape) {
+  if (record_tape) tape_refs_.clear();
+  hw::MemRef ref;
+  double acc = cycles;
+  std::uint64_t n = 0;
+  while (n < limit && stream->next(ref)) {
+    const auto out = cluster_.memory().access_outcome(core_, ref);
+    acc += out.cycles;
+    mav_tracker_.record(ref.line, out.level);
+    ++n;
+    if (record_tape) tape_refs_.push_back(ref);
   }
+  counters_.line_touches += n;
+  cycles = acc;
+  return n;
+}
 
+void ExecutorContext::execute(std::uint64_t instrs, hw::AccessStream* stream) {
   const auto& cost = cluster_.memory().config().cost;
-
   if (!is_profiled()) {
     // Functional-only execution: advance the clock, skip cache simulation.
     counters_.instructions += instrs;
     charge_cycles(static_cast<double>(instrs) * cost.base_cpi);
     return;
   }
+  prime_governor_if_needed();
+  if (stopped_) {
+    skip(instrs);
+    return;
+  }
+  OpTapeSink* const sink = cluster_.tape_sink();
+
+  if (instrs == 0) {
+    // Still drain the stream so kernels can emit pure-traffic work.
+    if (stream == nullptr) return;
+    double cycles = 0.0;
+    simulate_refs(stream, UINT64_MAX, cycles, sink != nullptr);
+    charge_cycles(cycles);
+    if (sink != nullptr && !tape_refs_.empty()) {
+      sink->on_chunk(0, tape_refs_, cluster_.memory().llc().effective_ways(),
+                     stack_.frames());
+    }
+    return;
+  }
 
   const std::uint64_t total_refs = stream ? stream->total_refs() : 0;
   std::uint64_t done = 0;
   std::uint64_t refs_done = 0;
-  hw::MemRef ref;
-  OpTapeSink* const sink = cluster_.tape_sink();
 
   while (done < instrs) {
     // Advance to the nearest profiling boundary.
@@ -100,38 +107,15 @@ void ExecutorContext::execute(std::uint64_t instrs, hw::AccessStream* stream) {
     step = std::min(step, next_snapshot_at_ - ip);
     step = std::min(step, next_unit_at_ - ip);
 
-    // References apportioned evenly across the chunk's instructions. In
-    // fast-forward the same target is computed but the references are
-    // skipped in O(1) — stream cursors and instruction counts advance
-    // exactly as in detailed mode, only the cache simulation is elided.
+    // References apportioned evenly across the chunk's instructions.
     const std::uint64_t target =
         total_refs == 0
             ? 0
             : static_cast<std::uint64_t>(static_cast<__uint128_t>(total_refs) *
                                          (done + step) / instrs);
-    if (mode_ == ExecMode::kFastForward) {
-      if (target > refs_done) {
-        stream->skip(target - refs_done);
-        refs_done = target;
-      }
-      counters_.instructions += step;
-      done += step;
-      ff_skipped_instrs_ += step;
-      charge_cycles(static_cast<double>(step) * cost.base_cpi);
-      maybe_fire_boundaries();
-      continue;
-    }
-
     double cycles = static_cast<double>(step) * cost.base_cpi;
-    if (sink != nullptr) tape_refs_.clear();
-    while (refs_done < target && stream->next(ref)) {
-      const auto out = cluster_.memory().access_outcome(core_, ref);
-      cycles += out.cycles;
-      mav_tracker_.record(ref.line, out.level);
-      ++refs_done;
-      ++counters_.line_touches;
-      if (sink != nullptr) tape_refs_.push_back(ref);
-    }
+    refs_done += simulate_refs(stream, target - refs_done, cycles,
+                               sink != nullptr);
     // Miss counters are read off the cache models lazily at boundaries; the
     // per-level miss deltas are maintained here for unit records.
     counters_.l1_misses = cluster_.memory().l1(core_).stats().misses;
@@ -149,6 +133,10 @@ void ExecutorContext::execute(std::uint64_t instrs, hw::AccessStream* stream) {
                      stack_.frames());
     }
     maybe_fire_boundaries();
+    if (stopped_) {
+      skip(instrs - done);
+      return;
+    }
   }
 }
 
@@ -156,17 +144,13 @@ void ExecutorContext::maybe_fire_boundaries() {
   const auto& cfg = cluster_.config();
   const std::uint64_t ip = counters_.instructions;
   ProfilingHook* hook = cluster_.profiling_hook();
-  // Hooks describe the unit that just *completed*, so they are gated on the
-  // mode that unit ran under — the governor may flip the mode below, which
-  // only affects the unit that is starting.
-  const bool detailed = mode_ == ExecMode::kDetailed;
 
   if (ip >= next_snapshot_at_) {
-    if (detailed && hook != nullptr) hook->on_snapshot(stack_.frames());
+    if (hook != nullptr) hook->on_snapshot(stack_.frames());
     next_snapshot_at_ += cfg.snapshot_interval;
   }
   if (ip >= next_unit_at_) {
-    if (detailed && hook != nullptr) {
+    if (hook != nullptr) {
       hook->on_unit_boundary(counters_.delta_since(unit_start_counters_),
                              mav_tracker_.block());
     }
@@ -176,15 +160,13 @@ void ExecutorContext::maybe_fire_boundaries() {
     mav_tracker_.reset();
     next_unit_at_ += cfg.unit_instrs;
     // OS scheduling noise: occasionally the executor thread is migrated to
-    // another core; its private caches go cold (Section III-B.1). The draw
-    // is consumed in every mode — the generator must evolve identically in
-    // fast-forward and detailed execution — but the cold-cache mechanics
-    // only apply when the unit is simulated.
+    // another core; its private caches go cold (Section III-B.1). The tape
+    // sink sees the generator state entering the draw, because a tape
+    // replay never runs the workload code that draws between boundaries.
     if (OpTapeSink* sink = cluster_.tape_sink(); sink != nullptr) {
       sink->on_boundary_rng(ip / cfg.unit_instrs, rng_.state());
     }
-    const bool migrated = rng_.next_bool(cfg.migration_prob_per_unit);
-    if (detailed && migrated) {
+    if (rng_.next_bool(cfg.migration_prob_per_unit)) {
       cluster_.memory().migrate(core_);
       ++counters_.migrations;
       static obs::Counter& migrations =
@@ -193,14 +175,38 @@ void ExecutorContext::maybe_fire_boundaries() {
       obs::trace_virtual_instant("migration", counters_.cycles, core_,
                                  {{"instructions", ip}});
     }
-    // Unit boundary mechanics are done; let the governor pick the mode for
-    // the unit now starting. A checkpoint recorder snapshots *here* (after
-    // the migration draw) and a replayer restores at the same sequence
-    // point, so saved and restored generator states line up exactly.
+    // Unit boundary mechanics are done; tell the governor a unit starts. A
+    // checkpoint recorder snapshots *here* (after the migration draw) and a
+    // replayer restores at the same sequence point, so saved and restored
+    // generator states line up exactly.
     if (UnitGovernor* g = cluster_.unit_governor(); g != nullptr) {
-      mode_ = g->on_unit_start(ip / cfg.unit_instrs, *this);
+      g->on_unit_start(ip / cfg.unit_instrs, *this);
     }
   }
+}
+
+void ExecutorContext::skip(std::uint64_t instrs) {
+  // Workload code draws from rng() between boundaries and may size its next
+  // execute() by the draw (quicksort pivots): each crossed boundary keeps its
+  // migration draw so the skipped tail adds up as in the oracle pass.
+  skipped_instrs_ += instrs;
+  const std::uint64_t ip = counters_.instructions + skipped_instrs_;
+  const auto& cfg = cluster_.config();
+  for (; next_unit_at_ <= ip; next_unit_at_ += cfg.unit_instrs) {
+    rng_.next_bool(cfg.migration_prob_per_unit);
+  }
+}
+
+bool ExecutorContext::finish_partial_unit(ProfilingHook& hook) {
+  if (stopped_ || counters_.instructions % cluster_.config().unit_instrs <
+                      cluster_.config().snapshot_interval) {
+    return false;
+  }
+  hook.on_unit_boundary(counters_.delta_since(unit_start_counters_),
+                        mav_tracker_.block());
+  unit_start_counters_ = counters_;
+  mav_tracker_.reset();
+  return true;
 }
 
 ThreadState ExecutorContext::capture_state() const {

@@ -37,8 +37,7 @@ class ProfilingHook {
   /// Called every snapshot interval with the live call stack (JVMTI-style).
   virtual void on_snapshot(std::span<const jvm::MethodId> stack) = 0;
   /// Called at each sampling-unit boundary with the unit's counter deltas
-  /// and its memory-access vector (zero counts when the unit ran without
-  /// cache simulation).
+  /// and its memory-access vector.
   virtual void on_unit_boundary(const hw::PmuCounters& delta,
                                 const hw::MavBlock& mav) = 0;
 };
@@ -67,25 +66,18 @@ class OpTapeSink {
                                const RngState& rng) = 0;
 };
 
-/// How the profiled thread executes the upcoming sampling unit.
-enum class ExecMode {
-  kDetailed,      ///< full cache simulation + profiling hooks
-  kFastForward,   ///< functional only: advance cursors, skip simulation
-};
-
 class ExecutorContext;
 
-/// Per-unit mode policy, consulted by the profiled context at every
+/// Unit-start observer, consulted by the profiled context at every
 /// sampling-unit start (including the very first instruction of a run).
 /// This is where checkpointing plugs in: a recorder snapshots state here
-/// and always answers kDetailed; a replayer restores the nearest archive
-/// at segment starts and fast-forwards everything outside the selected
-/// units (see core/checkpoint.h).
+/// (see core/checkpoint.h), and a cold measurement stops the profiled core
+/// once the unit after its last target starts (ExecutorContext::stop).
 class UnitGovernor {
  public:
   virtual ~UnitGovernor() = default;
-  virtual ExecMode on_unit_start(std::uint64_t unit_index,
-                                 ExecutorContext& ctx) = 0;
+  virtual void on_unit_start(std::uint64_t unit_index,
+                             ExecutorContext& ctx) = 0;
 };
 
 /// Complete serializable state of one executor thread (checkpointing).
@@ -132,18 +124,26 @@ class ExecutorContext final : public jvm::StackTraceSource {
   Cluster& cluster() { return cluster_; }
   const Cluster& cluster() const { return cluster_; }
 
-  /// True while the current sampling unit executes functionally only
-  /// (checkpoint replay outside the selected units). Engines use this to
-  /// suppress trace spans whose cycle bounds would be stale.
-  bool fast_forwarding() const { return mode_ == ExecMode::kFastForward; }
+  /// One-way stop of the profiled core: from now on execute() returns at
+  /// once — no stream reads, no cache simulation, no counter updates, no
+  /// profiling hooks. It adds the instructions it was handed to
+  /// skipped_instrs() and only takes the migration draw of each unit
+  /// boundary they cross, so the thread's generator stays in step with the
+  /// oracle pass. Engines test stopped() to suppress trace spans whose cycle
+  /// bounds would be stale.
+  void stop() { stopped_ = true; }
+  bool stopped() const { return stopped_; }
 
-  /// Instructions retired without detailed simulation (obs/bench counter).
-  std::uint64_t ff_skipped_instrs() const { return ff_skipped_instrs_; }
+  /// Instructions handed to execute() after the stop (obs/bench counter).
+  std::uint64_t skipped_instrs() const { return skipped_instrs_; }
 
-  /// Memory-access vector accumulated since the last unit boundary (the
-  /// trailing-partial-unit hook sites read this; see Cluster::finish and
-  /// the checkpoint replayer).
-  const hw::MavBlock& unit_mav() const { return mav_tracker_.block(); }
+  /// The trailing-partial-unit rule: fire one last unit boundary through
+  /// `hook` iff the unit in progress is at least one snapshot interval long
+  /// and the core was not stopped. Shorter tails carry too few call stacks
+  /// to vectorize and are dropped, mirroring the paper's fixed-size units.
+  /// Shared by Cluster::finish and the checkpoint replayer; returns whether
+  /// the boundary fired.
+  bool finish_partial_unit(ProfilingHook& hook);
 
   /// Snapshot/overwrite the full thread state (checkpoint save/restore).
   ThreadState capture_state() const;
@@ -170,14 +170,15 @@ class ExecutorContext final : public jvm::StackTraceSource {
   std::uint64_t pipeline_slice_instrs() const;
 
  private:
-  friend class Cluster;
-
   void charge_cycles(double cycles) {
     cycles_acc_ += cycles;
     counters_.cycles = static_cast<std::uint64_t>(cycles_acc_);
   }
+  std::uint64_t simulate_refs(hw::AccessStream* stream, std::uint64_t limit,
+                              double& cycles, bool record_tape);
   void maybe_fire_boundaries();
   void prime_governor_if_needed();
+  void skip(std::uint64_t instrs);
 
   Cluster& cluster_;
   std::uint32_t core_;
@@ -197,10 +198,10 @@ class ExecutorContext final : public jvm::StackTraceSource {
   /// carry tracker state (it is empty exactly where archives snapshot).
   hw::ReuseTracker mav_tracker_;
 
-  // Checkpoint replay bookkeeping (profiled core only).
-  ExecMode mode_ = ExecMode::kDetailed;
+  // Governor and stop bookkeeping (profiled core only).
   bool governor_primed_ = false;
-  std::uint64_t ff_skipped_instrs_ = 0;
+  bool stopped_ = false;
+  std::uint64_t skipped_instrs_ = 0;
   std::vector<hw::MemRef> tape_refs_;  ///< scratch chunk buffer (OpTapeSink)
 };
 

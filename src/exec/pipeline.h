@@ -12,7 +12,6 @@
 // units see the true mixed signature.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -36,15 +35,6 @@ class QuotaStream final : public hw::AccessStream {
     return true;
   }
   std::uint64_t total_refs() const override { return quota_; }
-  void skip(std::uint64_t n) override {
-    const std::uint64_t step =
-        std::min({n, quota_ - served_, inner_->remaining()});
-    inner_->skip(step);
-    served_ += step;
-  }
-  std::uint64_t remaining() const override {
-    return std::min(quota_ - served_, inner_->remaining());
-  }
 
  private:
   hw::AccessStream* inner_;

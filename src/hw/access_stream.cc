@@ -1,6 +1,5 @@
 #include "hw/access_stream.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "support/assert.h"
@@ -37,10 +36,6 @@ bool SequentialStream::next(MemRef& out) {
   return true;
 }
 
-void SequentialStream::skip(std::uint64_t n) {
-  pos_ += std::min(n, lines_ - pos_);
-}
-
 RandomStream::RandomStream(std::uint64_t base_addr, std::uint64_t bytes,
                            std::uint64_t touches, Rng& rng, bool write,
                            double write_fraction)
@@ -71,10 +66,6 @@ bool RandomStream::next(MemRef& out) {
   return true;
 }
 
-void RandomStream::skip(std::uint64_t n) {
-  pos_ += std::min(n, touches_ - pos_);
-}
-
 ZipfStream::ZipfStream(std::uint64_t base_addr, std::uint64_t bytes,
                        std::uint64_t touches, double skew, Rng& rng,
                        bool write)
@@ -103,10 +94,6 @@ bool ZipfStream::next(MemRef& out) {
   return true;
 }
 
-void ZipfStream::skip(std::uint64_t n) {
-  pos_ += std::min(n, touches_ - pos_);
-}
-
 StridedStream::StridedStream(std::uint64_t base_addr, std::uint64_t bytes,
                              std::uint64_t stride_lines, bool write)
     : first_(to_line(base_addr)),
@@ -119,10 +106,6 @@ bool StridedStream::next(MemRef& out) {
   out = MemRef{first_ + pos_ * stride_, write_, /*prefetchable=*/true};
   ++pos_;
   return true;
-}
-
-void StridedStream::skip(std::uint64_t n) {
-  pos_ += std::min(n, refs_ - pos_);
 }
 
 std::uint64_t AddressSpace::allocate(std::uint64_t bytes) {

@@ -26,24 +26,16 @@ struct MemRef {
 
 /// Pull-based reference generator. `next` returns false when exhausted.
 ///
-/// Streams are position-addressable: `skip(n)` discards the next n
-/// references in O(1) and leaves every later reference bit-identical to a
-/// draw-by-draw walk. Random/Zipf streams make this possible by deriving
-/// each reference from a counter-based hash of (stream seed, position)
-/// instead of mutating a shared generator — the constructor consumes exactly
-/// one draw from the parent Rng to capture the seed, so the parent's
-/// evolution is the same whether the stream is drained or skipped. The
-/// checkpoint fast-forward path in exec depends on this property.
+/// Random/Zipf streams derive each reference from a counter-based hash of
+/// (stream seed, position) instead of mutating a shared generator: the
+/// constructor consumes exactly one draw from the parent Rng to capture the
+/// seed. The golden seed-42 profile bytes depend on this derivation.
 class AccessStream {
  public:
   virtual ~AccessStream() = default;
   virtual bool next(MemRef& out) = 0;
   /// Total references this stream will produce (for cycle apportioning).
   virtual std::uint64_t total_refs() const = 0;
-  /// Discard the next n references (capped at what remains) in O(1).
-  virtual void skip(std::uint64_t n) = 0;
-  /// References left before exhaustion.
-  virtual std::uint64_t remaining() const = 0;
 };
 
 /// Consecutive lines over [base_addr, base_addr + bytes).
@@ -53,8 +45,6 @@ class SequentialStream final : public AccessStream {
                    bool write = false);
   bool next(MemRef& out) override;
   std::uint64_t total_refs() const override { return lines_; }
-  void skip(std::uint64_t n) override;
-  std::uint64_t remaining() const override { return lines_ - pos_; }
 
  private:
   LineAddr first_;
@@ -71,8 +61,6 @@ class RandomStream final : public AccessStream {
                double write_fraction = -1.0);
   bool next(MemRef& out) override;
   std::uint64_t total_refs() const override { return touches_; }
-  void skip(std::uint64_t n) override;
-  std::uint64_t remaining() const override { return touches_ - pos_; }
 
  private:
   LineAddr first_;
@@ -93,8 +81,6 @@ class ZipfStream final : public AccessStream {
              bool write = false);
   bool next(MemRef& out) override;
   std::uint64_t total_refs() const override { return touches_; }
-  void skip(std::uint64_t n) override;
-  std::uint64_t remaining() const override { return touches_ - pos_; }
 
  private:
   LineAddr first_;
@@ -114,8 +100,6 @@ class StridedStream final : public AccessStream {
                 std::uint64_t stride_lines, bool write = false);
   bool next(MemRef& out) override;
   std::uint64_t total_refs() const override { return refs_; }
-  void skip(std::uint64_t n) override;
-  std::uint64_t remaining() const override { return refs_ - pos_; }
 
  private:
   LineAddr first_;

@@ -242,8 +242,8 @@ class MapReduceJob {
     ++total_spills_;
     static obs::Counter& spill_count = obs::metrics().counter("hadoop.spills");
     spill_count.increment();
-    // Fast-forwarded units carry no simulated cycle times; suppress spans.
-    const bool tracing = obs::trace_enabled() && !ctx.fast_forwarding();
+    // A stopped core carries no simulated cycle times; suppress spans.
+    const bool tracing = obs::trace_enabled() && !ctx.stopped();
     const std::uint64_t spill_start_cycles =
         tracing ? ctx.counters().cycles : 0;
     // QuickSort over the buffered key-value index — recursive partition
@@ -336,8 +336,8 @@ class MapReduceJob {
     const auto total_bytes = static_cast<std::uint64_t>(
         spec_.pair_bytes * static_cast<double>(total));
 
-    // Fast-forwarded units carry no simulated cycle times; suppress spans.
-    const bool tracing = obs::trace_enabled() && !ctx.fast_forwarding();
+    // A stopped core carries no simulated cycle times; suppress spans.
+    const bool tracing = obs::trace_enabled() && !ctx.stopped();
     static obs::Counter& shuffle_bytes =
         obs::metrics().counter("hadoop.shuffle_bytes");
     shuffle_bytes.add(total_bytes);

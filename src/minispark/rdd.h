@@ -526,9 +526,9 @@ class ReduceByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
     // Partition and write the shuffle output.
     {
       jvm::MethodScope write(ctx.stack(), m.shuffle_write);
-      // Fast-forwarded units carry no simulated cycle times — emitting a
-      // span from them would plot stale bounds in the trace.
-      const bool tracing = obs::trace_enabled() && !ctx.fast_forwarding();
+      // A stopped core carries no simulated cycle times — emitting a span
+      // from it would plot stale bounds in the trace.
+      const bool tracing = obs::trace_enabled() && !ctx.stopped();
       const std::uint64_t write_start_cycles =
           tracing ? ctx.counters().cycles : 0;
       std::vector<std::vector<Pair>> parts(partitions_);

@@ -35,9 +35,8 @@ class SplitMix64 {
 /// Pure position-indexed hash: the index-th draw of a counter-based random
 /// stream, as one SplitMix64 expansion of (seed, index). Unlike drawing from
 /// a stateful generator, draw i of a seed is the same no matter how many
-/// other draws happened — which is what lets the execution engine skip over
-/// a stream's references in O(1) (checkpoint fast-forward) and still leave
-/// every later draw bit-identical.
+/// other draws happened. Random/Zipf access streams derive their references
+/// this way, and the golden seed-42 profile bytes depend on it.
 inline std::uint64_t hash_at(std::uint64_t seed, std::uint64_t index) {
   std::uint64_t z = seed + (index + 1) * 0x9e3779b97f4a7c15ULL;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;

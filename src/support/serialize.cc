@@ -1,5 +1,11 @@
 #include "support/serialize.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+
 namespace simprof {
 
 // Fixed-width vectors move as one block transfer: the byte layout is
@@ -78,6 +84,43 @@ std::vector<double> BinaryReader::vec_f64() {
   std::vector<double> v(n);
   if (n != 0) raw(v.data(), n * sizeof(double));
   return v;
+}
+
+namespace {
+void fsync_path(const std::string& path, int flags) {
+  if (const int fd = ::open(path.c_str(), flags); fd >= 0) {
+    ::fsync(fd);
+    ::close(fd);
+  }
+}
+}  // namespace
+
+bool publish_file(const std::string& path,
+                  const std::function<void(std::ostream&)>& write) {
+  namespace fs = std::filesystem;
+  const std::string tmp =
+      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  std::error_code ec;
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return false;
+    write(out);
+    if (!out.flush()) {
+      out.close();
+      fs::remove(tmp, ec);
+      return false;
+    }
+  }
+  fsync_path(tmp, O_WRONLY);
+  fs::rename(tmp, path, ec);
+  if (ec) {
+    const std::error_code rename_ec = ec;
+    fs::remove(tmp, ec);
+    throw fs::filesystem_error("cannot publish", tmp, path, rename_ec);
+  }
+  const fs::path dir = fs::path(path).parent_path();
+  fsync_path(dir.empty() ? "." : dir.string(), O_RDONLY | O_DIRECTORY);
+  return true;
 }
 
 }  // namespace simprof

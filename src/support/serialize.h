@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <iosfwd>
 #include <istream>
 #include <limits>
@@ -124,5 +125,15 @@ class BinaryReader {
   std::uint64_t end_ = std::numeric_limits<std::uint64_t>::max();
   bool seekable_ = false;
 };
+
+/// Atomic, durable publish of one file: `write` fills `<path>.tmp.<pid>`,
+/// which is fsynced and renamed onto `path`, then the directory is fsynced.
+/// A writer killed midway leaves only the temporary, never a partial file
+/// under the published name; the pid suffix keeps separate processes off
+/// each other's temporaries. Returns false (temporary removed) when the
+/// temporary cannot be opened or the write comes up short. A failed rename
+/// removes the temporary and throws std::filesystem::filesystem_error.
+bool publish_file(const std::string& path,
+                  const std::function<void(std::ostream&)>& write);
 
 }  // namespace simprof

@@ -257,6 +257,58 @@ TEST(LabMeasure, NoArchivesStillMeasuresExactlyFromColdStart) {
   expect_records_match_oracle(m.records, oracle);
 }
 
+TEST(LabMeasure, ColdMeasureStopsAfterTheLastTarget) {
+  // sort_sp sizes its quicksort passes by draws from the profiled thread's
+  // generator, so the skipped tail only adds up to the oracle pass's total
+  // if the stopped core keeps that generator in step.
+  ScratchDir dir;
+  LabConfig cfg = small_lab(dir.c_str());
+  cfg.checkpoint_stride = 0;
+  WorkloadLab lab(cfg);
+  const ThreadProfile oracle = lab.run("sort_sp").profile;
+  ASSERT_GE(oracle.units.size(), 5u);
+
+  const auto early = lab.measure_units("sort_sp", "Google", {1});
+  EXPECT_FALSE(early.used_checkpoints);
+  EXPECT_FALSE(early.fallback);
+  ASSERT_EQ(early.records.size(), 1u);
+  expect_records_match_oracle(early.records, oracle);
+  EXPECT_GT(early.fast_forwarded_instrs, 0u);
+
+  // Everything after unit 1 is skipped: the oracle's total, give or take a
+  // trailing tail too short to form a unit.
+  const std::uint64_t executed = 2 * cfg.unit_instrs;
+  EXPECT_GE(early.fast_forwarded_instrs + executed,
+            oracle.total_instructions());
+  EXPECT_LT(early.fast_forwarded_instrs + executed,
+            oracle.total_instructions() + cfg.unit_instrs / 10);
+
+  const auto later = lab.measure_units("sort_sp", "Google", {3});
+  ASSERT_EQ(later.records.size(), 1u);
+  expect_records_match_oracle(later.records, oracle);
+  EXPECT_EQ(early.fast_forwarded_instrs - later.fast_forwarded_instrs,
+            2 * cfg.unit_instrs);
+}
+
+TEST(LabMeasure, StrayArchiveNamesAreSkipped) {
+  ScratchDir dir;
+  LabConfig cfg = small_lab(dir.c_str());
+  cfg.checkpoint_stride = 2;
+  WorkloadLab lab(cfg);
+  const ThreadProfile oracle = lab.run("grep_sp").profile;
+
+  // All digits, but too long for a unit index.
+  const std::filesystem::path ckpt_dir =
+      lab.checkpoint_dir_for("grep_sp", "Google", cfg.seed);
+  std::ofstream(ckpt_dir / "ckpt-u99999999999999999999999.sckp") << "x";
+
+  const auto m = lab.measure_units("grep_sp", "Google", {1, 3});
+  EXPECT_TRUE(m.used_checkpoints);
+  EXPECT_FALSE(m.fallback);
+  ASSERT_EQ(m.records.size(), 2u);
+  expect_records_match_oracle(m.records, oracle);
+}
+
 TEST(LabMeasure, CorruptArchivesFallBackToExactReexecution) {
   ScratchDir dir;
   LabConfig cfg = small_lab(dir.c_str());

@@ -1,6 +1,6 @@
 // Unit tests for the execution substrate: sampling-unit accounting, snapshot
-// hooks, wave scheduling, thread-per-task mode, migration events and the
-// profiled-core-only simulation rule.
+// hooks, wave scheduling, thread-per-task mode, migration events, the
+// profiled-core-only simulation rule and the profiled core's one-way stop.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -114,6 +114,59 @@ TEST(Cluster, FinishIgnoresTinyTail) {
   cluster.context(0).compute(100'500);  // tail of 500 < snapshot interval
   cluster.finish();
   EXPECT_EQ(hook.units.size(), 1u);
+}
+
+TEST(Cluster, StoppedCoreOnlyCountsSkippedInstructions) {
+  Cluster cluster(testing::tiny_cluster_config());
+  RecordingHook hook;
+  cluster.set_profiling_hook(&hook);
+  auto& ctx = cluster.context(0);
+  hw::SequentialStream warm(0, 64 * 4096);
+  ctx.execute(150'000, &warm);  // one unit plus a 50k partial unit
+  ASSERT_EQ(hook.units.size(), 1u);
+  const hw::PmuCounters before = ctx.counters();
+  const std::size_t snapshots = hook.snapshots.size();
+
+  ctx.stop();
+  EXPECT_TRUE(ctx.stopped());
+  hw::SequentialStream tail(64 * 4096, 64 * 4096);
+  ctx.execute(250'000, &tail);
+  hw::SequentialStream drain(0, 64 * 512);
+  ctx.execute(0, &drain);
+  ctx.compute(30'000);
+
+  EXPECT_EQ(ctx.counters().instructions, before.instructions);
+  EXPECT_EQ(ctx.counters().cycles, before.cycles);
+  EXPECT_EQ(ctx.counters().line_touches, before.line_touches);
+  EXPECT_EQ(ctx.counters().l1_misses, before.l1_misses);
+  EXPECT_EQ(ctx.counters().migrations, before.migrations);
+  EXPECT_EQ(ctx.skipped_instrs(), 280'000u);
+  EXPECT_EQ(hook.units.size(), 1u);
+  EXPECT_EQ(hook.snapshots.size(), snapshots);
+
+  // The 50k partial unit would fire without the stop; a stopped core has
+  // no trailing unit.
+  cluster.finish();
+  EXPECT_EQ(hook.units.size(), 1u);
+}
+
+TEST(Cluster, StoppedCoreKeepsTheGeneratorInStep) {
+  // Workload code draws from rng() between boundaries, so the stopped core
+  // still takes one migration draw per crossed unit boundary.
+  Cluster detailed(testing::tiny_cluster_config());
+  Cluster stopped(testing::tiny_cluster_config());
+  detailed.context(0).compute(150'000);
+  stopped.context(0).compute(150'000);
+  stopped.context(0).stop();
+  for (Cluster* c : {&detailed, &stopped}) {
+    auto& ctx = c->context(0);
+    ctx.compute(120'000);
+    ctx.rng().next_u64();
+    ctx.compute(230'000);
+  }
+  EXPECT_EQ(stopped.context(0).skipped_instrs(), 350'000u);
+  EXPECT_EQ(stopped.context(0).rng().state(),
+            detailed.context(0).rng().state());
 }
 
 TEST(Cluster, NonProfiledCoreSkipsCacheSimulation) {
