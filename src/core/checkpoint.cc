@@ -1,12 +1,13 @@
 #include "core/checkpoint.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "obs/obs.h"
@@ -16,17 +17,49 @@ namespace simprof::core {
 
 namespace {
 
-// Local FNV-1a (64-bit): core cannot depend on src/verify, and the hash only
-// needs to be stable within the archive format version.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+// Payload hash: four independent multiply-xor lanes over 8-byte words,
+// then the leftover words and the zero-padded tail bytes, with the length
+// folded in. Every mix step is a bijection in both its inputs, so a flipped
+// bit in any word changes its lane and hence the result. Local because core
+// cannot depend on src/verify; it only needs to be stable within the
+// archive format version.
+constexpr std::uint64_t kHashP1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kHashP2 = 0xC2B2AE3D27D4EB4FULL;
 
-std::uint64_t fnv1a_bytes(std::uint64_t h, const void* p, std::size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(p);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
+std::uint64_t hash_mix(std::uint64_t acc, std::uint64_t word) {
+  return std::rotl(acc ^ (word * kHashP2), 31) * kHashP1;
+}
+
+std::uint64_t load_word(const char* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
+
+std::uint64_t payload_hash(std::string_view payload) {
+  const char* p = payload.data();
+  const std::size_t n = payload.size();
+  std::uint64_t lane[4] = {kHashP1, kHashP2, ~kHashP1, ~kHashP2};
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    for (int k = 0; k < 4; ++k) {
+      lane[k] = hash_mix(lane[k], load_word(p + i + 8 * k));
+    }
   }
+  std::uint64_t h = n;
+  for (const std::uint64_t l : lane) h = hash_mix(h, l);
+  for (; i + 8 <= n; i += 8) h = hash_mix(h, load_word(p + i));
+  if (i < n) {
+    std::uint64_t tail = 0;
+    std::memcpy(&tail, p + i, n - i);
+    h = hash_mix(h, tail);
+  }
+  // Murmur3's 64-bit finalizer (a bijection) spreads every bit.
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ULL;
+  h ^= h >> 33;
   return h;
 }
 
@@ -163,12 +196,26 @@ CheckpointTape read_tape(BinaryReader& r) {
   return tape;
 }
 
-void write_archive(std::ostream& out, const std::string& payload) {
-  BinaryWriter w(out);
-  w.u32(kCheckpointMagic);
-  w.u32(kCheckpointVersion);
-  w.u64(fnv1a_bytes(kFnvOffset, payload.data(), payload.size()));
-  w.str(payload);
+// An archive is encoded in one byte buffer: begin_archive reserves the
+// header, the encoders append the payload behind it, and seal_archive fills
+// the header in from the finished payload. The buffer is then written out
+// once, as is.
+constexpr std::size_t kArchiveHeaderBytes = 24;  // magic, version, hash, len
+
+void begin_archive(std::string& buf) {
+  buf.assign(kArchiveHeaderBytes, '\0');
+}
+
+void seal_archive(std::string& buf) {
+  const std::string_view payload =
+      std::string_view(buf).substr(kArchiveHeaderBytes);
+  const std::uint64_t len = payload.size();
+  const std::uint64_t hash = payload_hash(payload);
+  char* h = buf.data();
+  std::memcpy(h, &kCheckpointMagic, 4);
+  std::memcpy(h + 4, &kCheckpointVersion, 4);
+  std::memcpy(h + 8, &hash, 8);
+  std::memcpy(h + 16, &len, 8);
 }
 
 /// Replays a recorded chunk's reference sequence verbatim.
@@ -197,13 +244,13 @@ std::string checkpoint_file_name(std::uint64_t unit_index) {
 void save_checkpoint(std::ostream& out, const exec::Cluster& cluster,
                      const std::string& cache_key, std::uint64_t unit_index,
                      const CheckpointTape& tape) {
-  std::ostringstream payload_stream;
-  {
-    BinaryWriter w(payload_stream);
-    encode_state(w, cluster, cache_key, unit_index);
-    write_tape(w, tape);
-  }
-  write_archive(out, payload_stream.str());
+  std::string buf;
+  begin_archive(buf);
+  BinaryWriter w(buf);
+  encode_state(w, cluster, cache_key, unit_index);
+  write_tape(w, tape);
+  seal_archive(buf);
+  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 std::uint64_t load_checkpoint(std::istream& in, exec::Cluster& cluster,
@@ -222,16 +269,13 @@ std::uint64_t load_checkpoint(std::istream& in, exec::Cluster& cluster,
     }
     const std::uint64_t expect_hash = r.u64();
     payload = r.str();
-    if (fnv1a_bytes(kFnvOffset, payload.data(), payload.size()) !=
-        expect_hash) {
+    if (payload_hash(payload) != expect_hash) {
       throw CheckpointError("corrupt archive: checkpoint payload hash "
                             "mismatch");
     }
   }
 
-  const std::uint64_t payload_size = payload.size();
-  std::istringstream payload_stream(std::move(payload));
-  BinaryReader r(payload_stream);
+  BinaryReader r{std::string_view(payload)};
 
   if (r.str() != cache_key) {
     throw CheckpointError("checkpoint belongs to a different run");
@@ -280,11 +324,11 @@ std::uint64_t load_checkpoint(std::istream& in, exec::Cluster& cluster,
 
   exec::ExecutorContext& ctx = cluster.context(cfg.profiled_core);
   ctx.restore_state(st);
-  cluster.memory().l1(cfg.profiled_core) = l1;
-  cluster.memory().l2(cfg.profiled_core) = l2;
-  cluster.memory().llc() = llc;
+  cluster.memory().l1(cfg.profiled_core) = std::move(l1);
+  cluster.memory().l2(cfg.profiled_core) = std::move(l2);
+  cluster.memory().llc() = std::move(llc);
   if (tape_out != nullptr) *tape_out = std::move(tape);
-  return payload_size;
+  return payload.size();
 }
 
 CheckpointRecorder::CheckpointRecorder(std::string dir, std::string cache_key,
@@ -300,12 +344,9 @@ void CheckpointRecorder::on_unit_start(std::uint64_t unit_index,
   // governor sequence point, after the boundary's migration draw, which is
   // exactly where a replayer resumes — and buffer chunks until the window
   // closes at the next stride boundary (or finalize()).
-  std::ostringstream state_stream;
-  {
-    BinaryWriter w(state_stream);
-    encode_state(w, ctx.cluster(), cache_key_, unit_index);
-  }
-  window_state_ = state_stream.str();
+  begin_archive(archive_);
+  BinaryWriter w(archive_);
+  encode_state(w, ctx.cluster(), cache_key_, unit_index);
   window_unit_ = unit_index;
   tape_.clear();
   window_open_ = true;
@@ -349,15 +390,11 @@ void CheckpointRecorder::publish_window() {
       std::filesystem::create_directories(dir_);
       dir_ready_ = true;
     }
+    BinaryWriter w(archive_);
+    write_tape(w, tape_);
+    seal_archive(archive_);
     const bool published = publish_file(path, [&](std::ostream& out) {
-      std::ostringstream payload_stream;
-      payload_stream.write(window_state_.data(),
-                           static_cast<std::streamsize>(window_state_.size()));
-      {
-        BinaryWriter w(payload_stream);
-        write_tape(w, tape_);
-      }
-      write_archive(out, payload_stream.str());
+      out.write(archive_.data(), static_cast<std::streamsize>(archive_.size()));
     });
     if (!published) {
       SIMPROF_LOG(kWarn) << "ckpt: cannot write " << path
@@ -366,9 +403,7 @@ void CheckpointRecorder::publish_window() {
     }
     ++saved_;
     saves.increment();
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    if (!ec) save_bytes.add(size);
+    save_bytes.add(archive_.size());
     SIMPROF_LOG(kDebug) << "ckpt: saved unit " << window_unit_ << " ("
                         << tape_.size() << " tape ops) -> " << path;
   } catch (const std::filesystem::filesystem_error& e) {

@@ -21,21 +21,29 @@
 // restored records are bit-identical to the oracle pass — enforced by
 // core_lab_test and verify_checkpoint_recovery.
 //
-// Archive format ("SCKP", version 3):
-//   u32 magic | u32 version | u64 FNV-1a(payload) | str payload
+// Archive format ("SCKP", version 4):
+//   u32 magic | u32 version | u64 hash(payload) | str payload
 // The payload carries the run identity (cache key, unit geometry), the
 // profiled thread's state, the three cache models of the profiled hierarchy
 // and the window's op tape. Version 3 added the generator state at each
 // unit boundary inside the window: workload code draws from the thread's
 // RNG between boundaries, the replay does not run it, and without the saved
-// state a boundary's migration draw would land on the wrong units. Older
-// archives are rejected with CheckpointError (measurement then runs cold).
-// The payload hash catches corruption that
-// field-level bounds checks cannot — a flipped bit inside a cache tag array
-// still decodes as a valid u64, but a wrong tag would silently change
-// restored PMU numbers, and the contract is "typed error or fallback, never
-// a wrong number". Restore into the wrong run or at the wrong boundary
+// state a boundary's migration draw would land on the wrong units. Version
+// 4 stores only each cache set's occupied ways (hw::Cache::save_state) and
+// replaced the byte-wise FNV-1a with a word-wise hash: four multiply-xor
+// lanes over 8-byte words, then the leftover words and the zero-padded tail
+// bytes, with the length folded in. Older archives are rejected with
+// CheckpointError (measurement then runs cold). The payload hash catches
+// corruption that field-level bounds checks cannot — a flipped bit inside a
+// cache tag array still decodes as a valid u64, but a wrong tag would
+// silently change restored PMU numbers, and the contract is "typed error or
+// fallback, never a wrong number". load_checkpoint verifies it before
+// decoding anything. Restore into the wrong run or at the wrong boundary
 // throws CheckpointError.
+//
+// An archive is encoded into one byte buffer and written out once: the
+// recorder reuses its buffer across windows, encoding the state section
+// when a window opens and appending the tape when it publishes.
 //
 // Durability mirrors the profile cache: archives are published by
 // write-to-tmp + fsync + rename, so a killed writer leaves no partial file
@@ -63,7 +71,7 @@ class CheckpointError : public SerializeError {
 };
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x504b4353;  // "SCKP"
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// One recorded execute() chunk of the profiled core: enough to re-run the
 /// chunk bit-identically on a restored cluster (see exec::OpTapeSink).
@@ -139,7 +147,9 @@ class CheckpointRecorder final : public exec::UnitGovernor,
 
   bool window_open_ = false;
   std::uint64_t window_unit_ = 0;
-  std::string window_state_;  ///< state payload encoded at window open
+  /// The open window's archive: header space and state section encoded at
+  /// window open, tape appended at publish. Reused across windows.
+  std::string archive_;
   CheckpointTape tape_;
 };
 

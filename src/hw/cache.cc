@@ -1,6 +1,7 @@
 #include "hw/cache.h"
 
 #include <algorithm>
+#include <string>
 
 #include "support/serialize.h"
 
@@ -10,7 +11,10 @@ Cache::Cache(const CacheConfig& cfg)
     : cfg_(cfg),
       sets_(cfg.num_sets()),
       effective_ways_(cfg.ways),
-      ways_(sets_ * cfg.ways, kInvalid) {}
+      ways_(sets_ * cfg.ways, kInvalid) {
+  // save_state stores each set's occupancy in one byte.
+  SIMPROF_EXPECTS(cfg.ways <= 255, "cache has more than 255 ways");
+}
 
 bool Cache::access(LineAddr line) {
   const std::size_t set = static_cast<std::size_t>(line % sets_);
@@ -46,7 +50,19 @@ void Cache::save_state(BinaryWriter& w) const {
   // restore must bring the counters' source of truth back too.
   w.u64(stats_.hits);
   w.u64(stats_.misses);
-  w.vec_u64(ways_);
+  // Occupancy, then the occupied tags. A set's count runs to its last valid
+  // way, so the encoding stays lossless even if a hole ever appeared.
+  std::string counts(sets_, '\0');
+  std::vector<LineAddr> tags;
+  for (std::size_t set = 0; set < sets_; ++set) {
+    const LineAddr* base = ways_.data() + set * cfg_.ways;
+    std::uint32_t n = cfg_.ways;
+    while (n > 0 && base[n - 1] == kInvalid) --n;
+    counts[set] = static_cast<char>(n);
+    tags.insert(tags.end(), base, base + n);
+  }
+  w.str(counts);
+  w.vec_u64(tags);
 }
 
 void Cache::load_state(BinaryReader& r) {
@@ -62,13 +78,39 @@ void Cache::load_state(BinaryReader& r) {
   CacheStats stats;
   stats.hits = r.u64();
   stats.misses = r.u64();
-  std::vector<LineAddr> tags = r.vec_u64();
-  if (tags.size() != ways_.size()) {
-    throw SerializeError("corrupt archive: cache tag array size mismatch");
+  const std::string counts = r.str();
+  if (counts.size() != sets_) {
+    throw SerializeError("corrupt archive: cache occupancy size mismatch");
+  }
+  const std::vector<LineAddr> tags = r.vec_u64();
+  // Validate the whole occupancy section before the first write, so a
+  // corrupt archive never half-restores.
+  std::size_t total = 0;
+  for (const char c : counts) {
+    const auto n = static_cast<unsigned char>(c);
+    if (n > cfg_.ways) {
+      throw SerializeError("corrupt archive: cache set occupancy exceeds "
+                           "ways");
+    }
+    total += n;
+  }
+  if (total > tags.size()) {
+    throw SerializeError("corrupt archive: cache occupancy exceeds tag "
+                         "count");
+  }
+  if (total < tags.size()) {
+    throw SerializeError("corrupt archive: trailing cache tags");
   }
   effective_ways_ = eff;
   stats_ = stats;
-  ways_ = std::move(tags);
+  const LineAddr* next = tags.data();
+  for (std::size_t set = 0; set < sets_; ++set) {
+    LineAddr* base = ways_.data() + set * cfg_.ways;
+    const auto n = static_cast<unsigned char>(counts[set]);
+    std::copy(next, next + n, base);
+    std::fill(base + n, base + cfg_.ways, kInvalid);
+    next += n;
+  }
 }
 
 }  // namespace simprof::hw

@@ -78,10 +78,13 @@ class Cache {
   const CacheConfig& config() const { return cfg_; }
 
   /// Serialize the full warm state (tag arrays in MRU order, pressure,
-  /// hit/miss counters) for unit-boundary checkpoints. Geometry is written
-  /// too: load_state throws SerializeError when the archive's geometry does
-  /// not match this cache, so a checkpoint can never be restored into a
-  /// differently shaped hierarchy.
+  /// hit/miss counters) for unit-boundary checkpoints. Only occupied ways
+  /// are written: one u8 per set counting the ways up to its last valid
+  /// one, then those tags. Geometry is written too: load_state throws
+  /// SerializeError when the archive's geometry does not match this cache,
+  /// so a checkpoint can never be restored into a differently shaped
+  /// hierarchy, and validates the occupancy section before touching any
+  /// state, so a failed load leaves the cache unchanged.
   void save_state(BinaryWriter& w) const;
   void load_state(BinaryReader& r);
 
@@ -90,7 +93,8 @@ class Cache {
   std::size_t sets_;
   std::uint32_t effective_ways_;
   // ways_[set*ways + i] is the i-th most recently used line of the set;
-  // kInvalid marks an empty slot.
+  // kInvalid marks an empty slot. access() inserts only at MRU and flush()
+  // empties whole caches, so a set's valid ways always form a prefix.
   static constexpr LineAddr kInvalid = ~LineAddr{0};
   std::vector<LineAddr> ways_;
   CacheStats stats_;

@@ -28,15 +28,27 @@ void BinaryWriter::vec_f64(const std::vector<double>& v) {
   if (!v.empty()) raw(v.data(), v.size() * sizeof(double));
 }
 
-BinaryReader::BinaryReader(std::istream& in) : in_(in) {
-  const std::streampos cur = in_.tellg();
+void BinaryWriter::raw_to_buffer(const void* p, std::size_t n) {
+  buf_->append(static_cast<const char*>(p), n);
+}
+
+void BinaryReader::raw_from_memory(void* p, std::size_t n) {
+  if (n > mem_.size()) {
+    throw SerializeError("corrupt archive: truncated read");
+  }
+  if (n != 0) std::memcpy(p, mem_.data(), n);
+  mem_.remove_prefix(n);
+}
+
+BinaryReader::BinaryReader(std::istream& in) : in_(&in) {
+  const std::streampos cur = in_->tellg();
   if (cur == std::streampos(-1)) return;
-  in_.seekg(0, std::ios::end);
-  const std::streampos end = in_.tellg();
-  in_.seekg(cur);
-  if (end == std::streampos(-1) || !in_) {
-    in_.clear();
-    in_.seekg(cur);
+  in_->seekg(0, std::ios::end);
+  const std::streampos end = in_->tellg();
+  in_->seekg(cur);
+  if (end == std::streampos(-1) || !*in_) {
+    in_->clear();
+    in_->seekg(cur);
     return;
   }
   end_ = static_cast<std::uint64_t>(end);
@@ -44,8 +56,9 @@ BinaryReader::BinaryReader(std::istream& in) : in_(in) {
 }
 
 std::uint64_t BinaryReader::remaining() const {
+  if (in_ == nullptr) return mem_.size();
   if (!seekable_) return std::numeric_limits<std::uint64_t>::max();
-  const std::streampos cur = in_.tellg();
+  const std::streampos cur = in_->tellg();
   if (cur == std::streampos(-1)) return 0;
   const auto pos = static_cast<std::uint64_t>(cur);
   return pos >= end_ ? 0 : end_ - pos;

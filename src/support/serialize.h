@@ -21,6 +21,7 @@
 #include <limits>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/assert.h"
@@ -38,7 +39,10 @@ class SerializeError : public ContractViolation {
 
 class BinaryWriter {
  public:
-  explicit BinaryWriter(std::ostream& out) : out_(out) {}
+  explicit BinaryWriter(std::ostream& out) : out_(&out) {}
+  /// Appends to `buf` in place, so an encoder that owns a reused buffer
+  /// pays one copy per field and no stream or intermediate string.
+  explicit BinaryWriter(std::string& buf) : buf_(&buf) {}
 
   void u8(std::uint8_t v) { raw(&v, 1); }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
@@ -62,9 +66,18 @@ class BinaryWriter {
 
  private:
   void raw(const void* p, std::size_t n) {
-    out_.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
+    if (buf_ != nullptr) {
+      raw_to_buffer(p, n);
+      return;
+    }
+    out_->write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
   }
-  std::ostream& out_;
+  // Out of line, so the stream path above stays as small as it is without
+  // a buffer mode at every inlined field write.
+  void raw_to_buffer(const void* p, std::size_t n);
+
+  std::ostream* out_ = nullptr;
+  std::string* buf_ = nullptr;
 };
 
 class BinaryReader {
@@ -75,6 +88,8 @@ class BinaryReader {
   /// truncation check in raw() still catches over-reads, just after O(1)
   /// element reads instead of before the reserve.
   explicit BinaryReader(std::istream& in);
+  /// Reads `bytes` in place; the caller keeps them alive while reading.
+  explicit BinaryReader(std::string_view bytes) : mem_(bytes) {}
 
   std::uint8_t u8() { std::uint8_t v; raw(&v, 1); return v; }
   std::uint32_t u32() { std::uint32_t v; raw(&v, sizeof v); return v; }
@@ -103,7 +118,7 @@ class BinaryReader {
   std::vector<std::uint64_t> vec_u64();
   std::vector<double> vec_f64();
 
-  bool ok() const { return static_cast<bool>(in_); }
+  bool ok() const { return in_ == nullptr || static_cast<bool>(*in_); }
 
   /// Bytes left before the end of the stream, or uint64 max if the stream
   /// is not seekable.
@@ -115,13 +130,21 @@ class BinaryReader {
   std::size_t checked_count(std::size_t elem_size, const char* what);
 
   void raw(void* p, std::size_t n) {
-    in_.read(static_cast<char*>(p), static_cast<std::streamsize>(n));
-    if (static_cast<std::size_t>(in_.gcount()) != n) {
+    if (in_ == nullptr) {
+      raw_from_memory(p, n);
+      return;
+    }
+    in_->read(static_cast<char*>(p), static_cast<std::streamsize>(n));
+    if (static_cast<std::size_t>(in_->gcount()) != n) {
       throw SerializeError("corrupt archive: truncated read");
     }
   }
+  // Out of line, so the stream path above stays as small as it is without
+  // a memory mode at every inlined field read.
+  void raw_from_memory(void* p, std::size_t n);
 
-  std::istream& in_;
+  std::istream* in_ = nullptr;
+  std::string_view mem_;  ///< unread bytes when reading from memory
   std::uint64_t end_ = std::numeric_limits<std::uint64_t>::max();
   bool seekable_ = false;
 };

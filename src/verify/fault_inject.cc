@@ -277,12 +277,12 @@ VerifyReport verify_checkpoint_robustness(const FaultConfig& cfg) {
   VerifyReport report;
   report.fingerprint = kFnvOffset;
 
-  // Golden checkpoint tripwire: the frozen SCKP v3 bytes must equal a fresh
+  // Golden checkpoint tripwire: the frozen SCKP v4 bytes must equal a fresh
   // fixture save, decode without error, and restore bit-identical state.
   {
     const std::string golden(
-        reinterpret_cast<const char*>(kGoldenCheckpointV3),
-        sizeof kGoldenCheckpointV3);
+        reinterpret_cast<const char*>(kGoldenCheckpointV4),
+        sizeof kGoldenCheckpointV4);
     const std::string fresh = fixture_checkpoint_bytes(0);
     bool decodes = false;
     bool stable = false;

@@ -43,8 +43,9 @@ VerifyReport verify_lab_cache_recovery(std::uint64_t seed);
 
 /// In-memory checkpoint-archive corruption sweep over the deterministic
 /// fixture corpus (synthetic.h), plus the golden-checkpoint tripwire: the
-/// frozen SCKP v1 bytes must equal a fresh fixture save and restore
-/// bit-identical state. Increments verify.ckpt_faults_injected per case.
+/// frozen bytes of golden_checkpoint.h must equal a fresh fixture save and
+/// restore bit-identical state. Increments verify.ckpt_faults_injected per
+/// case.
 VerifyReport verify_checkpoint_robustness(const FaultConfig& cfg);
 
 /// End-to-end checkpoint fallback drill: record archives with a real lab

@@ -40,13 +40,12 @@ void load_cache(Cache& c, const std::string& bytes) {
   c.load_state(r);
 }
 
-TEST(CacheState, SaveLoadRoundtripPreservesWarmthAndStats) {
-  const CacheConfig cfg{4096, 4};
-  Cache a(cfg);
-  for (LineAddr l = 0; l < 200; ++l) a.access(l % 37);
-  a.set_effective_ways(2);
-
-  Cache b(cfg);
+/// Round-trips `a` into a differently warmed cache of the same geometry and
+/// checks the restored state, then that both resume bit-identically.
+void expect_roundtrip(Cache& a, const char* what) {
+  SCOPED_TRACE(what);
+  Cache b(a.config());
+  for (LineAddr l = 0; l < 300; ++l) b.access(l * 7 + 1000);
   load_cache(b, cache_bytes(a));
   EXPECT_EQ(b.stats().hits, a.stats().hits);
   EXPECT_EQ(b.stats().misses, a.stats().misses);
@@ -61,6 +60,47 @@ TEST(CacheState, SaveLoadRoundtripPreservesWarmthAndStats) {
   EXPECT_EQ(cache_bytes(b), cache_bytes(a));
 }
 
+TEST(CacheState, SaveLoadRoundtripPreservesWarmthAndStats) {
+  const CacheConfig cfg{4096, 4};  // 16 sets of 4 ways
+  {
+    Cache a(cfg);
+    for (LineAddr l = 0; l < 200; ++l) a.access(l % 37);
+    a.set_effective_ways(2);
+    expect_roundtrip(a, "warm, under pressure");
+  }
+  {
+    Cache a(cfg);
+    expect_roundtrip(a, "empty");
+  }
+  {
+    // Set 0 empty, set 1 with some ways valid, set 2 with all of them.
+    Cache a(cfg);
+    for (const LineAddr l : {1, 17, 2, 18, 34, 50, 66}) a.access(l);
+    expect_roundtrip(a, "partly filled");
+  }
+  {
+    Cache a(cfg);
+    for (LineAddr l = 0; l < 4 * 64; ++l) a.access(l);
+    expect_roundtrip(a, "full");
+  }
+  {
+    Cache a(cfg);
+    for (LineAddr l = 0; l < 4 * 64; ++l) a.access(l);
+    a.flush();
+    expect_roundtrip(a, "flushed");
+  }
+}
+
+TEST(CacheState, OnlyOccupiedWaysAreArchived) {
+  const CacheConfig cfg{4096, 4};
+  Cache empty(cfg);
+  Cache full(cfg);
+  for (LineAddr l = 0; l < 4 * 64; ++l) full.access(l);
+  // Empty: a count byte per set and no tags; full: every way's tag too.
+  EXPECT_EQ(cache_bytes(full).size() - cache_bytes(empty).size(),
+            64 * sizeof(LineAddr));
+}
+
 TEST(CacheState, GeometryMismatchThrowsSerializeError) {
   Cache a({4096, 4});
   for (LineAddr l = 0; l < 64; ++l) a.access(l);
@@ -72,17 +112,69 @@ TEST(CacheState, GeometryMismatchThrowsSerializeError) {
   EXPECT_THROW(load_cache(wrong_ways, bytes), SerializeError);
 }
 
-TEST(CacheState, CorruptArchiveNeverHalfRestores) {
-  Cache a({2048, 2});
-  for (LineAddr l = 0; l < 64; ++l) a.access(l % 13);
-  std::string bytes = cache_bytes(a);
-  bytes.resize(bytes.size() / 2);  // truncate mid tag array
+TEST(CacheState, MoreThan255WaysRejectedAtConstruction) {
+  EXPECT_THROW(Cache({256 * kLineBytes, 256}), ContractViolation);
+}
 
-  Cache b({2048, 2});
-  for (LineAddr l = 0; l < 8; ++l) b.access(l);
-  const std::string before = cache_bytes(b);
-  EXPECT_THROW(load_cache(b, bytes), SerializeError);
-  EXPECT_EQ(cache_bytes(b), before);  // b untouched by the failed load
+/// Hand-built state section for `cfg` with the given occupancy and tags.
+std::string state_bytes(const CacheConfig& cfg, const std::string& counts,
+                        const std::vector<LineAddr>& tags) {
+  std::string out;
+  BinaryWriter w(out);
+  w.u64(cfg.size_bytes);
+  w.u32(cfg.ways);
+  w.u32(cfg.ways);  // effective ways
+  w.u64(0);         // hits
+  w.u64(0);         // misses
+  w.str(counts);
+  w.vec_u64(tags);
+  return out;
+}
+
+TEST(CacheState, CorruptArchiveNeverHalfRestores) {
+  const CacheConfig cfg{2048, 2};  // 16 sets of 2 ways
+  Cache a(cfg);
+  for (LineAddr l = 0; l < 64; ++l) a.access(l % 13);
+  std::string truncated = cache_bytes(a);
+  truncated.resize(truncated.size() / 2);  // truncate mid tag array
+
+  // Well-formed: set 0 holds two tags, set 1 one.
+  std::string counts(16, '\0');
+  counts[0] = 2;
+  counts[1] = 1;
+  const std::vector<LineAddr> tags = {16, 0, 1};
+  {
+    Cache ok(cfg);
+    load_cache(ok, state_bytes(cfg, counts, tags));
+    EXPECT_TRUE(ok.access(16));
+    EXPECT_TRUE(ok.access(1));
+  }
+
+  std::string over_ways = counts;
+  over_ways[2] = 3;  // more than the 2 ways, tags to match
+  std::string over_tags = counts;
+  over_tags[3] = 1;  // counts sum to one more tag than there are
+  std::vector<LineAddr> trailing = tags;
+  trailing.push_back(5);  // one tag no set claims
+
+  const struct {
+    const char* what;
+    std::string bytes;
+  } corrupt[] = {
+      {"truncated", truncated},
+      {"count above ways",
+       state_bytes(cfg, over_ways, {16, 0, 1, 2, 18, 34})},
+      {"counts exceed tag count", state_bytes(cfg, over_tags, tags)},
+      {"trailing tags", state_bytes(cfg, counts, trailing)},
+  };
+  for (const auto& c : corrupt) {
+    SCOPED_TRACE(c.what);
+    Cache b(cfg);
+    for (LineAddr l = 0; l < 8; ++l) b.access(l);
+    const std::string before = cache_bytes(b);
+    EXPECT_THROW(load_cache(b, c.bytes), SerializeError);
+    EXPECT_EQ(cache_bytes(b), before);  // b untouched by the failed load
+  }
 }
 
 /// Deterministic two-stage workload; stage 2 resumes mid-unit so the restore

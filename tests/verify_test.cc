@@ -9,13 +9,18 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "obs/metrics.h"
 #include "stats/stratified.h"
 #include "verify/fault_inject.h"
+#include "verify/golden_checkpoint.h"
 #include "verify/oracle.h"
 #include "verify/roundtrip.h"
+#include "verify/synthetic.h"
 #include "verify/verify.h"
 
 namespace simprof::verify {
@@ -128,6 +133,50 @@ TEST(CheckpointFaults, SweepAnswersWithTypedErrorsAndGoldenArchiveHolds) {
     if (c.name == "ckpt.golden_archive_stable") saw_golden = true;
   }
   EXPECT_TRUE(saw_golden);
+}
+
+TEST(CheckpointFaults, PayloadHashCoversEveryBitOfTheGoldenArchive) {
+  const std::string golden(reinterpret_cast<const char*>(kGoldenCheckpointV4),
+                           sizeof kGoldenCheckpointV4);
+  // Header: magic, version, hash, payload length; the payload follows.
+  constexpr std::size_t kPayloadStart = 24;
+  ASSERT_GT(golden.size(), kPayloadStart);
+  // The fixture's payload ends in a partial word, so the sweep also covers
+  // the bytes outside the 32-byte lanes and the zero-padded tail.
+  ASSERT_NE((golden.size() - kPayloadStart) % 8, 0u);
+
+  const auto twin = checkpoint_fixture(0);
+  {
+    std::istringstream in(golden, std::ios::binary);
+    ASSERT_NO_THROW(core::load_checkpoint(in, *twin, kCheckpointFixtureKey,
+                                          kCheckpointFixtureUnit));
+  }
+  std::size_t caught = 0;
+  std::size_t flips = 0;
+  std::string first_miss;
+  for (std::size_t byte = kPayloadStart; byte < golden.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bytes = golden;
+      bytes[byte] = static_cast<char>(static_cast<unsigned char>(bytes[byte]) ^
+                                      (1u << bit));
+      ++flips;
+      std::istringstream in(bytes, std::ios::binary);
+      try {
+        core::load_checkpoint(in, *twin, kCheckpointFixtureKey,
+                              kCheckpointFixtureUnit);
+      } catch (const core::CheckpointError& e) {
+        if (std::string(e.what()).find("hash mismatch") != std::string::npos) {
+          ++caught;
+          continue;
+        }
+      }
+      if (first_miss.empty()) {
+        first_miss = "byte " + std::to_string(byte) + " bit " +
+                     std::to_string(bit);
+      }
+    }
+  }
+  EXPECT_EQ(caught, flips) << "first flip the hash missed: " << first_miss;
 }
 
 TEST(CheckpointFaults, CorruptedArchivesFallBackToExactReexecution) {

@@ -149,7 +149,7 @@ const std::vector<CommandSpec> kCommands = {
     {"measure",
      "<workload>",
      "measure selected sampling units via checkpoint restore + "
-     "fast-forward (SMARTS-style)",
+     "op-tape replay (SMARTS-style)",
      {{"input", "NAME", "Table II graph input (default Google)"},
       {"scale", "S", "workload scale factor (default 1.0)"},
       {"seed", "N", "simulation seed (default 42)"},
