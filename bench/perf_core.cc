@@ -2,8 +2,14 @@
 // clustering speed (the reason the paper caps features at K = 100),
 // silhouette scoring, feature selection, cache-model throughput, profiling
 // overhead (the paper claims a negligible slowdown at the 10M-instruction
-// snapshot interval) and sampling-plan construction.
+// snapshot interval), the MAV tracker, MiniHadoop's sort and merge kernels
+// and sampling-plan construction.
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "benchmark_main.h"
 #include "core/phase.h"
@@ -13,7 +19,9 @@
 #include "data/kronecker.h"
 #include "exec/cluster.h"
 #include "hw/access_stream.h"
+#include "hw/mav.h"
 #include "hw/memory_system.h"
+#include "minihadoop/sort.h"
 #include "stats/feature_select.h"
 #include "stats/kmeans.h"
 #include "stats/silhouette.h"
@@ -162,6 +170,96 @@ void BM_CacheAccessRandom(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheAccessRandom);
+
+// The MAV tracker behind the cache model: one record() per line touch, with
+// a reset every 2^15 touches (a unit boundary). Sequential cycles over 4096
+// lines (every re-touch at distance 4095); zipf and random spread touches
+// over a 64 MB region, skewed or uniform.
+enum class TouchPattern { kSequential, kZipf, kRandom };
+
+void BM_ReuseTrackerRecord(benchmark::State& state, TouchPattern pattern) {
+  constexpr std::size_t kUnit = 1 << 15;
+  constexpr std::size_t kTouches = 8 * kUnit;
+  constexpr std::uint64_t kRegion = 64ull << 20;
+  Rng rng(9);
+  std::unique_ptr<hw::AccessStream> stream;
+  if (pattern == TouchPattern::kZipf) {
+    stream = std::make_unique<hw::ZipfStream>(0, kRegion, kTouches, 0.99, rng);
+  } else if (pattern == TouchPattern::kRandom) {
+    stream = std::make_unique<hw::RandomStream>(0, kRegion, kTouches, rng);
+  }
+  std::vector<hw::LineAddr> lines(kTouches);
+  for (std::size_t i = 0; i < kTouches; ++i) {
+    hw::MemRef ref;
+    if (stream) stream->next(ref);
+    lines[i] = stream ? ref.line : i % 4096;
+  }
+  hw::ReuseTracker tracker;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    tracker.record(lines[i], hw::AccessLevel::kL2);
+    if (++i % kUnit == 0) {
+      benchmark::DoNotOptimize(tracker.block());
+      tracker.reset();
+      if (i == kTouches) i = 0;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_ReuseTrackerRecord, sequential, TouchPattern::kSequential);
+BENCHMARK_CAPTURE(BM_ReuseTrackerRecord, zipf, TouchPattern::kZipf);
+BENCHMARK_CAPTURE(BM_ReuseTrackerRecord, random, TouchPattern::kRandom);
+
+// MiniHadoop's spill sort: 2^19 (word id, count) pairs, about one 8 MB map
+// buffer, with keys Zipf-drawn over a 2^20-word vocabulary.
+using KeyValue = std::pair<std::uint32_t, std::uint64_t>;
+
+std::vector<KeyValue> zipf_pairs(std::size_t n, Rng& rng) {
+  hw::ZipfStream keys(0, (1ull << 20) * hw::kLineBytes, n, 0.9, rng);
+  std::vector<KeyValue> v(n);
+  hw::MemRef ref;
+  for (std::size_t i = 0; i < n; ++i) {
+    keys.next(ref);
+    v[i] = {static_cast<std::uint32_t>(ref.line), i};
+  }
+  return v;
+}
+
+void BM_SortByKey(benchmark::State& state) {
+  Rng rng(3);
+  const auto input = zipf_pairs(1 << 19, rng);
+  std::vector<KeyValue> work;
+  for (auto _ : state) {
+    state.PauseTiming();
+    work = input;
+    state.ResumeTiming();
+    hadoop::sort_by_key(work);
+    benchmark::DoNotOptimize(work.data());
+  }
+  state.SetItemsProcessed(state.iterations() * input.size());
+}
+BENCHMARK(BM_SortByKey)->Unit(benchmark::kMillisecond);
+
+// The reduce-side merge: 24 sorted segments of 2^14 pairs each, collected
+// into a vector.
+void BM_MergeByKey(benchmark::State& state) {
+  Rng rng(4);
+  std::vector<std::vector<KeyValue>> runs;
+  for (int r = 0; r < 24; ++r) {
+    runs.push_back(zipf_pairs(1 << 14, rng));
+    hadoop::sort_by_key(runs.back());
+  }
+  const std::vector<std::span<const KeyValue>> spans(runs.begin(), runs.end());
+  std::vector<KeyValue> out;
+  out.reserve(24 * (1 << 14));
+  for (auto _ : state) {
+    out.clear();
+    hadoop::merge_by_key(spans, [&](const KeyValue& kv) { out.push_back(kv); });
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 24 * (1 << 14));
+}
+BENCHMARK(BM_MergeByKey)->Unit(benchmark::kMillisecond);
 
 void BM_KroneckerGeneration(benchmark::State& state) {
   data::KroneckerConfig cfg;

@@ -47,19 +47,37 @@ void ExecutorContext::prime_governor_if_needed() {
 // through the profiled core's hierarchy, adding their latencies to `cycles`
 // and feeding the MAV tracker and (when `record_tape`) the chunk buffer.
 // Returns how many references ran; `stream` may be null when `limit` is 0.
+//
+// References are pulled in batches of ref_batch_.size() so the tracker's
+// table slot for the reference kPrefetchAhead positions on can be
+// prefetched. A batch never asks for more than `limit` − n references and
+// stops at the first failed next(), so the stream's cursor ends exactly
+// where a one-at-a-time loop would leave it (streams are pure generators:
+// pulling a reference early cannot change it).
 [[gnu::always_inline]] inline std::uint64_t ExecutorContext::simulate_refs(
     hw::AccessStream* stream, std::uint64_t limit, double& cycles,
     bool record_tape) {
+  constexpr std::size_t kPrefetchAhead = 8;
   if (record_tape) tape_refs_.clear();
-  hw::MemRef ref;
+  hw::MemRef* const batch = ref_batch_.data();
   double acc = cycles;
   std::uint64_t n = 0;
-  while (n < limit && stream->next(ref)) {
-    const auto out = cluster_.memory().access_outcome(core_, ref);
-    acc += out.cycles;
-    mav_tracker_.record(ref.line, out.level);
-    ++n;
-    if (record_tape) tape_refs_.push_back(ref);
+  while (n < limit) {
+    const auto want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(ref_batch_.size(), limit - n));
+    std::size_t got = 0;
+    while (got < want && stream->next(batch[got])) ++got;
+    for (std::size_t k = 0; k < got; ++k) {
+      if (k + kPrefetchAhead < got) {
+        mav_tracker_.prefetch(batch[k + kPrefetchAhead].line);
+      }
+      const auto out = cluster_.memory().access_outcome(core_, batch[k]);
+      acc += out.cycles;
+      mav_tracker_.record(batch[k].line, out.level);
+    }
+    if (record_tape) tape_refs_.insert(tape_refs_.end(), batch, batch + got);
+    n += got;
+    if (got < want) break;
   }
   counters_.line_touches += n;
   cycles = acc;

@@ -13,6 +13,7 @@
 // the cluster's wave-pressure mechanism (see cluster.h).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -203,6 +204,8 @@ class ExecutorContext final : public jvm::StackTraceSource {
   bool stopped_ = false;
   std::uint64_t skipped_instrs_ = 0;
   std::vector<hw::MemRef> tape_refs_;  ///< scratch chunk buffer (OpTapeSink)
+  /// simulate_refs' pull buffer; a member so calls don't re-initialise it.
+  std::array<hw::MemRef, 64> ref_batch_;
 };
 
 }  // namespace simprof::exec

@@ -60,7 +60,7 @@ void PipelineBatcher::flush(ExecutorContext& ctx,
       const std::uint64_t step =
           std::min(left, std::max<std::uint64_t>(jittered, 1));
       // References proportional to instruction progress (all remaining refs
-      // on the last slice).
+      // on the last slice; a refs-only item drains in its first slice).
       std::uint64_t quota = refs_left;
       if (left > step && item.instrs > 0) {
         quota = static_cast<std::uint64_t>(
@@ -81,15 +81,6 @@ void PipelineBatcher::flush(ExecutorContext& ctx,
       }
       for (std::size_t i = 0; i < item.frames.size(); ++i) ctx.stack().pop();
       item.charged += step;
-
-      // Degenerate case: refs but no instructions — drain in one go.
-      if (item.instrs == 0 && item.stream) {
-        QuotaStream all(*item.stream, refs_left);
-        for (jvm::MethodId m : item.frames) ctx.stack().push(m);
-        ctx.execute(0, &all);
-        for (std::size_t i = 0; i < item.frames.size(); ++i) ctx.stack().pop();
-        item.refs_served = item.refs_total;
-      }
     }
   }
   items_.clear();

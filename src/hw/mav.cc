@@ -21,9 +21,7 @@ std::uint64_t MavBlock::total() const {
 namespace {
 
 constexpr std::size_t kInitialSlots = 1024;  // power of two
-constexpr std::uint32_t kInitialTree = 1024;  // power of two
-/// Fibonacci hashing: the top bits of line·2⁶⁴/φ index the table.
-constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+constexpr std::size_t kInitialTree = 1024;  // power of two
 
 }  // namespace
 
@@ -36,27 +34,38 @@ ReuseTracker::ReuseTracker(unsigned stamp_bits)
   max_stamp_ = static_cast<std::uint32_t>((std::uint64_t{1} << stamp_bits) - 1);
 }
 
-std::uint32_t ReuseTracker::prefix(std::uint32_t i) const {
+// Marks in (t0, now_] as prefix(now_) − prefix(t0), with both walks stopped
+// where they meet: clearing low bits takes each to the common high-bit
+// prefix of now_ and t0, so the cost is O(log(now_ − t0)), not O(log now_).
+// Sums are modulo 2³², like the nodes.
+std::uint32_t ReuseTracker::marks_after(std::uint32_t t0) const {
   std::uint32_t s = 0;
-  for (; i > 0; i &= i - 1) s += bit_[i];
+  std::uint32_t r = now_;
+  while (r > t0) {
+    s += bit_[r];
+    r &= r - 1;
+  }
+  for (; t0 > r; t0 &= t0 - 1) s -= bit_[t0];
   return s;
 }
 
-// `delta` is added modulo 2³², so ~0u removes a mark.
-void ReuseTracker::add(std::uint32_t i, std::uint32_t delta) {
-  const std::size_t n = bit_.size();
-  for (std::size_t j = i; j < n; j += j & (~j + 1)) bit_[j] += delta;
-}
-
-void ReuseTracker::grow_tree() {
-  // Double the logical size P (a power of two). Node 2P covers [1, 2P],
-  // whose only marks sit in [1, P] — exactly node P's range — and the new
-  // nodes between cover only unused positions, so they start at zero.
-  const std::size_t p = bit_.size() - 1;
-  SIMPROF_EXPECTS(p < (std::size_t{1} << 31),
-                  "a sampling unit exceeds 2^31 line touches");
-  bit_.resize(2 * p + 1, 0);
-  bit_[2 * p] = bit_[p];
+// Appends timestamp now_ + 1 carrying a mark. Node t covers
+// (t − lowbit(t), t], which its children t − 2^j (2^j < lowbit(t)) cover
+// exactly, so it is 1 plus their sums: amortised O(1), and it overwrites
+// whatever a longer earlier unit left at t.
+void ReuseTracker::append_mark() {
+  const std::uint32_t t = ++now_;
+  if (t >= bit_.size()) {
+    // Timestamps [1, P] for a power of two P, so a unit of exactly 2^k
+    // touches needs no larger tree.
+    SIMPROF_EXPECTS(t < (std::uint32_t{1} << 31),
+                    "a sampling unit reaches 2^31 line touches");
+    bit_.resize(2 * (bit_.size() - 1) + 1);
+  }
+  std::uint32_t v = 1;
+  const std::uint32_t low = t & (~t + 1);
+  for (std::uint32_t c = 1; c < low; c <<= 1) v += bit_[t - c];
+  bit_[t] = v;
 }
 
 void ReuseTracker::grow_table() {
@@ -73,8 +82,6 @@ void ReuseTracker::grow_table() {
 }
 
 void ReuseTracker::record(LineAddr line, AccessLevel level) {
-  ++now_;
-  if (now_ >= bit_.size()) grow_tree();
   // Keep the load factor at most 1/2, so probe runs stay short.
   if (2 * (static_cast<std::size_t>(distinct_) + 1) > slots_.size()) {
     grow_table();
@@ -85,23 +92,25 @@ void ReuseTracker::record(LineAddr line, AccessLevel level) {
   for (;; i = (i + 1) & mask) {
     Slot& s = slots_[i];
     if (s.stamp != stamp_) {
-      s = Slot{line, now_, stamp_};
+      s = Slot{line, now_ + 1, stamp_};
       ++distinct_;
       ++block_.counts[kColdBucket];
       break;
     }
     if (s.line == line) {
       // Every line's most recent position carries one mark and all of them
-      // sit before now_, so the distinct lines touched strictly between the
-      // previous touch and now are the marks after t0.
+      // sit at or before now_, so the distinct lines touched strictly
+      // between the previous touch and this one are the marks after t0.
       const std::uint32_t t0 = s.time;
-      ++block_.counts[reuse_bucket(distinct_ - prefix(t0))];
-      add(t0, ~std::uint32_t{0});
-      s.time = now_;
+      ++block_.counts[reuse_bucket(marks_after(t0))];
+      // Remove t0's mark from the live nodes; nodes past now_ are rebuilt
+      // from their children when appended, so the walk stops at now_.
+      for (std::size_t j = t0; j <= now_; j += j & (~j + 1)) --bit_[j];
+      s.time = now_ + 1;
       break;
     }
   }
-  add(now_, 1);
+  append_mark();
   ++block_.counts[kReuseBuckets + static_cast<std::size_t>(level)];
 }
 
@@ -110,7 +119,6 @@ void ReuseTracker::reset() {
   block_ = MavBlock{};
   distinct_ = 0;
   now_ = 0;
-  bit_.assign(kInitialTree + 1, 0);
   if (stamp_ == max_stamp_) {
     // Wraparound: stale slots could carry any stamp, so clear them all.
     for (Slot& s : slots_) s.stamp = 0;

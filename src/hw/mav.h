@@ -16,7 +16,8 @@
 // Reuse distance here is the classic stack distance: the number of
 // *distinct* cache lines touched between two consecutive touches of the same
 // line, computed exactly with a last-position map plus a Fenwick tree over
-// access timestamps (O(log n) per access, n = accesses within the unit).
+// access timestamps (O(log r) per access, r = the reuse time: touches since
+// the line's previous touch).
 // First touches within a unit land in the dedicated cold bucket — the
 // tracker is intra-unit by construction, so "cold" means "no prior touch in
 // this unit", a deterministic property of the unit itself.
@@ -72,8 +73,8 @@ struct MavBlock {
 
 /// Exact intra-unit reuse-distance tracker. Feed it every line touch of the
 /// profiled core (in execution order) with the level that served it; read
-/// block() at the unit boundary and reset(). State is O(distinct lines
-/// touched since reset); reset is O(1) and keeps capacity, so steady-state
+/// block() at the unit boundary and reset(). State is O(touches of the
+/// longest unit so far); reset is O(1) and keeps capacity, so steady-state
 /// units neither reallocate nor clear.
 ///
 /// Last touches live in a flat open-addressing table (linear probing) whose
@@ -88,6 +89,11 @@ class ReuseTracker {
   explicit ReuseTracker(unsigned stamp_bits = 32);
 
   void record(LineAddr line, AccessLevel level);
+  /// Hint that `line` is recorded soon: prefetches its table slot, whose
+  /// load is otherwise a host cache miss for large working sets.
+  void prefetch(LineAddr line) const {
+    __builtin_prefetch(&slots_[(line * kGolden) >> shift_]);
+  }
   void reset();
   const MavBlock& block() const { return block_; }
   /// No touches recorded since the last reset (checkpoint sequence points
@@ -101,22 +107,25 @@ class ReuseTracker {
     std::uint32_t stamp = 0;  ///< generation; 0 never matches a live unit
   };
 
-  std::uint32_t prefix(std::uint32_t i) const;
-  void add(std::uint32_t i, std::uint32_t delta);
+  /// Fibonacci hashing: the top bits of line·2⁶⁴/φ index the table.
+  static constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+
+  std::uint32_t marks_after(std::uint32_t t0) const;
+  void append_mark();
   void grow_table();
-  void grow_tree();
 
   MavBlock block_;
   std::vector<Slot> slots_;  ///< power-of-two capacity
   unsigned shift_ = 0;       ///< 64 − log2(slots_.size()), for hashing
   std::uint32_t stamp_ = 1;
   std::uint32_t max_stamp_ = 0;
-  /// Lines touched since reset; also the Fenwick tree's total mark count.
+  /// Lines touched since reset (sizes the table).
   std::uint32_t distinct_ = 0;
   /// Fenwick tree (1-based) over timestamps; a mark at a position means some
-  /// line's *most recent* touch happened then, so distinct_ − prefix(t0)
-  /// counts the distinct lines touched after t0. Its logical size is
-  /// bit_.size() − 1, a power of two, and reset() shrinks it back.
+  /// line's *most recent* touch happened then, so the marks in (t0, now_]
+  /// are the distinct lines touched after t0. Only nodes [1, now_] are live:
+  /// node t is rebuilt from its children when timestamp t is appended, so
+  /// reset() leaves the stale nodes of longer units behind, unread.
   std::vector<std::uint32_t> bit_;
   std::uint32_t now_ = 0;
 };

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "exec/cluster.h"
 #include "exec/kernels.h"
 #include "jvm/call_stack.h"
+#include "minihadoop/sort.h"
 #include "obs/obs.h"
 #include "support/assert.h"
 
@@ -200,8 +202,8 @@ class MapReduceJob {
     charge_map_work();
     if (!buffer.empty()) sort_and_spill(buffer, spills, buffer_bytes, ctx);
 
-    // Merge spills into one partitioned output (only if more than one).
-    std::vector<Pair> merged;
+    // Merge spills (charged only if more than one) straight into the
+    // per-reducer partitions (hash partitioner) and publish them.
     std::uint64_t merged_count = 0;
     for (const auto& sp : spills) merged_count += sp.size();
     if (spills.size() > 1) {
@@ -212,21 +214,11 @@ class MapReduceJob {
                        merged_count, static_cast<std::uint32_t>(spills.size()),
                        cfg_.costs);
     }
-    merged.reserve(merged_count);
-    for (auto& sp : spills) {
-      merged.insert(merged.end(), std::make_move_iterator(sp.begin()),
-                    std::make_move_iterator(sp.end()));
-    }
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const Pair& a, const Pair& b) {
-                       return a.first < b.first;
-                     });
-
-    // Partition to reducers (hash partitioner) and publish segments.
     std::vector<std::vector<Pair>> parts(cfg_.num_reducers);
-    for (auto& kv : merged) {
-      parts[partition_of(kv.first)].push_back(std::move(kv));
-    }
+    const std::vector<std::span<const Pair>> runs(spills.begin(), spills.end());
+    merge_by_key(runs, [&](const Pair& kv) {
+      parts[partition_of(kv.first)].push_back(kv);
+    });
     for (std::uint32_t r = 0; r < cfg_.num_reducers; ++r) {
       if (!parts[r].empty()) {
         segments_[r].push_back(Segment{std::move(parts[r])});
@@ -250,10 +242,7 @@ class MapReduceJob {
     // passes with data-dependent sizes (Figure 15's high-CoV sort phase).
     {
       jvm::MethodScope qs(ctx.stack(), methods_.quick_sort);
-      std::stable_sort(buffer.begin(), buffer.end(),
-                       [](const Pair& a, const Pair& b) {
-                         return a.first < b.first;
-                       });
+      sort_by_key(buffer);
       exec::quicksort_traffic(
           ctx, buffer_region_, buffer.size(),
           static_cast<std::uint32_t>(std::max(1.0, spec_.pair_bytes)),
@@ -357,19 +346,28 @@ class MapReduceJob {
              {"segments", segments_[r].size()}});
       }
     }
-    // Merge the sorted segments.
-    std::vector<Pair> all;
-    all.reserve(total);
+    // Merge the sorted segments and fold each key's value group through the
+    // reduce function as the merge streams by. The fold is a pure function
+    // of the merged order, so running it before the reducer's costs are
+    // charged changes nothing; it spares materialising the merged run.
+    std::vector<Pair> out;
     {
       jvm::MethodScope mg(ctx.stack(), methods_.merger_merge);
       const std::uint64_t start_cycles = tracing ? ctx.counters().cycles : 0;
-      for (const auto& seg : segments_[r]) {
-        all.insert(all.end(), seg.pairs.begin(), seg.pairs.end());
-      }
-      std::stable_sort(all.begin(), all.end(),
-                       [](const Pair& a, const Pair& b) {
-                         return a.first < b.first;
-                       });
+      std::vector<std::span<const Pair>> runs;
+      runs.reserve(segments_[r].size());
+      for (const auto& seg : segments_[r]) runs.emplace_back(seg.pairs);
+      std::vector<V> group;
+      K key{};
+      merge_by_key(runs, [&](const Pair& kv) {
+        if (!group.empty() && !(kv.first == key)) {
+          out.emplace_back(key, spec_.reduce_fn(key, group));
+          group.clear();
+        }
+        if (group.empty()) key = kv.first;
+        group.push_back(kv.second);
+      });
+      if (!group.empty()) out.emplace_back(key, spec_.reduce_fn(key, group));
       exec::merge_runs(ctx, reduce_region_, total_bytes, total,
                        static_cast<std::uint32_t>(
                            std::max<std::size_t>(segments_[r].size(), 1)),
@@ -381,22 +379,10 @@ class MapReduceJob {
              {"runs", segments_[r].size()}});
       }
     }
-    // Reduce per key group; write output to HDFS.
-    std::vector<Pair> out;
+    segments_[r] = {};  // fully consumed
+    // Charge the reduce; write output to HDFS.
     {
       jvm::MethodScope red(ctx.stack(), m_reducer_);
-      std::vector<V> group;
-      std::size_t i = 0;
-      while (i < all.size()) {
-        std::size_t j = i;
-        group.clear();
-        while (j < all.size() && all[j].first == all[i].first) {
-          group.push_back(all[j].second);
-          ++j;
-        }
-        out.emplace_back(all[i].first, spec_.reduce_fn(all[i].first, group));
-        i = j;
-      }
       // Value groups arrive key-clustered but the original insertion order
       // is scattered: charge random gathers over the merged region.
       exec::hash_aggregate(ctx, reduce_region_,

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "exec/cluster.h"
 #include "exec/pipeline.h"
@@ -34,6 +37,73 @@ TEST(QuotaStream, ServesAtMostQuotaAndResumes) {
   QuotaStream second(inner, 100);
   ASSERT_TRUE(second.next(r));
   EXPECT_EQ(r.line, 4u);
+}
+
+/// Collects the instruction count and line addresses of every chunk the
+/// profiled core executes.
+class ChunkRecorder final : public OpTapeSink {
+ public:
+  void on_chunk(std::uint64_t instrs, std::span<const hw::MemRef> refs,
+                std::uint32_t, std::span<const jvm::MethodId>) override {
+    std::vector<hw::LineAddr> lines;
+    for (const hw::MemRef& r : refs) lines.push_back(r.line);
+    chunks.emplace_back(instrs, std::move(lines));
+  }
+  void on_boundary_rng(std::uint64_t, const RngState&) override {}
+  std::vector<std::pair<std::uint64_t, std::vector<hw::LineAddr>>> chunks;
+};
+
+TEST(QuotaStream, ChunksPullExactlyTheirShareInBatches) {
+  // 1000 references over 95,000 instructions: the 10,000-instruction
+  // snapshot boundaries cut them into chunks of 105 or 106 references, none
+  // a multiple of the executor's 64-reference pull batch. Each chunk must
+  // take exactly its apportioned references, in order, and the inner cursor
+  // must stop at the quota.
+  Cluster cluster(testing::tiny_cluster_config());
+  ChunkRecorder rec;
+  cluster.set_tape_sink(&rec);
+  auto& ctx = cluster.context(0);
+  hw::SequentialStream inner(0, 64 * 5000);
+  QuotaStream slice(inner, 1000);
+  ctx.execute(95'000, &slice);
+  ASSERT_EQ(rec.chunks.size(), 10u);
+  std::uint64_t instrs = 0;
+  std::uint64_t refs = 0;
+  hw::LineAddr next_line = 0;
+  for (const auto& [chunk_instrs, lines] : rec.chunks) {
+    instrs += chunk_instrs;
+    const std::uint64_t target = 1000 * instrs / 95'000;
+    EXPECT_EQ(lines.size(), target - refs);
+    for (const hw::LineAddr l : lines) EXPECT_EQ(l, next_line++);
+    refs = target;
+  }
+  EXPECT_EQ(refs, 1000u);
+  EXPECT_EQ(ctx.counters().line_touches, 1000u);
+  hw::MemRef r;
+  ASSERT_TRUE(inner.next(r));
+  EXPECT_EQ(r.line, 1000u);
+}
+
+TEST(QuotaStream, ZeroInstructionDrainStopsAtQuotaOrInnerEnd) {
+  Cluster cluster(testing::tiny_cluster_config());
+  ChunkRecorder rec;
+  cluster.set_tape_sink(&rec);
+  auto& ctx = cluster.context(0);
+  hw::SequentialStream inner(0, 64 * 200);
+  QuotaStream first(inner, 150);  // stops at the quota, mid-batch
+  ctx.execute(0, &first);
+  QuotaStream rest(inner, 1000);  // stops where the inner stream ends
+  ctx.execute(0, &rest);
+  ASSERT_EQ(rec.chunks.size(), 2u);
+  EXPECT_EQ(rec.chunks[0].first, 0u);
+  EXPECT_EQ(rec.chunks[0].second.size(), 150u);
+  EXPECT_EQ(rec.chunks[1].second.size(), 50u);
+  EXPECT_EQ(rec.chunks[1].second.front(), 150u);
+  EXPECT_EQ(rec.chunks[1].second.back(), 199u);
+  EXPECT_EQ(ctx.counters().line_touches, 200u);
+  EXPECT_EQ(ctx.counters().instructions, 0u);
+  hw::MemRef r;
+  EXPECT_FALSE(inner.next(r));
 }
 
 TEST(PipelineBatcher, EmptyItemsAreDropped) {

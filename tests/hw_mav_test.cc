@@ -1,10 +1,12 @@
 // Unit tests for the memory-access-vector tracker: every MavBlock must equal
 // a naive LRU-stack reference, across hot/cold mixes, unit resets,
-// hash-table and Fenwick-tree growth inside a unit, and generation-stamp
-// wraparound.
+// hash-table and Fenwick-tree growth inside a unit, reuse distances in every
+// bucket, short units after long ones (whose stale tree nodes the tracker
+// keeps) and generation-stamp wraparound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -18,17 +20,19 @@ namespace {
 using Touch = std::pair<LineAddr, AccessLevel>;
 
 /// The MAV of one unit by Mattson's LRU stack: a re-touched line's stack
-/// distance is its depth below the top, the lines touched since. O(n·d).
+/// distance is its depth below the top, the lines touched since. O(n·d); a
+/// seen-set keeps first touches O(1), so units can be deep.
 MavBlock reference_block(const std::vector<Touch>& unit) {
   MavBlock b;
   std::vector<LineAddr> stack;  // most recent touch last
+  std::unordered_set<LineAddr> seen;
   for (const auto& [line, level] : unit) {
-    const auto it = std::find(stack.begin(), stack.end(), line);
-    if (it == stack.end()) {
+    if (seen.insert(line).second) {
       ++b.counts[kColdBucket];
     } else {
-      ++b.counts[reuse_bucket(static_cast<std::uint64_t>(stack.end() - it - 1))];
-      stack.erase(it);
+      const auto it = std::find(stack.rbegin(), stack.rend(), line);
+      ++b.counts[reuse_bucket(static_cast<std::uint64_t>(it - stack.rbegin()))];
+      stack.erase(std::next(it).base());
     }
     stack.push_back(line);
     ++b.counts[kReuseBuckets + static_cast<std::size_t>(level)];
@@ -51,6 +55,25 @@ std::vector<Touch> random_unit(Rng& rng, std::size_t length, double hot,
       line = (1 + rng.next_below(4)) * kRegionLines + rng.next_below(universe);
     }
     unit.emplace_back(line, static_cast<AccessLevel>(rng.next_below(5)));
+  }
+  return unit;
+}
+
+/// A unit whose reuse distances land in every bucket: a cold sweep over
+/// 2^18 + 32 lines, then re-touches at distance 0 and at ever deeper lines,
+/// distances 2^k + k for k = 0..18 (each re-touched line sits below every
+/// line moved to the top before it, so its distance is exactly its depth).
+std::vector<Touch> every_bucket_unit() {
+  constexpr LineAddr kLines = (1u << 18) + 32;
+  std::vector<Touch> unit;
+  for (LineAddr l = 0; l < kLines; ++l) {
+    unit.emplace_back(5 + 3 * l, AccessLevel::kDram);
+  }
+  unit.emplace_back(5 + 3 * (kLines - 1), AccessLevel::kL1);  // distance 0
+  std::vector<LineAddr> depths;
+  for (unsigned k = 0; k <= 18; ++k) depths.push_back((LineAddr{1} << k) + k);
+  for (const LineAddr d : depths) {
+    unit.emplace_back(5 + 3 * (kLines - 1 - d), AccessLevel::kLlc);
   }
   return unit;
 }
@@ -87,7 +110,9 @@ TEST(ReuseTracker, GrowsTableAndTreeInsideOneUnit) {
   // Thousands of distinct lines force the hash table to rehash while the
   // unit's earlier lines are live, and more than 1024 touches force the
   // Fenwick tree past its initial size; re-touching the first lines at the
-  // end checks that both kept every timestamp.
+  // end checks that both kept every timestamp. reset() keeps the tree, so
+  // the short units after a long one run over stale nodes that must never
+  // be read.
   Rng rng(5);
   std::vector<Touch> unit;
   for (LineAddr l = 0; l < 5000; ++l) {
@@ -98,19 +123,37 @@ TEST(ReuseTracker, GrowsTableAndTreeInsideOneUnit) {
   }
   auto mixed = random_unit(rng, 6000, 0.5, 1 << 16);
   unit.insert(unit.end(), mixed.begin(), mixed.end());
+  const auto deep = every_bucket_unit();
+  std::vector<std::vector<Touch>> units = {unit, unit, {}, unit, deep};
+  for (int u = 0; u < 40; ++u) {
+    units.push_back(random_unit(rng, rng.next_below(u % 8 == 0 ? 3000 : 300),
+                                0.5, 1 << 10));
+  }
+  units.push_back(deep);
+  units.push_back(random_unit(rng, 100, 0.2, 1 << 6));
   ReuseTracker tracker;
-  EXPECT_EQ(mismatching_units(tracker, {unit, unit, {}, unit}), 0u);
+  EXPECT_EQ(mismatching_units(tracker, units), 0u);
+
+  // The deep unit reaches every reuse bucket, the saturating one included.
+  const MavBlock want = reference_block(deep);
+  for (std::size_t b = 0; b < kReuseBuckets; ++b) {
+    EXPECT_GT(want.reuse(b), 0u) << "bucket " << b;
+  }
+  EXPECT_EQ(want.reuse(kColdBucket - 1), 2u);  // 2^17 + 17 and 2^18 + 18
 }
 
 TEST(ReuseTracker, GenerationWraparoundForgetsStaleSlots) {
   // With a 1–3 bit stamp the generation wraps every 1–7 resets. Units drawn
   // from a tiny line universe re-touch the previous units' lines, which
   // must be cold again in every new unit, before and after each wrap.
+  // Every fifth unit is long, so wraps also land after units that left
+  // stale tree nodes behind.
   for (const unsigned bits : {1u, 2u, 3u, 32u}) {
     Rng rng(100 + bits);
     std::vector<std::vector<Touch>> units;
     for (int u = 0; u < 60; ++u) {
-      units.push_back(random_unit(rng, rng.next_below(200), 0.2, 32));
+      units.push_back(random_unit(
+          rng, rng.next_below(u % 5 == 0 ? 2500 : 200), 0.2, 32));
     }
     ReuseTracker tracker(bits);
     EXPECT_EQ(mismatching_units(tracker, units), 0u) << bits << " stamp bits";
