@@ -39,19 +39,7 @@ int main(int argc, char** argv) {
                "proportional_ratio", "dominant_method"});
   for (std::size_t rank = 0; rank < order.size(); ++rank) {
     const std::size_t h = order[rank];
-    // Most-weighted non-framework feature of the phase center.
-    std::size_t best_f = 0;
-    double best_w = -1.0;
-    for (std::size_t f = 0; f < model.feature_names.size(); ++f) {
-      if (model.feature_kinds[f] == jvm::OpKind::kFramework) continue;
-      if (model.centers.at(h, f) > best_w) {
-        best_w = model.centers.at(h, f);
-        best_f = f;
-      }
-    }
-    const std::string method = model.feature_names.empty()
-                                   ? "-"
-                                   : model.feature_names[best_f];
+    const std::string method = core::dominant_method(model, h).value_or("-");
     table.row({"P" + std::to_string(rank),
                Table::pct(model.phases[h].weight),
                Table::num(model.phases[h].cov),

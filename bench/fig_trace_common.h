@@ -29,22 +29,12 @@ inline void print_phase_trace(const std::string& config_name,
   Table summary({"phase", "units", "weight", "mean_cpi", "cov_cpi",
                  "type", "dominant_method"});
   for (std::size_t h = 0; h < model.k; ++h) {
-    std::size_t best_f = 0;
-    double best_w = -1.0;
-    for (std::size_t f = 0; f < model.feature_names.size(); ++f) {
-      if (model.feature_kinds[f] == jvm::OpKind::kFramework) continue;
-      if (model.centers.at(h, f) > best_w) {
-        best_w = model.centers.at(h, f);
-        best_f = f;
-      }
-    }
     summary.row({std::to_string(h), std::to_string(model.phases[h].count),
                  Table::pct(model.phases[h].weight),
                  Table::num(model.phases[h].mean_cpi),
                  Table::num(model.phases[h].cov),
                  std::string(jvm::to_string(model.phase_types[h])),
-                 model.feature_names.empty() ? "-"
-                                             : model.feature_names[best_f]});
+                 core::dominant_method(model, h).value_or("-")});
   }
   summary.print_aligned(std::cout);
 

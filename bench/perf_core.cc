@@ -6,7 +6,6 @@
 // and sampling-plan construction.
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -182,17 +181,17 @@ void BM_ReuseTrackerRecord(benchmark::State& state, TouchPattern pattern) {
   constexpr std::size_t kTouches = 8 * kUnit;
   constexpr std::uint64_t kRegion = 64ull << 20;
   Rng rng(9);
-  std::unique_ptr<hw::AccessStream> stream;
+  std::vector<hw::MemRef> refs(kTouches);
   if (pattern == TouchPattern::kZipf) {
-    stream = std::make_unique<hw::ZipfStream>(0, kRegion, kTouches, 0.99, rng);
+    hw::AccessStream::zipf(0, kRegion, kTouches, 0.99, rng)
+        .take(refs.data(), kTouches);
   } else if (pattern == TouchPattern::kRandom) {
-    stream = std::make_unique<hw::RandomStream>(0, kRegion, kTouches, rng);
+    hw::AccessStream::random(0, kRegion, kTouches, rng)
+        .take(refs.data(), kTouches);
   }
   std::vector<hw::LineAddr> lines(kTouches);
   for (std::size_t i = 0; i < kTouches; ++i) {
-    hw::MemRef ref;
-    if (stream) stream->next(ref);
-    lines[i] = stream ? ref.line : i % 4096;
+    lines[i] = pattern == TouchPattern::kSequential ? i % 4096 : refs[i].line;
   }
   hw::ReuseTracker tracker;
   std::size_t i = 0;
@@ -215,12 +214,12 @@ BENCHMARK_CAPTURE(BM_ReuseTrackerRecord, random, TouchPattern::kRandom);
 using KeyValue = std::pair<std::uint32_t, std::uint64_t>;
 
 std::vector<KeyValue> zipf_pairs(std::size_t n, Rng& rng) {
-  hw::ZipfStream keys(0, (1ull << 20) * hw::kLineBytes, n, 0.9, rng);
+  std::vector<hw::MemRef> keys(n);
+  hw::AccessStream::zipf(0, (1ull << 20) * hw::kLineBytes, n, 0.9, rng)
+      .take(keys.data(), n);
   std::vector<KeyValue> v(n);
-  hw::MemRef ref;
   for (std::size_t i = 0; i < n; ++i) {
-    keys.next(ref);
-    v[i] = {static_cast<std::uint32_t>(ref.line), i};
+    v[i] = {static_cast<std::uint32_t>(keys[i].line), i};
   }
   return v;
 }
@@ -288,8 +287,8 @@ void run_executor_work(bool with_hook, benchmark::State& state) {
   const auto m = cluster.methods().intern("bench.Work.run", jvm::OpKind::kMap);
   for (auto _ : state) {
     jvm::MethodScope scope(ctx.stack(), m);
-    hw::SequentialStream stream(0, 1 << 16);
-    ctx.execute(1'000'000, &stream);
+    auto stream = hw::AccessStream::strided(0, 1 << 16);
+    ctx.execute(1'000'000, stream);
   }
   state.SetItemsProcessed(state.iterations() * 1'000'000);
 }

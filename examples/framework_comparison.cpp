@@ -21,20 +21,11 @@ void describe(const char* title, const simprof::core::ThreadProfile& profile,
             << Table::num(profile.oracle_cpi()) << "\n";
   Table t({"phase", "weight", "mean_cpi", "cov", "type", "dominant_method"});
   for (std::size_t h = 0; h < model.k; ++h) {
-    std::size_t best_f = 0;
-    double best_w = -1.0;
-    for (std::size_t f = 0; f < model.feature_names.size(); ++f) {
-      if (model.feature_kinds[f] == simprof::jvm::OpKind::kFramework) continue;
-      if (model.centers.at(h, f) > best_w) {
-        best_w = model.centers.at(h, f);
-        best_f = f;
-      }
-    }
     t.row({std::to_string(h), Table::pct(model.phases[h].weight),
            Table::num(model.phases[h].mean_cpi),
            Table::num(model.phases[h].cov),
            std::string(simprof::jvm::to_string(model.phase_types[h])),
-           model.feature_names.empty() ? "-" : model.feature_names[best_f]});
+           simprof::core::dominant_method(model, h).value_or("-")});
   }
   t.print_aligned(std::cout);
 

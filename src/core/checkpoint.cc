@@ -63,28 +63,6 @@ std::uint64_t payload_hash(std::string_view payload) {
   return h;
 }
 
-void write_counters(BinaryWriter& w, const hw::PmuCounters& c) {
-  w.u64(c.instructions);
-  w.u64(c.cycles);
-  w.u64(c.line_touches);
-  w.u64(c.l1_misses);
-  w.u64(c.l2_misses);
-  w.u64(c.llc_misses);
-  w.u64(c.migrations);
-}
-
-hw::PmuCounters read_counters(BinaryReader& r) {
-  hw::PmuCounters c;
-  c.instructions = r.u64();
-  c.cycles = r.u64();
-  c.line_touches = r.u64();
-  c.l1_misses = r.u64();
-  c.l2_misses = r.u64();
-  c.llc_misses = r.u64();
-  c.migrations = r.u64();
-  return c;
-}
-
 void write_rng(BinaryWriter& w, const RngState& rng) {
   for (const std::uint64_t s : rng.s) w.u64(s);
   w.u8(rng.have_spare_gaussian ? 1 : 0);
@@ -114,13 +92,13 @@ void encode_state(BinaryWriter& w, const exec::Cluster& cluster,
   w.u32(cluster.num_cores());
   w.u32(cfg.profiled_core);
 
-  write_counters(w, st.counters);
+  write_pmu_counters(w, st.counters);
   w.f64(st.cycles_acc);
   w.u64(st.thread_id);
   write_rng(w, st.rng);
   w.u64(st.next_snapshot_at);
   w.u64(st.next_unit_at);
-  write_counters(w, st.unit_start_counters);
+  write_pmu_counters(w, st.unit_start_counters);
   w.vec_u32(st.frames);
 
   cluster.memory().l1(cfg.profiled_core).save_state(w);
@@ -218,23 +196,6 @@ void seal_archive(std::string& buf) {
   std::memcpy(h + 16, &len, 8);
 }
 
-/// Replays a recorded chunk's reference sequence verbatim.
-class ReplayStream final : public hw::AccessStream {
- public:
-  explicit ReplayStream(const std::vector<hw::MemRef>& refs) : refs_(refs) {}
-
-  bool next(hw::MemRef& out) override {
-    if (pos_ >= refs_.size()) return false;
-    out = refs_[pos_++];
-    return true;
-  }
-  std::uint64_t total_refs() const override { return refs_.size(); }
-
- private:
-  const std::vector<hw::MemRef>& refs_;
-  std::uint64_t pos_ = 0;
-};
-
 }  // namespace
 
 std::string checkpoint_file_name(std::uint64_t unit_index) {
@@ -295,13 +256,13 @@ std::uint64_t load_checkpoint(std::istream& in, exec::Cluster& cluster,
   }
 
   exec::ThreadState st;
-  st.counters = read_counters(r);
+  st.counters = read_pmu_counters(r);
   st.cycles_acc = r.f64();
   st.thread_id = r.u64();
   st.rng = read_rng(r);
   st.next_snapshot_at = r.u64();
   st.next_unit_at = r.u64();
-  st.unit_start_counters = read_counters(r);
+  st.unit_start_counters = read_pmu_counters(r);
   st.frames = r.vec_u32();
 
   // Archive self-consistency: the saved position must be the boundary the
@@ -545,8 +506,8 @@ void CheckpointReplayer::replay(const exec::ClusterConfig& cc) {
       ctx.stack().restore_frames(op.frames);
       cluster.memory().llc().set_effective_ways(op.llc_ways);
       if (op.boundary_rng) ctx.rng().set_state(*op.boundary_rng);
-      ReplayStream rs(op.refs);
-      ctx.execute(op.instrs, &rs);
+      auto refs = hw::AccessStream::replay(op.refs);
+      ctx.execute(op.instrs, refs);
     }
 
     if (current_unit_ <= t) {

@@ -428,6 +428,21 @@ std::vector<jvm::OpKind> classify_phase_types(
   return types;
 }
 
+std::optional<std::string> dominant_method(const PhaseModel& model,
+                                           std::size_t phase) {
+  std::size_t best = 0;
+  double best_weight = -1.0;  // center weights are frequencies, never < 0
+  for (std::size_t f = 0; f < model.feature_names.size(); ++f) {
+    if (model.feature_kinds[f] == jvm::OpKind::kFramework) continue;
+    if (model.centers.at(phase, f) > best_weight) {
+      best_weight = model.centers.at(phase, f);
+      best = f;
+    }
+  }
+  if (best_weight < 0.0) return std::nullopt;
+  return model.feature_names[best];
+}
+
 std::size_t trimmed_tail_count(std::size_t count) {
   if (count < kTrimFloorUnits) return 0;
   return std::max<std::size_t>(1, count / 20);

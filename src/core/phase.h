@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -168,6 +169,12 @@ stats::CovSummary cov_summary(const ThreadProfile& profile,
 std::vector<jvm::OpKind> classify_phase_types(
     const ThreadProfile& profile, const std::vector<std::size_t>& labels,
     std::size_t k);
+
+/// Name of phase `phase`'s dominant method: the non-framework feature with
+/// the largest center weight (the first on ties). None when the model has
+/// no non-framework feature.
+std::optional<std::string> dominant_method(const PhaseModel& model,
+                                           std::size_t phase);
 
 /// Merge phases whose CPI distributions are equivalent within `threshold`
 /// (relative, Eq. 6-style). Rewrites centers/labels/phases in place; called

@@ -17,6 +17,28 @@ constexpr std::uint32_t kMagic = 0x53505246;  // "SPRF"
 constexpr std::uint32_t kVersion = 4;
 }  // namespace
 
+void write_pmu_counters(BinaryWriter& w, const hw::PmuCounters& c) {
+  w.u64(c.instructions);
+  w.u64(c.cycles);
+  w.u64(c.line_touches);
+  w.u64(c.l1_misses);
+  w.u64(c.l2_misses);
+  w.u64(c.llc_misses);
+  w.u64(c.migrations);
+}
+
+hw::PmuCounters read_pmu_counters(BinaryReader& r) {
+  hw::PmuCounters c;
+  c.instructions = r.u64();
+  c.cycles = r.u64();
+  c.line_touches = r.u64();
+  c.l1_misses = r.u64();
+  c.l2_misses = r.u64();
+  c.llc_misses = r.u64();
+  c.migrations = r.u64();
+  return c;
+}
+
 std::vector<double> ThreadProfile::cpis() const {
   std::vector<double> out;
   out.reserve(units.size());
@@ -55,13 +77,7 @@ void ThreadProfile::save(std::ostream& out) const {
   w.u64(units.size());
   for (const auto& u : units) {
     w.u64(u.unit_id);
-    w.u64(u.counters.instructions);
-    w.u64(u.counters.cycles);
-    w.u64(u.counters.line_touches);
-    w.u64(u.counters.l1_misses);
-    w.u64(u.counters.l2_misses);
-    w.u64(u.counters.llc_misses);
-    w.u64(u.counters.migrations);
+    write_pmu_counters(w, u.counters);
     for (const std::uint64_t c : u.mav.counts) w.u64(c);
     w.vec_u32(u.methods);
     w.vec_u32(u.counts);
@@ -104,13 +120,7 @@ ThreadProfile ThreadProfile::load(std::istream& in) {
   for (std::uint64_t i = 0; i < units; ++i) {
     UnitRecord u;
     u.unit_id = r.u64();
-    u.counters.instructions = r.u64();
-    u.counters.cycles = r.u64();
-    u.counters.line_touches = r.u64();
-    u.counters.l1_misses = r.u64();
-    u.counters.l2_misses = r.u64();
-    u.counters.llc_misses = r.u64();
-    u.counters.migrations = r.u64();
+    u.counters = read_pmu_counters(r);
     for (std::uint64_t& c : u.mav.counts) c = r.u64();
     u.methods = r.vec_u32();
     u.counts = r.vec_u32();

@@ -18,6 +18,11 @@
 #include "hw/memory_system.h"
 #include "jvm/method.h"
 
+namespace simprof {
+class BinaryWriter;
+class BinaryReader;
+}  // namespace simprof
+
 namespace simprof::core {
 
 /// One sampling unit: a fixed-size instruction interval of the profiled
@@ -32,6 +37,11 @@ struct UnitRecord {
   double cpi() const { return counters.cpi(); }
   double ipc() const { return counters.ipc(); }
 };
+
+/// The seven PMU counters, field by field, as both profiles and checkpoint
+/// archives store them.
+void write_pmu_counters(BinaryWriter& w, const hw::PmuCounters& c);
+hw::PmuCounters read_pmu_counters(BinaryReader& r);
 
 /// Frame frequencies of one unit's call-stack snapshots, by method id.
 using MethodHistogram = std::unordered_map<jvm::MethodId, std::uint32_t>;

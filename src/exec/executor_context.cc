@@ -46,16 +46,14 @@ void ExecutorContext::prime_governor_if_needed() {
 // The one detailed reference loop: runs up to `limit` references of `stream`
 // through the profiled core's hierarchy, adding their latencies to `cycles`
 // and feeding the MAV tracker and (when `record_tape`) the chunk buffer.
-// Returns how many references ran; `stream` may be null when `limit` is 0.
+// Returns how many references ran.
 //
-// References are pulled in batches of ref_batch_.size() so the tracker's
+// References are taken in batches of ref_batch_.size() so the tracker's
 // table slot for the reference kPrefetchAhead positions on can be
-// prefetched. A batch never asks for more than `limit` − n references and
-// stops at the first failed next(), so the stream's cursor ends exactly
-// where a one-at-a-time loop would leave it (streams are pure generators:
-// pulling a reference early cannot change it).
+// prefetched. A batch never asks for more than `limit` − n references, so
+// the stream's cursor ends exactly `limit` further on, or at its end.
 [[gnu::always_inline]] inline std::uint64_t ExecutorContext::simulate_refs(
-    hw::AccessStream* stream, std::uint64_t limit, double& cycles,
+    hw::AccessStream& stream, std::uint64_t limit, double& cycles,
     bool record_tape) {
   constexpr std::size_t kPrefetchAhead = 8;
   if (record_tape) tape_refs_.clear();
@@ -65,8 +63,7 @@ void ExecutorContext::prime_governor_if_needed() {
   while (n < limit) {
     const auto want = static_cast<std::size_t>(
         std::min<std::uint64_t>(ref_batch_.size(), limit - n));
-    std::size_t got = 0;
-    while (got < want && stream->next(batch[got])) ++got;
+    const std::size_t got = stream.take(batch, want);
     for (std::size_t k = 0; k < got; ++k) {
       if (k + kPrefetchAhead < got) {
         mav_tracker_.prefetch(batch[k + kPrefetchAhead].line);
@@ -84,7 +81,8 @@ void ExecutorContext::prime_governor_if_needed() {
   return n;
 }
 
-void ExecutorContext::execute(std::uint64_t instrs, hw::AccessStream* stream) {
+void ExecutorContext::execute(std::uint64_t instrs, hw::AccessStream& stream,
+                              std::uint64_t refs) {
   const auto& cost = cluster_.memory().config().cost;
   if (!is_profiled()) {
     // Functional-only execution: advance the clock, skip cache simulation.
@@ -101,9 +99,9 @@ void ExecutorContext::execute(std::uint64_t instrs, hw::AccessStream* stream) {
 
   if (instrs == 0) {
     // Still drain the stream so kernels can emit pure-traffic work.
-    if (stream == nullptr) return;
+    if (refs == 0) return;
     double cycles = 0.0;
-    simulate_refs(stream, UINT64_MAX, cycles, sink != nullptr);
+    simulate_refs(stream, refs, cycles, sink != nullptr);
     charge_cycles(cycles);
     if (sink != nullptr && !tape_refs_.empty()) {
       sink->on_chunk(0, tape_refs_, cluster_.memory().llc().effective_ways(),
@@ -112,7 +110,6 @@ void ExecutorContext::execute(std::uint64_t instrs, hw::AccessStream* stream) {
     return;
   }
 
-  const std::uint64_t total_refs = stream ? stream->total_refs() : 0;
   std::uint64_t done = 0;
   std::uint64_t refs_done = 0;
 
@@ -126,11 +123,8 @@ void ExecutorContext::execute(std::uint64_t instrs, hw::AccessStream* stream) {
     step = std::min(step, next_unit_at_ - ip);
 
     // References apportioned evenly across the chunk's instructions.
-    const std::uint64_t target =
-        total_refs == 0
-            ? 0
-            : static_cast<std::uint64_t>(static_cast<__uint128_t>(total_refs) *
-                                         (done + step) / instrs);
+    const auto target = static_cast<std::uint64_t>(
+        static_cast<__uint128_t>(refs) * (done + step) / instrs);
     double cycles = static_cast<double>(step) * cost.base_cpi;
     refs_done += simulate_refs(stream, target - refs_done, cycles,
                                sink != nullptr);

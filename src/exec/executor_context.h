@@ -108,14 +108,24 @@ class ExecutorContext final : public jvm::StackTraceSource {
   /// Intern a method in the cluster-wide registry.
   jvm::MethodId method(std::string_view name, jvm::OpKind kind);
 
-  /// Retire `instrs` virtual instructions whose memory traffic is described
-  /// by `stream` (may be null for pure-compute work). References are spread
-  /// evenly across the instruction range; snapshot/unit boundaries fire
-  /// in-order as they are crossed.
-  void execute(std::uint64_t instrs, hw::AccessStream* stream);
+  /// Retire `instrs` virtual instructions whose memory traffic is the next
+  /// `refs` references of `stream` (fewer if the stream ends first). The
+  /// references are spread evenly across the instruction range; snapshot/
+  /// unit boundaries fire in-order as they are crossed. A pipeline slice
+  /// passes its share of a longer stream here (exec/pipeline.h).
+  void execute(std::uint64_t instrs, hw::AccessStream& stream,
+               std::uint64_t refs);
+
+  /// Retire `instrs` instructions over the whole of `stream`.
+  void execute(std::uint64_t instrs, hw::AccessStream& stream) {
+    execute(instrs, stream, stream.total_refs());
+  }
 
   /// Pure-compute convenience.
-  void compute(std::uint64_t instrs) { execute(instrs, nullptr); }
+  void compute(std::uint64_t instrs) {
+    hw::AccessStream none;
+    execute(instrs, none, 0);
+  }
 
   /// Deterministic per-core random stream (data-dependent access patterns).
   Rng& rng() { return rng_; }
@@ -175,7 +185,7 @@ class ExecutorContext final : public jvm::StackTraceSource {
     cycles_acc_ += cycles;
     counters_.cycles = static_cast<std::uint64_t>(cycles_acc_);
   }
-  std::uint64_t simulate_refs(hw::AccessStream* stream, std::uint64_t limit,
+  std::uint64_t simulate_refs(hw::AccessStream& stream, std::uint64_t limit,
                               double& cycles, bool record_tape);
   void maybe_fire_boundaries();
   void prime_governor_if_needed();

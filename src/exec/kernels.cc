@@ -15,10 +15,10 @@ const KernelCosts& default_kernel_costs() {
 void scan_region(ExecutorContext& ctx, std::uint64_t base, std::uint64_t bytes,
                  double instrs_per_byte, bool write) {
   if (bytes == 0) return;
-  hw::SequentialStream stream(base, bytes, write);
+  auto stream = hw::AccessStream::strided(base, bytes, 1, write);
   ctx.execute(static_cast<std::uint64_t>(instrs_per_byte *
                                          static_cast<double>(bytes)),
-              &stream);
+              stream);
 }
 
 std::uint64_t hash_aggregate_instrs(std::uint64_t elements,
@@ -27,7 +27,7 @@ std::uint64_t hash_aggregate_instrs(std::uint64_t elements,
                                     static_cast<double>(elements));
 }
 
-std::unique_ptr<hw::AccessStream> hash_aggregate_stream(
+hw::AccessStream hash_aggregate_stream(
     Rng& rng, std::uint64_t base, std::uint64_t occupied_bytes,
     std::uint64_t elements, double hot_fraction_skew,
     const KernelCosts& costs) {
@@ -35,23 +35,20 @@ std::unique_ptr<hw::AccessStream> hash_aggregate_stream(
       costs.hash_touches_per_element * static_cast<double>(elements));
   const std::uint64_t bytes = std::max<std::uint64_t>(occupied_bytes, 64);
   if (hot_fraction_skew > 0.0) {
-    return std::make_unique<hw::ZipfStream>(base, bytes, touches,
-                                            hot_fraction_skew, rng,
-                                            /*write=*/true);
+    return hw::AccessStream::zipf(base, bytes, touches, hot_fraction_skew,
+                                  rng, /*write=*/true);
   }
-  return std::make_unique<hw::RandomStream>(base, bytes, touches, rng,
-                                            /*write=*/false,
-                                            /*write_fraction=*/0.5);
+  return hw::AccessStream::random(base, bytes, touches, rng, /*write=*/false,
+                                  /*write_fraction=*/0.5);
 }
 
 void hash_aggregate(ExecutorContext& ctx, std::uint64_t base,
                     std::uint64_t occupied_bytes, std::uint64_t elements,
                     double hot_fraction_skew, const KernelCosts& costs) {
   if (elements == 0) return;
-  const auto stream = hash_aggregate_stream(ctx.rng(), base, occupied_bytes,
-                                            elements, hot_fraction_skew,
-                                            costs);
-  ctx.execute(hash_aggregate_instrs(elements, costs), stream.get());
+  auto stream = hash_aggregate_stream(ctx.rng(), base, occupied_bytes,
+                                      elements, hot_fraction_skew, costs);
+  ctx.execute(hash_aggregate_instrs(elements, costs), stream);
 }
 
 void quicksort_traffic(ExecutorContext& ctx, std::uint64_t base,
@@ -70,11 +67,11 @@ void quicksort_traffic(ExecutorContext& ctx, std::uint64_t base,
   }
   // Partition pass: stream the whole range once (reads + exchanged writes).
   {
-    hw::SequentialStream stream(base, elements * element_bytes,
-                                /*write=*/true);
+    auto stream = hw::AccessStream::strided(base, elements * element_bytes, 1,
+                                            /*write=*/true);
     ctx.execute(static_cast<std::uint64_t>(costs.sort_instrs_per_element *
                                            static_cast<double>(elements)),
-                &stream);
+                stream);
   }
   // Randomized split between 35% and 65% — real pivots are imperfect, and
   // the imbalance is what spreads partition sizes (and thus CPIs) out.
@@ -94,10 +91,10 @@ void write_stream(ExecutorContext& ctx, std::uint64_t base,
   const double per_byte =
       costs.serialize_instrs_per_byte +
       (compressed ? costs.compress_instrs_per_byte : 0.0);
-  hw::SequentialStream stream(base, bytes, /*write=*/true);
+  auto stream = hw::AccessStream::strided(base, bytes, 1, /*write=*/true);
   ctx.execute(
       static_cast<std::uint64_t>(per_byte * static_cast<double>(bytes)),
-      &stream);
+      stream);
 }
 
 void merge_runs(ExecutorContext& ctx, std::uint64_t base,
@@ -109,10 +106,10 @@ void merge_runs(ExecutorContext& ctx, std::uint64_t base,
   // run head (prefetch-friendly but with r concurrent streams the stride
   // defeats some locality).
   const std::uint64_t stride_lines = std::max<std::uint64_t>(r / 2, 1);
-  hw::StridedStream stream(base, total_bytes, stride_lines);
+  auto stream = hw::AccessStream::strided(base, total_bytes, stride_lines);
   ctx.execute(static_cast<std::uint64_t>(costs.merge_instrs_per_element *
                                          static_cast<double>(elements)),
-              &stream);
+              stream);
 }
 
 }  // namespace simprof::exec

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "exec/executor_context.h"
 
@@ -49,7 +48,7 @@ void hash_aggregate(ExecutorContext& ctx, std::uint64_t base,
 /// the instruction budget and probe stream hash_aggregate would charge.
 std::uint64_t hash_aggregate_instrs(std::uint64_t elements,
                                     const KernelCosts& costs);
-std::unique_ptr<hw::AccessStream> hash_aggregate_stream(
+hw::AccessStream hash_aggregate_stream(
     Rng& rng, std::uint64_t base, std::uint64_t occupied_bytes,
     std::uint64_t elements, double hot_fraction_skew,
     const KernelCosts& costs);

@@ -8,16 +8,13 @@
 namespace simprof::exec {
 
 void PipelineBatcher::add(jvm::MethodId method, std::uint64_t instrs,
-                          std::unique_ptr<hw::AccessStream> stream) {
+                          hw::AccessStream stream) {
+  if (instrs == 0 && stream.total_refs() == 0) return;
   Item item;
   item.frames = prefix_;
   item.frames.push_back(method);
   item.instrs = instrs;
-  if (stream) {
-    item.refs_total = stream->total_refs();
-    item.stream = std::move(stream);
-  }
-  if (item.instrs == 0 && item.refs_total == 0) return;
+  item.stream = stream;
   items_.push_back(std::move(item));
 }
 
@@ -41,13 +38,14 @@ void PipelineBatcher::flush(ExecutorContext& ctx,
   }
 
   bool any = true;
-  while (any) {
+  for (bool first_round = true; any; first_round = false) {
     any = false;
     for (std::size_t idx = 0; idx < items_.size(); ++idx) {
       Item& item = items_[idx];
       const std::uint64_t left = item.instrs - item.charged;
-      const std::uint64_t refs_left = item.refs_total - item.refs_served;
-      if (left == 0 && refs_left == 0) continue;
+      // An item is done once its instructions are charged; a refs-only item
+      // drains its whole stream in one slice of the first round.
+      if (left == 0 && !first_round) continue;
       any = true;
 
       // Jittered slice size: constant slices alias with the snapshot
@@ -59,26 +57,22 @@ void PipelineBatcher::flush(ExecutorContext& ctx,
           ctx.rng().next_double(0.6, 1.4));
       const std::uint64_t step =
           std::min(left, std::max<std::uint64_t>(jittered, 1));
-      // References proportional to instruction progress (all remaining refs
-      // on the last slice; a refs-only item drains in its first slice).
-      std::uint64_t quota = refs_left;
-      if (left > step && item.instrs > 0) {
-        quota = static_cast<std::uint64_t>(
-            static_cast<__uint128_t>(item.refs_total) *
-            (item.charged + step) / item.instrs);
-        quota = quota > item.refs_served ? quota - item.refs_served : 0;
-        quota = std::min(quota, refs_left);
-      }
+      // References proportional to instruction progress: the slice carries
+      // the stream up to total · (charged + step) / instrs, so the last
+      // slice takes all that remain.
+      const std::uint64_t total = item.stream.total_refs();
+      const std::uint64_t refs =
+          item.instrs == 0
+              ? total
+              : static_cast<std::uint64_t>(
+                    static_cast<__uint128_t>(total) * (item.charged + step) /
+                        item.instrs -
+                    static_cast<__uint128_t>(total) * item.charged /
+                        item.instrs);
 
       // MethodScope is non-movable; push/pop the frame chain manually.
       for (jvm::MethodId m : item.frames) ctx.stack().push(m);
-      if (item.stream && quota > 0) {
-        QuotaStream slice_stream(*item.stream, quota);
-        ctx.execute(step, &slice_stream);
-        item.refs_served += quota;
-      } else {
-        ctx.execute(step, nullptr);
-      }
+      ctx.execute(step, item.stream, refs);
       for (std::size_t i = 0; i < item.frames.size(); ++i) ctx.stack().pop();
       item.charged += step;
     }

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "exec/executor_context.h"
@@ -22,26 +21,6 @@
 
 namespace simprof::exec {
 
-/// View over another stream that serves at most a quota of references per
-/// flush slice (the inner stream's cursor advances persistently).
-class QuotaStream final : public hw::AccessStream {
- public:
-  QuotaStream(hw::AccessStream& inner, std::uint64_t quota)
-      : inner_(&inner), quota_(quota) {}
-  bool next(hw::MemRef& out) override {
-    if (served_ >= quota_) return false;
-    if (!inner_->next(out)) return false;
-    ++served_;
-    return true;
-  }
-  std::uint64_t total_refs() const override { return quota_; }
-
- private:
-  hw::AccessStream* inner_;
-  std::uint64_t quota_;
-  std::uint64_t served_ = 0;
-};
-
 class PipelineBatcher {
  public:
   /// Enter/leave a pipeline stage: frames pushed here prefix every item
@@ -49,9 +28,9 @@ class PipelineBatcher {
   void push_frame(jvm::MethodId m) { prefix_.push_back(m); }
   void pop_frame() { prefix_.pop_back(); }
 
-  /// Record one operator's work. `stream` may be null (pure compute).
+  /// Record one operator's work; an empty `stream` is pure compute.
   void add(jvm::MethodId method, std::uint64_t instrs,
-           std::unique_ptr<hw::AccessStream> stream);
+           hw::AccessStream stream);
 
   bool empty() const { return items_.empty(); }
   std::size_t size() const { return items_.size(); }
@@ -66,9 +45,7 @@ class PipelineBatcher {
     std::vector<jvm::MethodId> frames;
     std::uint64_t instrs = 0;
     std::uint64_t charged = 0;
-    std::uint64_t refs_total = 0;
-    std::uint64_t refs_served = 0;
-    std::unique_ptr<hw::AccessStream> stream;
+    hw::AccessStream stream;
   };
   std::vector<jvm::MethodId> prefix_;
   std::vector<Item> items_;

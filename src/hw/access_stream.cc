@@ -1,5 +1,6 @@
 #include "hw/access_stream.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/assert.h"
@@ -25,87 +26,104 @@ constexpr std::uint64_t kWriteLaneSalt = 0x77726974656c616eULL;
 
 }  // namespace
 
-SequentialStream::SequentialStream(std::uint64_t base_addr,
-                                   std::uint64_t bytes, bool write)
-    : first_(to_line(base_addr)), lines_(region_lines(bytes)), write_(write) {}
-
-bool SequentialStream::next(MemRef& out) {
-  if (pos_ >= lines_) return false;
-  out = MemRef{first_ + pos_, write_, /*prefetchable=*/true};
-  ++pos_;
-  return true;
+AccessStream AccessStream::strided(std::uint64_t base_addr,
+                                   std::uint64_t bytes,
+                                   std::uint64_t stride_lines, bool write) {
+  AccessStream s;
+  s.kind_ = Kind::kStrided;
+  s.write_ = write;
+  s.first_ = to_line(base_addr);
+  s.span_ = stride_lines == 0 ? 1 : stride_lines;
+  s.count_ = (region_lines(bytes) + s.span_ - 1) / s.span_;
+  return s;
 }
 
-RandomStream::RandomStream(std::uint64_t base_addr, std::uint64_t bytes,
-                           std::uint64_t touches, Rng& rng, bool write,
-                           double write_fraction)
-    : first_(to_line(base_addr)),
-      lines_(region_lines(bytes)),
-      touches_(touches),
-      seed_(rng.next_u64()),
-      write_(write),
-      write_fraction_(write_fraction) {
-  SIMPROF_EXPECTS(lines_ > 0, "empty region");
+AccessStream AccessStream::random(std::uint64_t base_addr,
+                                  std::uint64_t bytes, std::uint64_t touches,
+                                  Rng& rng, bool write,
+                                  double write_fraction) {
+  AccessStream s;
+  s.kind_ = Kind::kRandom;
+  s.write_ = write;
+  s.count_ = touches;
+  s.first_ = to_line(base_addr);
+  s.span_ = region_lines(bytes);
+  s.seed_ = rng.next_u64();
+  s.shape_ = write_fraction;
+  SIMPROF_EXPECTS(s.span_ > 0, "empty region");
+  return s;
 }
 
-bool RandomStream::next(MemRef& out) {
-  if (pos_ >= touches_) return false;
-  // idx = floor(hash / 2^64 · N) via the 128-bit multiply-shift trick:
-  // unbiased enough for traffic shaping and, unlike next_below's rejection
-  // loop, a pure function of position.
-  const std::uint64_t h = hash_at(seed_, pos_);
-  const auto idx = static_cast<std::uint64_t>(
-      (static_cast<unsigned __int128>(h) * lines_) >> 64);
-  const bool w =
-      write_fraction_ >= 0.0
-          ? to_unit_double(hash_at(seed_ ^ kWriteLaneSalt, pos_)) <
-                write_fraction_
-          : write_;
-  ++pos_;
-  out = MemRef{first_ + idx, w, /*prefetchable=*/false};
-  return true;
+AccessStream AccessStream::zipf(std::uint64_t base_addr, std::uint64_t bytes,
+                                std::uint64_t touches, double skew, Rng& rng,
+                                bool write) {
+  AccessStream s;
+  s.kind_ = Kind::kZipf;
+  s.write_ = write;
+  s.count_ = touches;
+  s.first_ = to_line(base_addr);
+  s.span_ = region_lines(bytes);
+  s.seed_ = rng.next_u64();
+  SIMPROF_EXPECTS(s.span_ > 0, "empty region");
+  SIMPROF_EXPECTS(skew >= 0.0 && skew < 1.0,
+                  "Zipf streams use inverse-power sampling; skew in [0,1)");
+  s.shape_ = 1.0 / (1.0 - skew);
+  return s;
 }
 
-ZipfStream::ZipfStream(std::uint64_t base_addr, std::uint64_t bytes,
-                       std::uint64_t touches, double skew, Rng& rng,
-                       bool write)
-    : first_(to_line(base_addr)),
-      lines_(region_lines(bytes)),
-      touches_(touches),
-      skew_(skew),
-      seed_(rng.next_u64()),
-      write_(write) {
-  SIMPROF_EXPECTS(lines_ > 0, "empty region");
-  SIMPROF_EXPECTS(skew_ >= 0.0 && skew_ < 1.0,
-                  "ZipfStream uses inverse-power sampling; skew in [0,1)");
+AccessStream AccessStream::replay(std::span<const MemRef> tape) {
+  AccessStream s;
+  s.kind_ = Kind::kReplay;
+  s.count_ = tape.size();
+  s.tape_ = tape.data();
+  return s;
 }
 
-bool ZipfStream::next(MemRef& out) {
-  if (pos_ >= touches_) return false;
-  // Approximate Zipf via inverse power transform of a uniform draw:
-  // idx = floor(N · u^(1/(1-s))). Exact Zipf tables are too large for
-  // multi-GB regions; this preserves the hot-head/long-tail shape.
-  const double u = to_unit_double(hash_at(seed_, pos_));
-  ++pos_;
-  const double x = std::pow(u, 1.0 / (1.0 - skew_));
-  auto idx = static_cast<std::uint64_t>(x * static_cast<double>(lines_));
-  if (idx >= lines_) idx = lines_ - 1;
-  out = MemRef{first_ + idx, write_, /*prefetchable=*/false};
-  return true;
-}
-
-StridedStream::StridedStream(std::uint64_t base_addr, std::uint64_t bytes,
-                             std::uint64_t stride_lines, bool write)
-    : first_(to_line(base_addr)),
-      stride_(stride_lines == 0 ? 1 : stride_lines),
-      refs_((region_lines(bytes) + stride_ - 1) / stride_),
-      write_(write) {}
-
-bool StridedStream::next(MemRef& out) {
-  if (pos_ >= refs_) return false;
-  out = MemRef{first_ + pos_ * stride_, write_, /*prefetchable=*/true};
-  ++pos_;
-  return true;
+std::size_t AccessStream::take(MemRef* out, std::size_t max) {
+  const auto n =
+      static_cast<std::size_t>(std::min<std::uint64_t>(max, count_ - pos_));
+  const std::uint64_t p = pos_;
+  switch (kind_) {
+    case Kind::kStrided:
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] = MemRef{first_ + (p + i) * span_, write_,
+                        /*prefetchable=*/true};
+      }
+      break;
+    case Kind::kRandom:
+      for (std::size_t i = 0; i < n; ++i) {
+        // idx = floor(hash / 2^64 · N) via the 128-bit multiply-shift trick:
+        // unbiased enough for traffic shaping and, unlike next_below's
+        // rejection loop, a pure function of position.
+        const std::uint64_t h = hash_at(seed_, p + i);
+        const auto idx = static_cast<std::uint64_t>(
+            (static_cast<unsigned __int128>(h) * span_) >> 64);
+        const bool w =
+            shape_ >= 0.0
+                ? to_unit_double(hash_at(seed_ ^ kWriteLaneSalt, p + i)) <
+                      shape_
+                : write_;
+        out[i] = MemRef{first_ + idx, w, /*prefetchable=*/false};
+      }
+      break;
+    case Kind::kZipf:
+      for (std::size_t i = 0; i < n; ++i) {
+        // Approximate Zipf via inverse power transform of a uniform draw:
+        // idx = floor(N · u^(1/(1-s))). Exact Zipf tables are too large for
+        // multi-GB regions; this preserves the hot-head/long-tail shape.
+        const double u = to_unit_double(hash_at(seed_, p + i));
+        const double x = std::pow(u, shape_);
+        auto idx = static_cast<std::uint64_t>(x * static_cast<double>(span_));
+        if (idx >= span_) idx = span_ - 1;
+        out[i] = MemRef{first_ + idx, write_, /*prefetchable=*/false};
+      }
+      break;
+    case Kind::kReplay:
+      std::copy_n(tape_ + p, n, out);
+      break;
+  }
+  pos_ += n;
+  return n;
 }
 
 std::uint64_t AddressSpace::allocate(std::uint64_t bytes) {

@@ -5,11 +5,13 @@
 // touch). Workload kernels describe their data-structure traffic with these
 // streams — sequential scans over input splits, random probes into hash
 // maps, Zipf-skewed probes (hot keys), strided column walks — and the memory
-// system replays them through the cache hierarchy.
+// system replays them through the cache hierarchy. A checkpoint replay
+// feeds a recorded reference tape through the same type.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <span>
 
 #include "hw/cache.h"
 #include "support/rng.h"
@@ -24,89 +26,59 @@ struct MemRef {
   bool prefetchable = false;
 };
 
-/// Pull-based reference generator. `next` returns false when exhausted.
+/// A finite reference generator, held by value and drained in batches with
+/// take(). A default-constructed stream is empty (pure-compute work).
 ///
 /// Random/Zipf streams derive each reference from a counter-based hash of
-/// (stream seed, position) instead of mutating a shared generator: the
-/// constructor consumes exactly one draw from the parent Rng to capture the
+/// (stream seed, position) instead of mutating a shared generator: their
+/// constructors consume exactly one draw from the parent Rng to capture the
 /// seed. The golden seed-42 profile bytes depend on this derivation.
 class AccessStream {
  public:
-  virtual ~AccessStream() = default;
-  virtual bool next(MemRef& out) = 0;
-  /// Total references this stream will produce (for cycle apportioning).
-  virtual std::uint64_t total_refs() const = 0;
-};
+  AccessStream() = default;
 
-/// Consecutive lines over [base_addr, base_addr + bytes).
-class SequentialStream final : public AccessStream {
- public:
-  SequentialStream(std::uint64_t base_addr, std::uint64_t bytes,
-                   bool write = false);
-  bool next(MemRef& out) override;
-  std::uint64_t total_refs() const override { return lines_; }
+  /// Every `stride_lines`-th line over [base_addr, base_addr + bytes)
+  /// (0 is treated as 1). Stride 1 is a sequential scan. Prefetchable.
+  static AccessStream strided(std::uint64_t base_addr, std::uint64_t bytes,
+                              std::uint64_t stride_lines = 1,
+                              bool write = false);
+  /// `touches` uniformly random lines within the region. With
+  /// `write_fraction` ≥ 0 each reference is a write with that probability
+  /// (its own hash lane); otherwise every reference carries `write`.
+  static AccessStream random(std::uint64_t base_addr, std::uint64_t bytes,
+                             std::uint64_t touches, Rng& rng,
+                             bool write = false, double write_fraction = -1.0);
+  /// Zipf-skewed random lines (hot-key hash-map behaviour). The skew is
+  /// applied over line indices directly: low indices are hot.
+  static AccessStream zipf(std::uint64_t base_addr, std::uint64_t bytes,
+                           std::uint64_t touches, double skew, Rng& rng,
+                           bool write = false);
+  /// A recorded reference sequence, verbatim. Borrows `tape`, which must
+  /// outlive the stream.
+  static AccessStream replay(std::span<const MemRef> tape);
 
- private:
-  LineAddr first_;
-  std::uint64_t lines_;
-  std::uint64_t pos_ = 0;
-  bool write_;
-};
+  /// Write the next at most `max` references to `out`; returns how many
+  /// (fewer only at the end of the stream).
+  std::size_t take(MemRef* out, std::size_t max);
 
-/// `touches` uniformly random lines within [base_addr, base_addr + bytes).
-class RandomStream final : public AccessStream {
- public:
-  RandomStream(std::uint64_t base_addr, std::uint64_t bytes,
-               std::uint64_t touches, Rng& rng, bool write = false,
-               double write_fraction = -1.0);
-  bool next(MemRef& out) override;
-  std::uint64_t total_refs() const override { return touches_; }
-
- private:
-  LineAddr first_;
-  std::uint64_t lines_;
-  std::uint64_t touches_;
-  std::uint64_t pos_ = 0;
-  std::uint64_t seed_;
-  bool write_;
-  double write_fraction_;
-};
-
-/// Zipf-skewed random lines (hot-key hash-map behaviour). The skew is applied
-/// over line indices directly: low indices are hot.
-class ZipfStream final : public AccessStream {
- public:
-  ZipfStream(std::uint64_t base_addr, std::uint64_t bytes,
-             std::uint64_t touches, double skew, Rng& rng,
-             bool write = false);
-  bool next(MemRef& out) override;
-  std::uint64_t total_refs() const override { return touches_; }
+  /// Total references this stream produces (for cycle apportioning).
+  std::uint64_t total_refs() const { return count_; }
 
  private:
-  LineAddr first_;
-  std::uint64_t lines_;
-  std::uint64_t touches_;
-  std::uint64_t pos_ = 0;
-  double skew_;
-  std::uint64_t seed_;
-  bool write_;
-};
+  enum class Kind : std::uint8_t { kStrided, kRandom, kZipf, kReplay };
 
-/// Every `stride_lines`-th line over a region (column walks, pointer-free
-/// gathers with regular structure — prefetchable).
-class StridedStream final : public AccessStream {
- public:
-  StridedStream(std::uint64_t base_addr, std::uint64_t bytes,
-                std::uint64_t stride_lines, bool write = false);
-  bool next(MemRef& out) override;
-  std::uint64_t total_refs() const override { return refs_; }
-
- private:
-  LineAddr first_;
-  std::uint64_t stride_;
-  std::uint64_t refs_;
+  Kind kind_ = Kind::kStrided;
+  bool write_ = false;
+  std::uint64_t count_ = 0;
   std::uint64_t pos_ = 0;
-  bool write_;
+  LineAddr first_ = 0;
+  /// Strided: the stride in lines. Random/Zipf: the region size in lines.
+  std::uint64_t span_ = 1;
+  std::uint64_t seed_ = 0;
+  /// Random: the write fraction (< 0: every reference carries write_).
+  /// Zipf: the inverse-power exponent 1 / (1 − skew).
+  double shape_ = 0.0;
+  const MemRef* tape_ = nullptr;
 };
 
 /// Bump allocator handing out non-overlapping address regions for the

@@ -172,14 +172,14 @@ class MapReduceJob {
           spec_.map_instrs_per_record * static_cast<double>(pending_records) +
           spec_.map_instrs_per_emit * static_cast<double>(pending_emits));
       jvm::MethodScope collect(ctx.stack(), methods_.output_collect);
-      hw::SequentialStream append(
+      auto append = hw::AccessStream::strided(
           buffer_region_,
           std::min<std::uint64_t>(
               static_cast<std::uint64_t>(
                   spec_.pair_bytes * static_cast<double>(pending_emits)),
               cfg_.map_buffer_bytes),
-          /*write=*/true);
-      ctx.execute(instrs, &append);
+          1, /*write=*/true);
+      ctx.execute(instrs, append);
       pending_records = 0;
       pending_emits = 0;
     };

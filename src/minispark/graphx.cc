@@ -138,10 +138,9 @@ std::vector<std::pair<VertexId, T>> GraphX::aggregate_messages(
             if (gathers > 0) {
               // ~90 virtual instructions per message: JVM boxing + closure
               // dispatch dominates GraphX's send path.
-              hw::RandomStream gather_stream(vertex_region_,
-                                             vertex_region_bytes_, gathers,
-                                             ctx.rng());
-              ctx.execute(gathers * 90, &gather_stream);
+              auto gather_stream = hw::AccessStream::random(
+                  vertex_region_, vertex_region_bytes_, gathers, ctx.rng());
+              ctx.execute(gathers * 90, gather_stream);
             }
           }
           {
@@ -222,10 +221,10 @@ std::vector<VertexId> GraphX::connected_components(
               // Applying the messages is a scattered update pattern over
               // the vertex attributes (join by index).
               if (!routed[p].empty()) {
-                hw::RandomStream updates(vertex_region_, vertex_region_bytes_,
-                                         routed[p].size() * 2, ctx.rng(),
-                                         /*write=*/true);
-                ctx.execute(routed[p].size() * 70, &updates);
+                auto updates = hw::AccessStream::random(
+                    vertex_region_, vertex_region_bytes_,
+                    routed[p].size() * 2, ctx.rng(), /*write=*/true);
+                ctx.execute(routed[p].size() * 70, updates);
               }
             }});
       }
@@ -271,12 +270,12 @@ std::vector<double> GraphX::pagerank(std::uint32_t iterations,
                   ctx, vertex_region_ + part_lo_[p] * 16,
                   static_cast<std::uint64_t>(part_hi_[p] - part_lo_[p]) * 16,
                   2.0, /*write=*/true);
-              hw::RandomStream updates(vertex_region_, vertex_region_bytes_,
-                                       (part_hi_[p] - part_lo_[p]) / 2,
-                                       ctx.rng(), /*write=*/true);
+              auto updates = hw::AccessStream::random(
+                  vertex_region_, vertex_region_bytes_,
+                  (part_hi_[p] - part_lo_[p]) / 2, ctx.rng(), /*write=*/true);
               ctx.execute(
                   static_cast<std::uint64_t>(part_hi_[p] - part_lo_[p]) * 35,
-                  &updates);
+                  updates);
             }});
       }
       sc_.run_stage("rank_update", /*shuffle_map=*/false, std::move(tasks));

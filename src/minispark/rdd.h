@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <type_traits>
 #include <string>
 #include <unordered_map>
@@ -98,6 +97,15 @@ inline std::uint32_t hash_to_partition(std::uint64_t key,
   return static_cast<std::uint32_t>(z % partitions);
 }
 
+/// The batcher every RDD compute charges through. Partitions are only ever
+/// computed by the shuffle-map and result tasks below, each inside a
+/// PipelineScope, so one is always attached.
+inline exec::PipelineBatcher& batcher(exec::ExecutorContext& ctx) {
+  exec::PipelineBatcher* b = ctx.batcher();
+  SIMPROF_EXPECTS(b != nullptr, "RDD compute outside a PipelineScope");
+  return *b;
+}
+
 /// Run all pending shuffle map stages below `rdd`.
 inline void materialize_ancestry(const RDDBase& rdd) {
   std::vector<ShuffleDep*> pending;
@@ -146,14 +154,10 @@ class ParallelizeRDD final : public RDD<T> {
     const auto bytes = static_cast<std::uint64_t>(
         bytes_per_element_ * static_cast<double>(partitions_[p].size()));
     const double rate = this->sc_.costs().scan_instrs_per_byte * 0.4;
-    if (auto* b = ctx.batcher()) {
-      b->add(read_method_,
-             static_cast<std::uint64_t>(rate * static_cast<double>(bytes)),
-             std::make_unique<hw::SequentialStream>(regions_[p], bytes));
-    } else {
-      jvm::MethodScope scope(ctx.stack(), read_method_);
-      exec::scan_region(ctx, regions_[p], bytes, rate);
-    }
+    detail::batcher(ctx).add(
+        read_method_,
+        static_cast<std::uint64_t>(rate * static_cast<double>(bytes)),
+        hw::AccessStream::strided(regions_[p], bytes));
     return partitions_[p];
   }
 
@@ -201,14 +205,10 @@ class TextFileRDD final : public RDD<std::uint64_t> {
     SIMPROF_EXPECTS(p < splits_.size(), "split out of range");
     const Split& s = splits_[p];
     const double rate = sc_.costs().scan_instrs_per_byte;
-    if (auto* b = ctx.batcher()) {
-      b->add(sc_.methods().hadoop_rdd_read,
-             static_cast<std::uint64_t>(rate * static_cast<double>(s.bytes)),
-             std::make_unique<hw::SequentialStream>(s.region, s.bytes));
-    } else {
-      jvm::MethodScope scope(ctx.stack(), sc_.methods().hadoop_rdd_read);
-      exec::scan_region(ctx, s.region, s.bytes, rate);
-    }
+    detail::batcher(ctx).add(
+        sc_.methods().hadoop_rdd_read,
+        static_cast<std::uint64_t>(rate * static_cast<double>(s.bytes)),
+        hw::AccessStream::strided(s.region, s.bytes));
     std::vector<std::uint64_t> docs;
     docs.reserve(s.doc_end - s.doc_begin);
     for (std::size_t d = s.doc_begin; d < s.doc_end; ++d) docs.push_back(d);
@@ -264,15 +264,14 @@ class FlatMapRDD final : public RDD<U> {
   std::vector<U> compute(std::size_t p, exec::ExecutorContext& ctx) override {
     // Narrow transformations are iterator-pipelined in Spark: the consumer's
     // frame sits above the producer's on the stack (the consumer pulls), and
-    // producer/consumer work interleaves at record granularity. With a
-    // batcher attached (the normal task path) the parent's deferred items
-    // are prefixed with this operator's frame and everything is flushed in
-    // interleaved slices — pipelined operations fuse into one phase, as in
-    // the paper's Figure 14.
-    exec::PipelineBatcher* b = ctx.batcher();
+    // producer/consumer work interleaves at record granularity. The
+    // parent's deferred items are prefixed with this operator's frame and
+    // the task's batcher flushes everything in interleaved slices —
+    // pipelined operations fuse into one phase, as in the paper's Figure 14.
+    exec::PipelineBatcher& b = detail::batcher(ctx);
     std::vector<T> in;
     {
-      exec::PipelineFrame pframe(b, method_);
+      exec::PipelineFrame pframe(&b, method_);
       jvm::MethodScope scope(ctx.stack(), method_);
       in = parent_->compute(p, ctx);
     }
@@ -282,21 +281,16 @@ class FlatMapRDD final : public RDD<U> {
     const auto instrs = static_cast<std::uint64_t>(
         cost_.instrs_per_element * static_cast<double>(in.size()) +
         0.5 * cost_.instrs_per_element * static_cast<double>(out.size()));
-    std::unique_ptr<hw::AccessStream> aux;
+    hw::AccessStream aux;
     if (cost_.aux_bytes_per_element > 0) {
-      aux = std::make_unique<hw::RandomStream>(
+      aux = hw::AccessStream::random(
           aux_region_, 1 << 22,
           static_cast<std::uint64_t>(cost_.aux_bytes_per_element *
                                      static_cast<double>(in.size()) / 64.0) +
               1,
           ctx.rng());
     }
-    if (b != nullptr) {
-      b->add(method_, instrs, std::move(aux));
-    } else {
-      jvm::MethodScope scope(ctx.stack(), method_);
-      ctx.execute(instrs, aux.get());
-    }
+    b.add(method_, instrs, aux);
     return out;
   }
 
@@ -413,9 +407,8 @@ class ReduceByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
     const auto& costs = this->sc_.costs();
 
     // Fetch + deserialize + merge: the reader feeds the combiner iterator,
-    // so with a batcher attached (the normal result-task path) both defer
-    // and flush interleaved — one reduce-side phase, not two.
-    exec::PipelineBatcher* b = ctx.batcher();
+    // so both defer and flush interleaved — one reduce-side phase, not two.
+    exec::PipelineBatcher& b = detail::batcher(ctx);
     std::uint64_t total = 0;
     for (const auto& run : buckets_[p]) total += run.size();
     const auto bytes = static_cast<std::uint64_t>(
@@ -426,31 +419,18 @@ class ReduceByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
         obs::metrics().counter("spark.shuffle_read_bytes");
     read_bytes_metric.add(bytes);
     const std::uint64_t read_base = shuffle_region_ + p * region_stride_;
-    if (b != nullptr) {
-      b->add(m.shuffle_read, read_instrs,
-             std::make_unique<hw::SequentialStream>(read_base, bytes));
-    } else {
-      jvm::MethodScope read(ctx.stack(), m.shuffle_read);
-      exec::scan_region(ctx, read_base, bytes, costs.scan_instrs_per_byte);
-    }
+    b.add(m.shuffle_read, read_instrs,
+          hw::AccessStream::strided(read_base, bytes));
     // Merge combiners into the final per-key map.
     std::unordered_map<K, V> merged;
     {
-      std::optional<jvm::MethodScope> comb;
-      if (b == nullptr) comb.emplace(ctx.stack(), m.combine_combiners);
       auto charge_merge = [&](std::uint64_t elements) {
         if (elements == 0) return;
-        if (b != nullptr) {
-          b->add(m.combine_combiners,
-                 exec::hash_aggregate_instrs(elements, costs),
-                 exec::hash_aggregate_stream(ctx.rng(), reduce_region_,
-                                             merged.size() * kEntryBytes,
-                                             elements, 0.35, costs));
-        } else {
-          exec::hash_aggregate(ctx, reduce_region_,
-                               merged.size() * kEntryBytes, elements, 0.35,
-                               costs);
-        }
+        b.add(m.combine_combiners,
+              exec::hash_aggregate_instrs(elements, costs),
+              exec::hash_aggregate_stream(ctx.rng(), reduce_region_,
+                                          merged.size() * kEntryBytes,
+                                          elements, 0.35, costs));
       };
       merged.reserve(total);
       std::uint64_t processed = 0;

@@ -2,9 +2,11 @@
 //
 // The paper scores each candidate k with the silhouette coefficient. The
 // exact coefficient is O(n²·d); for the per-unit feature matrices SimProf
-// clusters (hundreds to thousands of units) we default to the *simplified*
-// silhouette (distances to centroids, O(n·k·d)) which preserves the ordering
-// of ks in practice; the exact version is kept for validation.
+// clusters (hundreds to thousands of units) choose_k scores each k with the
+// *sampled* exact silhouette (a seeded subsample of at most
+// kDefaultSilhouetteSample points, stats/kmeans.cc). The simplified
+// silhouette (distances to centroids, O(n·k·d)) inflates on unstructured
+// data as k grows, and the full exact version is kept for validation.
 //
 // All three variants run their pairwise-distance passes through the blocked
 // ‖x‖²+‖y‖²−2·x·y kernel (stats/matrix.h DistanceTable) over row chunks on

@@ -113,6 +113,37 @@ TEST(FormPhases, PhaseTypingUsesDominantNonFrameworkKind) {
   EXPECT_TRUE(kinds.contains(jvm::OpKind::kSort));
 }
 
+TEST(DominantMethod, HeaviestNonFrameworkFeatureOfTheCenter) {
+  PhaseModel model;
+  model.k = 2;
+  model.feature_names = {"framework.Executor.run", "app.Mapper.map",
+                         "app.Sorter.sort"};
+  model.feature_kinds = {jvm::OpKind::kFramework, jvm::OpKind::kMap,
+                         jvm::OpKind::kSort};
+  model.centers = stats::Matrix(2, 3);
+  model.centers.at(0, 0) = 0.9;  // framework weight never wins
+  model.centers.at(0, 1) = 0.06;
+  model.centers.at(0, 2) = 0.04;
+  model.centers.at(1, 1) = 0.2;
+  model.centers.at(1, 2) = 0.2;  // ties go to the first feature
+  EXPECT_EQ(dominant_method(model, 0), "app.Mapper.map");
+  EXPECT_EQ(dominant_method(model, 1), "app.Mapper.map");
+}
+
+TEST(DominantMethod, AllFrameworkFeaturesYieldNoMethod) {
+  PhaseModel model;
+  model.k = 1;
+  model.feature_names = {"framework.Executor.run", "framework.Task.run"};
+  model.feature_kinds = {jvm::OpKind::kFramework, jvm::OpKind::kFramework};
+  model.centers = stats::Matrix(1, 2);
+  model.centers.at(0, 0) = 0.7;
+  model.centers.at(0, 1) = 0.3;
+  EXPECT_EQ(dominant_method(model, 0), std::nullopt);
+  model.feature_names.clear();
+  model.feature_kinds.clear();
+  EXPECT_EQ(dominant_method(model, 0), std::nullopt);
+}
+
 TEST(CovSummary, WeightedBelowPopulationForSeparatedPhases) {
   auto p = testing::synthetic_profile(
       {{50, 0.5, 0.02, 1}, {50, 2.5, 0.02, 2}});

@@ -1,6 +1,6 @@
 // Unit tests for pipeline-interleaved charging (exec/pipeline.h): deferred
-// work items, proportional round-robin flushing, frame prefixes, quota
-// streams and the PipelineScope RAII driver.
+// work items, proportional round-robin flushing, frame prefixes, execute()
+// with an explicit reference count and the PipelineScope RAII driver.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -26,46 +26,52 @@ class StackRecorder final : public ProfilingHook {
   std::vector<std::vector<jvm::MethodId>> stacks;
 };
 
-TEST(QuotaStream, ServesAtMostQuotaAndResumes) {
-  hw::SequentialStream inner(0, 64 * 10);
-  QuotaStream first(inner, 4);
-  hw::MemRef r;
-  int served = 0;
-  while (first.next(r)) ++served;
-  EXPECT_EQ(served, 4);
-  // A second quota view continues where the inner stream left off.
-  QuotaStream second(inner, 100);
-  ASSERT_TRUE(second.next(r));
-  EXPECT_EQ(r.line, 4u);
-}
-
 /// Collects the instruction count and line addresses of every chunk the
 /// profiled core executes.
 class ChunkRecorder final : public OpTapeSink {
  public:
   void on_chunk(std::uint64_t instrs, std::span<const hw::MemRef> refs,
-                std::uint32_t, std::span<const jvm::MethodId>) override {
+                std::uint32_t, std::span<const jvm::MethodId> frames) override {
     std::vector<hw::LineAddr> lines;
     for (const hw::MemRef& r : refs) lines.push_back(r.line);
     chunks.emplace_back(instrs, std::move(lines));
+    leaves.push_back(frames.empty() ? 0 : frames.back());
   }
   void on_boundary_rng(std::uint64_t, const RngState&) override {}
   std::vector<std::pair<std::uint64_t, std::vector<hw::LineAddr>>> chunks;
+  std::vector<jvm::MethodId> leaves;  ///< innermost frame of each chunk
 };
 
-TEST(QuotaStream, ChunksPullExactlyTheirShareInBatches) {
-  // 1000 references over 95,000 instructions: the 10,000-instruction
-  // snapshot boundaries cut them into chunks of 105 or 106 references, none
-  // a multiple of the executor's 64-reference pull batch. Each chunk must
-  // take exactly its apportioned references, in order, and the inner cursor
-  // must stop at the quota.
+TEST(ExecuteWithCount, TakesAtMostTheCountAndResumes) {
   Cluster cluster(testing::tiny_cluster_config());
   ChunkRecorder rec;
   cluster.set_tape_sink(&rec);
   auto& ctx = cluster.context(0);
-  hw::SequentialStream inner(0, 64 * 5000);
-  QuotaStream slice(inner, 1000);
-  ctx.execute(95'000, &slice);
+  auto stream = hw::AccessStream::strided(0, 64 * 10);
+  ctx.execute(5'000, stream, 4);
+  EXPECT_EQ(ctx.counters().line_touches, 4u);
+  // A later slice continues where the last one stopped and ends with the
+  // stream, even when its count asks for more.
+  ctx.execute(5'000, stream, 100);
+  ASSERT_EQ(rec.chunks.size(), 2u);
+  EXPECT_EQ(rec.chunks[0].second, (std::vector<hw::LineAddr>{0, 1, 2, 3}));
+  EXPECT_EQ(rec.chunks[1].second,
+            (std::vector<hw::LineAddr>{4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(ctx.counters().line_touches, 10u);
+}
+
+TEST(ExecuteWithCount, ChunksTakeExactlyTheirShareInBatches) {
+  // 1000 references over 95,000 instructions: the 10,000-instruction
+  // snapshot boundaries cut them into chunks of 105 or 106 references, none
+  // a multiple of the executor's 64-reference batch. Each chunk must take
+  // exactly its apportioned references, in order, and the stream's cursor
+  // must stop at the count.
+  Cluster cluster(testing::tiny_cluster_config());
+  ChunkRecorder rec;
+  cluster.set_tape_sink(&rec);
+  auto& ctx = cluster.context(0);
+  auto stream = hw::AccessStream::strided(0, 64 * 5000);
+  ctx.execute(95'000, stream, 1000);
   ASSERT_EQ(rec.chunks.size(), 10u);
   std::uint64_t instrs = 0;
   std::uint64_t refs = 0;
@@ -80,20 +86,18 @@ TEST(QuotaStream, ChunksPullExactlyTheirShareInBatches) {
   EXPECT_EQ(refs, 1000u);
   EXPECT_EQ(ctx.counters().line_touches, 1000u);
   hw::MemRef r;
-  ASSERT_TRUE(inner.next(r));
+  ASSERT_EQ(stream.take(&r, 1), 1u);
   EXPECT_EQ(r.line, 1000u);
 }
 
-TEST(QuotaStream, ZeroInstructionDrainStopsAtQuotaOrInnerEnd) {
+TEST(ExecuteWithCount, ZeroInstructionDrainStopsAtCountOrStreamEnd) {
   Cluster cluster(testing::tiny_cluster_config());
   ChunkRecorder rec;
   cluster.set_tape_sink(&rec);
   auto& ctx = cluster.context(0);
-  hw::SequentialStream inner(0, 64 * 200);
-  QuotaStream first(inner, 150);  // stops at the quota, mid-batch
-  ctx.execute(0, &first);
-  QuotaStream rest(inner, 1000);  // stops where the inner stream ends
-  ctx.execute(0, &rest);
+  auto stream = hw::AccessStream::strided(0, 64 * 200);
+  ctx.execute(0, stream, 150);   // stops at the count, mid-batch
+  ctx.execute(0, stream, 1000);  // stops where the stream ends
   ASSERT_EQ(rec.chunks.size(), 2u);
   EXPECT_EQ(rec.chunks[0].first, 0u);
   EXPECT_EQ(rec.chunks[0].second.size(), 150u);
@@ -103,14 +107,14 @@ TEST(QuotaStream, ZeroInstructionDrainStopsAtQuotaOrInnerEnd) {
   EXPECT_EQ(ctx.counters().line_touches, 200u);
   EXPECT_EQ(ctx.counters().instructions, 0u);
   hw::MemRef r;
-  EXPECT_FALSE(inner.next(r));
+  EXPECT_EQ(stream.take(&r, 1), 0u);
 }
 
 TEST(PipelineBatcher, EmptyItemsAreDropped) {
   PipelineBatcher b;
-  b.add(1, 0, nullptr);
+  b.add(1, 0, {});
   EXPECT_TRUE(b.empty());
-  b.add(1, 10, nullptr);
+  b.add(1, 10, {});
   EXPECT_EQ(b.size(), 1u);
 }
 
@@ -118,12 +122,41 @@ TEST(PipelineBatcher, FlushChargesAllInstructionsAndRefs) {
   Cluster cluster(testing::tiny_cluster_config());
   auto& ctx = cluster.context(0);
   PipelineBatcher b;
-  b.add(1, 30'000, std::make_unique<hw::SequentialStream>(0, 64 * 50));
-  b.add(2, 70'000, nullptr);
+  b.add(1, 30'000, hw::AccessStream::strided(0, 64 * 50));
+  b.add(2, 70'000, {});
   b.flush(ctx, 5'000);
   EXPECT_EQ(ctx.counters().instructions, 100'000u);
   EXPECT_EQ(ctx.counters().line_touches, 50u);
   EXPECT_TRUE(b.empty());
+}
+
+TEST(PipelineBatcher, SlicesTakeReferencesInStepWithInstructions) {
+  // 1000 references over 50,000 instructions, interleaved with a
+  // pure-compute item: after every chunk of the item the references taken
+  // so far track 1000 · instructions / 50,000, and they come in order.
+  Cluster cluster(testing::tiny_cluster_config());
+  ChunkRecorder rec;
+  cluster.set_tape_sink(&rec);
+  auto& ctx = cluster.context(0);
+  PipelineBatcher b;
+  b.add(1, 50'000, hw::AccessStream::strided(0, 64 * 1000));
+  b.add(2, 30'000, {});
+  b.flush(ctx, 5'000);
+  std::uint64_t instrs = 0;
+  std::uint64_t refs = 0;
+  for (std::size_t i = 0; i < rec.chunks.size(); ++i) {
+    const auto& [chunk_instrs, lines] = rec.chunks[i];
+    if (rec.leaves[i] != 1) {
+      EXPECT_TRUE(lines.empty());
+      continue;
+    }
+    for (const hw::LineAddr l : lines) EXPECT_EQ(l, refs++);
+    instrs += chunk_instrs;
+    const double expected = 1000.0 * static_cast<double>(instrs) / 50'000;
+    EXPECT_NEAR(static_cast<double>(refs), expected, 3.0) << "chunk " << i;
+  }
+  EXPECT_EQ(instrs, 50'000u);
+  EXPECT_EQ(refs, 1000u);
 }
 
 TEST(PipelineBatcher, ProportionalInterleavingMixesFrames) {
@@ -136,8 +169,8 @@ TEST(PipelineBatcher, ProportionalInterleavingMixesFrames) {
   auto& ctx = cluster.context(0);
 
   PipelineBatcher b;
-  b.add(11, 600'000, nullptr);
-  b.add(22, 200'000, nullptr);
+  b.add(11, 600'000, {});
+  b.add(22, 200'000, {});
   b.flush(ctx, 5'000);
 
   std::map<jvm::MethodId, int> leaf_counts;
@@ -165,9 +198,9 @@ TEST(PipelineBatcher, FramePrefixesNestConsumersAboveProducers) {
 
   PipelineBatcher b;
   b.push_frame(100);  // consumer
-  b.add(200, 50'000, nullptr);  // producer item recorded under consumer
+  b.add(200, 50'000, {});  // producer item recorded under consumer
   b.pop_frame();
-  b.add(100, 50'000, nullptr);  // consumer's own work
+  b.add(100, 50'000, {});  // consumer's own work
   b.flush(ctx, 5'000);
 
   bool saw_nested = false;
@@ -190,7 +223,7 @@ TEST(PipelineScope, AttachesAndFlushesOnFinish) {
   {
     PipelineScope scope(ctx);
     ASSERT_NE(ctx.batcher(), nullptr);
-    ctx.batcher()->add(5, 12'000, nullptr);
+    ctx.batcher()->add(5, 12'000, {});
     EXPECT_EQ(ctx.counters().instructions, 0u);  // deferred
     scope.finish();
     EXPECT_EQ(ctx.counters().instructions, 12'000u);
@@ -208,7 +241,7 @@ TEST(PipelineScope, DestructorFlushesAndRestoresPrevious) {
   {
     PipelineScope inner(ctx);
     EXPECT_NE(ctx.batcher(), outer_batcher);
-    ctx.batcher()->add(7, 8'000, nullptr);
+    ctx.batcher()->add(7, 8'000, {});
   }  // destructor flushes
   EXPECT_EQ(ctx.counters().instructions, 8'000u);
   EXPECT_EQ(ctx.batcher(), outer_batcher);
@@ -218,7 +251,7 @@ TEST(PipelineBatcher, RefOnlyItemDrainsTraffic) {
   Cluster cluster(testing::tiny_cluster_config());
   auto& ctx = cluster.context(0);
   PipelineBatcher b;
-  b.add(3, 0, std::make_unique<hw::SequentialStream>(0, 64 * 20));
+  b.add(3, 0, hw::AccessStream::strided(0, 64 * 20));
   b.flush(ctx, 1'000);
   EXPECT_EQ(ctx.counters().line_touches, 20u);
 }
@@ -227,7 +260,7 @@ TEST(PipelineBatcher, FlushRejectsZeroSlice) {
   Cluster cluster(testing::tiny_cluster_config());
   auto& ctx = cluster.context(0);
   PipelineBatcher b;
-  b.add(1, 10, nullptr);
+  b.add(1, 10, {});
   EXPECT_THROW(b.flush(ctx, 0), ContractViolation);
 }
 

@@ -78,8 +78,8 @@ TEST(Cluster, UnitBoundariesCarryMavsThatResetPerUnit) {
   RecordingHook hook;
   cluster.set_profiling_hook(&hook);
   auto& ctx = cluster.context(0);
-  hw::SequentialStream stream(0, 64 * 4096);
-  ctx.execute(200'000, &stream);  // 2 units of 100k with memory traffic
+  auto stream = hw::AccessStream::strided(0, 64 * 4096);
+  ctx.execute(200'000, stream);  // 2 units of 100k with memory traffic
   ASSERT_EQ(hook.mavs.size(), 2u);
   ASSERT_EQ(hook.mavs.size(), hook.units.size());
   for (std::size_t i = 0; i < hook.mavs.size(); ++i) {
@@ -121,18 +121,18 @@ TEST(Cluster, StoppedCoreOnlyCountsSkippedInstructions) {
   RecordingHook hook;
   cluster.set_profiling_hook(&hook);
   auto& ctx = cluster.context(0);
-  hw::SequentialStream warm(0, 64 * 4096);
-  ctx.execute(150'000, &warm);  // one unit plus a 50k partial unit
+  auto warm = hw::AccessStream::strided(0, 64 * 4096);
+  ctx.execute(150'000, warm);  // one unit plus a 50k partial unit
   ASSERT_EQ(hook.units.size(), 1u);
   const hw::PmuCounters before = ctx.counters();
   const std::size_t snapshots = hook.snapshots.size();
 
   ctx.stop();
   EXPECT_TRUE(ctx.stopped());
-  hw::SequentialStream tail(64 * 4096, 64 * 4096);
-  ctx.execute(250'000, &tail);
-  hw::SequentialStream drain(0, 64 * 512);
-  ctx.execute(0, &drain);
+  auto tail = hw::AccessStream::strided(64 * 4096, 64 * 4096);
+  ctx.execute(250'000, tail);
+  auto drain = hw::AccessStream::strided(0, 64 * 512);
+  ctx.execute(0, drain);
   ctx.compute(30'000);
 
   EXPECT_EQ(ctx.counters().instructions, before.instructions);
@@ -174,8 +174,8 @@ TEST(Cluster, NonProfiledCoreSkipsCacheSimulation) {
   RecordingHook hook;
   cluster.set_profiling_hook(&hook);
   auto& other = cluster.context(1);
-  hw::SequentialStream stream(0, 1 << 16);
-  other.execute(200'000, &stream);
+  auto stream = hw::AccessStream::strided(0, 1 << 16);
+  other.execute(200'000, stream);
   EXPECT_TRUE(hook.units.empty());              // no unit boundaries fired
   EXPECT_EQ(other.counters().line_touches, 0u); // traffic skipped
   EXPECT_EQ(other.counters().instructions, 200'000u);  // clock advanced
@@ -184,8 +184,8 @@ TEST(Cluster, NonProfiledCoreSkipsCacheSimulation) {
 TEST(Cluster, ProfiledCoreChargesTraffic) {
   Cluster cluster(testing::tiny_cluster_config());
   auto& ctx = cluster.context(0);
-  hw::SequentialStream stream(0, 64 * 100);
-  ctx.execute(50'000, &stream);
+  auto stream = hw::AccessStream::strided(0, 64 * 100);
+  ctx.execute(50'000, stream);
   EXPECT_EQ(ctx.counters().line_touches, 100u);
   // Cycles exceed pure base-CPI cost because of the memory traffic.
   const double base = 50'000 *
@@ -241,8 +241,8 @@ TEST(Cluster, DeterministicAcrossIdenticalRuns) {
   auto run_once = [] {
     Cluster cluster(testing::tiny_cluster_config(123));
     auto& ctx = cluster.context(0);
-    hw::RandomStream s(0, 1 << 20, 5'000, ctx.rng());
-    ctx.execute(400'000, &s);
+    auto s = hw::AccessStream::random(0, 1 << 20, 5'000, ctx.rng());
+    ctx.execute(400'000, s);
     return ctx.counters().cycles;
   };
   EXPECT_EQ(run_once(), run_once());

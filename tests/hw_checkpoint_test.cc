@@ -184,8 +184,8 @@ void run_stage_one(exec::Cluster& cluster) {
   tasks.push_back({"t0", [](exec::ExecutorContext& ctx) {
                      const auto m = ctx.method("test.scan", jvm::OpKind::kMap);
                      jvm::MethodScope scope(ctx.stack(), m);
-                     SequentialStream s(0, 64 * 4000);
-                     ctx.execute(150'000, &s);
+                     auto s = AccessStream::strided(0, 64 * 4000);
+                     ctx.execute(150'000, s);
                    }});
   cluster.run_stage("stage1", std::move(tasks));
 }
@@ -196,15 +196,15 @@ void run_stage_two(exec::Cluster& cluster, bool both_cores) {
                      const auto m =
                          ctx.method("test.probe", jvm::OpKind::kReduce);
                      jvm::MethodScope scope(ctx.stack(), m);
-                     RandomStream s(0, 1 << 18, 6000, ctx.rng());
-                     ctx.execute(180'000, &s);
+                     auto s = AccessStream::random(0, 1 << 18, 6000, ctx.rng());
+                     ctx.execute(180'000, s);
                    }});
   if (both_cores) {
     // A second concurrent task widens the wave: the shared LLC runs under
     // pressure while the profiled thread executes.
     tasks.push_back({"t1", [](exec::ExecutorContext& ctx) {
-                       SequentialStream s(1 << 20, 64 * 8000);
-                       ctx.execute(180'000, &s);
+                       auto s = AccessStream::strided(1 << 20, 64 * 8000);
+                       ctx.execute(180'000, s);
                      }});
   }
   cluster.run_stage("stage2", std::move(tasks));

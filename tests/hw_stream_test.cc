@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "hw/access_stream.h"
 #include "support/assert.h"
@@ -10,70 +11,91 @@
 namespace simprof::hw {
 namespace {
 
-TEST(SequentialStream, EmitsOneRefPerLine) {
-  SequentialStream s(/*base=*/128, /*bytes=*/256);
-  MemRef r;
+/// Every remaining reference of `s`, taken in batches of `batch`.
+std::vector<MemRef> drain(AccessStream& s, std::size_t batch = 64) {
+  std::vector<MemRef> out;
+  std::vector<MemRef> buf(batch);
+  while (const std::size_t got = s.take(buf.data(), batch)) {
+    out.insert(out.end(), buf.begin(), buf.begin() + got);
+  }
+  return out;
+}
+
+std::vector<LineAddr> lines_of(const std::vector<MemRef>& refs) {
   std::vector<LineAddr> lines;
-  while (s.next(r)) {
-    lines.push_back(r.line);
+  for (const MemRef& r : refs) lines.push_back(r.line);
+  return lines;
+}
+
+bool same_refs(const std::vector<MemRef>& a, const std::vector<MemRef>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].line != b[i].line || a[i].write != b[i].write ||
+        a[i].prefetchable != b[i].prefetchable) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SequentialStream, EmitsOneRefPerLine) {
+  auto s = AccessStream::strided(/*base=*/128, /*bytes=*/256);
+  EXPECT_EQ(s.total_refs(), 4u);
+  const auto refs = drain(s);
+  for (const MemRef& r : refs) {
     EXPECT_TRUE(r.prefetchable);
     EXPECT_FALSE(r.write);
   }
-  EXPECT_EQ(lines, (std::vector<LineAddr>{2, 3, 4, 5}));
-  EXPECT_EQ(s.total_refs(), 4u);
+  EXPECT_EQ(lines_of(refs), (std::vector<LineAddr>{2, 3, 4, 5}));
 }
 
 TEST(SequentialStream, PartialLineRoundsUp) {
-  SequentialStream s(0, 65);
-  EXPECT_EQ(s.total_refs(), 2u);
+  EXPECT_EQ(AccessStream::strided(0, 65).total_refs(), 2u);
 }
 
 TEST(SequentialStream, WriteFlagPropagates) {
-  SequentialStream s(0, 64, /*write=*/true);
+  auto s = AccessStream::strided(0, 64, 1, /*write=*/true);
   MemRef r;
-  ASSERT_TRUE(s.next(r));
+  ASSERT_EQ(s.take(&r, 1), 1u);
   EXPECT_TRUE(r.write);
 }
 
 TEST(RandomStream, StaysInRegionAndCounts) {
   Rng rng(5);
-  RandomStream s(/*base=*/6400, /*bytes=*/64 * 100, /*touches=*/500, rng);
-  MemRef r;
-  std::size_t n = 0;
-  while (s.next(r)) {
-    ++n;
+  auto s = AccessStream::random(/*base=*/6400, /*bytes=*/64 * 100,
+                                /*touches=*/500, rng);
+  const auto refs = drain(s);
+  EXPECT_EQ(refs.size(), 500u);
+  for (const MemRef& r : refs) {
     EXPECT_GE(r.line, 100u);
     EXPECT_LT(r.line, 200u);
     EXPECT_FALSE(r.prefetchable);
   }
-  EXPECT_EQ(n, 500u);
 }
 
 TEST(RandomStream, WriteFractionMixesReadsAndWrites) {
   Rng rng(9);
-  RandomStream s(0, 64 * 16, 400, rng, false, /*write_fraction=*/0.5);
-  MemRef r;
+  auto s = AccessStream::random(0, 64 * 16, 400, rng, false,
+                                /*write_fraction=*/0.5);
   int writes = 0;
-  while (s.next(r)) writes += r.write ? 1 : 0;
+  for (const MemRef& r : drain(s)) writes += r.write ? 1 : 0;
   EXPECT_GT(writes, 120);
   EXPECT_LT(writes, 280);
 }
 
 TEST(RandomStream, CoversTheRegion) {
   Rng rng(11);
-  RandomStream s(0, 64 * 32, 2000, rng);
-  MemRef r;
+  auto s = AccessStream::random(0, 64 * 32, 2000, rng);
   std::set<LineAddr> seen;
-  while (s.next(r)) seen.insert(r.line);
+  for (const MemRef& r : drain(s)) seen.insert(r.line);
   EXPECT_GT(seen.size(), 28u);  // nearly all 32 lines touched
 }
 
 TEST(ZipfStream, HeadIsHotterThanTail) {
   Rng rng(13);
-  ZipfStream s(0, 64 * 1000, 20000, /*skew=*/0.8, rng);
-  MemRef r;
+  auto s = AccessStream::zipf(0, 64 * 1000, 20000, /*skew=*/0.8, rng);
   std::size_t head = 0, tail = 0;
-  while (s.next(r)) {
+  for (const MemRef& r : drain(s)) {
     if (r.line < 100) ++head;        // first 10% of the region
     if (r.line >= 900) ++tail;       // last 10%
   }
@@ -82,30 +104,138 @@ TEST(ZipfStream, HeadIsHotterThanTail) {
 
 TEST(ZipfStream, ZeroSkewIsRoughlyUniform) {
   Rng rng(17);
-  ZipfStream s(0, 64 * 100, 20000, 0.0, rng);
-  MemRef r;
+  auto s = AccessStream::zipf(0, 64 * 100, 20000, 0.0, rng);
   std::size_t head = 0;
-  while (s.next(r)) head += (r.line < 50) ? 1 : 0;
+  for (const MemRef& r : drain(s)) head += (r.line < 50) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(head) / 20000.0, 0.5, 0.03);
 }
 
 TEST(ZipfStream, RejectsSkewOutsideRange) {
   Rng rng(1);
-  EXPECT_THROW(ZipfStream(0, 64, 1, 1.0, rng), ContractViolation);
-  EXPECT_THROW(ZipfStream(0, 64, 1, -0.1, rng), ContractViolation);
+  EXPECT_THROW(AccessStream::zipf(0, 64, 1, 1.0, rng), ContractViolation);
+  EXPECT_THROW(AccessStream::zipf(0, 64, 1, -0.1, rng), ContractViolation);
 }
 
 TEST(StridedStream, HitsEveryNthLine) {
-  StridedStream s(0, 64 * 10, /*stride_lines=*/3);
-  MemRef r;
-  std::vector<LineAddr> lines;
-  while (s.next(r)) lines.push_back(r.line);
-  EXPECT_EQ(lines, (std::vector<LineAddr>{0, 3, 6, 9}));
+  auto s = AccessStream::strided(0, 64 * 10, /*stride_lines=*/3);
+  EXPECT_EQ(lines_of(drain(s)), (std::vector<LineAddr>{0, 3, 6, 9}));
 }
 
 TEST(StridedStream, ZeroStrideTreatedAsOne) {
-  StridedStream s(0, 64 * 3, 0);
-  EXPECT_EQ(s.total_refs(), 3u);
+  EXPECT_EQ(AccessStream::strided(0, 64 * 3, 0).total_refs(), 3u);
+}
+
+TEST(AccessStream, RandomAndZipfRejectEmptyRegions) {
+  Rng rng(1);
+  EXPECT_THROW(AccessStream::random(0, 0, 1, rng), ContractViolation);
+  EXPECT_THROW(AccessStream::zipf(0, 0, 1, 0.5, rng), ContractViolation);
+}
+
+TEST(AccessStream, DefaultStreamIsEmpty) {
+  AccessStream s;
+  MemRef r;
+  EXPECT_EQ(s.total_refs(), 0u);
+  EXPECT_EQ(s.take(&r, 1), 0u);
+}
+
+/// FNV-1a over each reference's (line, write, prefetchable).
+std::uint64_t checksum(const std::vector<MemRef>& refs) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const MemRef& r : refs) {
+    h ^= r.line * 4 + (r.write ? 2 : 0) + (r.prefetchable ? 1 : 0);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::vector<MemRef> first_10k(AccessStream s) {
+  std::vector<MemRef> refs(10'000);
+  refs.resize(s.take(refs.data(), refs.size()));
+  return refs;
+}
+
+// The golden seed-42 profiles depend on every kind's exact derivation; these
+// values were recorded from the per-kind stream classes this type replaced.
+TEST(AccessStream, FirstTenThousandReferencesArePinnedPerKind) {
+  const auto seq = first_10k(AccessStream::strided(64 * 1000, 64 * 10000 + 10));
+  ASSERT_EQ(seq.size(), 10'000u);
+  EXPECT_EQ(checksum(seq), 6595973231964646197ULL);
+
+  const auto strided =
+      first_10k(AccessStream::strided(64 * 7, 64 * 30000, 3, /*write=*/true));
+  ASSERT_EQ(strided.size(), 10'000u);
+  EXPECT_EQ(checksum(strided), 4034941739489320501ULL);
+
+  Rng r42(42);
+  const auto random =
+      first_10k(AccessStream::random(1 << 20, 64 * 50000, 10'000, r42));
+  ASSERT_EQ(random.size(), 10'000u);
+  EXPECT_EQ(checksum(random), 7103563474044579277ULL);
+
+  Rng r43(43);
+  const auto mixed = first_10k(
+      AccessStream::random(0, 64 * 4096, 10'000, r43, false, 0.5));
+  ASSERT_EQ(mixed.size(), 10'000u);
+  EXPECT_EQ(checksum(mixed), 7932440381996607347ULL);
+
+  Rng r44(44);
+  const auto zipf = first_10k(AccessStream::zipf(
+      1 << 22, 64 * 100000, 10'000, 0.8, r44, /*write=*/true));
+  ASSERT_EQ(zipf.size(), 10'000u);
+  EXPECT_EQ(checksum(zipf), 14344200221133302341ULL);
+}
+
+TEST(AccessStream, ConstructorsDrawOnceFromTheParentRng) {
+  Rng rng(7);
+  Rng expected(7);
+  (void)AccessStream::random(0, 64 * 10, 5, rng);
+  (void)AccessStream::zipf(0, 64 * 10, 5, 0.5, rng);
+  (void)AccessStream::strided(0, 64 * 10);
+  expected.next_u64();
+  expected.next_u64();
+  EXPECT_EQ(rng.next_u64(), expected.next_u64());
+}
+
+TEST(AccessStream, BatchSizeDoesNotChangeTheSequence) {
+  Rng rng(3);
+  const AccessStream kinds[] = {
+      AccessStream::strided(64 * 5, 64 * 1000, 1),
+      AccessStream::strided(0, 64 * 3000, 3, /*write=*/true),
+      AccessStream::random(0, 64 * 500, 1000, rng, false, 0.25),
+      AccessStream::zipf(0, 64 * 500, 1000, 0.7, rng),
+  };
+  for (const AccessStream& kind : kinds) {
+    AccessStream whole = kind;
+    const auto reference = drain(whole, whole.total_refs());
+    ASSERT_EQ(reference.size(), kind.total_refs());
+    for (const std::size_t batch : {1, 7, 64}) {
+      AccessStream s = kind;
+      EXPECT_TRUE(same_refs(drain(s, batch), reference)) << "batch " << batch;
+    }
+    // Mixed batches, then the rest in one call.
+    AccessStream s = kind;
+    std::vector<MemRef> mixed(reference.size());
+    std::size_t got = s.take(mixed.data(), 1);
+    got += s.take(mixed.data() + got, 7);
+    got += s.take(mixed.data() + got, 64);
+    got += s.take(mixed.data() + got, mixed.size());
+    EXPECT_EQ(got, reference.size());
+    EXPECT_TRUE(same_refs(mixed, reference));
+    MemRef r;
+    EXPECT_EQ(s.take(&r, 1), 0u);
+  }
+}
+
+TEST(AccessStream, ReplayReproducesItsSpan) {
+  const std::vector<MemRef> tape = {
+      {7, false, true}, {3, true, false}, {3, false, false}, {90, true, true},
+      {1, false, false}};
+  auto s = AccessStream::replay(tape);
+  EXPECT_EQ(s.total_refs(), tape.size());
+  EXPECT_TRUE(same_refs(drain(s, 2), tape));
+  auto empty = AccessStream::replay({});
+  MemRef r;
+  EXPECT_EQ(empty.take(&r, 1), 0u);
 }
 
 TEST(AddressSpace, AllocationsDoNotOverlap) {

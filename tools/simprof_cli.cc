@@ -566,23 +566,12 @@ int cmd_phases(const Args& args) {
   Table t({"phase", "units", "weight", "mean_cpi", "cov", "type",
            "dominant_method"});
   for (std::size_t h = 0; h < model.k; ++h) {
-    std::size_t best = 0;
-    double bw = -1.0;
-    for (std::size_t f = 0; f < model.feature_names.size(); ++f) {
-      if (model.feature_kinds[f] == jvm::OpKind::kFramework) continue;
-      if (model.centers.at(h, f) > bw) {
-        bw = model.centers.at(h, f);
-        best = f;
-      }
-    }
     t.row({std::to_string(h), std::to_string(model.phases[h].count),
            Table::pct(model.phases[h].weight),
            Table::num(model.phases[h].mean_cpi),
            Table::num(model.phases[h].cov),
            std::string(jvm::to_string(model.phase_types[h])),
-           model.feature_names.empty() || bw < 0.0
-               ? "-"
-               : model.feature_names[best]});
+           core::dominant_method(model, h).value_or("-")});
   }
   t.print_aligned(std::cout);
   return 0;
