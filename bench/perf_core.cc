@@ -2,8 +2,9 @@
 // clustering speed (the reason the paper caps features at K = 100),
 // silhouette scoring, feature selection, cache-model throughput, profiling
 // overhead (the paper claims a negligible slowdown at the 10M-instruction
-// snapshot interval), the MAV tracker, MiniHadoop's sort and merge kernels
-// and sampling-plan construction.
+// snapshot interval), pipeline flushing on profiled and non-profiled cores,
+// the MAV tracker, MiniHadoop's sort and merge kernels and sampling-plan
+// construction.
 #include <benchmark/benchmark.h>
 
 #include <span>
@@ -17,6 +18,7 @@
 #include "core/sensitivity.h"
 #include "data/kronecker.h"
 #include "exec/cluster.h"
+#include "exec/pipeline.h"
 #include "hw/access_stream.h"
 #include "hw/mav.h"
 #include "hw/memory_system.h"
@@ -302,6 +304,35 @@ void BM_ExecuteProfiled(benchmark::State& state) {
   run_executor_work(true, state);
 }
 BENCHMARK(BM_ExecuteProfiled);
+
+// Pipeline flushing (exec/pipeline.h): one three-operator pipeline charged
+// on the profiled core (jittered slices through the cache model and MAV
+// tracker) and on a non-profiled core (one functional step per operator).
+void BM_PipelineFlush(benchmark::State& state, std::uint32_t core) {
+  exec::ClusterConfig cfg;
+  exec::Cluster cluster(cfg);
+  auto& ctx = cluster.context(core);
+  const auto scan = cluster.methods().intern("bench.Pipeline.scan",
+                                             jvm::OpKind::kIo);
+  const auto map = cluster.methods().intern("bench.Pipeline.map",
+                                            jvm::OpKind::kMap);
+  const auto combine = cluster.methods().intern("bench.Pipeline.combine",
+                                                jvm::OpKind::kReduce);
+  Rng rng(11);
+  for (auto _ : state) {
+    exec::PipelineBatcher b;
+    b.push_frame(combine);
+    b.add(scan, 2'000'000, hw::AccessStream::strided(0, 1 << 20));
+    b.add(map, 400'000, {});
+    b.pop_frame();
+    b.add(combine, 600'000,
+          hw::AccessStream::zipf(1 << 24, 1 << 20, 20'000, 0.8, rng));
+    b.flush(ctx, ctx.pipeline_slice_instrs());
+  }
+  state.SetItemsProcessed(state.iterations() * 3'000'000);
+}
+BENCHMARK_CAPTURE(BM_PipelineFlush, profiled, 0u);
+BENCHMARK_CAPTURE(BM_PipelineFlush, unprofiled, 1u);
 
 core::ThreadProfile bench_profile(std::size_t units) {
   core::ThreadProfile p;

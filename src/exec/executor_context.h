@@ -11,6 +11,16 @@
 // cores advance instruction counts for schedule bookkeeping but execute
 // functionally. Their LLC interference on the profiled thread is modeled by
 // the cluster's wave-pressure mechanism (see cluster.h).
+//
+// Functional-only contract: on a non-profiled core, execute() adds the
+// instructions and their base-CPI cycles and nothing else. It reads no
+// stream and fires no hook. That core's generator, cycle count and shadow
+// stack reach no profile, checkpoint archive or manifest; they only bound
+// its virtual trace spans. So code above execute() may charge a
+// non-profiled core's work in fewer, larger steps and skip the draws and
+// frames that only shape the profiled core's slicing (PipelineBatcher does).
+// Workload outputs and the profiled core's work must never depend on a
+// non-profiled core's generator.
 #pragma once
 
 #include <array>
@@ -112,7 +122,9 @@ class ExecutorContext final : public jvm::StackTraceSource {
   /// `refs` references of `stream` (fewer if the stream ends first). The
   /// references are spread evenly across the instruction range; snapshot/
   /// unit boundaries fire in-order as they are crossed. A pipeline slice
-  /// passes its share of a longer stream here (exec/pipeline.h).
+  /// passes its share of a longer stream here (exec/pipeline.h). On a
+  /// non-profiled core only the instruction count and base-CPI cycles
+  /// advance (the functional-only contract above).
   void execute(std::uint64_t instrs, hw::AccessStream& stream,
                std::uint64_t refs);
 

@@ -21,6 +21,13 @@ void PipelineBatcher::add(jvm::MethodId method, std::uint64_t instrs,
 void PipelineBatcher::flush(ExecutorContext& ctx,
                             std::uint64_t slice_instrs) {
   SIMPROF_EXPECTS(slice_instrs > 0, "slice must be positive");
+  if (!ctx.is_profiled()) {
+    // A functional-only core (executor_context.h) only counts instructions,
+    // so slicing would reorder charges nothing observes: one step per item.
+    for (Item& item : items_) ctx.execute(item.instrs, item.stream);
+    items_.clear();
+    return;
+  }
   // Proportional interleaving: every item finishes in the same number of
   // rounds, so the mixture seen by each sampling window matches each
   // operator's share of the pipeline — a fused iterator's time profile.

@@ -37,7 +37,9 @@ class PipelineBatcher {
 
   /// Charge everything in interleaved round-robin slices of at most
   /// `slice_instrs` per step, pushing each item's frames for its slices.
-  /// The batcher is empty afterwards.
+  /// On a non-profiled core each item is charged in one step instead, with
+  /// no frames and no jitter draw (the functional-only contract in
+  /// executor_context.h). The batcher is empty afterwards.
   void flush(ExecutorContext& ctx, std::uint64_t slice_instrs);
 
  private:

@@ -1,6 +1,7 @@
 #include "hw/cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "support/serialize.h"
@@ -14,18 +15,22 @@ Cache::Cache(const CacheConfig& cfg)
       ways_(sets_ * cfg.ways, kInvalid) {
   // save_state stores each set's occupancy in one byte.
   SIMPROF_EXPECTS(cfg.ways <= 255, "cache has more than 255 ways");
+  // access() indexes sets with a mask.
+  SIMPROF_EXPECTS(std::has_single_bit(sets_),
+                  "cache set count must be a power of two");
 }
 
 bool Cache::access(LineAddr line) {
-  const std::size_t set = static_cast<std::size_t>(line % sets_);
+  const std::size_t set = static_cast<std::size_t>(line & (sets_ - 1));
   LineAddr* base = ways_.data() + set * cfg_.ways;
 
   // Search MRU→LRU; only the first effective_ways_ slots count as resident.
   for (std::uint32_t i = 0; i < cfg_.ways; ++i) {
     if (base[i] != line) continue;
     const bool hit = i < effective_ways_;
-    // Move to MRU position.
-    std::rotate(base, base + i, base + i + 1);
+    // Move to MRU position: shift the i more recent lines down one way.
+    std::copy_backward(base, base + i, base + i + 1);
+    base[0] = line;
     if (hit) {
       ++stats_.hits;
     } else {
@@ -34,7 +39,7 @@ bool Cache::access(LineAddr line) {
     return hit;
   }
   // Miss: insert at MRU, shifting everything down (LRU way falls off).
-  std::rotate(base, base + cfg_.ways - 1, base + cfg_.ways);
+  std::copy_backward(base, base + cfg_.ways - 1, base + cfg_.ways);
   base[0] = line;
   ++stats_.misses;
   return false;

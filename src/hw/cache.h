@@ -58,6 +58,7 @@ struct CacheStats {
 /// all physical ways so releasing pressure restores capacity.)
 class Cache {
  public:
+  /// The set count (size_bytes / 64 / ways) must be a power of two.
   explicit Cache(const CacheConfig& cfg);
 
   /// True on hit. Miss inserts the line (write-allocate for both reads and
@@ -90,7 +91,7 @@ class Cache {
 
  private:
   CacheConfig cfg_;
-  std::size_t sets_;
+  std::size_t sets_;  ///< a power of two: access() masks, never divides
   std::uint32_t effective_ways_;
   // ways_[set*ways + i] is the i-th most recently used line of the set;
   // kInvalid marks an empty slot. access() inserts only at MRU and flush()

@@ -1,9 +1,9 @@
 #include "minispark/graphx.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "jvm/call_stack.h"
+#include "minispark/combiner.h"
 #include "support/assert.h"
 
 namespace simprof::spark {
@@ -85,21 +85,19 @@ void GraphX::load_graph() {
 
 template <typename T, typename GatherFn, typename MergeFn>
 std::vector<std::pair<VertexId, T>> GraphX::aggregate_messages(
-    const std::vector<std::uint8_t>& active, GatherFn gather, MergeFn merge,
-    std::uint64_t active_edges_estimate) {
-  (void)active_edges_estimate;
+    const std::vector<std::uint8_t>& active, GatherFn gather, MergeFn merge) {
   const double bytes_per_edge =
       static_cast<double>(edge_region_bytes_) /
       static_cast<double>(std::max<std::uint64_t>(graph_.num_edges(), 1));
 
-  std::vector<std::unordered_map<VertexId, T>> partials(part_lo_.size());
+  std::vector<std::vector<std::pair<VertexId, T>>> partials(part_lo_.size());
   std::vector<exec::Task> tasks;
   for (std::size_t p = 0; p < part_lo_.size(); ++p) {
     tasks.push_back(exec::Task{
         "aggregate_messages_" + std::to_string(p),
         [&, p](exec::ExecutorContext& ctx) {
           jvm::MethodScope pregel(ctx.stack(), m_pregel_);
-          std::unordered_map<VertexId, T>& local = partials[p];
+          FlatCombiner<VertexId, T> local;
           std::uint64_t scanned_edges = 0;
           std::uint64_t gathers = 0;
           {
@@ -123,8 +121,7 @@ std::vector<std::pair<VertexId, T>> GraphX::aggregate_messages(
                 T msg;
                 if (!gather(v, u, msg)) continue;
                 ++gathers;
-                auto [it, fresh] = local.emplace(u, msg);
-                if (!fresh) it->second = merge(it->second, msg);
+                local.add(u, msg, merge);
               }
             }
             // Edge scan: sequential over the touched slice of the CSR.
@@ -149,20 +146,18 @@ std::vector<std::pair<VertexId, T>> GraphX::aggregate_messages(
                                  gathers, 0.30, sc_.costs());
             ctx.compute(gathers * 30);
           }
+          partials[p] = local.drain();
         }});
   }
   sc_.run_stage("aggregate_messages", /*shuffle_map=*/true, std::move(tasks));
 
   // Driver-side merge of the per-partition message maps (functional only;
   // the simulated cost of combining lives in aggregateUsingIndex above).
-  std::unordered_map<VertexId, T> merged;
-  for (auto& part : partials) {
-    for (auto& [v, msg] : part) {
-      auto [it, fresh] = merged.emplace(v, msg);
-      if (!fresh) it->second = merge(it->second, msg);
-    }
+  FlatCombiner<VertexId, T> merged;
+  for (const auto& part : partials) {
+    for (const auto& [v, msg] : part) merged.add(v, msg, merge);
   }
-  std::vector<std::pair<VertexId, T>> out(merged.begin(), merged.end());
+  std::vector<std::pair<VertexId, T>> out = merged.drain();
   stats_.total_messages += out.size();
   return out;
 }
@@ -184,8 +179,7 @@ std::vector<VertexId> GraphX::connected_components(
           msg = label[src];
           return true;
         },
-        [](VertexId a, VertexId b) { return std::min(a, b); },
-        graph_.num_edges());
+        [](VertexId a, VertexId b) { return std::min(a, b); });
     ++stats_.iterations;
     if (messages.empty()) break;
 
@@ -255,7 +249,7 @@ std::vector<double> GraphX::pagerank(std::uint32_t iterations,
           msg = contrib[src];
           return msg != 0.0;
         },
-        [](double a, double b) { return a + b; }, graph_.num_edges());
+        [](double a, double b) { return a + b; });
     ++stats_.iterations;
 
     std::vector<double> next(n, 1.0 - damping);

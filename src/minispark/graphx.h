@@ -44,8 +44,6 @@ class GraphX {
   std::size_t num_edge_partitions() const { return part_lo_.size(); }
 
  private:
-  struct MessageBatch;
-
   /// Run the load stage (GraphLoader + mapPartitionsWithIndex) once.
   void load_graph();
 
@@ -54,8 +52,7 @@ class GraphX {
   /// messages to the same target are merged with `merge`.
   template <typename T, typename GatherFn, typename MergeFn>
   std::vector<std::pair<data::VertexId, T>> aggregate_messages(
-      const std::vector<std::uint8_t>& active, GatherFn gather, MergeFn merge,
-      std::uint64_t active_edges_estimate);
+      const std::vector<std::uint8_t>& active, GatherFn gather, MergeFn merge);
 
   SparkContext& sc_;
   const data::Graph& graph_;

@@ -17,7 +17,6 @@
 #include <memory>
 #include <type_traits>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "exec/kernels.h"
 #include "exec/pipeline.h"
 #include "jvm/call_stack.h"
+#include "minispark/combiner.h"
 #include "minispark/spark_context.h"
 #include "obs/obs.h"
 #include "support/assert.h"
@@ -422,31 +422,23 @@ class ReduceByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
     b.add(m.shuffle_read, read_instrs,
           hw::AccessStream::strided(read_base, bytes));
     // Merge combiners into the final per-key map.
-    std::unordered_map<K, V> merged;
-    {
-      auto charge_merge = [&](std::uint64_t elements) {
-        if (elements == 0) return;
-        b.add(m.combine_combiners,
-              exec::hash_aggregate_instrs(elements, costs),
-              exec::hash_aggregate_stream(ctx.rng(), reduce_region_,
-                                          merged.size() * kEntryBytes,
-                                          elements, 0.35, costs));
-      };
-      merged.reserve(total);
-      std::uint64_t processed = 0;
-      for (const auto& run : buckets_[p]) {
-        for (const auto& [k, v] : run) {
-          auto [it, fresh] = merged.emplace(k, v);
-          if (!fresh) it->second = combine_(it->second, v);
-          if (++processed % kBlock == 0) charge_merge(kBlock);
-        }
+    FlatCombiner<K, V> merged(total);
+    auto charge_merge = [&](std::uint64_t elements) {
+      if (elements == 0) return;
+      b.add(m.combine_combiners, exec::hash_aggregate_instrs(elements, costs),
+            exec::hash_aggregate_stream(ctx.rng(), reduce_region_,
+                                        merged.size() * kEntryBytes,
+                                        elements, 0.35, costs));
+    };
+    std::uint64_t processed = 0;
+    for (const auto& run : buckets_[p]) {
+      for (const auto& [k, v] : run) {
+        merged.add(k, v, combine_);
+        if (++processed % kBlock == 0) charge_merge(kBlock);
       }
-      charge_merge(processed % kBlock);
     }
-    std::vector<Pair> out;
-    out.reserve(merged.size());
-    for (auto& kv : merged) out.emplace_back(kv.first, std::move(kv.second));
-    return out;
+    charge_merge(processed % kBlock);
+    return merged.drain();
   }
 
  private:
@@ -480,9 +472,9 @@ class ReduceByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
           this->sc_.cluster().address_space().allocate(1ULL << 26);
     }
 
-    std::unordered_map<K, V> combined;
+    std::vector<Pair> combined;
     if (map_side_combine_) {
-      combined.reserve(in.size() / 4 + 16);
+      FlatCombiner<K, V> combiner(in.size() / 4 + 16);
       std::uint64_t processed = 0;
       auto defer_hash = [&](std::uint64_t elements) {
         if (elements == 0) return;
@@ -491,15 +483,15 @@ class ReduceByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
         b->add(m.combine_values,
                exec::hash_aggregate_instrs(elements, costs),
                exec::hash_aggregate_stream(ctx.rng(), map_region_,
-                                           combined.size() * kEntryBytes,
+                                           combiner.size() * kEntryBytes,
                                            elements, 0.80, costs));
       };
       for (const auto& [k, v] : in) {
-        auto [it, fresh] = combined.emplace(k, v);
-        if (!fresh) it->second = combine_(it->second, v);
+        combiner.add(k, v, combine_);
         if (++processed % kBlock == 0) defer_hash(kBlock);
       }
       defer_hash(processed % kBlock);
+      combined = combiner.drain();
     }
     pipeline.finish();  // charge the coupled read+map+combine mixture
 
@@ -517,7 +509,7 @@ class ReduceByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
             .push_back(kv);
       };
       if (map_side_combine_) {
-        for (const auto& kv : combined) route({kv.first, kv.second});
+        for (const auto& kv : combined) route(kv);
       } else {
         for (const auto& kv : in) route(kv);
       }

@@ -256,6 +256,68 @@ TEST(PipelineBatcher, RefOnlyItemDrainsTraffic) {
   EXPECT_EQ(ctx.counters().line_touches, 20u);
 }
 
+/// One pipeline's worth of items: a nested producer with a sequential
+/// stream, a random and a zipf operator, a refs-only drain and pure compute.
+void add_mixed_items(PipelineBatcher& b, Rng& rng) {
+  b.push_frame(100);
+  b.add(200, 230'000, hw::AccessStream::strided(0, 64 * 3000));
+  b.pop_frame();
+  b.add(300, 70'000,
+        hw::AccessStream::random(1 << 20, 1 << 18, 900, rng, false, 0.3));
+  b.add(400, 55'000, hw::AccessStream::zipf(1 << 22, 1 << 17, 700, 0.8, rng));
+  b.add(500, 0, hw::AccessStream::strided(1 << 24, 64 * 40, 2, true));
+  b.add(600, 45'000, {});
+}
+
+TEST(PipelineBatcher, UnprofiledFlushChargesEachItemOnce) {
+  Cluster cluster(testing::tiny_cluster_config());
+  testing::ChunkDigest digest;
+  cluster.set_tape_sink(&digest);
+  auto& profiled = cluster.context(0);
+  auto& other = cluster.context(1);
+  ASSERT_FALSE(other.is_profiled());
+  const RngState rng_before = other.rng().state();
+  Rng streams(9);
+  PipelineBatcher b;
+  add_mixed_items(b, streams);
+  b.flush(other, 2'500);
+  EXPECT_TRUE(b.empty());
+  // Exactly the items' instructions, at base CPI, with no jitter draw and a
+  // balanced (untouched) shadow stack.
+  EXPECT_EQ(other.counters().instructions, 400'000u);
+  EXPECT_NEAR(static_cast<double>(other.counters().cycles),
+              400'000 * cluster.memory().config().cost.base_cpi, 1.0);
+  EXPECT_EQ(other.counters().line_touches, 0u);
+  EXPECT_TRUE(other.rng().state() == rng_before);
+  EXPECT_TRUE(other.stack().empty());
+  // The profiled core saw nothing.
+  EXPECT_EQ(profiled.counters().instructions, 0u);
+  EXPECT_EQ(profiled.counters().cycles, 0u);
+  EXPECT_EQ(profiled.counters().line_touches, 0u);
+  EXPECT_EQ(digest.chunks, 0u);
+}
+
+TEST(PipelineBatcher, ProfiledChunkSequenceIsPinned) {
+  // The profiled core's slicing must not change: its (instructions,
+  // references, frames) chunk sequence hashes to the digest recorded before
+  // non-profiled cores stopped slicing. A non-profiled flush in between, as
+  // in a wave, must not perturb it.
+  Cluster cluster(testing::tiny_cluster_config());
+  testing::ChunkDigest digest;
+  cluster.set_tape_sink(&digest);
+  Rng streams(9);
+  for (int wave = 0; wave < 2; ++wave) {
+    for (std::uint32_t core = 0; core < 2; ++core) {
+      PipelineBatcher b;
+      add_mixed_items(b, streams);
+      b.flush(cluster.context(core), 2'500);
+    }
+  }
+  EXPECT_EQ(cluster.context(0).counters().instructions, 800'000u);
+  EXPECT_EQ(digest.chunks, 816u);
+  EXPECT_EQ(digest.hash, 11393307052701421741ULL);
+}
+
 TEST(PipelineBatcher, FlushRejectsZeroSlice) {
   Cluster cluster(testing::tiny_cluster_config());
   auto& ctx = cluster.context(0);

@@ -84,6 +84,9 @@ TEST(Cache, EffectiveWaysClampedToConfig) {
 
 TEST(Cache, RejectsDegenerateGeometry) {
   EXPECT_THROW(Cache(CacheConfig{64, 8}), ContractViolation);  // < one set
+  // 3 sets of 4 ways: set indexing masks, so the set count must be a power
+  // of two.
+  EXPECT_THROW(Cache(CacheConfig{3 * 4 * kLineBytes, 4}), ContractViolation);
 }
 
 TEST(CacheStats, MissRate) {

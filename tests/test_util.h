@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,5 +91,34 @@ inline exec::ClusterConfig tiny_cluster_config(std::uint64_t seed = 42) {
   cfg.seed = seed;
   return cfg;
 }
+
+/// FNV-1a digest of every chunk the profiled core executes: instructions,
+/// each reference's line and flags, and the live frames.
+class ChunkDigest final : public exec::OpTapeSink {
+ public:
+  void on_chunk(std::uint64_t instrs, std::span<const hw::MemRef> refs,
+                std::uint32_t, std::span<const jvm::MethodId> frames) override {
+    mix(instrs);
+    mix(refs.size());
+    for (const hw::MemRef& r : refs) {
+      mix(r.line);
+      mix((r.write ? 2u : 0u) | (r.prefetchable ? 1u : 0u));
+    }
+    mix(frames.size());
+    for (const jvm::MethodId m : frames) mix(m);
+    ++chunks;
+  }
+  void on_boundary_rng(std::uint64_t, const RngState&) override {}
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::uint64_t chunks = 0;
+
+ private:
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (v >> (8 * i)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+};
 
 }  // namespace simprof::testing

@@ -3,7 +3,11 @@
 // (the runners assert internally), and is deterministic per seed.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "core/profile.h"
+#include "test_util.h"
 #include "workloads/workloads.h"
 
 namespace simprof::workloads {
@@ -104,6 +108,59 @@ INSTANTIATE_TEST_SUITE_P(AllConfigs, WorkloadSmoke,
                                            "wc_sp", "grep_hp", "grep_sp",
                                            "bayes_hp", "bayes_sp", "cc_hp",
                                            "cc_sp", "rank_hp", "rank_sp"));
+
+/// Profile bytes of a scale-0.05 wc_sp run. With `reseed_unprofiled`, every
+/// non-profiled core's generator is moved to an unrelated state first.
+std::string wc_sp_profile_bytes(bool reseed_unprofiled) {
+  exec::Cluster cluster(small_cluster());
+  if (reseed_unprofiled) {
+    for (std::uint32_t c = 0; c < cluster.num_cores(); ++c) {
+      exec::ExecutorContext& ctx = cluster.context(c);
+      if (!ctx.is_profiled()) ctx.rng().set_state(Rng(9000 + c).state());
+    }
+  }
+  core::SamplingManager manager(cluster.methods());
+  cluster.set_profiling_hook(&manager);
+  WorkloadParams p = tiny_params();
+  p.scale = 0.05;
+  workload("wc_sp").run(cluster, p);
+  cluster.finish();
+  std::ostringstream out;
+  manager.take_profile().save(out);
+  return out.str();
+}
+
+TEST(FunctionalOnlyCores, GeneratorsNeverReachTheProfile) {
+  // Non-profiled cores are functional-only (exec/executor_context.h): their
+  // generators may be drawn from, or not, without changing a profile byte.
+  const std::string plain = wc_sp_profile_bytes(false);
+  const std::string reseeded = wc_sp_profile_bytes(true);
+  EXPECT_GT(plain.size(), 1000u);
+  EXPECT_TRUE(plain == reseeded);
+}
+
+TEST(FunctionalOnlyCores, ProfiledChunkSequencesArePinned) {
+  // The profiled core's chunk sequence, chunk by chunk. wc_sp's map-side
+  // combiner emits records in std::unordered_map order and its reduce side
+  // sizes probe regions by the distinct keys merged so far; cc_sp routes
+  // GraphX messages in the order of its per-partition and driver-side
+  // maps. These digests were recorded with the record-by-record
+  // std::unordered_map combiners and with pipeline slicing on every core.
+  struct Pin {
+    const char* workload;
+    std::uint64_t chunks;
+    std::uint64_t hash;
+  };
+  for (const Pin& pin : {Pin{"wc_sp", 8418, 5055630659592999693ULL},
+                         Pin{"cc_sp", 106, 3085339626821805191ULL}}) {
+    exec::Cluster cluster(small_cluster());
+    testing::ChunkDigest digest;
+    cluster.set_tape_sink(&digest);
+    workload(pin.workload).run(cluster, tiny_params());
+    EXPECT_EQ(digest.chunks, pin.chunks) << pin.workload;
+    EXPECT_EQ(digest.hash, pin.hash) << pin.workload;
+  }
+}
 
 TEST(GraphInputs, DifferentCatalogEntriesChangeBehaviour) {
   const WorkloadInfo& info = workload("cc_sp");
