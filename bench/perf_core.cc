@@ -211,6 +211,37 @@ BENCHMARK_CAPTURE(BM_ReuseTrackerRecord, sequential, TouchPattern::kSequential);
 BENCHMARK_CAPTURE(BM_ReuseTrackerRecord, zipf, TouchPattern::kZipf);
 BENCHMARK_CAPTURE(BM_ReuseTrackerRecord, random, TouchPattern::kRandom);
 
+// The whole default hierarchy (L1 → L2 → LLC) behind the profiled core: one
+// access_outcome per reference of a recorded 2^18-reference tape.
+// Sequential streams 2^18 distinct lines once per pass (every touch misses
+// to DRAM, prefetchable); zipf and random spread references over a 64 MB
+// region, skewed (mostly L1/L2 hits) or uniform (mostly LLC and DRAM).
+void BM_MemoryHierarchy(benchmark::State& state, TouchPattern pattern) {
+  constexpr std::size_t kRefs = 1 << 18;
+  constexpr std::uint64_t kRegion = 64ull << 20;
+  Rng rng(11);
+  std::vector<hw::MemRef> refs(kRefs);
+  if (pattern == TouchPattern::kSequential) {
+    hw::AccessStream::strided(0, kRefs * hw::kLineBytes)
+        .take(refs.data(), kRefs);
+  } else if (pattern == TouchPattern::kZipf) {
+    hw::AccessStream::zipf(0, kRegion, kRefs, 0.99, rng)
+        .take(refs.data(), kRefs);
+  } else {
+    hw::AccessStream::random(0, kRegion, kRefs, rng).take(refs.data(), kRefs);
+  }
+  hw::MemorySystem mem({});
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mem.access_outcome(0, refs[i]));
+    if (++i == kRefs) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_MemoryHierarchy, sequential, TouchPattern::kSequential);
+BENCHMARK_CAPTURE(BM_MemoryHierarchy, random, TouchPattern::kRandom);
+BENCHMARK_CAPTURE(BM_MemoryHierarchy, zipf, TouchPattern::kZipf);
+
 // MiniHadoop's spill sort: 2^19 (word id, count) pairs, about one 8 MB map
 // buffer, with keys Zipf-drawn over a 2^20-word vocabulary.
 using KeyValue = std::pair<std::uint32_t, std::uint64_t>;

@@ -155,6 +155,11 @@ CheckpointTape read_tape(BinaryReader& r) {
     }
     op.refs.resize(lines.size());
     for (std::size_t i = 0; i < lines.size(); ++i) {
+      // Replayed lines feed the caches, whose tags are 32-bit.
+      if (lines[i] >= hw::kLineLimit) {
+        throw CheckpointError("corrupt archive: tape line beyond the 32-bit "
+                              "line space");
+      }
       op.refs[i].line = lines[i];
       op.refs[i].write = (flags[i] & 1) != 0;
       op.refs[i].prefetchable = (flags[i] & 2) != 0;

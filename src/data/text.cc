@@ -30,6 +30,14 @@ TextCorpus TextCorpus::synthesize(const TextConfig& cfg) {
   Rng rng(cfg.seed);
   ZipfSampler zipf(cfg.vocabulary, cfg.zipf_skew);
 
+  // Each word takes one draw (its Zipf rank), plus a class-band coin when
+  // the corpus is labeled. A document's draws are taken up front in
+  // generator order, so the rank searches below can prefetch the guide
+  // entry kGuideAhead words ahead and the CDF entry kCdfAhead words ahead.
+  constexpr std::uint64_t kGuideAhead = 16;
+  constexpr std::uint64_t kCdfAhead = 8;
+  const std::uint64_t stride = cfg.num_classes > 0 ? 2 : 1;
+  std::vector<double> draws;
   std::uint64_t produced = 0;
   while (produced < cfg.num_words) {
     // Document length ~ uniform in [mean/2, 3·mean/2].
@@ -40,15 +48,22 @@ TextCorpus TextCorpus::synthesize(const TextConfig& cfg) {
         cfg.num_classes > 0
             ? static_cast<std::uint32_t>(rng.next_below(cfg.num_classes))
             : 0;
+    draws.resize(len * stride);
+    for (double& d : draws) d = rng.next_double();
     for (std::uint64_t i = 0; i < len; ++i) {
-      auto w = static_cast<WordId>(zipf.sample(rng));
-      if (cfg.num_classes > 0) {
-        // Shift one third of the draws into a class-specific vocabulary band
-        // so classes are separable (NaiveBayes has signal to learn).
-        if (rng.next_bool(1.0 / 3.0)) {
-          const std::uint32_t band = cfg.vocabulary / cfg.num_classes;
-          w = label * band + static_cast<WordId>(w % band);
-        }
+      if (i + kGuideAhead < len) {
+        zipf.prefetch_guide(draws[(i + kGuideAhead) * stride]);
+      }
+      if (i + kCdfAhead < len) {
+        zipf.prefetch_cdf(draws[(i + kCdfAhead) * stride]);
+      }
+      auto w = static_cast<WordId>(zipf.rank_at(draws[i * stride]));
+      // Labeled corpora shift one third of the words into a class-specific
+      // vocabulary band so classes are separable (NaiveBayes has signal to
+      // learn); the coin is Rng::next_bool(1/3) on the word's second draw.
+      if (stride == 2 && draws[i * stride + 1] < 1.0 / 3.0) {
+        const std::uint32_t band = cfg.vocabulary / cfg.num_classes;
+        w = label * band + static_cast<WordId>(w % band);
       }
       out.words_.push_back(w);
       out.total_bytes_ += word_bytes(w);

@@ -129,6 +129,11 @@ std::size_t AccessStream::take(MemRef* out, std::size_t max) {
 std::uint64_t AddressSpace::allocate(std::uint64_t bytes) {
   const std::uint64_t base = next_;
   const std::uint64_t lines = region_lines(bytes == 0 ? 1 : bytes);
+  // Every line handed out stays below kLineLimit, so caches keep 32-bit
+  // tags without checking each access.
+  SIMPROF_EXPECTS(lines <= kLineLimit - next_ / kLineBytes,
+                  "address space exhausted: line addresses must stay below "
+                  "2^32 - 1");
   next_ += lines * kLineBytes;
   return base;
 }

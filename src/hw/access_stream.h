@@ -86,6 +86,8 @@ class AccessStream {
 class AddressSpace {
  public:
   /// Reserve `bytes` (rounded up to a line) and return the base address.
+  /// Throws ContractViolation rather than hand out a line at or above
+  /// kLineLimit.
   std::uint64_t allocate(std::uint64_t bytes);
 
   std::uint64_t bytes_allocated() const { return next_; }

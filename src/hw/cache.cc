@@ -1,7 +1,5 @@
 #include "hw/cache.h"
 
-#include <algorithm>
-#include <bit>
 #include <string>
 
 #include "support/serialize.h"
@@ -9,43 +7,27 @@
 namespace simprof::hw {
 
 Cache::Cache(const CacheConfig& cfg)
-    : cfg_(cfg),
-      sets_(cfg.num_sets()),
-      effective_ways_(cfg.ways),
-      ways_(sets_ * cfg.ways, kInvalid) {
-  // save_state stores each set's occupancy in one byte.
-  SIMPROF_EXPECTS(cfg.ways <= 255, "cache has more than 255 ways");
+    : cfg_(cfg), sets_(cfg.num_sets()), effective_ways_(cfg.ways) {
+  // access() compares 16 tag lanes and ages ways in 16 byte lanes.
+  SIMPROF_EXPECTS(cfg.ways <= kMaxWays, "cache has more than 16 ways");
   // access() indexes sets with a mask.
   SIMPROF_EXPECTS(std::has_single_bit(sets_),
                   "cache set count must be a power of two");
+  tags_.resize(sets_);
+  ages_.resize(sets_);
+  flush();
 }
 
-bool Cache::access(LineAddr line) {
-  const std::size_t set = static_cast<std::size_t>(line & (sets_ - 1));
-  LineAddr* base = ways_.data() + set * cfg_.ways;
-
-  // Search MRU→LRU; only the first effective_ways_ slots count as resident.
-  for (std::uint32_t i = 0; i < cfg_.ways; ++i) {
-    if (base[i] != line) continue;
-    const bool hit = i < effective_ways_;
-    // Move to MRU position: shift the i more recent lines down one way.
-    std::copy_backward(base, base + i, base + i + 1);
-    base[0] = line;
-    if (hit) {
-      ++stats_.hits;
-    } else {
-      ++stats_.misses;  // present but outside the pressured capacity
-    }
-    return hit;
+void Cache::flush() {
+  TagLanes empty;
+  std::fill(std::begin(empty.tag), std::end(empty.tag), kEmptyTag);
+  AgeLanes identity;
+  for (std::uint32_t w = 0; w < kMaxWays; ++w) {
+    identity.age[w] = w < cfg_.ways ? static_cast<std::uint8_t>(w) : kPadAge;
   }
-  // Miss: insert at MRU, shifting everything down (LRU way falls off).
-  std::copy_backward(base, base + cfg_.ways - 1, base + cfg_.ways);
-  base[0] = line;
-  ++stats_.misses;
-  return false;
+  std::fill(tags_.begin(), tags_.end(), empty);
+  std::fill(ages_.begin(), ages_.end(), identity);
 }
-
-void Cache::flush() { std::fill(ways_.begin(), ways_.end(), kInvalid); }
 
 void Cache::save_state(BinaryWriter& w) const {
   w.u64(cfg_.size_bytes);
@@ -55,16 +37,20 @@ void Cache::save_state(BinaryWriter& w) const {
   // restore must bring the counters' source of truth back too.
   w.u64(stats_.hits);
   w.u64(stats_.misses);
-  // Occupancy, then the occupied tags. A set's count runs to its last valid
-  // way, so the encoding stays lossless even if a hole ever appeared.
+  // Occupancy, then the occupied tags in MRU order (rebuilt from the ages).
+  // A set's count runs to its last valid way; empty ways are always the
+  // oldest, so the count is the number of valid ways.
   std::string counts(sets_, '\0');
   std::vector<LineAddr> tags;
+  std::uint32_t mru[kMaxWays] = {};
   for (std::size_t set = 0; set < sets_; ++set) {
-    const LineAddr* base = ways_.data() + set * cfg_.ways;
+    for (std::uint32_t way = 0; way < cfg_.ways; ++way) {
+      mru[ages_[set].age[way]] = tags_[set].tag[way];
+    }
     std::uint32_t n = cfg_.ways;
-    while (n > 0 && base[n - 1] == kInvalid) --n;
+    while (n > 0 && mru[n - 1] == kEmptyTag) --n;
     counts[set] = static_cast<char>(n);
-    tags.insert(tags.end(), base, base + n);
+    tags.insert(tags.end(), mru, mru + n);
   }
   w.str(counts);
   w.vec_u64(tags);
@@ -106,15 +92,22 @@ void Cache::load_state(BinaryReader& r) {
   if (total < tags.size()) {
     throw SerializeError("corrupt archive: trailing cache tags");
   }
+  for (const LineAddr tag : tags) {
+    if (tag >= kLineLimit) {
+      throw SerializeError("corrupt archive: cache tag beyond the 32-bit "
+                           "line space");
+    }
+  }
   effective_ways_ = eff;
   stats_ = stats;
+  // The archive lists each set in MRU order, and flush() gives way i age i.
+  flush();
   const LineAddr* next = tags.data();
   for (std::size_t set = 0; set < sets_; ++set) {
-    LineAddr* base = ways_.data() + set * cfg_.ways;
     const auto n = static_cast<unsigned char>(counts[set]);
-    std::copy(next, next + n, base);
-    std::fill(base + n, base + cfg_.ways, kInvalid);
-    next += n;
+    for (unsigned way = 0; way < n; ++way) {
+      tags_[set].tag[way] = static_cast<std::uint32_t>(*next++);
+    }
   }
 }
 

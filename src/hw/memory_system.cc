@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "support/assert.h"
-
 namespace simprof::hw {
 
 PmuCounters PmuCounters::delta_since(const PmuCounters& earlier) const {
@@ -18,34 +16,21 @@ PmuCounters PmuCounters::delta_since(const PmuCounters& earlier) const {
   return d;
 }
 
-MemorySystem::MemorySystem(const MemorySystemConfig& cfg) : cfg_(cfg) {
+MemorySystem::MemorySystem(const MemorySystemConfig& cfg)
+    : cfg_(cfg), llc_(cfg.llc) {
   SIMPROF_EXPECTS(cfg.num_cores > 0, "need at least one core");
   l1_.reserve(cfg.num_cores);
   l2_.reserve(cfg.num_cores);
   for (std::uint32_t c = 0; c < cfg.num_cores; ++c) {
-    l1_.push_back(std::make_unique<Cache>(cfg.l1));
-    l2_.push_back(std::make_unique<Cache>(cfg.l2));
+    l1_.emplace_back(cfg.l1);
+    l2_.emplace_back(cfg.l2);
   }
-  llc_ = std::make_unique<Cache>(cfg.llc);
-}
-
-MemorySystem::AccessOutcome MemorySystem::access_outcome(std::uint32_t core,
-                                                         const MemRef& ref) {
-  SIMPROF_EXPECTS(core < l1_.size(), "core out of range");
-  const CostModel& c = cfg_.cost;
-  if (l1_[core]->access(ref.line)) return {c.l1_hit_cycles, AccessLevel::kL1};
-  if (l2_[core]->access(ref.line)) return {c.l2_hit_cycles, AccessLevel::kL2};
-  if (llc_->access(ref.line)) return {c.llc_hit_cycles, AccessLevel::kLlc};
-  return ref.prefetchable
-             ? AccessOutcome{c.dram_prefetched_cycles,
-                             AccessLevel::kDramPrefetched}
-             : AccessOutcome{c.dram_cycles, AccessLevel::kDram};
 }
 
 void MemorySystem::migrate(std::uint32_t core) {
   SIMPROF_EXPECTS(core < l1_.size(), "core out of range");
-  l1_[core]->flush();
-  l2_[core]->flush();
+  l1_[core].flush();
+  l2_[core].flush();
 }
 
 void MemorySystem::set_llc_pressure(std::uint32_t busy) {
@@ -56,7 +41,7 @@ void MemorySystem::set_llc_pressure(std::uint32_t busy) {
   const double b = busy == 0 ? 1.0 : static_cast<double>(busy);
   const auto eff = static_cast<std::uint32_t>(
       static_cast<double>(cfg_.llc.ways) / std::sqrt(b));
-  llc_->set_effective_ways(eff == 0 ? 1 : eff);
+  llc_.set_effective_ways(eff == 0 ? 1 : eff);
 }
 
 }  // namespace simprof::hw

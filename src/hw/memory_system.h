@@ -9,12 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "hw/access_stream.h"
 #include "hw/cache.h"
 #include "hw/mav.h"
+#include "support/assert.h"
 
 namespace simprof::hw {
 
@@ -79,10 +79,21 @@ class MemorySystem {
   };
 
   /// Replay one reference for `core`; returns the cost and serving level.
-  AccessOutcome access_outcome(std::uint32_t core, const MemRef& ref);
+  /// The hot path: `core` is not range-checked (callers hold a valid one).
+  AccessOutcome access_outcome(std::uint32_t core, const MemRef& ref) {
+    const CostModel& c = cfg_.cost;
+    if (l1_[core].access(ref.line)) return {c.l1_hit_cycles, AccessLevel::kL1};
+    if (l2_[core].access(ref.line)) return {c.l2_hit_cycles, AccessLevel::kL2};
+    if (llc_.access(ref.line)) return {c.llc_hit_cycles, AccessLevel::kLlc};
+    return ref.prefetchable
+               ? AccessOutcome{c.dram_prefetched_cycles,
+                               AccessLevel::kDramPrefetched}
+               : AccessOutcome{c.dram_cycles, AccessLevel::kDram};
+  }
 
   /// Replay one reference for `core`; returns the cycle cost of the touch.
   double access(std::uint32_t core, const MemRef& ref) {
+    SIMPROF_EXPECTS(core < l1_.size(), "core out of range");
     return access_outcome(core, ref).cycles;
   }
 
@@ -92,20 +103,20 @@ class MemorySystem {
   /// `busy` cores are concurrently active → each gets llc_ways/busy ways.
   void set_llc_pressure(std::uint32_t busy);
 
-  const Cache& l1(std::uint32_t core) const { return *l1_.at(core); }
-  const Cache& l2(std::uint32_t core) const { return *l2_.at(core); }
-  const Cache& llc() const { return *llc_; }
+  const Cache& l1(std::uint32_t core) const { return l1_.at(core); }
+  const Cache& l2(std::uint32_t core) const { return l2_.at(core); }
+  const Cache& llc() const { return llc_; }
 
   /// Mutable access for checkpoint restore (core/checkpoint.cc).
-  Cache& l1(std::uint32_t core) { return *l1_.at(core); }
-  Cache& l2(std::uint32_t core) { return *l2_.at(core); }
-  Cache& llc() { return *llc_; }
+  Cache& l1(std::uint32_t core) { return l1_.at(core); }
+  Cache& l2(std::uint32_t core) { return l2_.at(core); }
+  Cache& llc() { return llc_; }
 
  private:
   MemorySystemConfig cfg_;
-  std::vector<std::unique_ptr<Cache>> l1_;
-  std::vector<std::unique_ptr<Cache>> l2_;
-  std::unique_ptr<Cache> llc_;
+  std::vector<Cache> l1_;
+  std::vector<Cache> l2_;
+  Cache llc_;
 };
 
 }  // namespace simprof::hw

@@ -31,14 +31,23 @@ class ZipfSampler {
 
   /// The rank a draw of u ∈ [0, 1) maps to: the first k with cdf()[k] ≥ u.
   std::size_t rank_at(double u) const {
-    // m is a power of two, so u·m is exact and its floor is the bucket j
-    // with j/m ≤ u < (j+1)/m, j < m. The CDF is monotone, hence the first
-    // entry ≥ u lies in [guide_[j], guide_[j+1]].
-    const auto j = static_cast<std::size_t>(u * bucket_scale_);
+    // The CDF is monotone, hence the first entry ≥ u lies in
+    // [guide_[j], guide_[j+1]] for u's bucket j.
+    const std::size_t j = bucket(u);
     const double* first = cdf_.data() + guide_[j];
     const double* last = cdf_.data() + guide_[j + 1];
     return static_cast<std::size_t>(std::lower_bound(first, last, u) -
                                     cdf_.data());
+  }
+
+  /// Cache hints for a later rank_at(u), for callers that know their draws
+  /// ahead of time: first the guide entry of u's bucket, then (once that
+  /// entry is cached) the first CDF entry the search reads.
+  void prefetch_guide(double u) const {
+    __builtin_prefetch(guide_.data() + bucket(u));
+  }
+  void prefetch_cdf(double u) const {
+    __builtin_prefetch(cdf_.data() + guide_[bucket(u)]);
   }
 
   /// Expected probability of a given rank (for tests).
@@ -48,6 +57,12 @@ class ZipfSampler {
   const std::vector<double>& cdf() const { return cdf_; }
 
  private:
+  /// m is a power of two, so u·m is exact and its floor is the bucket j
+  /// with j/m ≤ u < (j+1)/m, j < m.
+  std::size_t bucket(double u) const {
+    return static_cast<std::size_t>(u * bucket_scale_);
+  }
+
   double s_ = 1.0;
   double norm_ = 1.0;
   double bucket_scale_ = 1.0;  ///< m, the bucket count (a power of two ≥ n)

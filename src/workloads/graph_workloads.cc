@@ -33,8 +33,8 @@ std::shared_ptr<const Graph> load_graph(const WorkloadParams& p,
 }
 
 std::uint64_t label_checksum(const std::vector<VertexId>& labels) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (VertexId l : labels) h = (h ^ l) * 0x100000001b3ULL;
+  std::uint64_t h = detail::kFnvOffset;
+  for (VertexId l : labels) h = detail::fnv_mix(h, l);
   return h;
 }
 

@@ -1,5 +1,6 @@
 #include "workloads/workloads.h"
 
+#include "data/text.h"
 #include "support/assert.h"
 
 namespace simprof::workloads {
@@ -49,6 +50,23 @@ TextScale text_scale(double scale) {
       (scale >= 1.0 ? 1.0 : (0.25 + 0.75 * scale)));
   if (vocab < 4'096) vocab = 4'096;
   return TextScale{words, vocab};
+}
+
+data::TextConfig corpus_config(const WorkloadParams& p,
+                               std::uint32_t num_classes) {
+  const auto ts = text_scale(p.scale);
+  data::TextConfig cfg;
+  cfg.num_words = ts.num_words;
+  cfg.vocabulary = ts.vocabulary;
+  cfg.zipf_skew = 1.0;
+  cfg.mean_doc_words = 160;
+  cfg.seed = p.seed;
+  cfg.num_classes = num_classes;
+  // Labeled corpora (NaiveBayes) halve the vocabulary: the model key space
+  // is classes × words, and the full vocabulary would make the combiner
+  // working set unrealistically exceed memory at this scale.
+  if (num_classes > 0) cfg.vocabulary /= 2;
+  return cfg;
 }
 
 }  // namespace detail

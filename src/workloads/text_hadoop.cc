@@ -15,26 +15,9 @@ namespace {
 using data::TextCorpus;
 using data::WordId;
 
-data::TextConfig corpus_config(const WorkloadParams& p,
-                               std::uint32_t num_classes = 0) {
-  const auto ts = detail::text_scale(p.scale);
-  data::TextConfig cfg;
-  cfg.num_words = ts.num_words;
-  cfg.vocabulary = ts.vocabulary;
-  cfg.zipf_skew = 1.0;
-  cfg.mean_doc_words = 160;
-  cfg.seed = p.seed;
-  cfg.num_classes = num_classes;
-  // Labeled corpora (NaiveBayes) halve the vocabulary: the model key space
-  // is classes × words, and the full vocabulary would make the combiner
-  // working set unrealistically exceed memory at this scale.
-  if (num_classes > 0) cfg.vocabulary /= 2;
-  return cfg;
-}
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  return (h ^ v) * 0x100000001b3ULL;
-}
+using detail::corpus_config;
+using detail::fnv_mix;
+using detail::kFnvOffset;
 
 std::vector<hadoop::InputSplit<std::uint64_t>> doc_splits(
     const TextCorpus& corpus, std::size_t num_splits) {
@@ -77,7 +60,7 @@ WorkloadResult run_wordcount_hadoop(exec::Cluster& cluster,
 
   WorkloadResult res;
   res.records_out = out.size();
-  std::uint64_t total = 0, h = 0xcbf29ce484222325ULL;
+  std::uint64_t total = 0, h = kFnvOffset;
   for (const auto& [w, c] : out) {
     total += c;
     h = fnv_mix(h, (static_cast<std::uint64_t>(w) << 32) | c);
@@ -119,7 +102,7 @@ WorkloadResult run_sort_hadoop(exec::Cluster& cluster,
 
   WorkloadResult res;
   res.records_out = out.size();
-  std::uint64_t total = 0, h = 0xcbf29ce484222325ULL;
+  std::uint64_t total = 0, h = kFnvOffset;
   for (const auto& [w, c] : out) {
     total += c;
     h = fnv_mix(h, w);
@@ -222,7 +205,7 @@ WorkloadResult run_bayes_hadoop(exec::Cluster& cluster,
 
   WorkloadResult res;
   res.records_out = out.size();
-  std::uint64_t total = 0, h = 0xcbf29ce484222325ULL;
+  std::uint64_t total = 0, h = kFnvOffset;
   for (const auto& [k, c] : out) {
     total += c;
     h = fnv_mix(h, k * 31 + c);

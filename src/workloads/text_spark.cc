@@ -16,26 +16,9 @@ using data::WordId;
 using spark::OpCost;
 using spark::RddPtr;
 
-data::TextConfig corpus_config(const WorkloadParams& p,
-                               std::uint32_t num_classes = 0) {
-  const auto ts = detail::text_scale(p.scale);
-  data::TextConfig cfg;
-  cfg.num_words = ts.num_words;
-  cfg.vocabulary = ts.vocabulary;
-  cfg.zipf_skew = 1.0;
-  cfg.mean_doc_words = 160;
-  cfg.seed = p.seed;
-  cfg.num_classes = num_classes;
-  // Labeled corpora (NaiveBayes) halve the vocabulary: the model key space
-  // is classes × words, and the full vocabulary would make the combiner
-  // working set unrealistically exceed memory at this scale.
-  if (num_classes > 0) cfg.vocabulary /= 2;
-  return cfg;
-}
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  return (h ^ v) * 0x100000001b3ULL;
-}
+using detail::corpus_config;
+using detail::fnv_mix;
+using detail::kFnvOffset;
 
 /// docs → words pipeline shared by wc/sort/bayes.
 RddPtr<WordId> tokenized_words(spark::SparkContext& sc,
@@ -74,7 +57,7 @@ WorkloadResult run_wordcount_spark(exec::Cluster& cluster,
   res.records_out = spark::save_as_text_file(counts, /*record_bytes=*/14.0);
   // Functional digest: total count must equal the corpus word count.
   auto collected = spark::collect(counts);
-  std::uint64_t total = 0, h = 0xcbf29ce484222325ULL;
+  std::uint64_t total = 0, h = kFnvOffset;
   for (const auto& [w, c] : collected) {
     total += c;
     h = fnv_mix(h, (static_cast<std::uint64_t>(w) << 32) | c);
@@ -108,7 +91,7 @@ WorkloadResult run_sort_spark(exec::Cluster& cluster,
   auto out = spark::collect(sorted);
   res.records_out = out.size();
   SIMPROF_ASSERT(out.size() == corpus.words().size(), "sort dropped records");
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = kFnvOffset;
   WordId prev = 0;
   bool is_sorted = true;
   // Partitions are range-contiguous, so the concatenation must be sorted.
@@ -200,7 +183,7 @@ WorkloadResult run_bayes_spark(exec::Cluster& cluster,
 
   WorkloadResult res;
   auto counts = spark::collect(model);
-  std::uint64_t total = 0, h = 0xcbf29ce484222325ULL;
+  std::uint64_t total = 0, h = kFnvOffset;
   for (const auto& [k, c] : counts) {
     total += c;
     h = fnv_mix(h, k * 31 + c);

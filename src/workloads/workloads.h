@@ -15,6 +15,10 @@
 
 #include "exec/cluster.h"
 
+namespace simprof::data {
+struct TextConfig;
+}  // namespace simprof::data
+
 namespace simprof::workloads {
 
 enum class Framework { kSpark, kHadoop };
@@ -73,6 +77,18 @@ struct TextScale {
   std::uint32_t vocabulary;
 };
 TextScale text_scale(double scale);
+
+/// The text corpus every text workload of `p` reads; `num_classes` > 0
+/// labels it for NaiveBayes (and halves the vocabulary).
+data::TextConfig corpus_config(const WorkloadParams& p,
+                               std::uint32_t num_classes = 0);
+
+/// FNV-1a-style step of the workloads' functional checksums (one whole
+/// value per step, not one byte).
+inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+inline std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * 0x100000001b3ULL;
+}
 }  // namespace detail
 
 }  // namespace simprof::workloads

@@ -17,6 +17,7 @@
 #include "core/lab.h"
 #include "obs/obs.h"
 #include "support/serialize.h"
+#include "test_util.h"
 
 namespace simprof::core {
 namespace {
@@ -52,6 +53,46 @@ std::string profile_bytes(const ThreadProfile& p) {
 
 std::uint64_t counter_value(const char* name) {
   return obs::metrics().counter(name).value();
+}
+
+// Pins the cache hierarchy and the MAV tracker end to end: an FNV-1a
+// digest of every unit's PMU counters and MAV block for three configs at
+// scale 0.05, seed 42, recorded before the cache kernel moved to per-set age
+// vectors. A divergence of any cache level or of the tracker shows here
+// without the scale-1 golden profiles.
+TEST(HierarchyPin, UnitCountersAndMavsMatchTheRecordedDigests) {
+  const struct {
+    const char* workload;
+    std::uint64_t digest;
+  } pins[] = {
+      {"wc_sp", 0x6554c6ae3b0360efULL},
+      {"sort_hp", 0x3ba67cbb40639ef7ULL},
+      {"cc_sp", 0x4853f1577b91f961ULL},
+  };
+  ScratchDir dir;
+  LabConfig cfg;
+  cfg.scale = 0.05;
+  cfg.seed = 42;
+  cfg.cache_dir = dir.c_str();
+  cfg.use_cache = false;
+  cfg.checkpoint_stride = 0;
+  WorkloadLab lab(cfg);
+  for (const auto& pin : pins) {
+    const ThreadProfile profile = lab.run(pin.workload).profile;
+    std::uint64_t h = testing::kFnv1aOffset;
+    for (const UnitRecord& u : profile.units) {
+      const hw::PmuCounters& c = u.counters;
+      for (const std::uint64_t v :
+           {c.instructions, c.cycles, c.line_touches, c.l1_misses,
+            c.l2_misses, c.llc_misses, c.migrations}) {
+        h = testing::fnv1a_mix(h, v);
+      }
+      for (const std::uint64_t v : u.mav.counts) h = testing::fnv1a_mix(h, v);
+    }
+    EXPECT_GT(profile.units.size(), 10u) << pin.workload;
+    EXPECT_EQ(h, pin.digest) << pin.workload << " (" << profile.units.size()
+                             << " units)" << std::hex << " got 0x" << h;
+  }
 }
 
 TEST(LabBatch, EmptyBatchIsANoOp) {

@@ -12,6 +12,7 @@
 #include "data/text.h"
 #include "support/assert.h"
 #include "support/rng.h"
+#include "test_util.h"
 
 namespace simprof::data {
 namespace {
@@ -23,6 +24,43 @@ TextConfig tiny_text() {
   cfg.mean_doc_words = 50;
   cfg.seed = 9;
   return cfg;
+}
+
+// Byte identity of corpus synthesis: an FNV-1a digest over words, document
+// offsets, labels and the modeled byte size, at three seeds with and without
+// class labels. The digests were recorded before synthesis took each
+// document's draws up front, so any change to the draw order, the Zipf
+// inversion or the class-band shift shows here.
+TEST(TextCorpus, DigestsArePinnedAcrossSeedsAndClasses) {
+  struct Pin {
+    std::uint64_t seed;
+    std::uint32_t classes;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {1, 0, 0xae2dea73ee0b4eeaULL}, {7, 0, 0x12d80ccdf20b8477ULL},
+      {42, 0, 0x0047118b87aabe6aULL}, {1, 4, 0x73b23acb49450a89ULL},
+      {7, 4, 0xc9be5488f0a17c51ULL},  {42, 4, 0xd0aad90db58297baULL},
+  };
+  for (const Pin& pin : pins) {
+    TextConfig cfg;
+    cfg.num_words = 50'000;
+    cfg.vocabulary = 1 << 14;
+    cfg.zipf_skew = 1.0;
+    cfg.mean_doc_words = 160;
+    cfg.seed = pin.seed;
+    cfg.num_classes = pin.classes;
+    const TextCorpus c = TextCorpus::synthesize(cfg);
+    std::uint64_t h = testing::kFnv1aOffset;
+    for (const WordId w : c.words()) h = testing::fnv1a_mix(h, w);
+    for (const std::uint64_t o : c.doc_offsets()) h = testing::fnv1a_mix(h, o);
+    for (std::size_t d = 0; d < c.num_docs(); ++d) {
+      h = testing::fnv1a_mix(h, c.label(d));
+    }
+    h = testing::fnv1a_mix(h, c.total_bytes());
+    EXPECT_EQ(h, pin.digest) << "seed " << pin.seed << " classes "
+                             << pin.classes << std::hex << " got 0x" << h;
+  }
 }
 
 TEST(TextCorpus, ExactWordCountAndDocPartition) {

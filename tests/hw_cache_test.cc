@@ -2,9 +2,17 @@
 // semantics, pressure-partitioned LLC, migration flushes and cost charging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "hw/access_stream.h"
 #include "hw/cache.h"
 #include "hw/memory_system.h"
 #include "support/assert.h"
+#include "support/rng.h"
+#include "support/serialize.h"
 
 namespace simprof::hw {
 namespace {
@@ -87,6 +95,29 @@ TEST(Cache, RejectsDegenerateGeometry) {
   // 3 sets of 4 ways: set indexing masks, so the set count must be a power
   // of two.
   EXPECT_THROW(Cache(CacheConfig{3 * 4 * kLineBytes, 4}), ContractViolation);
+}
+
+TEST(Cache, MoreThanSixteenWaysRejected) {
+  EXPECT_NO_THROW(Cache(CacheConfig{16 * 2 * kLineBytes, 16}));
+  EXPECT_THROW(Cache(CacheConfig{17 * 2 * kLineBytes, 17}),
+               ContractViolation);
+}
+
+TEST(AddressSpace, RefusesLinesBeyondThe32BitLineSpace) {
+  // The bump allocator only counts; no memory is reserved.
+  AddressSpace space;  // line 0 is the unused sentinel
+  const std::uint64_t last = kLineLimit - 1;  // the highest legal line
+  EXPECT_EQ(space.allocate((last - 1) * kLineBytes), kLineBytes);
+  EXPECT_EQ(space.allocate(1), last * kLineBytes);
+  EXPECT_EQ(space.bytes_allocated(), kLineLimit * kLineBytes);
+  EXPECT_THROW(space.allocate(1), ContractViolation);
+  EXPECT_EQ(space.bytes_allocated(), kLineLimit * kLineBytes);
+
+  AddressSpace huge;
+  EXPECT_THROW(huge.allocate(kLineLimit * kLineBytes), ContractViolation);
+  EXPECT_THROW(huge.allocate(~std::uint64_t{0} - kLineBytes),
+               ContractViolation);
+  EXPECT_EQ(huge.bytes_allocated(), kLineBytes);
 }
 
 TEST(CacheStats, MissRate) {
@@ -219,6 +250,131 @@ TEST_P(LruProperty, CyclicThrashAndFit) {
 
 INSTANTIATE_TEST_SUITE_P(Associativities, LruProperty,
                          ::testing::Values(1, 2, 4, 8, 16));
+
+/// Reference model: the MRU-ordered way arrays the age-vector kernel
+/// replaced. ways_[set * ways + i] is the set's i-th most recently used
+/// line; an empty way holds kInvalid, and empty ways form a suffix.
+class MruArrayCache {
+ public:
+  explicit MruArrayCache(const CacheConfig& cfg)
+      : cfg_(cfg),
+        sets_(cfg.num_sets()),
+        eff_(cfg.ways),
+        ways_(sets_ * cfg.ways, kInvalid) {}
+
+  bool access(LineAddr line) {
+    LineAddr* base = ways_.data() + (line & (sets_ - 1)) * cfg_.ways;
+    std::uint32_t i = 0;
+    while (i < cfg_.ways && base[i] != line) ++i;
+    const bool hit = i < eff_;  // i == ways on a miss: the LRU way falls off
+    std::copy_backward(base, base + std::min(i, cfg_.ways - 1),
+                       base + std::min(i, cfg_.ways - 1) + 1);
+    base[0] = line;
+    ++(hit ? stats_.hits : stats_.misses);
+    return hit;
+  }
+  void flush() { std::fill(ways_.begin(), ways_.end(), kInvalid); }
+  void set_effective_ways(std::uint32_t w) {
+    eff_ = std::clamp<std::uint32_t>(w, 1, cfg_.ways);
+  }
+  const CacheStats& stats() const { return stats_; }
+
+  /// The archive section Cache::save_state writes for this state.
+  std::string state_bytes() const {
+    std::ostringstream out(std::ios::binary);
+    BinaryWriter w(out);
+    w.u64(cfg_.size_bytes);
+    w.u32(cfg_.ways);
+    w.u32(eff_);
+    w.u64(stats_.hits);
+    w.u64(stats_.misses);
+    std::string counts(sets_, '\0');
+    std::vector<LineAddr> tags;
+    for (std::size_t set = 0; set < sets_; ++set) {
+      const LineAddr* base = ways_.data() + set * cfg_.ways;
+      std::uint32_t n = cfg_.ways;
+      while (n > 0 && base[n - 1] == kInvalid) --n;
+      counts[set] = static_cast<char>(n);
+      tags.insert(tags.end(), base, base + n);
+    }
+    w.str(counts);
+    w.vec_u64(tags);
+    return out.str();
+  }
+
+ private:
+  static constexpr LineAddr kInvalid = ~LineAddr{0};
+  CacheConfig cfg_;
+  std::size_t sets_;
+  std::uint32_t eff_;
+  std::vector<LineAddr> ways_;
+  CacheStats stats_;
+};
+
+std::string saved_state(const Cache& c) {
+  std::ostringstream out(std::ios::binary);
+  BinaryWriter w(out);
+  c.save_state(w);
+  return out.str();
+}
+
+class CacheDifferential : public ::testing::TestWithParam<std::uint32_t> {};
+
+// Drives the kernel and the reference model with one seeded stream —
+// a hot region that mostly fits, a cold one that thrashes, pressure changes,
+// flushes and a save → load round trip mid-stream — and requires identical
+// hit/miss sequences, statistics and archive bytes throughout.
+TEST_P(CacheDifferential, MatchesTheMruArrayModel) {
+  const std::uint32_t ways = GetParam();
+  const CacheConfig cfg{8 * ways * kLineBytes, ways};  // 8 sets
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Cache cache(cfg);
+    MruArrayCache ref(cfg);
+    const std::uint64_t hot = 8 * ways + 3;
+    std::uint64_t hits = 0;
+    for (std::uint32_t step = 0; step < 30'000; ++step) {
+      const std::uint64_t op = rng.next_below(1000);
+      if (op < 4) {
+        const auto w = static_cast<std::uint32_t>(rng.next_below(ways + 2));
+        cache.set_effective_ways(w);
+        ref.set_effective_ways(w);
+        ASSERT_EQ(cache.effective_ways(), std::clamp<std::uint32_t>(w, 1, ways));
+      } else if (op < 5) {
+        cache.flush();
+        ref.flush();
+      }
+      if (step == 15'000) {
+        // Restore the reference model's archive into a differently warmed
+        // cache and carry on with the restored one.
+        Cache restored(cfg);
+        for (LineAddr l = 0; l < 500; ++l) restored.access(l * 11 + 7);
+        std::istringstream in(ref.state_bytes(), std::ios::binary);
+        BinaryReader r(in);
+        restored.load_state(r);
+        cache = restored;
+      }
+      const LineAddr line = rng.next_bool(0.8)
+                                ? rng.next_below(hot)
+                                : hot + rng.next_below(64 * ways);
+      const bool hit = cache.access(line);
+      ASSERT_EQ(hit, ref.access(line)) << "step " << step << " line " << line;
+      hits += hit ? 1 : 0;
+      if (step % 1000 == 999) {
+        ASSERT_EQ(saved_state(cache), ref.state_bytes()) << "step " << step;
+      }
+    }
+    EXPECT_EQ(cache.stats().hits, ref.stats().hits);
+    EXPECT_EQ(cache.stats().misses, ref.stats().misses);
+    EXPECT_EQ(saved_state(cache), ref.state_bytes());
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(cache.stats().misses, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Associativities, CacheDifferential,
+                         ::testing::Values(1, 2, 3, 4, 8, 16));
 
 }  // namespace
 }  // namespace simprof::hw

@@ -177,6 +177,27 @@ TEST(CacheState, CorruptArchiveNeverHalfRestores) {
   }
 }
 
+TEST(CacheState, TagsBeyondThe32BitLineSpaceThrowSerializeError) {
+  const CacheConfig cfg{2048, 2};  // 16 sets of 2 ways
+  std::string counts(16, '\0');
+  counts[14] = 1;
+  {
+    // The highest legal line loads and hits.
+    Cache ok(cfg);
+    load_cache(ok, state_bytes(cfg, counts, {kLineLimit - 1}));
+    EXPECT_TRUE(ok.access(kLineLimit - 1));
+  }
+  for (const LineAddr bad : {kLineLimit, LineAddr{1} << 40, ~LineAddr{0}}) {
+    SCOPED_TRACE(bad);
+    Cache b(cfg);
+    for (LineAddr l = 0; l < 8; ++l) b.access(l);
+    const std::string before = cache_bytes(b);
+    EXPECT_THROW(load_cache(b, state_bytes(cfg, counts, {bad})),
+                 SerializeError);
+    EXPECT_EQ(cache_bytes(b), before);
+  }
+}
+
 /// Deterministic two-stage workload; stage 2 resumes mid-unit so the restore
 /// point sits inside a sampling unit's accounting.
 void run_stage_one(exec::Cluster& cluster) {

@@ -92,6 +92,16 @@ inline exec::ClusterConfig tiny_cluster_config(std::uint64_t seed = 42) {
   return cfg;
 }
 
+/// One FNV-1a step per byte of `v`, least significant byte first.
+inline std::uint64_t fnv1a_mix(std::uint64_t hash, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (v >> (8 * i)) & 0xff;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
+
 /// FNV-1a digest of every chunk the profiled core executes: instructions,
 /// each reference's line and flags, and the live frames.
 class ChunkDigest final : public exec::OpTapeSink {
@@ -109,16 +119,11 @@ class ChunkDigest final : public exec::OpTapeSink {
     ++chunks;
   }
   void on_boundary_rng(std::uint64_t, const RngState&) override {}
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::uint64_t hash = kFnv1aOffset;
   std::uint64_t chunks = 0;
 
  private:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (v >> (8 * i)) & 0xff;
-      hash *= 0x100000001b3ULL;
-    }
-  }
+  void mix(std::uint64_t v) { hash = fnv1a_mix(hash, v); }
 };
 
 }  // namespace simprof::testing
