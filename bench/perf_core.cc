@@ -3,10 +3,12 @@
 // silhouette scoring, feature selection, cache-model throughput, profiling
 // overhead (the paper claims a negligible slowdown at the 10M-instruction
 // snapshot interval), pipeline flushing on profiled and non-profiled cores,
-// the MAV tracker, MiniHadoop's sort and merge kernels and sampling-plan
+// the MAV tracker, the engines' functional kernels (the shared radix sort
+// and merge, the Spark combiner's drain, the CSR build) and sampling-plan
 // construction.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -22,11 +24,12 @@
 #include "hw/access_stream.h"
 #include "hw/mav.h"
 #include "hw/memory_system.h"
-#include "minihadoop/sort.h"
+#include "minispark/combiner.h"
 #include "stats/feature_select.h"
 #include "stats/kmeans.h"
 #include "stats/silhouette.h"
 #include "support/rng.h"
+#include "support/sort.h"
 
 namespace {
 
@@ -257,20 +260,30 @@ std::vector<KeyValue> zipf_pairs(std::size_t n, Rng& rng) {
   return v;
 }
 
+// The shared radix sort over 2^19 pairs whose keys are exactly
+// state.range(0) bits wide: Zipf-drawn ranks, scrambled into that width.
+// sort_hp's word ids are 18 bits (two passes), 32 and 64 take three and six.
 void BM_SortByKey(benchmark::State& state) {
   Rng rng(3);
-  const auto input = zipf_pairs(1 << 19, rng);
-  std::vector<KeyValue> work;
+  const auto width = static_cast<unsigned>(state.range(0));
+  const std::uint64_t mask = width == 64 ? ~0ull : (1ull << width) - 1;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> input;
+  for (const KeyValue& kv : zipf_pairs(1 << 19, rng)) {
+    input.emplace_back((kv.first * 0x9e3779b97f4a7c15ull) & mask, kv.second);
+  }
+  input[0].first |= 1ull << (width - 1);
+  auto work = input;
   for (auto _ : state) {
     state.PauseTiming();
     work = input;
     state.ResumeTiming();
-    hadoop::sort_by_key(work);
+    support::sort_by_key(work);
     benchmark::DoNotOptimize(work.data());
   }
   state.SetItemsProcessed(state.iterations() * input.size());
 }
-BENCHMARK(BM_SortByKey)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SortByKey)->Arg(16)->Arg(18)->Arg(32)->Arg(64)
+    ->Unit(benchmark::kMillisecond);
 
 // The reduce-side merge: 24 sorted segments of 2^14 pairs each, collected
 // into a vector.
@@ -279,19 +292,73 @@ void BM_MergeByKey(benchmark::State& state) {
   std::vector<std::vector<KeyValue>> runs;
   for (int r = 0; r < 24; ++r) {
     runs.push_back(zipf_pairs(1 << 14, rng));
-    hadoop::sort_by_key(runs.back());
+    support::sort_by_key(runs.back());
   }
   const std::vector<std::span<const KeyValue>> spans(runs.begin(), runs.end());
   std::vector<KeyValue> out;
   out.reserve(24 * (1 << 14));
   for (auto _ : state) {
     out.clear();
-    hadoop::merge_by_key(spans, [&](const KeyValue& kv) { out.push_back(kv); });
+    support::merge_by_key(spans, [&](const KeyValue& kv) { out.push_back(kv); });
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * 24 * (1 << 14));
 }
 BENCHMARK(BM_MergeByKey)->Unit(benchmark::kMillisecond);
+
+// The Spark combiner's drain: 120K distinct word ids (wc_sp's map side)
+// folded from 480K records, then drained into std::unordered_map order,
+// with the map side's in.size()/4 + 16 reserve or with none.
+void BM_CombinerDrain(benchmark::State& state, bool reserve) {
+  Rng rng(6);
+  std::vector<std::uint32_t> records;
+  for (const KeyValue& kv : zipf_pairs(480000, rng)) {
+    records.push_back(kv.first * 2654435761u % 120000);
+  }
+  const auto add = [](const std::uint64_t& a, const std::uint64_t& b) {
+    return a + b;
+  };
+  const std::optional<std::size_t> map_reserve =
+      reserve ? std::optional<std::size_t>(records.size() / 4 + 16)
+              : std::nullopt;
+  std::size_t keys = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    spark::FlatCombiner<std::uint32_t, std::uint64_t> combiner(map_reserve);
+    for (const std::uint32_t k : records) combiner.add(k, 1, add);
+    keys = combiner.size();
+    state.ResumeTiming();
+    auto out = combiner.drain();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(keys));
+}
+BENCHMARK_CAPTURE(BM_CombinerDrain, reserve, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CombinerDrain, none, false)
+    ->Unit(benchmark::kMillisecond);
+
+// The CSR build of a symmetrized graph the size of cc_sp's: 2^17 vertices,
+// 16 edges each, both endpoints Zipf-skewed (duplicates and self-loops).
+void BM_GraphFromEdges(benchmark::State& state) {
+  Rng rng(8);
+  constexpr std::uint32_t kVertices = 1u << 17;
+  const auto ends = zipf_pairs(2 * 16 * kVertices, rng);
+  std::vector<data::Edge> input;
+  for (std::size_t i = 0; i + 1 < ends.size(); i += 2) {
+    input.push_back(data::Edge{ends[i].first * 2654435761u % kVertices,
+                               ends[i + 1].first * 40503u % kVertices});
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto edges = input;
+    state.ResumeTiming();
+    const auto g = data::Graph::from_edges(kVertices, std::move(edges), true);
+    benchmark::DoNotOptimize(g.num_edges());
+  }
+  state.SetItemsProcessed(state.iterations() * input.size());
+}
+BENCHMARK(BM_GraphFromEdges)->Unit(benchmark::kMillisecond);
 
 void BM_KroneckerGeneration(benchmark::State& state) {
   data::KroneckerConfig cfg;

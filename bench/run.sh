@@ -19,16 +19,18 @@ case $name in
   checkpoint) target=perf_checkpoint ;;
   estimators) target=perf_estimators ;;
   lab_pipeline) target=perf_lab ;;
+  oracle) target=perf_oracle ;;
   phase_formation)
     target=perf_core
     set -- --benchmark_filter='BM_KMeans|BM_ChooseK|BM_Silhouette|BM_FormPhases' "$@" ;;
   service) target=perf_service ;;
   streaming) target=perf_streaming ;;
-  *) echo "usage: bench/run.sh checkpoint|estimators|lab_pipeline|phase_formation|service|streaming [flags]" >&2
+  *) echo "usage: bench/run.sh checkpoint|estimators|lab_pipeline|oracle|phase_formation|service|streaming [flags]" >&2
      exit 2 ;;
 esac
 case $target in
-  perf_estimators | perf_service) set -- --log-level warn --out "$out" "$@" ;;
+  perf_estimators | perf_oracle | perf_service)
+    set -- --log-level warn --out "$out" "$@" ;;
   *) set -- --benchmark_out="$out" --benchmark_out_format=json "$@" ;;
 esac
 

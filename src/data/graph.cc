@@ -3,42 +3,61 @@
 #include <algorithm>
 #include <numeric>
 
+#include "obs/trace.h"
 #include "support/assert.h"
 
 namespace simprof::data {
 
 Graph Graph::from_edges(VertexId num_vertices, std::vector<Edge> edges,
                         bool symmetrize) {
+  obs::ObsSpan span("data.csr_build", {{"edges", edges.size()},
+                                       {"symmetrize", symmetrize}});
   Graph g;
   auto& off = g.offsets_;
   auto& nbr = g.neighbors_;
-  // Count each vertex's slots (reverse edges included), then scatter every
-  // edge into its source's slots. After the scatter off[v] is the end of
-  // v's slots, i.e. the start of v + 1's.
-  off.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
+  // Count every vertex's arcs (reverse edges included) twice: as a source,
+  // which sizes its adjacency slots, and as a target.
+  const std::size_t n = num_vertices;
+  off.assign(n + 1, 0);
+  std::vector<std::uint64_t> by_target(n + 1, 0);
   for (const Edge& e : edges) {
     SIMPROF_EXPECTS(e.src < num_vertices && e.dst < num_vertices,
                     "edge endpoint out of range");
     ++off[e.src + 1];
-    if (symmetrize && e.src != e.dst) ++off[e.dst + 1];
+    ++by_target[e.dst + 1];
+    if (symmetrize && e.src != e.dst) {
+      ++off[e.dst + 1];
+      ++by_target[e.src + 1];
+    }
   }
   std::partial_sum(off.begin(), off.end(), off.begin());
-  nbr.resize(off.back());
+  std::partial_sum(by_target.begin(), by_target.end(), by_target.begin());
+  // First scatter: group every arc's source by the arc's target. After it
+  // by_target[t] is the end of t's group.
+  std::vector<VertexId> sources(by_target.back());
   for (const Edge& e : edges) {
-    nbr[off[e.src]++] = e.dst;
-    if (symmetrize && e.src != e.dst) nbr[off[e.dst]++] = e.src;
+    sources[by_target[e.dst]++] = e.src;
+    if (symmetrize && e.src != e.dst) sources[by_target[e.src]++] = e.dst;
   }
-  std::vector<Edge>().swap(edges);  // free the edge list before compaction
+  std::vector<Edge>().swap(edges);  // free the edge list before the second
+  // Second scatter: every arc into its source's slots, targets in ascending
+  // order, so each adjacency list comes out sorted. After it off[v] is the
+  // end of v's slots, i.e. the start of v + 1's.
+  nbr.resize(off.back());
+  std::uint64_t i = 0;
+  for (VertexId t = 0; t < num_vertices; ++t) {
+    for (; i < by_target[t]; ++i) nbr[off[sources[i]]++] = t;
+  }
+  std::vector<VertexId>().swap(sources);
+  std::vector<std::uint64_t>().swap(by_target);
 
-  // Sort and deduplicate each adjacency list, compacting the lists in
-  // place toward the front (a list never moves past its own slots).
+  // Deduplicate each (sorted) adjacency list, compacting the lists in place
+  // toward the front (a list never moves past its own slots).
   std::uint64_t begin = 0, out = 0;
   for (VertexId v = 0; v < num_vertices; ++v) {
     const std::uint64_t end = off[v];
     VertexId* first = nbr.data() + begin;
-    VertexId* last = nbr.data() + end;
-    std::sort(first, last);
-    last = std::unique(first, last);
+    VertexId* last = std::unique(first, nbr.data() + end);
     off[v] = out;
     if (out != begin) std::copy(first, last, nbr.data() + out);
     out += static_cast<std::uint64_t>(last - first);

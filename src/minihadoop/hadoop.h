@@ -26,9 +26,9 @@
 #include "exec/cluster.h"
 #include "exec/kernels.h"
 #include "jvm/call_stack.h"
-#include "minihadoop/sort.h"
 #include "obs/obs.h"
 #include "support/assert.h"
+#include "support/sort.h"
 
 namespace simprof::hadoop {
 
@@ -146,6 +146,15 @@ class MapReduceJob {
     std::uint64_t buffer_bytes = 0;
     const auto spill_at = static_cast<std::uint64_t>(
         cfg_.spill_threshold * static_cast<double>(cfg_.map_buffer_bytes));
+    // The pairs a buffer holds when it spills. Reserving them spares the
+    // doubling copies, and a spill that takes the buffer along (no
+    // combiner) keeps no slack capacity.
+    const auto pair_step = static_cast<std::uint64_t>(spec_.pair_bytes);
+    const std::size_t full_buffer =
+        pair_step == 0
+            ? 0
+            : static_cast<std::size_t>((spill_at + pair_step - 1) / pair_step);
+    buffer.reserve(full_buffer);
 
     // Read + map cost is charged in record batches between spills, so the
     // simulated timeline interleaves map work with sortAndSpill bursts
@@ -196,6 +205,7 @@ class MapReduceJob {
         if (buffer_bytes >= spill_at) {
           charge_map_work();
           sort_and_spill(buffer, spills, buffer_bytes, ctx);
+          buffer.reserve(full_buffer);
         }
       }
     }
@@ -216,7 +226,7 @@ class MapReduceJob {
     }
     std::vector<std::vector<Pair>> parts(cfg_.num_reducers);
     const std::vector<std::span<const Pair>> runs(spills.begin(), spills.end());
-    merge_by_key(runs, [&](const Pair& kv) {
+    support::merge_by_key(runs, [&](const Pair& kv) {
       parts[partition_of(kv.first)].push_back(kv);
     });
     for (std::uint32_t r = 0; r < cfg_.num_reducers; ++r) {
@@ -242,7 +252,10 @@ class MapReduceJob {
     // passes with data-dependent sizes (Figure 15's high-CoV sort phase).
     {
       jvm::MethodScope qs(ctx.stack(), methods_.quick_sort);
-      sort_by_key(buffer);
+      {
+        obs::ObsSpan span("hadoop.sort_spill", {{"pairs", buffer.size()}});
+        support::sort_by_key(buffer);
+      }
       exec::quicksort_traffic(
           ctx, buffer_region_, buffer.size(),
           static_cast<std::uint32_t>(std::max(1.0, spec_.pair_bytes)),
@@ -359,7 +372,7 @@ class MapReduceJob {
       for (const auto& seg : segments_[r]) runs.emplace_back(seg.pairs);
       std::vector<V> group;
       K key{};
-      merge_by_key(runs, [&](const Pair& kv) {
+      support::merge_by_key(runs, [&](const Pair& kv) {
         if (!group.empty() && !(kv.first == key)) {
           out.emplace_back(key, spec_.reduce_fn(key, group));
           group.clear();

@@ -29,6 +29,7 @@
 #include "minispark/spark_context.h"
 #include "obs/obs.h"
 #include "support/assert.h"
+#include "support/sort.h"
 
 namespace simprof::spark {
 
@@ -233,11 +234,12 @@ class TextFileRDD final : public RDD<std::uint64_t> {
 // Narrow transformations (pipelined within a stage)
 // ---------------------------------------------------------------------------
 
-template <typename U, typename T>
+/// `Fn` is the per-record function's type: the factories below deduce it,
+/// so the record loop calls it directly rather than through std::function.
+template <typename U, typename T,
+          typename Fn = std::function<void(const T&, std::vector<U>&)>>
 class FlatMapRDD final : public RDD<U> {
  public:
-  using Fn = std::function<void(const T&, std::vector<U>&)>;
-
   FlatMapRDD(RddPtr<T> parent, std::string name, jvm::OpKind kind,
              OpCost cost, Fn fn)
       : RDD<U>(parent->context()),
@@ -346,11 +348,12 @@ class UnionRDD final : public RDD<T> {
 /// reduceByKey with Spark's map-side combine (Aggregator.combineValuesByKey):
 /// the map stage builds a per-task hash map whose region grows as distinct
 /// keys accumulate — the tightly coupled map+reduce+IO phase of Figure 14.
-template <typename K, typename V>
+/// `CombineFn` is the fold's type, deduced by reduce_by_key.
+template <typename K, typename V,
+          typename CombineFn = std::function<V(const V&, const V&)>>
 class ReduceByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
  public:
   using Pair = std::pair<K, V>;
-  using CombineFn = std::function<V(const V&, const V&)>;
   using KeyHashFn = std::function<std::uint64_t(const K&)>;
 
   ReduceByKeyRDD(RddPtr<Pair> parent, CombineFn combine,
@@ -607,26 +610,19 @@ class SortByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
     SparkMethods& m = this->sc_.methods();
     const auto& costs = this->sc_.costs();
 
-    std::vector<Pair> all;
+    std::uint64_t total = 0;
+    for (const auto& run : buckets_[p]) total += run.size();
     {
       jvm::MethodScope read(ctx.stack(), m.shuffle_read);
-      std::uint64_t total = 0;
-      for (const auto& run : buckets_[p]) total += run.size();
-      all.reserve(total);
-      for (const auto& run : buckets_[p]) {
-        all.insert(all.end(), run.begin(), run.end());
-      }
       exec::scan_region(ctx, sort_region_,
                         static_cast<std::uint64_t>(cost_.record_bytes *
                                                    static_cast<double>(total)),
                         costs.scan_instrs_per_byte);
     }
+    std::vector<Pair> all;
     {
       jvm::MethodScope sorter(ctx.stack(), m.external_sort);
-      std::stable_sort(all.begin(), all.end(),
-                       [&](const Pair& a, const Pair& b) {
-                         return rank_(a.first) < rank_(b.first);
-                       });
+      all = sorted_by_rank(buckets_[p]);
       exec::quicksort_traffic(
           ctx, sort_region_, all.size(),
           static_cast<std::uint32_t>(std::max(1.0, cost_.record_bytes)),
@@ -636,6 +632,41 @@ class SortByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
   }
 
  private:
+  /// The records of `runs`, concatenated and then stably sorted by the rank
+  /// of their keys. rank_ runs once per record; the radix kernel sorts
+  /// record positions by rank key (the order of std::stable_sort by rank),
+  /// and the records are gathered from the runs in that order.
+  std::vector<Pair> sorted_by_rank(
+      const std::vector<std::vector<Pair>>& runs) const {
+    std::size_t total = 0;
+    for (const auto& run : runs) total += run.size();
+    SIMPROF_EXPECTS(total < 0xffffffffu, "sort partition too large");
+    std::vector<std::uint64_t> keys;  // per record, in concatenation order
+    keys.reserve(total);
+    std::vector<std::size_t> run_end;
+    for (const auto& run : runs) {
+      for (const Pair& kv : run) {
+        const double r = rank_(kv.first);
+        SIMPROF_EXPECTS(r >= 0.0, "sortByKey rank outside [0, 1)");
+        keys.push_back(support::nonnegative_double_key(r));
+      }
+      run_end.push_back(keys.size());
+    }
+    std::vector<std::uint32_t> order(total);
+    for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+    support::radix_sort(order, [&](std::uint32_t i) { return keys[i]; });
+    std::vector<std::uint64_t>().swap(keys);
+    std::vector<Pair> out;
+    out.reserve(order.size());
+    for (const std::uint32_t i : order) {
+      const std::size_t r = static_cast<std::size_t>(
+          std::upper_bound(run_end.begin(), run_end.end(), i) -
+          run_end.begin());
+      out.push_back(runs[r][i - (r == 0 ? 0 : run_end[r - 1])]);
+    }
+    return out;
+  }
+
   void map_task(std::size_t p, exec::ExecutorContext& ctx) {
     SparkMethods& m = this->sc_.methods();
     const auto& costs = this->sc_.costs();
@@ -690,9 +721,9 @@ template <typename U, typename Rdd, typename F>
 RddPtr<U> flat_map(std::shared_ptr<Rdd> parent, std::string name,
                    jvm::OpKind kind, OpCost cost, F fn) {
   using T = typename Rdd::element_type;
-  return std::make_shared<FlatMapRDD<U, T>>(
+  return std::make_shared<FlatMapRDD<U, T, F>>(
       RddPtr<T>(std::move(parent)), std::move(name), kind, cost,
-      typename FlatMapRDD<U, T>::Fn(std::move(fn)));
+      std::move(fn));
 }
 
 template <typename U, typename Rdd, typename F>
@@ -722,10 +753,9 @@ auto reduce_by_key(std::shared_ptr<Rdd> parent, F fn, std::size_t partitions,
   using K = typename Pair::first_type;
   using V = typename Pair::second_type;
   return std::static_pointer_cast<RDD<Pair>>(
-      std::make_shared<ReduceByKeyRDD<K, V>>(
-          RddPtr<Pair>(std::move(parent)),
-          typename ReduceByKeyRDD<K, V>::CombineFn(std::move(fn)), partitions,
-          cost, [](const K& k) { return static_cast<std::uint64_t>(k); }));
+      std::make_shared<ReduceByKeyRDD<K, V, F>>(
+          RddPtr<Pair>(std::move(parent)), std::move(fn), partitions, cost,
+          [](const K& k) { return static_cast<std::uint64_t>(k); }));
 }
 
 template <typename Rdd, typename R>
