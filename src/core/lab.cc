@@ -8,7 +8,6 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <unordered_map>
 
@@ -16,47 +15,17 @@
 #include "obs/obs.h"
 #include "support/assert.h"
 #include "support/serialize.h"
+#include "support/single_flight.h"
 #include "support/thread_pool.h"
 
 namespace simprof::core {
 
 namespace {
-/// Process-wide per-cache-key locks: two concurrent runs of the same
-/// configuration — from one batch, two labs, or two threads — serialize
-/// here, so the oracle pass runs exactly once and the .tmp/rename publish
-/// path is never raced. Entries live for the process (the key space is
-/// bounded by the distinct configurations touched).
-class SingleFlight {
- public:
-  std::shared_ptr<std::mutex> lock_for(const std::string& key) {
-    std::lock_guard<std::mutex> g(mu_);
-    auto& slot = locks_[key];
-    if (!slot) slot = std::make_shared<std::mutex>();
-    return slot;
-  }
+/// Per-cache-key locks of run_config: each lives while a run holds it.
+support::SingleFlight<std::string, std::mutex> key_locks;
 
-  static SingleFlight& instance() {
-    static SingleFlight sf;
-    return sf;
-  }
-
- private:
-  std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<std::mutex>> locks_;
-};
-
-/// Run the stale-checkpoint sweep at most once per root per process —
-/// recorder startup is on the oracle-pass path, and one sweep per process
-/// covers every run sharing the root.
-void prune_stale_checkpoint_dirs_once(const std::string& root) {
-  static std::mutex mu;
-  static std::set<std::string>* seen = new std::set<std::string>;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!seen->insert(root).second) return;
-  }
-  prune_stale_checkpoint_dirs(root);
-}
+/// One stale-checkpoint sweep per root until another root is swept.
+support::SingleFlight<std::string, const std::size_t> sweeps;
 }  // namespace
 
 std::size_t prune_stale_checkpoint_dirs(const std::string& root) {
@@ -207,13 +176,13 @@ LabRun WorkloadLab::run_config(const std::string& workload_name,
     }
   }
 
-  // Single-flight the oracle pass per cache key. The lock covers the
-  // re-check, the run and the publish, so a concurrent caller either waits
-  // and decodes the published profile (a dedup) or is the one runner.
+  // One oracle pass per cache key across batches, labs and threads: the lock
+  // covers the re-check, the run and the .tmp/rename publish, so a concurrent
+  // caller either waits and decodes the published profile (a dedup) or runs.
   std::shared_ptr<std::mutex> key_lock;
   std::unique_lock<std::mutex> flight;
   if (cfg_.use_cache) {
-    key_lock = SingleFlight::instance().lock_for(path);
+    key_lock = key_locks.get(path, [] { return std::mutex(); });
     flight = std::unique_lock<std::mutex>(*key_lock);
     if (auto r = try_load_cached(path, workload_name, graph_input)) {
       dedup.increment();
@@ -242,7 +211,8 @@ LabRun WorkloadLab::run_config(const std::string& workload_name,
   if (cfg_.use_cache && cfg_.checkpoint_stride > 0) {
     // Recorder startup also sweeps archives recorded under an older cache
     // schema out of the shared root — the replayer would reject them anyway.
-    prune_stale_checkpoint_dirs_once(checkpoint_root_);
+    sweeps.get(checkpoint_root_,
+               [&] { return prune_stale_checkpoint_dirs(checkpoint_root_); });
     recorder.emplace(checkpoint_dir_for(workload_name, graph_input, seed),
                      cache_key(workload_name, graph_input, seed),
                      cfg_.checkpoint_stride);

@@ -91,10 +91,10 @@ class WorkloadLab {
   explicit WorkloadLab(LabConfig cfg = {});
 
   /// Profile `workload_name` ("wc_sp", …) on `graph_input` (Table II name,
-  /// ignored by non-graph workloads). Cached on disk keyed by every
-  /// parameter that affects the run. Concurrent calls for the same cache
-  /// key are single-flighted: one caller runs the oracle pass, the others
-  /// decode its published profile (lab.batch_dedup counts them).
+  /// ignored by non-graph workloads), cached on disk by every parameter of
+  /// the run. Same-key calls are single-flighted on a lock that exists only
+  /// while a run holds it: one runs the oracle pass, the others decode its
+  /// published profile (lab.batch_dedup counts them).
   LabRun run(const std::string& workload_name,
              const std::string& graph_input = "Google");
 

@@ -1,16 +1,18 @@
 #include "data/kronecker.h"
 
 #include <cmath>
-#include <future>
-#include <map>
-#include <mutex>
-#include <tuple>
+#include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/assert.h"
+#include "support/single_flight.h"
 
 namespace simprof::data {
+
+namespace {
+support::SingleFlight<std::pair<KroneckerConfig, bool>, const Graph> graphs(
+    "data.graph");
+}  // namespace
 
 Graph kronecker_graph(const KroneckerConfig& cfg, bool symmetrize) {
   SIMPROF_EXPECTS(cfg.scale >= 1 && cfg.scale <= 30, "scale out of range");
@@ -54,41 +56,8 @@ Graph kronecker_graph(const KroneckerConfig& cfg, bool symmetrize) {
 
 std::shared_ptr<const Graph> kronecker_graph_shared(const KroneckerConfig& cfg,
                                                     bool symmetrize) {
-  using Key = std::tuple<double, double, double, double, std::uint32_t, double,
-                         double, std::uint64_t, bool>;
-  using Future = std::shared_future<std::shared_ptr<const Graph>>;
-  static std::mutex mu;
-  static std::map<Key, Future> cache;
-  static obs::Counter& shared = obs::metrics().counter("data.graph_shared");
-  static obs::Counter& synths = obs::metrics().counter("data.graph_synth");
-
-  const Key key{cfg.a,     cfg.b,    cfg.c,        cfg.d,    cfg.scale,
-                cfg.edge_factor, cfg.noise, cfg.seed, symmetrize};
-  std::promise<std::shared_ptr<const Graph>> promise;
-  Future future;
-  bool runner = false;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (auto it = cache.find(key); it != cache.end()) {
-      shared.increment();
-      future = it->second;
-    } else {
-      runner = true;
-      future = cache.emplace(key, promise.get_future().share()).first->second;
-    }
-  }
-  if (runner) {
-    synths.increment();
-    try {
-      promise.set_value(
-          std::make_shared<const Graph>(kronecker_graph(cfg, symmetrize)));
-    } catch (...) {
-      promise.set_exception(std::current_exception());
-      std::lock_guard<std::mutex> lock(mu);
-      cache.erase(key);
-    }
-  }
-  return future.get();
+  return graphs.get({cfg, symmetrize},
+                    [&] { return kronecker_graph(cfg, symmetrize); });
 }
 
 }  // namespace simprof::data

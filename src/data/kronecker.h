@@ -22,6 +22,7 @@ struct KroneckerConfig {
   /// 0.5 ≈ Erdős–Rényi). Differentiates e.g. road networks from web graphs.
   double noise = 0.0;
   std::uint64_t seed = 11;
+  auto operator<=>(const KroneckerConfig&) const = default;
 };
 
 /// Generate the edge list and build a CSR graph. Duplicate edges collapse
@@ -30,11 +31,8 @@ struct KroneckerConfig {
 /// krongen.
 Graph kronecker_graph(const KroneckerConfig& cfg, bool symmetrize);
 
-/// Memoized generation (same contract as TextCorpus::synthesize_shared):
-/// graphs are pure functions of (config, symmetrize) and immutable, so
-/// repeated runs of one configuration — the checkpointed measure fast path,
-/// batch mixes over one input — share a single instance. Single-flighted;
-/// cached for the process lifetime.
+/// Memoized kronecker_graph, keyed by (config, symmetrize); the same
+/// contract as TextCorpus::synthesize_shared.
 std::shared_ptr<const Graph> kronecker_graph_shared(const KroneckerConfig& cfg,
                                                     bool symmetrize);
 

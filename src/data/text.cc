@@ -1,17 +1,17 @@
 #include "data/text.h"
 
 #include <algorithm>
-#include <future>
-#include <map>
-#include <mutex>
-#include <tuple>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/assert.h"
+#include "support/single_flight.h"
 #include "support/zipf.h"
 
 namespace simprof::data {
+
+namespace {
+support::SingleFlight<TextConfig, const TextCorpus> corpora("data.corpus");
+}  // namespace
 
 TextCorpus TextCorpus::synthesize(const TextConfig& cfg) {
   SIMPROF_EXPECTS(cfg.num_words > 0, "empty corpus requested");
@@ -78,45 +78,7 @@ TextCorpus TextCorpus::synthesize(const TextConfig& cfg) {
 
 std::shared_ptr<const TextCorpus> TextCorpus::synthesize_shared(
     const TextConfig& cfg) {
-  using Key = std::tuple<std::uint64_t, std::uint32_t, double, std::uint32_t,
-                         std::uint64_t, std::uint32_t>;
-  using Future = std::shared_future<std::shared_ptr<const TextCorpus>>;
-  static std::mutex mu;
-  static std::map<Key, Future> cache;
-  static obs::Counter& shared = obs::metrics().counter("data.corpus_shared");
-  static obs::Counter& synths = obs::metrics().counter("data.corpus_synth");
-
-  const Key key{cfg.num_words, cfg.vocabulary, cfg.zipf_skew,
-                cfg.mean_doc_words, cfg.seed, cfg.num_classes};
-  std::promise<std::shared_ptr<const TextCorpus>> promise;
-  Future future;
-  bool runner = false;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (auto it = cache.find(key); it != cache.end()) {
-      shared.increment();
-      future = it->second;
-    } else {
-      runner = true;
-      future = cache.emplace(key, promise.get_future().share())
-                   .first->second;
-    }
-  }
-  if (runner) {
-    // Synthesize outside the lock so concurrent requests for *different*
-    // configs proceed in parallel; waiters for this config block on the
-    // future. A failed synthesis propagates to every waiter and is removed
-    // so a later request can retry.
-    synths.increment();
-    try {
-      promise.set_value(std::make_shared<const TextCorpus>(synthesize(cfg)));
-    } catch (...) {
-      promise.set_exception(std::current_exception());
-      std::lock_guard<std::mutex> lock(mu);
-      cache.erase(key);
-    }
-  }
-  return future.get();
+  return corpora.get(cfg, [&] { return synthesize(cfg); });
 }
 
 std::span<const WordId> TextCorpus::doc(std::size_t i) const {

@@ -27,6 +27,7 @@ struct TextConfig {
   /// Class label count for NaiveBayes corpora (labels shift the word
   /// distribution per class); 0 disables labels.
   std::uint32_t num_classes = 0;
+  auto operator<=>(const TextConfig&) const = default;
 };
 
 class TextCorpus {
@@ -34,12 +35,8 @@ class TextCorpus {
   /// Synthesize per config (deterministic in config.seed).
   static TextCorpus synthesize(const TextConfig& cfg);
 
-  /// Memoized synthesis: a corpus is a pure function of its config and
-  /// immutable once built, so repeated runs of the same configuration (the
-  /// checkpointed measure fast path, run_batch mixes sharing an input)
-  /// share one instance instead of re-synthesizing — at full scale the
-  /// synthesis is seconds of work per run. Concurrent first requests for
-  /// one config are single-flighted; the cache lives for the process.
+  /// Memoized synthesis (support::SingleFlight, keyed by the config): runs
+  /// of one config that overlap or follow each other share one instance.
   static std::shared_ptr<const TextCorpus> synthesize_shared(
       const TextConfig& cfg);
 

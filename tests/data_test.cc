@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "data/catalog.h"
 #include "data/graph.h"
 #include "data/kronecker.h"
 #include "data/text.h"
+#include "obs/metrics.h"
 #include "support/assert.h"
 #include "support/rng.h"
 #include "test_util.h"
@@ -120,6 +122,49 @@ TEST(TextCorpus, MoreClassesThanVocabularyViolatesContract) {
   EXPECT_THROW(TextCorpus::synthesize(cfg), ContractViolation);
   cfg.num_classes = 4;  // one word per class band is still well defined
   EXPECT_EQ(TextCorpus::synthesize(cfg).words().size(), cfg.num_words);
+}
+
+std::uint64_t counter_value(const char* name) {
+  return obs::metrics().counter(name).value();
+}
+
+TEST(TextCorpusShared, AnUnheldCorpusIsFreedByTheNextBuild) {
+  auto a = tiny_text();
+  a.seed = 901;
+  auto b = tiny_text();
+  b.seed = 902;
+  const std::weak_ptr<const TextCorpus> unheld =
+      TextCorpus::synthesize_shared(a);
+  EXPECT_FALSE(unheld.expired()) << "the latest corpus stays resident";
+  const auto held = TextCorpus::synthesize_shared(b);
+  EXPECT_TRUE(unheld.expired())
+      << "an older corpus nobody holds must not stay cached";
+  EXPECT_EQ(held->config().seed, 902u);
+}
+
+TEST(TextCorpusShared, OneConfigRequestedTwiceInARowSynthesizesOnce) {
+  auto cfg = tiny_text();
+  cfg.seed = 903;
+  const std::uint64_t synth0 = counter_value("data.corpus_synth");
+  const std::uint64_t shared0 = counter_value("data.corpus_shared");
+  std::weak_ptr<const TextCorpus> first = TextCorpus::synthesize_shared(cfg);
+  const auto second = TextCorpus::synthesize_shared(cfg);
+  EXPECT_EQ(counter_value("data.corpus_synth") - synth0, 1u);
+  EXPECT_EQ(counter_value("data.corpus_shared") - shared0, 1u);
+  EXPECT_EQ(first.lock(), second);
+}
+
+TEST(TextCorpusShared, AContractViolationThrowsEveryTimeAndBlocksNothing) {
+  auto bad = tiny_text();
+  bad.vocabulary = 4;
+  bad.num_classes = 5;
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_THROW(TextCorpus::synthesize_shared(bad), ContractViolation) << i;
+  }
+  auto good = tiny_text();
+  good.seed = 904;
+  EXPECT_EQ(TextCorpus::synthesize_shared(good)->words().size(),
+            good.num_words);
 }
 
 TEST(TextCorpus, WordBytesDeterministicAndBounded) {
@@ -340,6 +385,20 @@ TEST(Kronecker, RejectsBadConfig) {
   cfg = KroneckerConfig{};
   cfg.noise = 0.9;
   EXPECT_THROW(kronecker_graph(cfg, false), ContractViolation);
+}
+
+TEST(KroneckerShared, OneConfigRequestedTwiceInARowGeneratesOnce) {
+  KroneckerConfig cfg;
+  cfg.scale = 8;
+  cfg.seed = 905;
+  const std::uint64_t synth0 = counter_value("data.graph_synth");
+  std::weak_ptr<const Graph> first = kronecker_graph_shared(cfg, true);
+  const auto second = kronecker_graph_shared(cfg, true);
+  EXPECT_EQ(counter_value("data.graph_synth") - synth0, 1u);
+  EXPECT_EQ(first.lock(), second);
+  // The symmetrize flag is part of the key.
+  EXPECT_NE(kronecker_graph_shared(cfg, false), second);
+  EXPECT_EQ(counter_value("data.graph_synth") - synth0, 2u);
 }
 
 TEST(Catalog, HasAllEightTableTwoInputs) {

@@ -632,5 +632,39 @@ TEST(ServiceServer, MeasureAndSensitivityVerbsWork) {
   EXPECT_EQ(server.stats().errors, 0u);
 }
 
+TEST(ServiceServer, DistinctSeedRequestsKeepAtMostOneInputResident) {
+  ScratchDir dir;
+  ServiceConfig cfg = small_service(dir);
+  cfg.lab.checkpoint_stride = 0;
+  ServiceServer server(cfg);
+  server.start();
+  const std::uint64_t synth0 =
+      counter_value("data.corpus_synth") + counter_value("data.graph_synth");
+
+  // Every request is a distinct oracle pass over its own input: a corpus
+  // (wc_sp) or a Kronecker graph (cc_sp). The daemon keeps the inputs only
+  // while a pass uses them, plus the latest built of each kind.
+  LoadgenConfig lg;
+  lg.socket_path = cfg.socket_path;
+  lg.clients = 2;
+  lg.requests_per_client = 4;
+  lg.workloads = {"wc_sp", "cc_sp"};
+  lg.seed = 5000;
+  lg.vary_seed = true;
+  lg.analyze = false;
+  const LoadgenReport report = run_loadgen(lg);
+  server.request_stop();
+  server.wait();
+
+  EXPECT_EQ(report.completed, 8u);
+  EXPECT_EQ(report.errors, 0u);
+  EXPECT_EQ(counter_value("data.corpus_synth") +
+                counter_value("data.graph_synth") - synth0,
+            8u);
+  // Only the latest input of each kind outlives its request.
+  EXPECT_EQ(obs::metrics().gauge("data.corpus_resident").value(), 1.0);
+  EXPECT_EQ(obs::metrics().gauge("data.graph_resident").value(), 1.0);
+}
+
 }  // namespace
 }  // namespace simprof::service
