@@ -36,29 +36,24 @@ int main() {
   const auto hash_table = space.allocate(24ull << 20);
   const auto sort_buffer = space.allocate(12ull << 20);
 
-  // Three stages with distinct memory behaviour, run as cluster tasks.
-  std::vector<exec::Task> tasks;
-  for (int t = 0; t < 6; ++t) {
-    tasks.push_back(exec::Task{
-        "etl_" + std::to_string(t), [&](exec::ExecutorContext& ctx) {
-          jvm::MethodScope main_scope(ctx.stack(), m_main);
-          {  // parse: streaming scan, low CPI
-            jvm::MethodScope s(ctx.stack(), m_parse);
-            exec::scan_region(ctx, input, 8ull << 20, 1.4);
-          }
-          {  // join probes: random accesses, high CPI
-            jvm::MethodScope s(ctx.stack(), m_join);
-            exec::hash_aggregate(ctx, hash_table, 24ull << 20, 400'000, 0.3,
-                                 exec::default_kernel_costs());
-          }
-          {  // sort: recursive partitions, high CPI *variance*
-            jvm::MethodScope s(ctx.stack(), m_sort);
-            exec::quicksort_traffic(ctx, sort_buffer, 400'000, 8,
-                                    exec::default_kernel_costs());
-          }
-        }});
-  }
-  cluster.run_stage("etl", std::move(tasks));
+  // Three stages with distinct memory behaviour, run as six cluster tasks.
+  cluster.run_stage("etl", 6, [&](std::size_t, exec::ExecutorContext& ctx) {
+    jvm::MethodScope main_scope(ctx.stack(), m_main);
+    {  // parse: streaming scan, low CPI
+      jvm::MethodScope s(ctx.stack(), m_parse);
+      exec::scan_region(ctx, input, 8ull << 20, 1.4);
+    }
+    {  // join probes: random accesses, high CPI
+      jvm::MethodScope s(ctx.stack(), m_join);
+      exec::hash_aggregate(ctx, hash_table, 24ull << 20, 400'000, 0.3,
+                           exec::default_kernel_costs());
+    }
+    {  // sort: recursive partitions, high CPI *variance*
+      jvm::MethodScope s(ctx.stack(), m_sort);
+      exec::quicksort_traffic(ctx, sort_buffer, 400'000, 8,
+                              exec::default_kernel_costs());
+    }
+  });
   cluster.finish();
 
   core::ThreadProfile profile = profiler.take_profile();

@@ -33,22 +33,23 @@ const ExecutorContext& Cluster::context(std::uint32_t core) const {
   return *contexts_[core];
 }
 
-void Cluster::run_stage(std::string_view stage_name, std::vector<Task> tasks,
-                        bool thread_per_task) {
+void Cluster::run_stage(std::string_view stage_name, std::size_t num_tasks,
+                        const StageBody& body, bool thread_per_task) {
   static obs::Counter& stages = obs::metrics().counter("exec.stages");
   static obs::Counter& task_count = obs::metrics().counter("exec.tasks");
   static obs::Counter& waves = obs::metrics().counter("exec.waves");
   stages.increment();
-  task_count.add(tasks.size());
+  task_count.add(num_tasks);
   ++stages_run_;
   const std::string name(stage_name);
   obs::ObsSpan stage_span("exec.stage",
-                          {{"stage", stage_name}, {"tasks", tasks.size()}});
+                          {{"stage", stage_name}, {"tasks", num_tasks}});
   const bool tracing = obs::trace_enabled();
   const std::uint64_t stage_start_cycles =
       tracing ? contexts_[cfg_.profiled_core]->counters().cycles : 0;
+  const std::uint64_t allocated = address_space_.bytes_allocated();
   const std::uint32_t cores = num_cores();
-  SIMPROF_LOG(kDebug) << "exec: stage " << name << " (" << tasks.size()
+  SIMPROF_LOG(kDebug) << "exec: stage " << name << " (" << num_tasks
                       << " tasks over " << cores << " cores)";
 
   // Deal tasks to cores round-robin, then run wave by wave. Within a wave
@@ -56,19 +57,17 @@ void Cluster::run_stage(std::string_view stage_name, std::vector<Task> tasks,
   // core-major and deterministic.
   std::size_t next = 0;
   std::size_t wave = 0;
-  while (next < tasks.size()) {
+  while (next < num_tasks) {
     const std::uint32_t wave_width = static_cast<std::uint32_t>(
-        std::min<std::size_t>(cores, tasks.size() - next));
+        std::min<std::size_t>(cores, num_tasks - next));
     memory_.set_llc_pressure(wave_width);
     waves.increment();
     for (std::uint32_t c = 0; c < wave_width; ++c) {
       ExecutorContext& ctx = *contexts_[c];
       if (thread_per_task) ctx.begin_new_thread();
-      Task& t = tasks[next + c];
-      SIMPROF_ASSERT(static_cast<bool>(t.body), "task without a body");
       const std::uint64_t task_start_cycles =
           tracing ? ctx.counters().cycles : 0;
-      t.body(ctx);
+      body(next + c, ctx);
       if (tracing) {
         obs::trace_virtual_span(
             name + "/task", task_start_cycles, ctx.counters().cycles, c,
@@ -79,11 +78,13 @@ void Cluster::run_stage(std::string_view stage_name, std::vector<Task> tasks,
     ++wave;
   }
   memory_.set_llc_pressure(1);
+  SIMPROF_ASSERT(address_space_.bytes_allocated() == allocated,
+                 "a task allocated a simulated region");
   if (tracing) {
     obs::trace_virtual_span(name, stage_start_cycles,
                             contexts_[cfg_.profiled_core]->counters().cycles,
                             obs::kVirtualStageLane,
-                            {{"tasks", tasks.size()}, {"waves", wave}});
+                            {{"tasks", num_tasks}, {"waves", wave}});
   }
 }
 

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "exec/executor_context.h"
@@ -32,11 +32,9 @@ struct ClusterConfig {
   std::uint64_t seed = 42;
 };
 
-/// A schedulable unit of work: Spark task or Hadoop map/reduce attempt.
-struct Task {
-  std::string name;
-  std::function<void(ExecutorContext&)> body;
-};
+/// A stage's task body: runs task `task` (a Spark task or a Hadoop map or
+/// reduce attempt, numbered 0..num_tasks-1 in deal order) on `ctx`.
+using StageBody = std::function<void(std::size_t task, ExecutorContext& ctx)>;
 
 class Cluster {
  public:
@@ -72,11 +70,12 @@ class Cluster {
   /// Stages executed so far (schedule-position bookkeeping).
   std::uint64_t stages_run() const { return stages_run_; }
 
-  /// Execute one stage: tasks are dealt round-robin to cores and run in
-  /// waves. `thread_per_task` selects Hadoop semantics (each task runs on a
-  /// fresh executor thread).
-  void run_stage(std::string_view stage_name, std::vector<Task> tasks,
-                 bool thread_per_task = false);
+  /// Execute one stage of `num_tasks` tasks: they are dealt round-robin to
+  /// cores and run in waves, task t as body(t, ctx). `thread_per_task`
+  /// selects Hadoop semantics (each task runs on a fresh executor thread).
+  /// Tasks allocate no simulated region; a stage allocates before it runs.
+  void run_stage(std::string_view stage_name, std::size_t num_tasks,
+                 const StageBody& body, bool thread_per_task = false);
 
   /// Flush the profiled thread's trailing partial sampling unit (see
   /// ExecutorContext::finish_partial_unit).

@@ -118,26 +118,20 @@ class MapReduceJob {
  private:
   using Pair = std::pair<K, V>;
 
-  struct Segment {             // one mapper's output for one reducer
-    std::vector<Pair> pairs;   // sorted by key
-  };
-
   void run_map_stage(const std::vector<InputSplit<In>>& splits) {
-    segments_.assign(cfg_.num_reducers, {});
-    std::vector<exec::Task> tasks;
-    tasks.reserve(splits.size());
-    for (std::size_t s = 0; s < splits.size(); ++s) {
-      tasks.push_back(exec::Task{
-          spec_.job_name + "_map_" + std::to_string(s),
-          [this, &splits, s](exec::ExecutorContext& ctx) {
-            map_task(splits[s], ctx);
-          }});
-    }
-    cluster_.run_stage(spec_.job_name + "_map", std::move(tasks),
-                       /*thread_per_task=*/true);
+    segments_.assign(cfg_.num_reducers,
+                     std::vector<std::vector<Pair>>(splits.size()));
+    cluster_.run_stage(
+        spec_.job_name + "_map", splits.size(),
+        [&](std::size_t s, exec::ExecutorContext& ctx) {
+          map_task(s, splits[s], ctx);
+        },
+        /*thread_per_task=*/true);
   }
 
-  void map_task(const InputSplit<In>& split, exec::ExecutorContext& ctx) {
+  /// Map task `task` writes only its own segments, segments_[·][task].
+  void map_task(std::size_t task, const InputSplit<In>& split,
+                exec::ExecutorContext& ctx) {
     jvm::MethodScope yarn(ctx.stack(), methods_.yarn_child);
     jvm::MethodScope mt(ctx.stack(), methods_.map_task_run);
 
@@ -212,8 +206,8 @@ class MapReduceJob {
     charge_map_work();
     if (!buffer.empty()) sort_and_spill(buffer, spills, buffer_bytes, ctx);
 
-    // Merge spills (charged only if more than one) straight into the
-    // per-reducer partitions (hash partitioner) and publish them.
+    // Merge spills (charged only if more than one) straight into this
+    // task's per-reducer segments (hash partitioner).
     std::uint64_t merged_count = 0;
     for (const auto& sp : spills) merged_count += sp.size();
     if (spills.size() > 1) {
@@ -224,16 +218,10 @@ class MapReduceJob {
                        merged_count, static_cast<std::uint32_t>(spills.size()),
                        cfg_.costs);
     }
-    std::vector<std::vector<Pair>> parts(cfg_.num_reducers);
     const std::vector<std::span<const Pair>> runs(spills.begin(), spills.end());
     support::merge_by_key(runs, [&](const Pair& kv) {
-      parts[partition_of(kv.first)].push_back(kv);
+      segments_[partition_of(kv.first)][task].push_back(kv);
     });
-    for (std::uint32_t r = 0; r < cfg_.num_reducers; ++r) {
-      if (!parts[r].empty()) {
-        segments_[r].push_back(Segment{std::move(parts[r])});
-      }
-    }
   }
 
   void sort_and_spill(std::vector<Pair>& buffer,
@@ -310,17 +298,12 @@ class MapReduceJob {
 
   std::vector<Pair> run_reduce_stage() {
     std::vector<std::vector<Pair>> outputs(cfg_.num_reducers);
-    std::vector<exec::Task> tasks;
-    tasks.reserve(cfg_.num_reducers);
-    for (std::uint32_t r = 0; r < cfg_.num_reducers; ++r) {
-      tasks.push_back(exec::Task{
-          spec_.job_name + "_reduce_" + std::to_string(r),
-          [this, &outputs, r](exec::ExecutorContext& ctx) {
-            outputs[r] = reduce_task(r, ctx);
-          }});
-    }
-    cluster_.run_stage(spec_.job_name + "_reduce", std::move(tasks),
-                       /*thread_per_task=*/true);
+    cluster_.run_stage(
+        spec_.job_name + "_reduce", outputs.size(),
+        [&](std::size_t r, exec::ExecutorContext& ctx) {
+          outputs[r] = reduce_task(static_cast<std::uint32_t>(r), ctx);
+        },
+        /*thread_per_task=*/true);
     std::vector<Pair> all;
     for (auto& o : outputs) {
       all.insert(all.end(), std::make_move_iterator(o.begin()),
@@ -333,8 +316,14 @@ class MapReduceJob {
     jvm::MethodScope yarn(ctx.stack(), methods_.yarn_child);
     jvm::MethodScope rt(ctx.stack(), methods_.reduce_task_run);
 
+    // The map tasks' non-empty segments for this reducer, in map-task order.
+    std::vector<std::span<const Pair>> runs;
     std::uint64_t total = 0;
-    for (const auto& seg : segments_[r]) total += seg.pairs.size();
+    for (const auto& seg : segments_[r]) {
+      if (seg.empty()) continue;
+      runs.emplace_back(seg);
+      total += seg.size();
+    }
     const auto total_bytes = static_cast<std::uint64_t>(
         spec_.pair_bytes * static_cast<double>(total));
 
@@ -356,7 +345,7 @@ class MapReduceJob {
             "hadoop.shuffle_fetch", start_cycles, ctx.counters().cycles,
             ctx.core(),
             {{"reducer", r}, {"bytes", total_bytes},
-             {"segments", segments_[r].size()}});
+             {"segments", runs.size()}});
       }
     }
     // Merge the sorted segments and fold each key's value group through the
@@ -367,9 +356,6 @@ class MapReduceJob {
     {
       jvm::MethodScope mg(ctx.stack(), methods_.merger_merge);
       const std::uint64_t start_cycles = tracing ? ctx.counters().cycles : 0;
-      std::vector<std::span<const Pair>> runs;
-      runs.reserve(segments_[r].size());
-      for (const auto& seg : segments_[r]) runs.emplace_back(seg.pairs);
       std::vector<V> group;
       K key{};
       support::merge_by_key(runs, [&](const Pair& kv) {
@@ -383,13 +369,12 @@ class MapReduceJob {
       if (!group.empty()) out.emplace_back(key, spec_.reduce_fn(key, group));
       exec::merge_runs(ctx, reduce_region_, total_bytes, total,
                        static_cast<std::uint32_t>(
-                           std::max<std::size_t>(segments_[r].size(), 1)),
+                           std::max<std::size_t>(runs.size(), 1)),
                        cfg_.costs);
       if (tracing) {
         obs::trace_virtual_span(
             "hadoop.merge", start_cycles, ctx.counters().cycles, ctx.core(),
-            {{"reducer", r}, {"pairs", total},
-             {"runs", segments_[r].size()}});
+            {{"reducer", r}, {"pairs", total}, {"runs", runs.size()}});
       }
     }
     segments_[r] = {};  // fully consumed
@@ -427,7 +412,8 @@ class MapReduceJob {
   HadoopMethods methods_;
   jvm::MethodId m_mapper_;
   jvm::MethodId m_reducer_;
-  std::vector<std::vector<Segment>> segments_;  // [reducer][segment]
+  /// segments_[r][m]: map task m's output for reducer r, sorted by key.
+  std::vector<std::vector<std::vector<Pair>>> segments_;
   std::uint64_t buffer_region_ = 0;
   std::uint64_t spill_region_ = 0;
   std::uint64_t reduce_region_ = 0;

@@ -7,14 +7,15 @@
 // one probe and no allocation, and size() is the number of distinct keys so
 // far.
 //
-// The engines emit a combiner's entries in the iteration order of the
+// Spark's shuffles emit a combiner's entries in the iteration order of the
 // std::unordered_map they once folded into; record order, every simulated
 // probe region sized from size() and so every profile byte downstream depend
-// on it. drain() computes that order instead of building the map. libstdc++'s
-// node order is a function of the map's reserve and of the sequence of
-// new-key insertions only (inserting an existing key finds it without
-// rehashing or relinking anything), and it has a closed form (DESIGN.md
-// §6l):
+// on it. drain() computes that order instead of building the map. (GraphX
+// reads no entry order and takes the entries in first-seen order, take().)
+// libstdc++'s node order is a function of the map's reserve and of the
+// sequence of new-key insertions only (inserting an existing key finds it
+// without rehashing or relinking anything), and it has a closed form
+// (DESIGN.md §6l):
 //   * a new key whose bucket is empty goes to the head of the node list;
 //   * a new key whose bucket is occupied goes to the front of that bucket's
 //     run of nodes;
@@ -202,6 +203,14 @@ class FlatCombiner {
          detail::node_order<K>(keys, map_reserve_)) {
       out.push_back(std::move(entries_[i]));
     }
+    entries_.clear();
+    reset_table();
+    return out;
+  }
+
+  /// Every entry, in first-seen order. Leaves the combiner empty.
+  std::vector<std::pair<K, V>> take() {
+    std::vector<std::pair<K, V>> out = std::move(entries_);
     entries_.clear();
     reset_table();
     return out;

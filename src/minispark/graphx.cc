@@ -54,32 +54,32 @@ GraphX::GraphX(SparkContext& sc, const data::Graph& graph)
 
 void GraphX::load_graph() {
   if (loaded_) return;
-  std::vector<exec::Task> tasks;
   const double bytes_per_edge =
       static_cast<double>(edge_region_bytes_) /
       static_cast<double>(std::max<std::uint64_t>(graph_.num_edges(), 1));
-  std::uint64_t offset = 0;
-  for (std::size_t p = 0; p < part_lo_.size(); ++p) {
-    const std::uint64_t bytes = static_cast<std::uint64_t>(
-        bytes_per_edge * static_cast<double>(part_edges_[p]));
-    tasks.push_back(exec::Task{
-        "graph_load_" + std::to_string(p),
-        [this, bytes, offset](exec::ExecutorContext& ctx) {
-          jvm::MethodScope load(ctx.stack(), m_load_);
-          jvm::MethodScope mp(ctx.stack(), m_map_partitions_);
-          // Parse the text edge list (sequential) and build the partition's
-          // CSR index (a second pass + per-edge insertion cost). Both are
-          // sequential over same-sized regions regardless of topology — an
-          // input-INsensitive phase by construction, like the paper's
-          // mapPartitionsWithIndex conversion phase.
-          exec::scan_region(ctx, edge_region_ + offset, bytes,
-                            sc_.costs().scan_instrs_per_byte * 2.2);
-          exec::scan_region(ctx, edge_region_ + offset, bytes, 1.8,
-                            /*write=*/true);
-        }});
-    offset += bytes;
+  // Partition p's slice of the edge region: [offset[p], offset[p + 1]).
+  std::vector<std::uint64_t> offset{0};
+  for (const std::uint64_t edges : part_edges_) {
+    offset.push_back(offset.back() + static_cast<std::uint64_t>(
+                                         bytes_per_edge *
+                                         static_cast<double>(edges)));
   }
-  sc_.run_stage("graph_load", /*shuffle_map=*/true, std::move(tasks));
+  sc_.run_stage(
+      "graph_load", /*shuffle_map=*/true, part_lo_.size(),
+      [&](std::size_t p, exec::ExecutorContext& ctx) {
+        jvm::MethodScope load(ctx.stack(), m_load_);
+        jvm::MethodScope mp(ctx.stack(), m_map_partitions_);
+        // Parse the text edge list (sequential) and build the partition's
+        // CSR index (a second pass + per-edge insertion cost). Both are
+        // sequential over same-sized regions regardless of topology — an
+        // input-INsensitive phase by construction, like the paper's
+        // mapPartitionsWithIndex conversion phase.
+        const std::uint64_t bytes = offset[p + 1] - offset[p];
+        exec::scan_region(ctx, edge_region_ + offset[p], bytes,
+                          sc_.costs().scan_instrs_per_byte * 2.2);
+        exec::scan_region(ctx, edge_region_ + offset[p], bytes, 1.8,
+                          /*write=*/true);
+      });
   loaded_ = true;
 }
 
@@ -91,73 +91,72 @@ std::vector<std::pair<VertexId, T>> GraphX::aggregate_messages(
       static_cast<double>(std::max<std::uint64_t>(graph_.num_edges(), 1));
 
   std::vector<std::vector<std::pair<VertexId, T>>> partials(part_lo_.size());
-  std::vector<exec::Task> tasks;
-  for (std::size_t p = 0; p < part_lo_.size(); ++p) {
-    tasks.push_back(exec::Task{
-        "aggregate_messages_" + std::to_string(p),
-        [&, p](exec::ExecutorContext& ctx) {
-          jvm::MethodScope pregel(ctx.stack(), m_pregel_);
-          FlatCombiner<VertexId, T> local;
-          std::uint64_t scanned_edges = 0;
-          std::uint64_t gathers = 0;
-          {
-            // Ship updated vertex attributes to this edge partition's local
-            // mirror (ReplicatedVertexView): stream the active slice.
-            jvm::MethodScope ship(ctx.stack(), m_ship_vertices_);
-            std::uint64_t active_count = 0;
-            for (VertexId v = part_lo_[p]; v < part_hi_[p]; ++v) {
-              active_count += active[v] ? 1 : 0;
-            }
-            exec::write_stream(ctx, message_region_, active_count * 64,
-                               /*compressed=*/true, sc_.costs());
+  sc_.run_stage(
+      "aggregate_messages", /*shuffle_map=*/true, part_lo_.size(),
+      [&](std::size_t p, exec::ExecutorContext& ctx) {
+        jvm::MethodScope pregel(ctx.stack(), m_pregel_);
+        FlatCombiner<VertexId, T> local;
+        std::uint64_t scanned_edges = 0;
+        std::uint64_t gathers = 0;
+        {
+          // Ship updated vertex attributes to this edge partition's local
+          // mirror (ReplicatedVertexView): stream the active slice.
+          jvm::MethodScope ship(ctx.stack(), m_ship_vertices_);
+          std::uint64_t active_count = 0;
+          for (VertexId v = part_lo_[p]; v < part_hi_[p]; ++v) {
+            active_count += active[v] ? 1 : 0;
           }
-          {
-            jvm::MethodScope agg(ctx.stack(), m_aggregate_messages_);
-            for (VertexId v = part_lo_[p]; v < part_hi_[p]; ++v) {
-              if (!active[v]) continue;
-              const auto nbrs = graph_.neighbors(v);
-              scanned_edges += nbrs.size();
-              for (VertexId u : nbrs) {
-                T msg;
-                if (!gather(v, u, msg)) continue;
-                ++gathers;
-                local.add(u, msg, merge);
-              }
-            }
-            // Edge scan: sequential over the touched slice of the CSR.
-            exec::scan_region(
-                ctx, edge_region_,
-                static_cast<std::uint64_t>(
-                    bytes_per_edge * static_cast<double>(scanned_edges)),
-                sc_.costs().scan_instrs_per_byte * 1.6);
-            // Vertex-attribute gathers: random over the vertex region —
-            // destination ids are scattered, this is the expensive part.
-            if (gathers > 0) {
-              // ~90 virtual instructions per message: JVM boxing + closure
-              // dispatch dominates GraphX's send path.
-              auto gather_stream = hw::AccessStream::random(
-                  vertex_region_, vertex_region_bytes_, gathers, ctx.rng());
-              ctx.execute(gathers * 90, gather_stream);
+          exec::write_stream(ctx, message_region_, active_count * 64,
+                             /*compressed=*/true, sc_.costs());
+        }
+        {
+          jvm::MethodScope agg(ctx.stack(), m_aggregate_messages_);
+          for (VertexId v = part_lo_[p]; v < part_hi_[p]; ++v) {
+            if (!active[v]) continue;
+            const auto nbrs = graph_.neighbors(v);
+            scanned_edges += nbrs.size();
+            for (VertexId u : nbrs) {
+              T msg;
+              if (!gather(v, u, msg)) continue;
+              ++gathers;
+              local.add(u, msg, merge);
             }
           }
-          {
-            jvm::MethodScope idx(ctx.stack(), m_aggregate_using_index_);
-            exec::hash_aggregate(ctx, message_region_, local.size() * 24,
-                                 gathers, 0.30, sc_.costs());
-            ctx.compute(gathers * 30);
+          // Edge scan: sequential over the touched slice of the CSR.
+          exec::scan_region(
+              ctx, edge_region_,
+              static_cast<std::uint64_t>(
+                  bytes_per_edge * static_cast<double>(scanned_edges)),
+              sc_.costs().scan_instrs_per_byte * 1.6);
+          // Vertex-attribute gathers: random over the vertex region —
+          // destination ids are scattered, this is the expensive part.
+          if (gathers > 0) {
+            // ~90 virtual instructions per message: JVM boxing + closure
+            // dispatch dominates GraphX's send path.
+            auto gather_stream = hw::AccessStream::random(
+                vertex_region_, vertex_region_bytes_, gathers, ctx.rng());
+            ctx.execute(gathers * 90, gather_stream);
           }
-          partials[p] = local.drain();
-        }});
-  }
-  sc_.run_stage("aggregate_messages", /*shuffle_map=*/true, std::move(tasks));
+        }
+        {
+          jvm::MethodScope idx(ctx.stack(), m_aggregate_using_index_);
+          exec::hash_aggregate(ctx, message_region_, local.size() * 24,
+                               gathers, 0.30, sc_.costs());
+          ctx.compute(gathers * 30);
+        }
+        partials[p] = local.take();
+      });
 
   // Driver-side merge of the per-partition message maps (functional only;
   // the simulated cost of combining lives in aggregateUsingIndex above).
+  // First-seen order is enough: a list holds each vertex once, a vertex's
+  // partial messages fold in partition order, and CC's min and PageRank's
+  // single add per vertex read no list order (DESIGN.md §6l).
   FlatCombiner<VertexId, T> merged;
   for (const auto& part : partials) {
     for (const auto& [v, msg] : part) merged.add(v, msg, merge);
   }
-  std::vector<std::pair<VertexId, T>> out = merged.drain();
+  std::vector<std::pair<VertexId, T>> out = merged.take();
   stats_.total_messages += out.size();
   return out;
 }
@@ -187,7 +186,6 @@ std::vector<VertexId> GraphX::connected_components(
     std::vector<std::uint8_t> next_active(n, 0);
     std::uint64_t changed = 0;
     {
-      std::vector<exec::Task> tasks;
       const std::size_t parts = part_lo_.size();
       std::vector<std::vector<std::pair<VertexId, VertexId>>> routed(parts);
       const VertexId per = part_hi_[0] - part_lo_[0];
@@ -196,33 +194,30 @@ std::vector<VertexId> GraphX::connected_components(
                                      parts - 1)]
             .emplace_back(v, msg);
       }
-      for (std::size_t p = 0; p < parts; ++p) {
-        tasks.push_back(exec::Task{
-            "join_vertices_" + std::to_string(p),
-            [&, p](exec::ExecutorContext& ctx) {
-              jvm::MethodScope join(ctx.stack(), m_join_vertices_);
-              for (const auto& [v, msg] : routed[p]) {
-                if (msg < label[v]) {
-                  label[v] = msg;
-                  next_active[v] = 1;
-                  ++changed;
-                }
+      sc_.run_stage(
+          "join_vertices", /*shuffle_map=*/false, parts,
+          [&](std::size_t p, exec::ExecutorContext& ctx) {
+            jvm::MethodScope join(ctx.stack(), m_join_vertices_);
+            for (const auto& [v, msg] : routed[p]) {
+              if (msg < label[v]) {
+                label[v] = msg;
+                next_active[v] = 1;
+                ++changed;
               }
-              exec::scan_region(
-                  ctx, vertex_region_ + part_lo_[p] * 16,
-                  static_cast<std::uint64_t>(part_hi_[p] - part_lo_[p]) * 16,
-                  2.0, /*write=*/true);
-              // Applying the messages is a scattered update pattern over
-              // the vertex attributes (join by index).
-              if (!routed[p].empty()) {
-                auto updates = hw::AccessStream::random(
-                    vertex_region_, vertex_region_bytes_,
-                    routed[p].size() * 2, ctx.rng(), /*write=*/true);
-                ctx.execute(routed[p].size() * 70, updates);
-              }
-            }});
-      }
-      sc_.run_stage("join_vertices", /*shuffle_map=*/false, std::move(tasks));
+            }
+            exec::scan_region(
+                ctx, vertex_region_ + part_lo_[p] * 16,
+                static_cast<std::uint64_t>(part_hi_[p] - part_lo_[p]) * 16,
+                2.0, /*write=*/true);
+            // Applying the messages is a scattered update pattern over the
+            // vertex attributes (join by index).
+            if (!routed[p].empty()) {
+              auto updates = hw::AccessStream::random(
+                  vertex_region_, vertex_region_bytes_, routed[p].size() * 2,
+                  ctx.rng(), /*write=*/true);
+              ctx.execute(routed[p].size() * 70, updates);
+            }
+          });
     }
     if (changed == 0) break;
     active = std::move(next_active);
@@ -253,27 +248,19 @@ std::vector<double> GraphX::pagerank(std::uint32_t iterations,
     ++stats_.iterations;
 
     std::vector<double> next(n, 1.0 - damping);
-    {
-      std::vector<exec::Task> tasks;
-      for (std::size_t p = 0; p < part_lo_.size(); ++p) {
-        tasks.push_back(exec::Task{
-            "rank_update_" + std::to_string(p),
-            [&, p](exec::ExecutorContext& ctx) {
-              jvm::MethodScope join(ctx.stack(), m_join_vertices_);
-              exec::scan_region(
-                  ctx, vertex_region_ + part_lo_[p] * 16,
-                  static_cast<std::uint64_t>(part_hi_[p] - part_lo_[p]) * 16,
-                  2.0, /*write=*/true);
-              auto updates = hw::AccessStream::random(
-                  vertex_region_, vertex_region_bytes_,
-                  (part_hi_[p] - part_lo_[p]) / 2, ctx.rng(), /*write=*/true);
-              ctx.execute(
-                  static_cast<std::uint64_t>(part_hi_[p] - part_lo_[p]) * 35,
-                  updates);
-            }});
-      }
-      sc_.run_stage("rank_update", /*shuffle_map=*/false, std::move(tasks));
-    }
+    sc_.run_stage(
+        "rank_update", /*shuffle_map=*/false, part_lo_.size(),
+        [&](std::size_t p, exec::ExecutorContext& ctx) {
+          jvm::MethodScope join(ctx.stack(), m_join_vertices_);
+          const auto vertices =
+              static_cast<std::uint64_t>(part_hi_[p] - part_lo_[p]);
+          exec::scan_region(ctx, vertex_region_ + part_lo_[p] * 16,
+                            vertices * 16, 2.0, /*write=*/true);
+          auto updates = hw::AccessStream::random(
+              vertex_region_, vertex_region_bytes_, vertices / 2, ctx.rng(),
+              /*write=*/true);
+          ctx.execute(vertices * 35, updates);
+        });
     for (const auto& [v, sum] : messages) next[v] += damping * sum;
     rank = std::move(next);
   }

@@ -15,9 +15,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <type_traits>
 #include <string>
-#include <unordered_set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -45,14 +44,6 @@ struct OpCost {
   double aux_bytes_per_element = 0;  ///< auxiliary random-access state
 };
 
-/// A shuffle dependency that may still need its map-side stage run.
-class ShuffleDep {
- public:
-  virtual ~ShuffleDep() = default;
-  virtual bool materialized() const = 0;
-  virtual void run_map_stage() = 0;
-};
-
 class RDDBase {
  public:
   explicit RDDBase(SparkContext& sc) : sc_(sc), id_(sc.next_rdd_id()) {}
@@ -63,11 +54,10 @@ class RDDBase {
 
   virtual std::size_t num_partitions() const = 0;
 
-  /// Append un-materialized shuffle dependencies in topological order
-  /// (ancestors first). `seen` de-duplicates diamond lineage.
-  virtual void collect_pending_shuffles(
-      std::vector<ShuffleDep*>& out,
-      std::unordered_set<const void*>& seen) const = 0;
+  /// Run every shuffle map stage this RDD's partitions read that has not
+  /// run yet, ancestors first: a narrow RDD forwards to its parent, and a
+  /// shuffled RDD runs its own map stage once.
+  virtual void materialize() = 0;
 
   SparkContext& context() const { return sc_; }
   int id() const { return id_; }
@@ -107,16 +97,6 @@ inline exec::PipelineBatcher& batcher(exec::ExecutorContext& ctx) {
   return *b;
 }
 
-/// Run all pending shuffle map stages below `rdd`.
-inline void materialize_ancestry(const RDDBase& rdd) {
-  std::vector<ShuffleDep*> pending;
-  std::unordered_set<const void*> seen;
-  rdd.collect_pending_shuffles(pending, seen);
-  for (ShuffleDep* dep : pending) {
-    if (!dep->materialized()) dep->run_map_stage();
-  }
-}
-
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -147,8 +127,7 @@ class ParallelizeRDD final : public RDD<T> {
 
   std::size_t num_partitions() const override { return partitions_.size(); }
 
-  void collect_pending_shuffles(
-      std::vector<ShuffleDep*>&, std::unordered_set<const void*>&) const override {}
+  void materialize() override {}
 
   std::vector<T> compute(std::size_t p, exec::ExecutorContext& ctx) override {
     SIMPROF_EXPECTS(p < partitions_.size(), "partition out of range");
@@ -198,8 +177,7 @@ class TextFileRDD final : public RDD<std::uint64_t> {
 
   std::size_t num_partitions() const override { return splits_.size(); }
 
-  void collect_pending_shuffles(
-      std::vector<ShuffleDep*>&, std::unordered_set<const void*>&) const override {}
+  void materialize() override {}
 
   std::vector<std::uint64_t> compute(std::size_t p,
                                      exec::ExecutorContext& ctx) override {
@@ -236,8 +214,7 @@ class TextFileRDD final : public RDD<std::uint64_t> {
 
 /// `Fn` is the per-record function's type: the factories below deduce it,
 /// so the record loop calls it directly rather than through std::function.
-template <typename U, typename T,
-          typename Fn = std::function<void(const T&, std::vector<U>&)>>
+template <typename U, typename T, typename Fn>
 class FlatMapRDD final : public RDD<U> {
  public:
   FlatMapRDD(RddPtr<T> parent, std::string name, jvm::OpKind kind,
@@ -257,11 +234,7 @@ class FlatMapRDD final : public RDD<U> {
     return parent_->num_partitions();
   }
 
-  void collect_pending_shuffles(
-      std::vector<ShuffleDep*>& out,
-      std::unordered_set<const void*>& seen) const override {
-    parent_->collect_pending_shuffles(out, seen);
-  }
+  void materialize() override { parent_->materialize(); }
 
   std::vector<U> compute(std::size_t p, exec::ExecutorContext& ctx) override {
     // Narrow transformations are iterator-pipelined in Spark: the consumer's
@@ -304,118 +277,99 @@ class FlatMapRDD final : public RDD<U> {
   std::uint64_t aux_region_ = 0;
 };
 
-/// map / filter are flat_map specializations; see the free functions below.
-
-/// union: concatenates two RDDs' partitions (a narrow, zero-cost dependency
-/// — Spark's UnionRDD). The paper names `union` as an example of Spark
-/// operations beyond map/reduce (Section II-B).
-template <typename T>
-class UnionRDD final : public RDD<T> {
- public:
-  UnionRDD(RddPtr<T> left, RddPtr<T> right)
-      : RDD<T>(left->context()),
-        left_(std::move(left)),
-        right_(std::move(right)) {
-    SIMPROF_EXPECTS(&left_->context() == &right_->context(),
-                    "union across SparkContexts");
-  }
-
-  std::size_t num_partitions() const override {
-    return left_->num_partitions() + right_->num_partitions();
-  }
-
-  void collect_pending_shuffles(
-      std::vector<ShuffleDep*>& out,
-      std::unordered_set<const void*>& seen) const override {
-    left_->collect_pending_shuffles(out, seen);
-    right_->collect_pending_shuffles(out, seen);
-  }
-
-  std::vector<T> compute(std::size_t p, exec::ExecutorContext& ctx) override {
-    const std::size_t nl = left_->num_partitions();
-    return p < nl ? left_->compute(p, ctx) : right_->compute(p - nl, ctx);
-  }
-
- private:
-  RddPtr<T> left_;
-  RddPtr<T> right_;
-};
-
 // ---------------------------------------------------------------------------
 // Shuffled RDDs
 // ---------------------------------------------------------------------------
+
+/// The map side every shuffle shares (Spark's ShuffleMapStage): one map task
+/// per parent partition, run once, before anything reads the shuffle. The
+/// stage allocates the subclass's simulated regions before its first task.
+/// Map task m writes only its own output slots, runs_[r][m] for each reduce
+/// partition r, and reduce partition r reads runs(r) in map-task order, as
+/// Spark reads its per-map shuffle files.
+template <typename K, typename V>
+class ShuffledRDD : public RDD<std::pair<K, V>> {
+ public:
+  using Pair = std::pair<K, V>;
+
+  std::size_t num_partitions() const final { return partitions_; }
+
+  void materialize() final {
+    if (materialized_) return;
+    parent_->materialize();
+    const std::size_t map_tasks = parent_->num_partitions();
+    runs_.assign(partitions_, std::vector<std::vector<Pair>>(map_tasks));
+    allocate_regions();
+    this->sc_.run_stage(stage_name_, /*shuffle_map=*/true, map_tasks,
+                        [this](std::size_t m, exec::ExecutorContext& ctx) {
+                          map_task(m, ctx);
+                        });
+    materialized_ = true;
+  }
+
+ protected:
+  ShuffledRDD(RddPtr<Pair> parent, std::size_t partitions,
+              std::string_view stage_prefix, OpCost cost)
+      : RDD<Pair>(parent->context()),
+        parent_(std::move(parent)),
+        partitions_(partitions),
+        cost_(cost),
+        stage_name_(std::string(stage_prefix) +
+                    std::to_string(this->sc_.next_shuffle_id())) {
+    SIMPROF_EXPECTS(partitions_ > 0, "need at least one reduce partition");
+  }
+
+  virtual void allocate_regions() = 0;
+  /// Compute parent partition m and write its records to runs_[·][m].
+  virtual void map_task(std::size_t m, exec::ExecutorContext& ctx) = 0;
+
+  /// Reduce partition r's map outputs, in map-task order, and their total
+  /// record count.
+  const std::vector<std::vector<Pair>>& runs(std::size_t r,
+                                             std::uint64_t& records) const {
+    SIMPROF_EXPECTS(materialized_, "reduce side before map stage");
+    SIMPROF_EXPECTS(r < partitions_, "partition out of range");
+    records = 0;
+    for (const auto& run : runs_[r]) records += run.size();
+    return runs_[r];
+  }
+
+  RddPtr<Pair> parent_;
+  std::size_t partitions_;
+  OpCost cost_;
+  std::vector<std::vector<std::vector<Pair>>> runs_;  // [reduce][map task]
+
+ private:
+  std::string stage_name_;
+  bool materialized_ = false;
+};
 
 /// reduceByKey with Spark's map-side combine (Aggregator.combineValuesByKey):
 /// the map stage builds a per-task hash map whose region grows as distinct
 /// keys accumulate — the tightly coupled map+reduce+IO phase of Figure 14.
 /// `CombineFn` is the fold's type, deduced by reduce_by_key.
-template <typename K, typename V,
-          typename CombineFn = std::function<V(const V&, const V&)>>
-class ReduceByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
+template <typename K, typename V, typename CombineFn>
+class ReduceByKeyRDD final : public ShuffledRDD<K, V> {
  public:
   using Pair = std::pair<K, V>;
-  using KeyHashFn = std::function<std::uint64_t(const K&)>;
 
   ReduceByKeyRDD(RddPtr<Pair> parent, CombineFn combine,
-                 std::size_t num_partitions, OpCost cost,
-                 KeyHashFn key_hash, bool map_side_combine = true)
-      : RDD<Pair>(parent->context()),
-        parent_(std::move(parent)),
-        combine_(std::move(combine)),
-        partitions_(num_partitions),
-        cost_(cost),
-        key_hash_(std::move(key_hash)),
-        map_side_combine_(map_side_combine),
-        shuffle_id_(this->sc_.next_shuffle_id()) {
-    SIMPROF_EXPECTS(partitions_ > 0, "need at least one reduce partition");
-  }
-
-  std::size_t num_partitions() const override { return partitions_; }
-
-  bool materialized() const override { return materialized_; }
-
-  void collect_pending_shuffles(
-      std::vector<ShuffleDep*>& out,
-      std::unordered_set<const void*>& seen) const override {
-    if (materialized_ || seen.contains(this)) return;
-    parent_->collect_pending_shuffles(out, seen);
-    seen.insert(this);
-    out.push_back(const_cast<ReduceByKeyRDD*>(this));
-  }
-
-  void run_map_stage() override {
-    SIMPROF_EXPECTS(!materialized_, "map stage already ran");
-    detail::materialize_ancestry(*parent_);
-    buckets_.assign(partitions_, {});
-
-    const std::size_t map_tasks = parent_->num_partitions();
-    std::vector<exec::Task> tasks;
-    tasks.reserve(map_tasks);
-    for (std::size_t p = 0; p < map_tasks; ++p) {
-      tasks.push_back(exec::Task{
-          "shuffle_map_" + std::to_string(shuffle_id_) + "_" +
-              std::to_string(p),
-          [this, p](exec::ExecutorContext& ctx) { map_task(p, ctx); }});
-    }
-    this->sc_.run_stage("shuffle_" + std::to_string(shuffle_id_),
-                        /*shuffle_map=*/true, std::move(tasks));
-    materialized_ = true;
-  }
+                 std::size_t num_partitions, OpCost cost)
+      : ShuffledRDD<K, V>(std::move(parent), num_partitions, "shuffle_", cost),
+        combine_(std::move(combine)) {}
 
   std::vector<Pair> compute(std::size_t p,
                             exec::ExecutorContext& ctx) override {
-    SIMPROF_EXPECTS(materialized_, "reduce side before map stage");
-    SIMPROF_EXPECTS(p < partitions_, "partition out of range");
+    std::uint64_t total = 0;
+    const auto& runs = this->runs(p, total);
     SparkMethods& m = this->sc_.methods();
     const auto& costs = this->sc_.costs();
 
     // Fetch + deserialize + merge: the reader feeds the combiner iterator,
     // so both defer and flush interleaved — one reduce-side phase, not two.
     exec::PipelineBatcher& b = detail::batcher(ctx);
-    std::uint64_t total = 0;
-    for (const auto& run : buckets_[p]) total += run.size();
     const auto bytes = static_cast<std::uint64_t>(
-        cost_.record_bytes * static_cast<double>(total));
+        this->cost_.record_bytes * static_cast<double>(total));
     const auto read_instrs = static_cast<std::uint64_t>(
         costs.scan_instrs_per_byte * static_cast<double>(bytes));
     static obs::Counter& read_bytes_metric =
@@ -434,7 +388,7 @@ class ReduceByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
                                         elements, 0.35, costs));
     };
     std::uint64_t processed = 0;
-    for (const auto& run : buckets_[p]) {
+    for (const auto& run : runs) {
       for (const auto& [k, v] : run) {
         merged.add(k, v, combine_);
         if (++processed % kBlock == 0) charge_merge(kBlock);
@@ -448,7 +402,15 @@ class ReduceByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
   static constexpr std::uint64_t kBlock = 4096;
   static constexpr std::uint64_t kEntryBytes = 32;
 
-  void map_task(std::size_t p, exec::ExecutorContext& ctx) {
+  void allocate_regions() override {
+    hw::AddressSpace& space = this->sc_.cluster().address_space();
+    map_region_ = space.allocate(1ULL << 26);
+    reduce_region_ = space.allocate(1ULL << 26);
+    region_stride_ = (1ULL << 26) / this->partitions_;
+    shuffle_region_ = space.allocate(1ULL << 26);
+  }
+
+  void map_task(std::size_t p, exec::ExecutorContext& ctx) override {
     SparkMethods& m = this->sc_.methods();
     const auto& costs = this->sc_.costs();
 
@@ -460,95 +422,60 @@ class ReduceByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
     exec::PipelineBatcher* b = ctx.batcher();
     std::vector<Pair> in;
     {
-      exec::PipelineFrame pframe(map_side_combine_ ? b : nullptr,
-                                 m.combine_values);
-      in = parent_->compute(p, ctx);
+      exec::PipelineFrame pframe(b, m.combine_values);
+      in = this->parent_->compute(p, ctx);
     }
 
-    // Lazily allocate the simulated shuffle regions once sizes are known.
-    if (map_region_ == 0) {
-      map_region_ = this->sc_.cluster().address_space().allocate(1ULL << 26);
-      reduce_region_ =
-          this->sc_.cluster().address_space().allocate(1ULL << 26);
-      region_stride_ = (1ULL << 26) / partitions_;
-      shuffle_region_ =
-          this->sc_.cluster().address_space().allocate(1ULL << 26);
+    FlatCombiner<K, V> combiner(in.size() / 4 + 16);
+    std::uint64_t processed = 0;
+    auto defer_hash = [&](std::uint64_t elements) {
+      if (elements == 0) return;
+      // Hot keys (low Zipf ranks) stay cache-resident: skewed probes over
+      // the hash region at its size when this block ran.
+      b->add(m.combine_values, exec::hash_aggregate_instrs(elements, costs),
+             exec::hash_aggregate_stream(ctx.rng(), map_region_,
+                                         combiner.size() * kEntryBytes,
+                                         elements, 0.80, costs));
+    };
+    for (const auto& [k, v] : in) {
+      combiner.add(k, v, combine_);
+      if (++processed % kBlock == 0) defer_hash(kBlock);
     }
-
-    std::vector<Pair> combined;
-    if (map_side_combine_) {
-      FlatCombiner<K, V> combiner(in.size() / 4 + 16);
-      std::uint64_t processed = 0;
-      auto defer_hash = [&](std::uint64_t elements) {
-        if (elements == 0) return;
-        // Hot keys (low Zipf ranks) stay cache-resident: skewed probes over
-        // the hash region at its size when this block ran.
-        b->add(m.combine_values,
-               exec::hash_aggregate_instrs(elements, costs),
-               exec::hash_aggregate_stream(ctx.rng(), map_region_,
-                                           combiner.size() * kEntryBytes,
-                                           elements, 0.80, costs));
-      };
-      for (const auto& [k, v] : in) {
-        combiner.add(k, v, combine_);
-        if (++processed % kBlock == 0) defer_hash(kBlock);
-      }
-      defer_hash(processed % kBlock);
-      combined = combiner.drain();
-    }
+    defer_hash(processed % kBlock);
+    const std::vector<Pair> combined = combiner.drain();
     pipeline.finish();  // charge the coupled read+map+combine mixture
 
     // Partition and write the shuffle output.
+    jvm::MethodScope write(ctx.stack(), m.shuffle_write);
+    // A stopped core carries no simulated cycle times — emitting a span
+    // from it would plot stale bounds in the trace.
+    const bool tracing = obs::trace_enabled() && !ctx.stopped();
+    const std::uint64_t write_start_cycles =
+        tracing ? ctx.counters().cycles : 0;
+    for (const Pair& kv : combined) {
+      const std::uint32_t r = detail::hash_to_partition(
+          static_cast<std::uint64_t>(kv.first), this->partitions_);
+      this->runs_[r][p].push_back(kv);
+    }
+    const auto bytes = static_cast<std::uint64_t>(
+        this->cost_.record_bytes * static_cast<double>(combined.size()));
+    static obs::Counter& write_bytes_metric =
+        obs::metrics().counter("spark.shuffle_write_bytes");
+    write_bytes_metric.add(bytes);
     {
-      jvm::MethodScope write(ctx.stack(), m.shuffle_write);
-      // A stopped core carries no simulated cycle times — emitting a span
-      // from it would plot stale bounds in the trace.
-      const bool tracing = obs::trace_enabled() && !ctx.stopped();
-      const std::uint64_t write_start_cycles =
-          tracing ? ctx.counters().cycles : 0;
-      std::vector<std::vector<Pair>> parts(partitions_);
-      auto route = [&](const Pair& kv) {
-        parts[detail::hash_to_partition(key_hash_(kv.first), partitions_)]
-            .push_back(kv);
-      };
-      if (map_side_combine_) {
-        for (const auto& kv : combined) route(kv);
-      } else {
-        for (const auto& kv : in) route(kv);
-      }
-      std::uint64_t out_records = 0;
-      for (const auto& b : parts) out_records += b.size();
-      const auto bytes = static_cast<std::uint64_t>(
-          cost_.record_bytes * static_cast<double>(out_records));
-      static obs::Counter& write_bytes_metric =
-          obs::metrics().counter("spark.shuffle_write_bytes");
-      write_bytes_metric.add(bytes);
-      {
-        jvm::MethodScope ser(ctx.stack(), m.serialize);
-        exec::write_stream(ctx, map_region_ + (1ULL << 25), bytes,
-                           /*compressed=*/false, costs);
-      }
-      for (std::size_t r = 0; r < partitions_; ++r) {
-        if (!parts[r].empty()) buckets_[r].push_back(std::move(parts[r]));
-      }
-      if (tracing) {
-        obs::trace_virtual_span(
-            "spark.shuffle_write", write_start_cycles, ctx.counters().cycles,
-            ctx.core(),
-            {{"partition", p}, {"records", out_records}, {"bytes", bytes}});
-      }
+      jvm::MethodScope ser(ctx.stack(), m.serialize);
+      exec::write_stream(ctx, map_region_ + (1ULL << 25), bytes,
+                         /*compressed=*/false, costs);
+    }
+    if (tracing) {
+      obs::trace_virtual_span(
+          "spark.shuffle_write", write_start_cycles, ctx.counters().cycles,
+          ctx.core(),
+          {{"partition", p}, {"records", combined.size()}, {"bytes", bytes}});
     }
   }
 
-  RddPtr<Pair> parent_;
   CombineFn combine_;
-  std::size_t partitions_;
-  OpCost cost_;
-  KeyHashFn key_hash_;
-  bool map_side_combine_;
-  int shuffle_id_;
-  bool materialized_ = false;
-  std::vector<std::vector<std::vector<Pair>>> buckets_;  // [reduce][run]
   std::uint64_t map_region_ = 0;
   std::uint64_t reduce_region_ = 0;
   std::uint64_t shuffle_region_ = 0;
@@ -559,87 +486,55 @@ class ReduceByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
 /// the reduce side (ExternalSorter). The recursive partition passes of the
 /// sort produce the high intra-phase CPI variance discussed in III-B.1.
 template <typename K, typename V>
-class SortByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
+class SortByKeyRDD final : public ShuffledRDD<K, V> {
  public:
   using Pair = std::pair<K, V>;
   using RankFn = std::function<double(const K&)>;  ///< key → [0, 1)
 
   SortByKeyRDD(RddPtr<Pair> parent, RankFn rank, std::size_t num_partitions,
                OpCost cost)
-      : RDD<Pair>(parent->context()),
-        parent_(std::move(parent)),
-        rank_(std::move(rank)),
-        partitions_(num_partitions),
-        cost_(cost),
-        shuffle_id_(this->sc_.next_shuffle_id()) {
-    SIMPROF_EXPECTS(partitions_ > 0, "need at least one partition");
-  }
-
-  std::size_t num_partitions() const override { return partitions_; }
-  bool materialized() const override { return materialized_; }
-
-  void collect_pending_shuffles(
-      std::vector<ShuffleDep*>& out,
-      std::unordered_set<const void*>& seen) const override {
-    if (materialized_ || seen.contains(this)) return;
-    parent_->collect_pending_shuffles(out, seen);
-    seen.insert(this);
-    out.push_back(const_cast<SortByKeyRDD*>(this));
-  }
-
-  void run_map_stage() override {
-    SIMPROF_EXPECTS(!materialized_, "map stage already ran");
-    detail::materialize_ancestry(*parent_);
-    buckets_.assign(partitions_, {});
-    const std::size_t map_tasks = parent_->num_partitions();
-    std::vector<exec::Task> tasks;
-    tasks.reserve(map_tasks);
-    for (std::size_t p = 0; p < map_tasks; ++p) {
-      tasks.push_back(exec::Task{
-          "sort_map_" + std::to_string(p),
-          [this, p](exec::ExecutorContext& ctx) { map_task(p, ctx); }});
-    }
-    this->sc_.run_stage("sort_shuffle_" + std::to_string(shuffle_id_),
-                        /*shuffle_map=*/true, std::move(tasks));
-    materialized_ = true;
-  }
+      : ShuffledRDD<K, V>(std::move(parent), num_partitions, "sort_shuffle_",
+                          cost),
+        rank_(std::move(rank)) {}
 
   std::vector<Pair> compute(std::size_t p,
                             exec::ExecutorContext& ctx) override {
-    SIMPROF_EXPECTS(materialized_, "reduce side before map stage");
+    std::uint64_t total = 0;
+    const auto& runs = this->runs(p, total);
     SparkMethods& m = this->sc_.methods();
     const auto& costs = this->sc_.costs();
-
-    std::uint64_t total = 0;
-    for (const auto& run : buckets_[p]) total += run.size();
     {
       jvm::MethodScope read(ctx.stack(), m.shuffle_read);
       exec::scan_region(ctx, sort_region_,
-                        static_cast<std::uint64_t>(cost_.record_bytes *
+                        static_cast<std::uint64_t>(this->cost_.record_bytes *
                                                    static_cast<double>(total)),
                         costs.scan_instrs_per_byte);
     }
     std::vector<Pair> all;
     {
       jvm::MethodScope sorter(ctx.stack(), m.external_sort);
-      all = sorted_by_rank(buckets_[p]);
+      all = sorted_by_rank(runs, total);
       exec::quicksort_traffic(
           ctx, sort_region_, all.size(),
-          static_cast<std::uint32_t>(std::max(1.0, cost_.record_bytes)),
+          static_cast<std::uint32_t>(std::max(1.0, this->cost_.record_bytes)),
           costs);
     }
     return all;
   }
 
  private:
-  /// The records of `runs`, concatenated and then stably sorted by the rank
-  /// of their keys. rank_ runs once per record; the radix kernel sorts
-  /// record positions by rank key (the order of std::stable_sort by rank),
-  /// and the records are gathered from the runs in that order.
-  std::vector<Pair> sorted_by_rank(
-      const std::vector<std::vector<Pair>>& runs) const {
-    std::size_t total = 0;
-    for (const auto& run : runs) total += run.size();
+  void allocate_regions() override {
+    hw::AddressSpace& space = this->sc_.cluster().address_space();
+    sort_region_ = space.allocate(1ULL << 26);
+    write_region_ = space.allocate(1ULL << 26);
+  }
+
+  /// The `total` records of `runs`, concatenated and then stably sorted by
+  /// the rank of their keys. rank_ runs once per record; the radix kernel
+  /// sorts record positions by rank key (the order of std::stable_sort by
+  /// rank), and the records are gathered from the runs in that order.
+  std::vector<Pair> sorted_by_rank(const std::vector<std::vector<Pair>>& runs,
+                                   std::uint64_t total) const {
     SIMPROF_EXPECTS(total < 0xffffffffu, "sort partition too large");
     std::vector<std::uint64_t> keys;  // per record, in concatenation order
     keys.reserve(total);
@@ -659,6 +554,8 @@ class SortByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
     std::vector<Pair> out;
     out.reserve(order.size());
     for (const std::uint32_t i : order) {
+      // The first run ending past i holds it; empty runs end where the
+      // run before them does, so upper_bound steps over them.
       const std::size_t r = static_cast<std::size_t>(
           std::upper_bound(run_end.begin(), run_end.end(), i) -
           run_end.begin());
@@ -667,7 +564,7 @@ class SortByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
     return out;
   }
 
-  void map_task(std::size_t p, exec::ExecutorContext& ctx) {
+  void map_task(std::size_t p, exec::ExecutorContext& ctx) override {
     SparkMethods& m = this->sc_.methods();
     const auto& costs = this->sc_.costs();
     // The sort-shuffle writer drives the pipelined parent iterator.
@@ -675,40 +572,22 @@ class SortByKeyRDD final : public RDD<std::pair<K, V>>, public ShuffleDep {
     std::vector<Pair> in;
     {
       exec::PipelineFrame pframe(ctx.batcher(), m.shuffle_write);
-      in = parent_->compute(p, ctx);
+      in = this->parent_->compute(p, ctx);
     }
     pipeline.finish();
-    if (sort_region_ == 0) {
-      sort_region_ = this->sc_.cluster().address_space().allocate(1ULL << 26);
-      write_region_ = this->sc_.cluster().address_space().allocate(1ULL << 26);
-    }
     jvm::MethodScope write(ctx.stack(), m.shuffle_write);
-    std::vector<std::vector<Pair>> parts(partitions_);
+    const auto partitions = static_cast<double>(this->partitions_);
     for (const auto& kv : in) {
-      double r = rank_(kv.first);
-      r = std::clamp(r, 0.0, 1.0 - 1e-12);
-      parts[static_cast<std::size_t>(r * static_cast<double>(partitions_))]
-          .push_back(kv);
+      const double r = std::clamp(rank_(kv.first), 0.0, 1.0 - 1e-12);
+      this->runs_[static_cast<std::size_t>(r * partitions)][p].push_back(kv);
     }
     const auto bytes = static_cast<std::uint64_t>(
-        cost_.record_bytes * static_cast<double>(in.size()));
-    {
-      jvm::MethodScope ser(ctx.stack(), m.serialize);
-      exec::write_stream(ctx, write_region_, bytes, /*compressed=*/false,
-                         costs);
-    }
-    for (std::size_t r = 0; r < partitions_; ++r) {
-      if (!parts[r].empty()) buckets_[r].push_back(std::move(parts[r]));
-    }
+        this->cost_.record_bytes * static_cast<double>(in.size()));
+    jvm::MethodScope ser(ctx.stack(), m.serialize);
+    exec::write_stream(ctx, write_region_, bytes, /*compressed=*/false, costs);
   }
 
-  RddPtr<Pair> parent_;
   RankFn rank_;
-  std::size_t partitions_;
-  OpCost cost_;
-  int shuffle_id_;
-  bool materialized_ = false;
-  std::vector<std::vector<std::vector<Pair>>> buckets_;
   std::uint64_t sort_region_ = 0;
   std::uint64_t write_region_ = 0;
 };
@@ -754,8 +633,7 @@ auto reduce_by_key(std::shared_ptr<Rdd> parent, F fn, std::size_t partitions,
   using V = typename Pair::second_type;
   return std::static_pointer_cast<RDD<Pair>>(
       std::make_shared<ReduceByKeyRDD<K, V, F>>(
-          RddPtr<Pair>(std::move(parent)), std::move(fn), partitions, cost,
-          [](const K& k) { return static_cast<std::uint64_t>(k); }));
+          RddPtr<Pair>(std::move(parent)), std::move(fn), partitions, cost));
 }
 
 template <typename Rdd, typename R>
@@ -771,105 +649,6 @@ auto sort_by_key(std::shared_ptr<Rdd> parent, R rank, std::size_t partitions,
           cost));
 }
 
-template <typename RddA, typename RddB>
-auto union_rdds(std::shared_ptr<RddA> a, std::shared_ptr<RddB> b) {
-  using T = typename RddA::element_type;
-  static_assert(std::is_same_v<T, typename RddB::element_type>,
-                "union of RDDs with different element types");
-  return std::static_pointer_cast<RDD<T>>(
-      std::make_shared<UnionRDD<T>>(RddPtr<T>(std::move(a)),
-                                    RddPtr<T>(std::move(b))));
-}
-
-/// distinct = map-to-pair + reduceByKey(first) + keys, like Spark's.
-template <typename Rdd>
-auto distinct(std::shared_ptr<Rdd> parent, std::size_t partitions,
-              OpCost cost = {}) {
-  using T = typename Rdd::element_type;
-  auto keyed = map<std::pair<T, std::uint8_t>>(
-      std::move(parent), "org.apache.spark.rdd.RDD.distinct",
-      jvm::OpKind::kMap, cost,
-      [](const T& e) { return std::make_pair(e, std::uint8_t{1}); });
-  auto reduced = reduce_by_key(
-      std::move(keyed),
-      [](const std::uint8_t& a, const std::uint8_t&) { return a; },
-      partitions, cost);
-  return map<T>(std::move(reduced), "org.apache.spark.rdd.RDD.distinct[keys]",
-                jvm::OpKind::kMap, cost,
-                [](const std::pair<T, std::uint8_t>& kv) { return kv.first; });
-}
-
-/// groupByKey: shuffle all values of a key to one partition. Like Spark,
-/// no map-side combine — every record crosses the shuffle (which is why the
-/// paper's workloads prefer reduceByKey).
-template <typename Rdd>
-auto group_by_key(std::shared_ptr<Rdd> parent, std::size_t partitions,
-                  OpCost cost = {}) {
-  using Pair = typename Rdd::element_type;
-  using K = typename Pair::first_type;
-  using V = typename Pair::second_type;
-  auto singletons = map<std::pair<K, std::vector<V>>>(
-      std::move(parent), "org.apache.spark.rdd.PairRDDFunctions.groupByKey",
-      jvm::OpKind::kMap, cost, [](const Pair& kv) {
-        return std::make_pair(kv.first, std::vector<V>{kv.second});
-      });
-  return std::static_pointer_cast<RDD<std::pair<K, std::vector<V>>>>(
-      std::make_shared<ReduceByKeyRDD<K, std::vector<V>>>(
-          std::move(singletons),
-          [](const std::vector<V>& a, const std::vector<V>& b) {
-            std::vector<V> out = a;
-            out.insert(out.end(), b.begin(), b.end());
-            return out;
-          },
-          partitions, cost,
-          [](const K& k) { return static_cast<std::uint64_t>(k); },
-          /*map_side_combine=*/false));
-}
-
-/// Inner join of two pair RDDs on the key: tag each side, union, group by
-/// key, emit the cross product — Spark's cogroup-based join, expressed with
-/// the same primitives.
-template <typename RddA, typename RddB>
-auto join(std::shared_ptr<RddA> left, std::shared_ptr<RddB> right,
-          std::size_t partitions, OpCost cost = {}) {
-  using PairA = typename RddA::element_type;
-  using PairB = typename RddB::element_type;
-  using K = typename PairA::first_type;
-  static_assert(std::is_same_v<K, typename PairB::first_type>,
-                "join keys must match");
-  using V = typename PairA::second_type;
-  using W = typename PairB::second_type;
-  using Tagged = std::pair<K, std::pair<std::uint8_t, std::pair<V, W>>>;
-
-  auto tag_left = map<Tagged>(
-      std::move(left), "org.apache.spark.rdd.CoGroupedRDD.compute[left]",
-      jvm::OpKind::kMap, cost, [](const PairA& kv) {
-        return Tagged{kv.first, {0, {kv.second, W{}}}};
-      });
-  auto tag_right = map<Tagged>(
-      std::move(right), "org.apache.spark.rdd.CoGroupedRDD.compute[right]",
-      jvm::OpKind::kMap, cost, [](const PairB& kv) {
-        return Tagged{kv.first, {1, {V{}, kv.second}}};
-      });
-  auto grouped = group_by_key(union_rdds(tag_left, tag_right), partitions,
-                              cost);
-  using Out = std::pair<K, std::pair<V, W>>;
-  using Grouped = typename decltype(grouped)::element_type::element_type;
-  return flat_map<Out>(
-      std::move(grouped), "org.apache.spark.rdd.PairRDDFunctions.join",
-      jvm::OpKind::kReduce, cost,
-      [](const Grouped& group, std::vector<Out>& out) {
-        for (const auto& a : group.second) {
-          if (a.first != 0) continue;
-          for (const auto& b : group.second) {
-            if (b.first != 1) continue;
-            out.emplace_back(group.first,
-                             std::make_pair(a.second.first, b.second.second));
-          }
-        }
-      });
-}
-
 // ---------------------------------------------------------------------------
 // Actions (trigger job execution)
 // ---------------------------------------------------------------------------
@@ -877,20 +656,14 @@ auto join(std::shared_ptr<RddA> left, std::shared_ptr<RddB> right,
 /// Run the job and gather every partition's records on the driver.
 template <typename T>
 std::vector<T> collect(const RddPtr<T>& rdd) {
-  detail::materialize_ancestry(*rdd);
-  SparkContext& sc = rdd->context();
+  rdd->materialize();
   std::vector<std::vector<T>> results(rdd->num_partitions());
-  std::vector<exec::Task> tasks;
-  tasks.reserve(rdd->num_partitions());
-  for (std::size_t p = 0; p < rdd->num_partitions(); ++p) {
-    tasks.push_back(exec::Task{
-        "collect_" + std::to_string(p),
-        [&rdd, &results, p](exec::ExecutorContext& ctx) {
-          exec::PipelineScope pipeline(ctx);
-          results[p] = rdd->compute(p, ctx);
-        }});
-  }
-  sc.run_stage("collect", /*shuffle_map=*/false, std::move(tasks));
+  rdd->context().run_stage(
+      "collect", /*shuffle_map=*/false, results.size(),
+      [&](std::size_t p, exec::ExecutorContext& ctx) {
+        exec::PipelineScope pipeline(ctx);
+        results[p] = rdd->compute(p, ctx);
+      });
   std::vector<T> out;
   for (auto& r : results) {
     out.insert(out.end(), std::make_move_iterator(r.begin()),
@@ -899,60 +672,31 @@ std::vector<T> collect(const RddPtr<T>& rdd) {
   return out;
 }
 
-/// Run the job and count records without materializing them on the driver.
-template <typename Rdd>
-std::uint64_t count(const std::shared_ptr<Rdd>& rdd) {
-  using T = typename Rdd::element_type;
-  const RddPtr<T> typed(rdd);
-  detail::materialize_ancestry(*typed);
-  SparkContext& sc = typed->context();
-  std::vector<std::uint64_t> counts(typed->num_partitions(), 0);
-  std::vector<exec::Task> tasks;
-  for (std::size_t p = 0; p < typed->num_partitions(); ++p) {
-    tasks.push_back(exec::Task{
-        "count_" + std::to_string(p),
-        [&typed, &counts, p](exec::ExecutorContext& ctx) {
-          exec::PipelineScope pipeline(ctx);
-          counts[p] = typed->compute(p, ctx).size();
-        }});
-  }
-  sc.run_stage("count", /*shuffle_map=*/false, std::move(tasks));
-  std::uint64_t total = 0;
-  for (auto c : counts) total += c;
-  return total;
-}
-
 /// Run the job and write each partition to simulated HDFS; returns the
 /// record count. `record_bytes` sizes the output traffic.
 template <typename T>
 std::uint64_t save_as_text_file(const RddPtr<T>& rdd, double record_bytes) {
-  detail::materialize_ancestry(*rdd);
+  rdd->materialize();
   SparkContext& sc = rdd->context();
   const std::uint64_t out_region =
       sc.cluster().address_space().allocate(1ULL << 26);
   std::vector<std::uint64_t> counts(rdd->num_partitions(), 0);
-  std::vector<exec::Task> tasks;
-  tasks.reserve(rdd->num_partitions());
-  for (std::size_t p = 0; p < rdd->num_partitions(); ++p) {
-    tasks.push_back(exec::Task{
-        "save_" + std::to_string(p),
-        [&rdd, &counts, &sc, out_region, record_bytes, p](
-            exec::ExecutorContext& ctx) {
-          exec::PipelineScope pipeline(ctx);
-          std::vector<T> data = rdd->compute(p, ctx);
-          pipeline.finish();
-          counts[p] = data.size();
-          jvm::MethodScope io(ctx.stack(), sc.methods().hdfs_write);
-          exec::write_stream(
-              ctx, out_region,
-              static_cast<std::uint64_t>(record_bytes *
-                                         static_cast<double>(data.size())),
-              /*compressed=*/false, sc.costs());
-        }});
-  }
-  sc.run_stage("saveAsTextFile", /*shuffle_map=*/false, std::move(tasks));
+  sc.run_stage(
+      "saveAsTextFile", /*shuffle_map=*/false, counts.size(),
+      [&](std::size_t p, exec::ExecutorContext& ctx) {
+        exec::PipelineScope pipeline(ctx);
+        const std::vector<T> data = rdd->compute(p, ctx);
+        pipeline.finish();
+        counts[p] = data.size();
+        jvm::MethodScope io(ctx.stack(), sc.methods().hdfs_write);
+        exec::write_stream(
+            ctx, out_region,
+            static_cast<std::uint64_t>(record_bytes *
+                                       static_cast<double>(data.size())),
+            /*compressed=*/false, sc.costs());
+      });
   std::uint64_t total = 0;
-  for (auto c : counts) total += c;
+  for (const std::uint64_t c : counts) total += c;
   return total;
 }
 

@@ -1,7 +1,5 @@
 #include "minispark/spark_context.h"
 
-#include <utility>
-
 #include "jvm/call_stack.h"
 #include "obs/obs.h"
 
@@ -10,27 +8,24 @@ namespace simprof::spark {
 SparkContext::SparkContext(exec::Cluster& cluster, SparkConfig cfg)
     : cluster_(cluster), cfg_(cfg), methods_(cluster.methods()) {}
 
-void SparkContext::run_stage(const std::string& stage_name, bool shuffle_map,
-                             std::vector<exec::Task> tasks) {
-  const jvm::MethodId task_frame =
-      shuffle_map ? methods_.shuffle_map_task : methods_.result_task;
-  std::vector<exec::Task> wrapped;
-  wrapped.reserve(tasks.size());
-  for (auto& t : tasks) {
-    wrapped.push_back(exec::Task{
-        t.name,
-        [this, task_frame, body = std::move(t.body)](exec::ExecutorContext& ctx) {
-          jvm::MethodScope executor(ctx.stack(), methods_.executor_run);
-          jvm::MethodScope task(ctx.stack(), task_frame);
-          body(ctx);
-        }});
-  }
+void SparkContext::run_stage(std::string_view stage_name, bool shuffle_map,
+                             std::size_t num_tasks,
+                             const exec::StageBody& body) {
   static obs::Counter& stage_count = obs::metrics().counter("spark.stages");
   static obs::Counter& shuffle_stage_count =
       obs::metrics().counter("spark.shuffle_stages");
   stage_count.increment();
   if (shuffle_map) shuffle_stage_count.increment();
-  cluster_.run_stage(stage_name, std::move(wrapped), /*thread_per_task=*/false);
+  const jvm::MethodId task_frame =
+      shuffle_map ? methods_.shuffle_map_task : methods_.result_task;
+  cluster_.run_stage(
+      stage_name, num_tasks,
+      [&](std::size_t t, exec::ExecutorContext& ctx) {
+        jvm::MethodScope executor(ctx.stack(), methods_.executor_run);
+        jvm::MethodScope task(ctx.stack(), task_frame);
+        body(t, ctx);
+      },
+      /*thread_per_task=*/false);
   ++stages_run_;
 }
 

@@ -7,8 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
+#include <string_view>
 
 #include "data/text.h"
 #include "exec/cluster.h"
@@ -41,11 +40,11 @@ class SparkContext {
   int next_rdd_id() { return rdd_counter_++; }
   int next_shuffle_id() { return shuffle_counter_++; }
 
-  /// Execute one stage. Each task body runs under the standard executor /
-  /// task-runner framework frames; `shuffle_map` picks the Spark task type
-  /// frame (ShuffleMapTask vs ResultTask).
-  void run_stage(const std::string& stage_name, bool shuffle_map,
-                 std::vector<exec::Task> tasks);
+  /// Execute one stage of `num_tasks` tasks, task t as body(t, ctx) under
+  /// the standard executor / task-runner framework frames; `shuffle_map`
+  /// picks the Spark task type frame (ShuffleMapTask vs ResultTask).
+  void run_stage(std::string_view stage_name, bool shuffle_map,
+                 std::size_t num_tasks, const exec::StageBody& body);
 
   std::uint32_t stages_run() const { return stages_run_; }
 

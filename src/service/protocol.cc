@@ -31,175 +31,86 @@ bool is_rejection(Status s) {
          s == Status::kShuttingDown;
 }
 
-void ProfileRequest::write(BinaryWriter& w) const {
-  w.str(workload);
-  w.str(input);
-  w.f64(scale);
-  w.u64(seed);
-  w.u8(analyze);
-  w.u64(sample_n);
-  w.u8(want_profile_bytes);
-  w.u8(stream);
-  w.u64(stream_retain);
-  w.u8(features);
-  w.u8(estimator);
+namespace {
+
+// The one visitor behind every message's write and read: a field's C++ type
+// picks its encoding.
+void put(BinaryWriter& w, std::uint8_t v) { w.u8(v); }
+void put(BinaryWriter& w, std::uint64_t v) { w.u64(v); }
+void put(BinaryWriter& w, double v) { w.f64(v); }
+void put(BinaryWriter& w, const std::string& v) { w.str(v); }
+void put(BinaryWriter& w, const std::vector<std::uint64_t>& v) {
+  w.vec_u64(v);
+}
+void put(BinaryWriter& w, const std::vector<double>& v) { w.vec_f64(v); }
+void put(BinaryWriter& w, const std::vector<std::string>& v) {
+  w.vec(v, [](BinaryWriter& w2, const std::string& e) { w2.str(e); });
 }
 
+void get(BinaryReader& r, std::uint8_t& v) { v = r.u8(); }
+void get(BinaryReader& r, std::uint64_t& v) { v = r.u64(); }
+void get(BinaryReader& r, double& v) { v = r.f64(); }
+void get(BinaryReader& r, std::string& v) { v = r.str(); }
+void get(BinaryReader& r, std::vector<std::uint64_t>& v) { v = r.vec_u64(); }
+void get(BinaryReader& r, std::vector<double>& v) { v = r.vec_f64(); }
+void get(BinaryReader& r, std::vector<std::string>& v) {
+  v = r.vec<std::string>([](BinaryReader& r2) { return r2.str(); });
+}
+
+template <typename Msg>
+void write_fields(const Msg& m, BinaryWriter& w) {
+  Msg::fields(m, [&](const auto&... f) { (put(w, f), ...); });
+}
+
+template <typename Msg>
+Msg read_fields(BinaryReader& r) {
+  Msg m;
+  Msg::fields(m, [&](auto&... f) { (get(r, f), ...); });
+  return m;
+}
+
+}  // namespace
+
+void ProfileRequest::write(BinaryWriter& w) const { write_fields(*this, w); }
 ProfileRequest ProfileRequest::read(BinaryReader& r) {
-  ProfileRequest q;
-  q.workload = r.str();
-  q.input = r.str();
-  q.scale = r.f64();
-  q.seed = r.u64();
-  q.analyze = r.u8();
-  q.sample_n = r.u64();
-  q.want_profile_bytes = r.u8();
-  q.stream = r.u8();
-  q.stream_retain = r.u64();
-  q.features = r.u8();
-  q.estimator = r.u8();
-  return q;
+  return read_fields<ProfileRequest>(r);
 }
 
-void ProfileResult::write(BinaryWriter& w) const {
-  w.u8(from_cache);
-  w.u64(units);
-  w.u64(methods);
-  w.f64(oracle_cpi);
-  w.u64(phase_count);
-  w.f64(estimated_cpi);
-  w.f64(standard_error);
-  w.vec_u64(selected_units);
-  w.vec_f64(weights);
-  w.str(profile_bytes);
-  w.u8(features);
-  w.u8(estimator);
-}
-
+void ProfileResult::write(BinaryWriter& w) const { write_fields(*this, w); }
 ProfileResult ProfileResult::read(BinaryReader& r) {
-  ProfileResult v;
-  v.from_cache = r.u8();
-  v.units = r.u64();
-  v.methods = r.u64();
-  v.oracle_cpi = r.f64();
-  v.phase_count = r.u64();
-  v.estimated_cpi = r.f64();
-  v.standard_error = r.f64();
-  v.selected_units = r.vec_u64();
-  v.weights = r.vec_f64();
-  v.profile_bytes = r.str();
-  v.features = r.u8();
-  v.estimator = r.u8();
-  return v;
+  return read_fields<ProfileResult>(r);
 }
 
-void StreamUpdate::write(BinaryWriter& w) const {
-  w.u64(recluster);
-  w.u64(units_ingested);
-  w.u64(units_retained);
-  w.u64(phase_count);
-  w.f64(estimated_cpi);
-  w.vec_u64(selected_units);
-}
-
+void StreamUpdate::write(BinaryWriter& w) const { write_fields(*this, w); }
 StreamUpdate StreamUpdate::read(BinaryReader& r) {
-  StreamUpdate v;
-  v.recluster = r.u64();
-  v.units_ingested = r.u64();
-  v.units_retained = r.u64();
-  v.phase_count = r.u64();
-  v.estimated_cpi = r.f64();
-  v.selected_units = r.vec_u64();
-  return v;
+  return read_fields<StreamUpdate>(r);
 }
 
 void SensitivityRequest::write(BinaryWriter& w) const {
-  w.str(workload);
-  w.str(input);
-  w.f64(scale);
-  w.u64(seed);
-  w.vec(references, [](BinaryWriter& w2, const std::string& s) { w2.str(s); });
-  w.f64(threshold);
+  write_fields(*this, w);
 }
-
 SensitivityRequest SensitivityRequest::read(BinaryReader& r) {
-  SensitivityRequest q;
-  q.workload = r.str();
-  q.input = r.str();
-  q.scale = r.f64();
-  q.seed = r.u64();
-  q.references =
-      r.vec<std::string>([](BinaryReader& r2) { return r2.str(); });
-  q.threshold = r.f64();
-  return q;
+  return read_fields<SensitivityRequest>(r);
 }
 
-void SensitivityResult::write(BinaryWriter& w) const {
-  w.u64(phases);
-  w.u64(sensitive);
-}
-
+void SensitivityResult::write(BinaryWriter& w) const { write_fields(*this, w); }
 SensitivityResult SensitivityResult::read(BinaryReader& r) {
-  SensitivityResult v;
-  v.phases = r.u64();
-  v.sensitive = r.u64();
-  return v;
+  return read_fields<SensitivityResult>(r);
 }
 
-void MeasureRequest::write(BinaryWriter& w) const {
-  w.str(workload);
-  w.str(input);
-  w.f64(scale);
-  w.u64(seed);
-  w.vec_u64(units);
-}
-
+void MeasureRequest::write(BinaryWriter& w) const { write_fields(*this, w); }
 MeasureRequest MeasureRequest::read(BinaryReader& r) {
-  MeasureRequest q;
-  q.workload = r.str();
-  q.input = r.str();
-  q.scale = r.f64();
-  q.seed = r.u64();
-  q.units = r.vec_u64();
-  return q;
+  return read_fields<MeasureRequest>(r);
 }
 
-void MeasureResultMsg::write(BinaryWriter& w) const {
-  w.u8(used_checkpoints);
-  w.u8(fallback);
-  w.u64(checkpoints_restored);
-  w.vec_u64(unit_ids);
-  w.vec_f64(cpis);
-}
-
+void MeasureResultMsg::write(BinaryWriter& w) const { write_fields(*this, w); }
 MeasureResultMsg MeasureResultMsg::read(BinaryReader& r) {
-  MeasureResultMsg v;
-  v.used_checkpoints = r.u8();
-  v.fallback = r.u8();
-  v.checkpoints_restored = r.u64();
-  v.unit_ids = r.vec_u64();
-  v.cpis = r.vec_f64();
-  return v;
+  return read_fields<MeasureResultMsg>(r);
 }
 
-void StatsResult::write(BinaryWriter& w) const {
-  w.u64(accepted);
-  w.u64(rejected);
-  w.u64(completed);
-  w.u64(queue_depth);
-  w.u64(inflight);
-  w.u64(admission_level);
-}
-
+void StatsResult::write(BinaryWriter& w) const { write_fields(*this, w); }
 StatsResult StatsResult::read(BinaryReader& r) {
-  StatsResult v;
-  v.accepted = r.u64();
-  v.rejected = r.u64();
-  v.completed = r.u64();
-  v.queue_depth = r.u64();
-  v.inflight = r.u64();
-  v.admission_level = r.u64();
-  return v;
+  return read_fields<StatsResult>(r);
 }
 
 std::string pack_message(MsgKind kind, std::uint64_t request_id,

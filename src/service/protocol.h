@@ -14,6 +14,10 @@
 // StreamingPhaseFormer's update hook, so a client can start consuming
 // selections while ingestion is still running.
 //
+// Each message struct lists its fields once, in wire order, in a static
+// fields(message, fn) that calls fn(field...); protocol.cc's one visitor
+// writes and reads every message through it.
+//
 // Robustness: frames are bounded (kMaxFrameBytes) and decoded with the
 // bounded BinaryReader, so a malformed or hostile peer can make a read
 // throw SerializeError but can never drive an unbounded allocation. The
@@ -97,6 +101,12 @@ struct ProfileRequest {
   /// core::Estimator wire value: 0 = Neyman, 1 = two-phase (v2).
   std::uint8_t estimator = 0;
 
+  template <typename Self, typename Fn>
+  static void fields(Self& m, Fn&& fn) {
+    fn(m.workload, m.input, m.scale, m.seed, m.analyze, m.sample_n,
+       m.want_profile_bytes, m.stream, m.stream_retain, m.features,
+       m.estimator);
+  }
   void write(BinaryWriter& w) const;
   static ProfileRequest read(BinaryReader& r);
 };
@@ -115,6 +125,12 @@ struct ProfileResult {
   std::uint8_t features = 0;   ///< echo of the request's feature mode (v2)
   std::uint8_t estimator = 0;  ///< echo of the request's estimator (v2)
 
+  template <typename Self, typename Fn>
+  static void fields(Self& m, Fn&& fn) {
+    fn(m.from_cache, m.units, m.methods, m.oracle_cpi, m.phase_count,
+       m.estimated_cpi, m.standard_error, m.selected_units, m.weights,
+       m.profile_bytes, m.features, m.estimator);
+  }
   void write(BinaryWriter& w) const;
   static ProfileResult read(BinaryReader& r);
 };
@@ -129,6 +145,11 @@ struct StreamUpdate {
   double estimated_cpi = 0.0;
   std::vector<std::uint64_t> selected_units;
 
+  template <typename Self, typename Fn>
+  static void fields(Self& m, Fn&& fn) {
+    fn(m.recluster, m.units_ingested, m.units_retained, m.phase_count,
+       m.estimated_cpi, m.selected_units);
+  }
   void write(BinaryWriter& w) const;
   static StreamUpdate read(BinaryReader& r);
 };
@@ -143,6 +164,10 @@ struct SensitivityRequest {
   std::vector<std::string> references;
   double threshold = 0.10;
 
+  template <typename Self, typename Fn>
+  static void fields(Self& m, Fn&& fn) {
+    fn(m.workload, m.input, m.scale, m.seed, m.references, m.threshold);
+  }
   void write(BinaryWriter& w) const;
   static SensitivityRequest read(BinaryReader& r);
 };
@@ -151,6 +176,10 @@ struct SensitivityResult {
   std::uint64_t phases = 0;
   std::uint64_t sensitive = 0;
 
+  template <typename Self, typename Fn>
+  static void fields(Self& m, Fn&& fn) {
+    fn(m.phases, m.sensitive);
+  }
   void write(BinaryWriter& w) const;
   static SensitivityResult read(BinaryReader& r);
 };
@@ -163,6 +192,10 @@ struct MeasureRequest {
   std::uint64_t seed = 42;
   std::vector<std::uint64_t> units;
 
+  template <typename Self, typename Fn>
+  static void fields(Self& m, Fn&& fn) {
+    fn(m.workload, m.input, m.scale, m.seed, m.units);
+  }
   void write(BinaryWriter& w) const;
   static MeasureRequest read(BinaryReader& r);
 };
@@ -174,6 +207,11 @@ struct MeasureResultMsg {
   std::vector<std::uint64_t> unit_ids;
   std::vector<double> cpis;
 
+  template <typename Self, typename Fn>
+  static void fields(Self& m, Fn&& fn) {
+    fn(m.used_checkpoints, m.fallback, m.checkpoints_restored, m.unit_ids,
+       m.cpis);
+  }
   void write(BinaryWriter& w) const;
   static MeasureResultMsg read(BinaryReader& r);
 };
@@ -187,6 +225,11 @@ struct StatsResult {
   std::uint64_t inflight = 0;
   std::uint64_t admission_level = 0;
 
+  template <typename Self, typename Fn>
+  static void fields(Self& m, Fn&& fn) {
+    fn(m.accepted, m.rejected, m.completed, m.queue_depth, m.inflight,
+       m.admission_level);
+  }
   void write(BinaryWriter& w) const;
   static StatsResult read(BinaryReader& r);
 };

@@ -41,6 +41,7 @@ struct SvcMetrics {
   obs::Gauge& queue_depth = obs::metrics().gauge("svc.queue_depth");
   obs::Gauge& inflight = obs::metrics().gauge("svc.inflight");
   obs::Gauge& admission_level = obs::metrics().gauge("svc.admission_level");
+  obs::Gauge& workers = obs::metrics().gauge("svc.workers");
 };
 
 SvcMetrics& svc_metrics() {
@@ -74,13 +75,19 @@ void ServiceServer::start() {
   SIMPROF_EXPECTS(!started_.exchange(true), "service: start() called twice");
   listen_fd_ = listen_unix(cfg_.socket_path);
   start_time_ = Clock::now();
+  // A pinned level never rises, so only its workers start; a probing
+  // server may admit up to max_concurrency.
+  const std::size_t workers = cfg_.fixed_concurrency
+                                  ? admitted_level()
+                                  : cfg_.admission.max_concurrency;
   svc_metrics().admission_level.set(static_cast<double>(admitted_level()));
+  svc_metrics().workers.set(static_cast<double>(workers));
   SIMPROF_LOG(kInfo) << "svc: listening on " << cfg_.socket_path
-                     << " workers=" << cfg_.admission.max_concurrency
+                     << " workers=" << workers
                      << " tickets=" << admitted_level()
                      << (cfg_.fixed_concurrency ? " (fixed)" : " (probing)");
-  workers_.reserve(cfg_.admission.max_concurrency);
-  for (std::size_t i = 0; i < cfg_.admission.max_concurrency; ++i) {
+  workers_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
   prober_ = std::thread([this] { probe_loop(); });

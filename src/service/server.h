@@ -11,7 +11,8 @@
 //                      request queue  ◀── typed rejections happen here:
 //                           │             kOverQuota (client in-flight cap),
 //                           ▼             kQueueFull, kShuttingDown
-//   workers (max_concurrency threads, gated to probe.concurrency() tickets)
+//   workers (max_concurrency threads gated to probe.concurrency() tickets;
+//           a fixed server starts only its admitted level's workers)
 //           │ WorkloadLab::run_batch — concurrent identical configs collapse
 //           │ to ONE oracle pass via the lab's single-flight (lab.batch_dedup)
 //           ▼

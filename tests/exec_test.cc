@@ -196,28 +196,23 @@ TEST(Cluster, ProfiledCoreChargesTraffic) {
 TEST(Cluster, RunStageDealsTasksRoundRobinAcrossCores) {
   Cluster cluster(testing::tiny_cluster_config());
   std::vector<std::uint32_t> ran_on;
-  std::vector<Task> tasks;
-  for (int i = 0; i < 5; ++i) {
-    tasks.push_back(Task{"t", [&](ExecutorContext& ctx) {
-                           ran_on.push_back(ctx.core());
-                         }});
-  }
-  cluster.run_stage("s", std::move(tasks));
+  std::vector<std::size_t> indices;
+  cluster.run_stage("s", 5, [&](std::size_t task, ExecutorContext& ctx) {
+    ran_on.push_back(ctx.core());
+    indices.push_back(task);
+  });
   EXPECT_EQ(ran_on, (std::vector<std::uint32_t>{0, 1, 0, 1, 0}));
+  // Each body receives its task's index, in deal order.
+  EXPECT_EQ(indices, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(Cluster, WavePressureDropsForStragglers) {
   Cluster cluster(testing::tiny_cluster_config());
   std::vector<std::uint32_t> eff_ways;
-  std::vector<Task> tasks;
-  for (int i = 0; i < 3; ++i) {  // 2 cores → waves of 2 then 1
-    tasks.push_back(Task{"t", [&](ExecutorContext& ctx) {
-                           (void)ctx;
-                           eff_ways.push_back(
-                               cluster.memory().llc().effective_ways());
-                         }});
-  }
-  cluster.run_stage("s", std::move(tasks));
+  // 2 cores → waves of 2 then 1
+  cluster.run_stage("s", 3, [&](std::size_t, ExecutorContext&) {
+    eff_ways.push_back(cluster.memory().llc().effective_ways());
+  });
   ASSERT_EQ(eff_ways.size(), 3u);
   EXPECT_LT(eff_ways[0], eff_ways[2]);  // full wave pressured, straggler not
 }
@@ -225,13 +220,10 @@ TEST(Cluster, WavePressureDropsForStragglers) {
 TEST(Cluster, ThreadPerTaskAdvancesThreadIds) {
   Cluster cluster(testing::tiny_cluster_config());
   std::vector<std::uint64_t> ids;
-  std::vector<Task> tasks;
-  for (int i = 0; i < 4; ++i) {
-    tasks.push_back(Task{"t", [&](ExecutorContext& ctx) {
-                           ids.push_back(ctx.thread_id());
-                         }});
-  }
-  cluster.run_stage("hadoop", std::move(tasks), /*thread_per_task=*/true);
+  cluster.run_stage(
+      "hadoop", 4,
+      [&](std::size_t, ExecutorContext& ctx) { ids.push_back(ctx.thread_id()); },
+      /*thread_per_task=*/true);
   // Core 0 runs tasks 0 and 2 on fresh threads 1 and 2.
   EXPECT_EQ(ids[0], 1u);
   EXPECT_EQ(ids[2], 2u);

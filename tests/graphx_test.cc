@@ -2,10 +2,12 @@
 // ground truth, PageRank invariants, frontier shrinkage and stage structure.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <numeric>
 
 #include "data/graph.h"
+#include "data/catalog.h"
 #include "data/kronecker.h"
 #include "minispark/graphx.h"
 #include "test_util.h"
@@ -113,6 +115,29 @@ TEST(GraphX, RunsStagesPerIteration) {
   graphx.connected_components();
   // load + per-iteration (aggregate + join) stages.
   EXPECT_GE(sc.stages_run(), 1 + 2 * (graphx.stats().iterations - 1));
+}
+
+TEST(GraphX, RankBitsAndLabelsPinnedAtScale10) {
+  // Every rank bit and label on a scale-10 Kronecker graph over six edge
+  // partitions: the message lists' order, the per-vertex folds and the
+  // partition-order merge of partial sums all feed these values.
+  auto run = [](bool symmetrize, auto algorithm) {
+    const Graph g = data::kronecker_graph(
+        data::catalog_entry("Google", 10).kron, symmetrize);
+    exec::Cluster cluster(testing::tiny_cluster_config());
+    SparkContext sc(cluster);
+    GraphX graphx(sc, g);
+    std::uint64_t h = testing::kFnv1aOffset;
+    for (const auto v : algorithm(graphx)) {
+      h = testing::fnv1a_mix(h, std::bit_cast<std::uint64_t>(
+                                    static_cast<double>(v)));
+    }
+    return h;
+  };
+  EXPECT_EQ(run(false, [](GraphX& gx) { return gx.pagerank(10); }),
+            0x8e312a330bfa58a5ULL);
+  EXPECT_EQ(run(true, [](GraphX& gx) { return gx.connected_components(); }),
+            0xb8e04a86c50587efULL);
 }
 
 TEST(GraphX, EmptyGraphRejected) {

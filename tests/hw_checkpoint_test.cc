@@ -201,34 +201,31 @@ TEST(CacheState, TagsBeyondThe32BitLineSpaceThrowSerializeError) {
 /// Deterministic two-stage workload; stage 2 resumes mid-unit so the restore
 /// point sits inside a sampling unit's accounting.
 void run_stage_one(exec::Cluster& cluster) {
-  std::vector<exec::Task> tasks;
-  tasks.push_back({"t0", [](exec::ExecutorContext& ctx) {
-                     const auto m = ctx.method("test.scan", jvm::OpKind::kMap);
-                     jvm::MethodScope scope(ctx.stack(), m);
-                     auto s = AccessStream::strided(0, 64 * 4000);
-                     ctx.execute(150'000, s);
-                   }});
-  cluster.run_stage("stage1", std::move(tasks));
+  cluster.run_stage("stage1", 1, [](std::size_t, exec::ExecutorContext& ctx) {
+    const auto m = ctx.method("test.scan", jvm::OpKind::kMap);
+    jvm::MethodScope scope(ctx.stack(), m);
+    auto s = AccessStream::strided(0, 64 * 4000);
+    ctx.execute(150'000, s);
+  });
 }
 
 void run_stage_two(exec::Cluster& cluster, bool both_cores) {
-  std::vector<exec::Task> tasks;
-  tasks.push_back({"t0", [](exec::ExecutorContext& ctx) {
-                     const auto m =
-                         ctx.method("test.probe", jvm::OpKind::kReduce);
-                     jvm::MethodScope scope(ctx.stack(), m);
-                     auto s = AccessStream::random(0, 1 << 18, 6000, ctx.rng());
-                     ctx.execute(180'000, s);
-                   }});
-  if (both_cores) {
-    // A second concurrent task widens the wave: the shared LLC runs under
-    // pressure while the profiled thread executes.
-    tasks.push_back({"t1", [](exec::ExecutorContext& ctx) {
-                       auto s = AccessStream::strided(1 << 20, 64 * 8000);
-                       ctx.execute(180'000, s);
-                     }});
-  }
-  cluster.run_stage("stage2", std::move(tasks));
+  // A second concurrent task widens the wave: the shared LLC runs under
+  // pressure while the profiled thread executes.
+  cluster.run_stage("stage2", both_cores ? 2 : 1,
+                    [](std::size_t task, exec::ExecutorContext& ctx) {
+                      if (task == 0) {
+                        const auto m =
+                            ctx.method("test.probe", jvm::OpKind::kReduce);
+                        jvm::MethodScope scope(ctx.stack(), m);
+                        auto s = AccessStream::random(0, 1 << 18, 6000,
+                                                      ctx.rng());
+                        ctx.execute(180'000, s);
+                      } else {
+                        auto s = AccessStream::strided(1 << 20, 64 * 8000);
+                        ctx.execute(180'000, s);
+                      }
+                    });
 }
 
 std::string memory_bytes(const exec::Cluster& cluster) {

@@ -169,6 +169,102 @@ TEST(ServiceProtocol, SensitivityMeasureStatsRoundTrip) {
   EXPECT_EQ(st2.admission_level, st.admission_level);
 }
 
+/// Length and FNV-1a digest of `v`'s wire encoding.
+template <typename T>
+std::pair<std::size_t, std::uint64_t> encoded(const T& v) {
+  std::string bytes;
+  BinaryWriter w(bytes);
+  v.write(w);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return {bytes.size(), h};
+}
+
+TEST(ServiceProtocol, EncodedBytesPinned) {
+  // Protocol version 2's encoding of every message, each field set to a
+  // non-default value: a change to any field's order, width or framing
+  // shows here, not only as a failed round trip.
+  using Pin = std::pair<std::size_t, std::uint64_t>;
+  ProfileRequest q;
+  q.workload = "grep_sp";
+  q.input = "Wiki";
+  q.scale = 0.125;
+  q.seed = 99;
+  q.analyze = 0;
+  q.sample_n = 3;
+  q.want_profile_bytes = 1;
+  q.stream = 1;
+  q.stream_retain = 77;
+  q.features = 2;
+  q.estimator = 1;
+  EXPECT_EQ(encoded(q), (Pin{64, 0xab6f0715c580a1bbULL}));
+
+  ProfileResult res;
+  res.from_cache = 1;
+  res.units = 18;
+  res.methods = 7;
+  res.oracle_cpi = 1.25;
+  res.phase_count = 3;
+  res.estimated_cpi = 1.24;
+  res.standard_error = 0.01;
+  res.selected_units = {2, 9, 17};
+  res.weights = {0.5, 0.25, 0.25};
+  res.profile_bytes = std::string("bin\0ary\x01\xff", 9);
+  res.features = 1;
+  res.estimator = 1;
+  EXPECT_EQ(encoded(res), (Pin{132, 0xe1785ee761481c50ULL}));
+
+  StreamUpdate u;
+  u.recluster = 2;
+  u.units_ingested = 40;
+  u.units_retained = 32;
+  u.phase_count = 4;
+  u.estimated_cpi = 1.5;
+  u.selected_units = {1, 8};
+  EXPECT_EQ(encoded(u), (Pin{64, 0xe289a3e3cad8b561ULL}));
+
+  SensitivityRequest s;
+  s.workload = "wc_sp";
+  s.input = "Road";
+  s.scale = 0.25;
+  s.seed = 7;
+  s.references = {"grep_sp", "sort_hp"};
+  s.threshold = 0.2;
+  EXPECT_EQ(encoded(s), (Pin{87, 0x85b2f28eae2d0ebaULL}));
+
+  SensitivityResult sr;
+  sr.phases = 5;
+  sr.sensitive = 2;
+  EXPECT_EQ(encoded(sr), (Pin{16, 0x3b1f40e317747f62ULL}));
+
+  MeasureRequest m;
+  m.workload = "grep_sp";
+  m.input = "Wiki";
+  m.scale = 0.5;
+  m.seed = 11;
+  m.units = {0, 5, 11};
+  EXPECT_EQ(encoded(m), (Pin{75, 0xa1d6195376946bf7ULL}));
+
+  MeasureResultMsg mr;
+  mr.used_checkpoints = 1;
+  mr.fallback = 1;
+  mr.checkpoints_restored = 3;
+  mr.unit_ids = {0, 5, 11};
+  mr.cpis = {1.0, 1.5, 2.0};
+  EXPECT_EQ(encoded(mr), (Pin{74, 0xbd9bae549d1913c2ULL}));
+
+  StatsResult st;
+  st.accepted = 10;
+  st.rejected = 2;
+  st.completed = 8;
+  st.queue_depth = 1;
+  st.inflight = 3;
+  st.admission_level = 4;
+  EXPECT_EQ(encoded(st), (Pin{48, 0x5cc81199b9248b03ULL}));
+}
+
 TEST(ServiceProtocol, HeaderValidatesMagicAndVersion) {
   const std::string ok = pack_message(MsgKind::kProfileRequest, 42);
   std::istringstream is(ok);
@@ -391,6 +487,51 @@ TEST(ServiceServer, ConcurrentSameConfigClientsShareOneOraclePass) {
                 shared0,
             kClients - 1);
   EXPECT_EQ(server.stats().completed, kClients);
+}
+
+TEST(ServiceServer, FixedServerStartsOnlyItsAdmittedWorkers) {
+  ScratchDir dir;
+  ServiceConfig cfg = small_service(dir);
+  cfg.admission.max_concurrency = 16;
+  {
+    // A probing server may admit up to the ceiling: all its workers start.
+    ServiceServer probing(cfg);
+    probing.start();
+    EXPECT_EQ(obs::metrics().gauge("svc.workers").value(), 16.0);
+    probing.request_stop();
+    probing.wait();
+  }
+  cfg.fixed_concurrency = true;
+  cfg.admission.initial_concurrency = 2;
+  ServiceServer server(cfg);
+  server.start();
+  EXPECT_EQ(obs::metrics().gauge("svc.workers").value(), 2.0);
+
+  // Four concurrent requests from two clients all finish on two workers.
+  constexpr std::size_t kRequests = 4;
+  std::vector<ServiceClient::ProfileReply> replies(kRequests);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      ServiceClient client(cfg.socket_path);
+      for (std::size_t i = c; i < kRequests; i += 2) {
+        ProfileRequest q;
+        q.workload = "grep_sp";
+        q.seed = 42 + i;
+        q.analyze = 0;
+        replies[i] = client.profile(q);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  ServiceClient client(cfg.socket_path);
+  EXPECT_EQ(client.stats().admission_level, 2u);
+  server.request_stop();
+  server.wait();
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(replies[i].status, Status::kOk) << replies[i].message;
+  }
+  EXPECT_EQ(server.stats().completed, kRequests);
 }
 
 TEST(ServiceServer, DistinctFeatureModesShareOraclePassNotAnalysis) {

@@ -148,7 +148,8 @@ TEST(FlatCombiner, ReservesBelowTheDistinctCountRehashSeveralTimes) {
 }
 
 TEST(FlatCombiner, VectorValuesMatchUnorderedMapOrder) {
-  // group_by_key's combiner: vector values, folded by concatenation.
+  // Non-scalar values: the order depends only on the keys, whatever the
+  // value type and fold (here vectors, folded by concatenation).
   Rng rng(31);
   const std::vector<std::uint32_t> keys = repeat_stream(6000, 1500, rng, u32_key);
   const auto make = [](std::size_t i) {
@@ -236,6 +237,18 @@ TEST(FlatCombiner, DrainLeavesAReusableEmptyCombiner) {
   const std::vector<std::pair<std::uint32_t, std::uint64_t>> expected(
       reference.begin(), reference.end());
   EXPECT_EQ(combiner.drain(), expected);
+}
+
+TEST(FlatCombiner, TakeReturnsFirstSeenOrderAndEmpties) {
+  FlatCombiner<std::uint32_t, std::uint64_t> combiner;
+  for (const std::uint32_t k : {7u, 3u, 7u, 900u, 3u, 7u}) {
+    combiner.add(k, 1, fold);
+  }
+  using Entries = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+  EXPECT_EQ(combiner.take(), (Entries{{7, 993}, {3, 32}, {900, 1}}));
+  EXPECT_EQ(combiner.size(), 0u);
+  combiner.add(3, 5, fold);
+  EXPECT_EQ(combiner.take(), (Entries{{3, 5}}));
 }
 
 }  // namespace

@@ -88,24 +88,6 @@ TEST_F(SparkTest, WordCountMatchesReferenceCounts) {
   EXPECT_EQ(got, reference);
 }
 
-TEST_F(SparkTest, ReduceByKeyWithoutMapSideCombineSameResult) {
-  auto src = std::make_shared<ParallelizeRDD<std::pair<WordId, std::uint64_t>>>(
-      sc_,
-      std::vector<std::vector<std::pair<WordId, std::uint64_t>>>{
-          {{1, 1}, {2, 1}, {1, 1}}, {{2, 1}, {3, 5}}},
-      8.0, "pairs");
-  auto no_combine = std::make_shared<ReduceByKeyRDD<WordId, std::uint64_t>>(
-      RddPtr<std::pair<WordId, std::uint64_t>>(src),
-      [](const std::uint64_t& a, const std::uint64_t& b) { return a + b; }, 3,
-      OpCost{}, [](const WordId& k) { return std::uint64_t{k}; },
-      /*map_side_combine=*/false);
-  auto result = collect(
-      std::static_pointer_cast<RDD<std::pair<WordId, std::uint64_t>>>(
-          no_combine));
-  std::map<WordId, std::uint64_t> got(result.begin(), result.end());
-  EXPECT_EQ(got, (std::map<WordId, std::uint64_t>{{1, 2}, {2, 2}, {3, 5}}));
-}
-
 TEST_F(SparkTest, SortByKeyGloballySorted) {
   auto lines = std::make_shared<TextFileRDD>(sc_, corpus_, 4);
   auto pairs = flat_map<std::pair<WordId, std::uint32_t>>(
@@ -125,18 +107,39 @@ TEST_F(SparkTest, SortByKeyGloballySorted) {
 }
 
 TEST_F(SparkTest, StagesSplitAtShuffleBoundaries) {
-  auto src = std::make_shared<ParallelizeRDD<std::pair<WordId, std::uint64_t>>>(
-      sc_,
-      std::vector<std::vector<std::pair<WordId, std::uint64_t>>>{{{1, 1}}},
-      8.0, "pairs");
+  using P = std::pair<WordId, std::uint64_t>;
+  auto src = std::make_shared<ParallelizeRDD<P>>(
+      sc_, std::vector<std::vector<P>>{{{1, 1}, {2, 4}}, {{1, 2}}}, 8.0,
+      "pairs");
+  // Each map function notes the stages run before the call: the stage it
+  // runs in is the next one.
+  std::vector<std::uint32_t> upstream_stages;
+  std::vector<std::uint32_t> middle_stages;
+  auto tagged = map<P>(src, "test.Upstream.map", jvm::OpKind::kMap, {},
+                       [&](const P& kv) {
+                         upstream_stages.push_back(sc_.stages_run());
+                         return kv;
+                       });
   auto reduced = reduce_by_key(
-      src, [](const std::uint64_t& a, const std::uint64_t& b) { return a + b; },
+      tagged, [](const std::uint64_t& a, const std::uint64_t& b) { return a + b; },
       2, OpCost{});
+  auto middle = map<P>(reduced, "test.Middle.map", jvm::OpKind::kMap, {},
+                       [&](const P& kv) {
+                         middle_stages.push_back(sc_.stages_run());
+                         return kv;
+                       });
+  auto sorted = sort_by_key(
+      middle, [](const WordId& w) { return w / 4.0; }, 2, OpCost{});
   EXPECT_EQ(sc_.stages_run(), 0u);  // lazy until an action
-  collect(reduced);
-  EXPECT_EQ(sc_.stages_run(), 2u);  // shuffle-map stage + result stage
-  collect(reduced);
-  EXPECT_EQ(sc_.stages_run(), 3u);  // shuffle reused, only result re-runs
+  EXPECT_EQ(collect(sorted), (std::vector<P>{{1, 3}, {2, 4}}));
+  // reduceByKey's map stage, then sortByKey's, then the result stage.
+  EXPECT_EQ(sc_.stages_run(), 3u);
+  EXPECT_EQ(upstream_stages, (std::vector<std::uint32_t>{0, 0, 0}));
+  EXPECT_EQ(middle_stages, (std::vector<std::uint32_t>{1, 1}));
+  collect(sorted);
+  EXPECT_EQ(sc_.stages_run(), 4u);  // shuffles reused, only result re-runs
+  EXPECT_EQ(upstream_stages.size(), 3u);
+  EXPECT_EQ(middle_stages.size(), 2u);
 }
 
 TEST_F(SparkTest, SaveAsTextFileCountsRecords) {
@@ -156,88 +159,6 @@ TEST_F(SparkTest, TextFileSplitsCoverAllDocsOnce) {
     bytes += lines->split_bytes(p);
   }
   EXPECT_EQ(bytes, corpus_.total_bytes());
-}
-
-TEST_F(SparkTest, UnionConcatenatesPartitions) {
-  auto a = std::make_shared<ParallelizeRDD<int>>(
-      sc_, std::vector<std::vector<int>>{{1, 2}}, 4.0, "a");
-  auto b = std::make_shared<ParallelizeRDD<int>>(
-      sc_, std::vector<std::vector<int>>{{3}, {4, 5}}, 4.0, "b");
-  auto u = union_rdds(a, b);
-  EXPECT_EQ(u->num_partitions(), 3u);
-  EXPECT_EQ(collect(u), (std::vector<int>{1, 2, 3, 4, 5}));
-}
-
-TEST_F(SparkTest, UnionAcrossContextsRejected) {
-  exec::Cluster other_cluster(testing::tiny_cluster_config());
-  SparkContext other(other_cluster);
-  auto a = std::make_shared<ParallelizeRDD<int>>(
-      sc_, std::vector<std::vector<int>>{{1}}, 4.0, "a");
-  auto b = std::make_shared<ParallelizeRDD<int>>(
-      other, std::vector<std::vector<int>>{{2}}, 4.0, "b");
-  EXPECT_THROW(union_rdds(a, b), ContractViolation);
-}
-
-TEST_F(SparkTest, DistinctRemovesDuplicates) {
-  auto src = std::make_shared<ParallelizeRDD<data::WordId>>(
-      sc_,
-      std::vector<std::vector<data::WordId>>{{1, 2, 2, 3}, {3, 3, 4}}, 4.0,
-      "dups");
-  auto d = distinct(src, 3);
-  auto out = collect(d);
-  std::sort(out.begin(), out.end());
-  EXPECT_EQ(out, (std::vector<data::WordId>{1, 2, 3, 4}));
-}
-
-TEST_F(SparkTest, CountMatchesCollectSize) {
-  auto lines = std::make_shared<TextFileRDD>(sc_, corpus_, 3);
-  auto words = flat_map<WordId>(
-      lines, "wc.tokenize", jvm::OpKind::kMap, {},
-      [this](const std::uint64_t& doc, std::vector<WordId>& out) {
-        const auto ws = corpus_.doc(doc);
-        out.insert(out.end(), ws.begin(), ws.end());
-      });
-  EXPECT_EQ(count(words), corpus_.words().size());
-}
-
-TEST_F(SparkTest, GroupByKeyCollectsAllValues) {
-  using P = std::pair<WordId, std::uint64_t>;
-  auto src = std::make_shared<ParallelizeRDD<P>>(
-      sc_,
-      std::vector<std::vector<P>>{{{1, 10}, {2, 20}}, {{1, 11}, {1, 12}}},
-      8.0, "pairs");
-  auto grouped = group_by_key(src, 2);
-  auto out = collect(grouped);
-  std::map<WordId, std::vector<std::uint64_t>> got;
-  for (auto& [k, vs] : out) {
-    std::sort(vs.begin(), vs.end());
-    got[k] = vs;
-  }
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[1], (std::vector<std::uint64_t>{10, 11, 12}));
-  EXPECT_EQ(got[2], (std::vector<std::uint64_t>{20}));
-}
-
-TEST_F(SparkTest, JoinProducesInnerCrossProduct) {
-  using PA = std::pair<WordId, std::uint64_t>;
-  using PB = std::pair<WordId, std::uint32_t>;
-  auto left = std::make_shared<ParallelizeRDD<PA>>(
-      sc_, std::vector<std::vector<PA>>{{{1, 100}, {2, 200}, {1, 101}}}, 8.0,
-      "left");
-  auto right = std::make_shared<ParallelizeRDD<PB>>(
-      sc_, std::vector<std::vector<PB>>{{{1, 7}, {3, 9}}}, 8.0, "right");
-  auto joined = join(left, right, 2);
-  auto out = collect(joined);
-  // Key 1 joins twice (two left values × one right), 2 and 3 drop.
-  ASSERT_EQ(out.size(), 2u);
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.second.first < b.second.first;
-  });
-  EXPECT_EQ(out[0].first, 1u);
-  EXPECT_EQ(out[0].second.first, 100u);
-  EXPECT_EQ(out[0].second.second, 7u);
-  EXPECT_EQ(out[1].second.first, 101u);
-  EXPECT_EQ(out[1].second.second, 7u);
 }
 
 TEST_F(SparkTest, PipelinedComputeChargesSimulatedWork) {

@@ -182,7 +182,10 @@ const std::vector<CommandSpec> kCommands = {
        "per-connection in-flight request quota (default 8)"},
       {"tickets", "N", "initial admitted concurrency (default 2)"},
       {"tickets-min", "N", "admission floor (default 1)"},
-      {"tickets-max", "N", "admission ceiling / worker count (default 16)"},
+      {"tickets-max", "N",
+       "admission ceiling: the most requests run at once (default 16); a "
+       "probing server starts this many workers, a --fixed one starts "
+       "--tickets"},
       {"fixed", "",
        "pin concurrency to --tickets instead of throughput probing"},
       {"probe-interval-ms", "MS", "probe window length (default 200)"},
@@ -939,8 +942,8 @@ int cmd_serve(const Args& args) {
 
 #ifdef M_ARENA_MAX
   // glibc gives each new thread its own malloc arena (up to 8 per core), and
-  // an arena keeps the memory its thread freed: each of the 16 workers a
-  // request lands on would keep that request's peak. With two arenas the
+  // an arena keeps the memory its thread freed: each of the (up to 16)
+  // workers a request lands on would keep that request's peak. With two arenas the
   // RSS levels off under distinct-key traffic; one slowed warm requests by
   // a third.
   ::mallopt(M_ARENA_MAX, 2);
