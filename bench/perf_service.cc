@@ -3,23 +3,21 @@
 //
 // Unlike the perf_* google-benchmark suites this is a custom sweep driver:
 // the quantity under test is the whole daemon's throughput knee, not a
-// single timed region. Three phases, all against in-process ServiceServer
+// single timed region. Two phases, all against in-process ServiceServer
 // instances sharing one warm lab cache (the oracle pass runs once, during
 // pre-warm, so every swept request measures dispatch + decode + analysis —
 // the daemon's steady-state cost):
 //
-//   1. Exhaustive fixed sweep — pin admission to each level 1..max and
-//      drive identical offered load; the per-level QPS is the measured
-//      saturation curve and its argmax is the ground-truth knee (C*, QPS*).
-//   2. Probing run — same load, admission control on, no hand-set
-//      concurrency. The converged level/throughput (admission-trace tail)
-//      must reach within 10% of QPS* or the bench exits non-zero — this is
-//      the acceptance criterion for the throughput-probing controller.
-//   3. Offered-load sweep — QPS / p50 / p99 versus offered concurrency on
-//      one resident probing server, the classic hockey-stick latency curve.
+//   1. Ticket sweep — each fixed ticket count 1..max and the default server
+//      (tickets = 0: one per core) under identical offered load. The
+//      per-level QPS is the measured saturation curve and its argmax the
+//      best fixed level (C*, QPS*). The default must reach 95% of QPS* or
+//      the bench exits non-zero.
+//   2. Offered-load sweep — QPS / p50 / p99 versus offered concurrency on
+//      one resident default server, the classic hockey-stick latency curve.
 //
 // Flags (after the common obs flags): --out FILE, --scale F, --max-level N,
-// --requests N (per client, fixed sweep), --probe-interval-ms N.
+// --requests N (per client, ticket sweep).
 #include <unistd.h>
 
 #include <algorithm>
@@ -28,7 +26,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -48,15 +45,14 @@ struct BenchOptions {
   /// Request cost must dwarf socket/dispatch overhead or the saturation
   /// curve is all noise; 0.4 gives ~2–3 ms of decode + analysis per request.
   double scale = 0.4;
-  std::size_t max_level = 6;
-  std::size_t requests_per_client = 80;
-  std::uint32_t probe_interval_ms = 50;
+  std::size_t max_level = 8;
+  std::size_t requests_per_client = 200;
 };
 
 struct SweepPoint {
-  std::size_t level = 0;     ///< fixed admission level (fixed sweep)
+  std::size_t level = 0;     ///< ticket count (ticket sweep)
   std::size_t offered = 0;   ///< clients × inflight (offered-load sweep)
-  double mean_qps = 0.0;     ///< mean across sweep passes (fixed sweep)
+  double median_qps = 0.0;   ///< median across sweep passes (ticket sweep)
   std::vector<service::LoadgenReport> reports;  ///< one per pass
 };
 
@@ -89,37 +85,14 @@ service::LoadgenConfig make_load(const std::string& socket, std::size_t clients,
 
 /// Run one (server config, load) pair to completion; the server is fully
 /// drained and joined before the report is returned.
-struct RunResult {
-  service::LoadgenReport report;
-  service::ServerStats stats;
-  std::vector<service::AdmissionTracePoint> trace;
-};
-
-RunResult run_once(service::ServiceConfig cfg,
-                   const service::LoadgenConfig& load) {
+service::LoadgenReport run_once(service::ServiceConfig cfg,
+                                const service::LoadgenConfig& load) {
   service::ServiceServer server(std::move(cfg));
   server.start();
-  RunResult out;
-  out.report = service::run_loadgen(load);
-  out.stats = server.stats();
-  out.trace = server.admission_trace();
+  service::LoadgenReport report = service::run_loadgen(load);
   server.request_stop();
   server.wait();
-  return out;
-}
-
-/// Steady-state throughput: mean of the trace's last few active windows.
-/// The loadgen QPS includes the convergence transient; the tail is what the
-/// controller actually settled on.
-double trace_tail_qps(const std::vector<service::AdmissionTracePoint>& trace,
-                      std::size_t tail = 12) {
-  if (trace.empty()) return 0.0;
-  const std::size_t n = std::min(tail, trace.size());
-  double sum = 0.0;
-  for (std::size_t i = trace.size() - n; i < trace.size(); ++i) {
-    sum += trace[i].throughput;
-  }
-  return sum / static_cast<double>(n);
+  return report;
 }
 
 void write_report(std::ostream& os, const service::LoadgenReport& r) {
@@ -127,6 +100,16 @@ void write_report(std::ostream& os, const service::LoadgenReport& r) {
      << ", \"errors\": " << r.errors << ", \"elapsed_sec\": " << r.elapsed_sec
      << ", \"qps\": " << r.qps << ", \"p50_ms\": " << r.p50_ms
      << ", \"p90_ms\": " << r.p90_ms << ", \"p99_ms\": " << r.p99_ms << "}";
+}
+
+void write_sweep_point(std::ostream& os, const SweepPoint& pt) {
+  os << "{\"level\": " << pt.level << ", \"median_qps\": " << pt.median_qps
+     << ", \"passes\": [";
+  for (std::size_t p = 0; p < pt.reports.size(); ++p) {
+    if (p > 0) os << ", ";
+    write_report(os, pt.reports[p]);
+  }
+  os << "]}";
 }
 
 }  // namespace
@@ -151,15 +134,13 @@ int run_sweeps(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--requests") == 0) {
       opt.requests_per_client = static_cast<std::size_t>(
           std::strtoull(next("--requests"), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--probe-interval-ms") == 0) {
-      opt.probe_interval_ms = static_cast<std::uint32_t>(
-          std::strtoul(next("--probe-interval-ms"), nullptr, 10));
     } else {
       std::fprintf(stderr, "perf_service: unknown flag %s\n", argv[i]);
       return 2;
     }
   }
-  opt.max_level = std::max<std::size_t>(opt.max_level, 2);
+  opt.max_level = std::clamp<std::size_t>(opt.max_level, 2,
+                                          service::kMaxTickets);
 
   namespace fs = std::filesystem;
   const fs::path scratch =
@@ -177,132 +158,94 @@ int run_sweeps(int argc, char** argv) {
   service::ServiceConfig base;
   base.socket_path = socket;
   base.lab = make_lab_config(opt, cache_dir);
-  base.admission.min_concurrency = 1;
-  base.admission.max_concurrency = opt.max_level;
-  base.admission.probe_interval_ms = opt.probe_interval_ms;
   base.max_queue = 256;
   base.client_max_inflight = 16;
+  const auto with_tickets = [&](std::size_t tickets) {
+    service::ServiceConfig cfg = base;
+    cfg.tickets = tickets;
+    return cfg;
+  };
 
   // Pre-warm: one request pays the oracle pass so every swept request below
   // measures the daemon's steady state (cache decode + analysis), not a
   // one-time simulation.
   std::fprintf(stderr, "perf_service: pre-warming lab cache...\n");
-  {
-    service::ServiceConfig warm = base;
-    warm.fixed_concurrency = true;
-    warm.admission.initial_concurrency = 1;
-    run_once(std::move(warm), make_load(socket, 1, 1, 1, opt));
-  }
+  run_once(with_tickets(1), make_load(socket, 1, 1, 1, opt));
 
-  // Unmeasured warmup burst: lets the allocator, page cache and CPU settle
-  // so the first measured level isn't systematically slower (or faster)
-  // than the rest.
-  {
-    service::ServiceConfig cfg = base;
-    cfg.fixed_concurrency = true;
-    cfg.admission.initial_concurrency = 2;
-    run_once(std::move(cfg), make_load(socket, 4, 2, 8, opt));
-  }
-
-  // Phase 1: exhaustive fixed-concurrency sweep at constant offered load.
-  // Offered concurrency (clients × inflight) exceeds every swept level so
-  // each level runs saturated and the per-level QPS is the curve itself.
-  // Two passes per level, averaged: a single pass's argmax is biased high
-  // by run-to-run noise (max over N noisy samples), which would unfairly
-  // penalise the probing run it is compared against.
-  constexpr std::size_t kSweepPasses = 2;
+  // Phase 1: the ticket sweep at constant offered load. Offered concurrency
+  // (clients × inflight) exceeds every swept level so each level runs
+  // saturated and the per-level QPS is the curve itself. Five passes per
+  // level, of which the median counts: a single pass's argmax is biased
+  // high by run-to-run noise (max over N noisy samples), which would
+  // unfairly penalise the default it is compared against. Each pass starts
+  // one candidate later than the one before, so drift in host speed
+  // favours no candidate.
+  constexpr std::size_t kSweepPasses = 5;
   const std::size_t sweep_clients = opt.max_level + 2;
   const std::size_t sweep_inflight = 2;
-  std::vector<SweepPoint> fixed_sweep(opt.max_level);
+
+  // Unmeasured warmup at the sweep's load: lets the allocator, page cache
+  // and CPU settle, so the first measured run isn't systematically slower
+  // than the rest.
+  run_once(with_tickets(0), make_load(socket, sweep_clients, sweep_inflight,
+                                      opt.requests_per_client, opt));
+
+  // points[0] is the default server (tickets = 0, resolved to the host's
+  // core count), points[l] fixed level l.
+  std::vector<SweepPoint> points(opt.max_level + 1);
+  points[0].level = service::ServiceServer(with_tickets(0)).config().tickets;
   for (std::size_t level = 1; level <= opt.max_level; ++level) {
-    fixed_sweep[level - 1].level = level;
+    points[level].level = level;
   }
   for (std::size_t pass = 0; pass < kSweepPasses; ++pass) {
-    for (std::size_t level = 1; level <= opt.max_level; ++level) {
-      service::ServiceConfig cfg = base;
-      cfg.fixed_concurrency = true;
-      cfg.admission.initial_concurrency = level;
-      RunResult run = run_once(
-          std::move(cfg),
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      const std::size_t idx = (k + pass) % points.size();
+      const service::LoadgenReport report = run_once(
+          with_tickets(idx),
           make_load(socket, sweep_clients, sweep_inflight,
                     opt.requests_per_client, opt));
       std::fprintf(stderr,
-                   "perf_service: fixed level %zu (pass %zu) -> %.1f qps "
+                   "perf_service: %s %zu (pass %zu) -> %.1f qps "
                    "(p99 %.1f ms)\n",
-                   level, pass + 1, run.report.qps, run.report.p99_ms);
-      fixed_sweep[level - 1].reports.push_back(run.report);
+                   idx == 0 ? "default tickets" : "fixed tickets",
+                   points[idx].level, pass + 1, report.qps, report.p99_ms);
+      points[idx].reports.push_back(report);
     }
   }
-  std::size_t best_level = 1;
-  double best_qps = 0.0;
-  for (auto& pt : fixed_sweep) {
-    double sum = 0.0;
-    for (const auto& r : pt.reports) sum += r.qps;
-    pt.mean_qps = sum / static_cast<double>(pt.reports.size());
-    if (pt.mean_qps > best_qps) {
-      best_qps = pt.mean_qps;
-      best_level = pt.level;
-    }
+  for (auto& pt : points) {
+    std::vector<double> qps;
+    for (const auto& r : pt.reports) qps.push_back(r.qps);
+    std::nth_element(qps.begin(), qps.begin() + qps.size() / 2, qps.end());
+    pt.median_qps = qps[qps.size() / 2];
   }
-
-  // Phase 2: the probing run. Same offered load, default initial level, no
-  // hand-set concurrency anywhere — the controller has to find the knee on
-  // its own. Longer than a fixed run so the convergence transient amortises
-  // and the trace tail reflects the settled level.
-  service::ServiceConfig probing_cfg = base;
-  probing_cfg.fixed_concurrency = false;
-  RunResult probing = run_once(
-      std::move(probing_cfg),
-      make_load(socket, sweep_clients, sweep_inflight,
-                opt.requests_per_client * 3, opt));
-  const double probing_tail_qps = trace_tail_qps(probing.trace);
-  const std::size_t converged_level = probing.stats.admission_level;
-
-  // Confirmation run: the converged level re-measured exactly like a sweep
-  // level (fixed, same load, no transient). This scores the *operating
-  // point the controller chose* with the same estimator the sweep used —
-  // the whole-run probing QPS also carries the convergence transient and
-  // the periodic probe dips, which are the cost of probing, not of the
-  // chosen level.
-  double converged_fixed_qps = 0.0;
-  {
-    service::ServiceConfig cfg = base;
-    cfg.fixed_concurrency = true;
-    cfg.admission.initial_concurrency = converged_level;
-    RunResult confirm = run_once(
-        std::move(cfg),
-        make_load(socket, sweep_clients, sweep_inflight,
-                  opt.requests_per_client, opt));
-    converged_fixed_qps = confirm.report.qps;
-  }
-
-  const double probing_qps = std::max(
-      {probing.report.qps, probing_tail_qps, converged_fixed_qps});
-  const bool within_10pct = probing_qps >= 0.9 * best_qps;
+  const SweepPoint& dflt = points[0];
+  const auto best = std::max_element(
+      points.begin() + 1, points.end(),
+      [](const SweepPoint& a, const SweepPoint& b) {
+        return a.median_qps < b.median_qps;
+      });
+  const double ratio =
+      best->median_qps > 0.0 ? dflt.median_qps / best->median_qps : 0.0;
+  const bool within_5pct = ratio >= 0.95;
   std::fprintf(stderr,
-               "perf_service: probing converged at level %zu, %.1f qps "
-               "(tail %.1f, confirm %.1f) vs best fixed %.1f qps at level "
-               "%zu -> %s\n",
-               converged_level, probing.report.qps, probing_tail_qps,
-               converged_fixed_qps, best_qps, best_level,
-               within_10pct ? "within 10%" : "MISSED 10%");
+               "perf_service: default (%zu tickets) %.1f qps vs best fixed "
+               "%.1f qps at %zu tickets -> %.3f (%s)\n",
+               dflt.level, dflt.median_qps, best->median_qps, best->level,
+               ratio, within_5pct ? "within 5%" : "MISSED 5%");
 
-  // Phase 3: offered-load sweep on one resident probing server — the
+  // Phase 2: offered-load sweep on one resident default server — the
   // QPS / p50 / p99 hockey-stick as offered concurrency crosses the knee.
   std::vector<SweepPoint> offered_sweep;
   {
-    service::ServiceConfig cfg = base;
-    cfg.fixed_concurrency = false;
-    service::ServiceServer server(std::move(cfg));
+    service::ServiceServer server(with_tickets(0));
     server.start();
     for (std::size_t offered : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                 std::size_t{6}, std::size_t{8},
                                 std::size_t{12}}) {
-      service::LoadgenConfig lg =
-          make_load(socket, offered, 1, opt.requests_per_client, opt);
       SweepPoint pt;
       pt.offered = offered;
-      pt.reports.push_back(service::run_loadgen(lg));
+      pt.reports.push_back(service::run_loadgen(
+          make_load(socket, offered, 1, opt.requests_per_client, opt)));
       const auto& rep = pt.reports.back();
       std::fprintf(stderr,
                    "perf_service: offered %2zu -> %.1f qps, p50 %.1f ms, "
@@ -314,17 +257,17 @@ int run_sweeps(int argc, char** argv) {
     server.wait();
   }
 
-  // Headline figures for the manifest, so `simprof report` gates them.
+  // Headline figures for the manifest, so `simprof report` gates them. The
+  // default server's last pass stands for its latency.
+  const service::LoadgenReport& last = dflt.reports.back();
   obs::ledger().set_quality("service_requests",
-                            static_cast<double>(probing.stats.completed));
-  obs::ledger().set_quality("service_qps", probing_qps);
-  obs::ledger().set_quality("service_p99_ms", probing.report.p99_ms);
-  obs::ledger().set_quality("service_p50_ms", probing.report.p50_ms);
+                            static_cast<double>(last.completed));
+  obs::ledger().set_quality("service_qps", dflt.median_qps);
+  obs::ledger().set_quality("service_p99_ms", last.p99_ms);
+  obs::ledger().set_quality("service_p50_ms", last.p50_ms);
   obs::ledger().set_quality("service_admission_level",
-                            static_cast<double>(converged_level));
-  obs::ledger().set_quality("service_best_fixed_qps", best_qps);
-  obs::ledger().set_quality("service_probe_ratio",
-                            best_qps > 0.0 ? probing_qps / best_qps : 0.0);
+                            static_cast<double>(dflt.level));
+  obs::ledger().set_quality("service_best_fixed_qps", best->median_qps);
 
   std::ofstream os(opt.out);
   if (!os) {
@@ -342,41 +285,21 @@ int run_sweeps(int argc, char** argv) {
      << ", \"max_level\": " << opt.max_level
      << ", \"requests_per_client\": " << opt.requests_per_client
      << ", \"sweep_clients\": " << sweep_clients
-     << ", \"sweep_inflight\": " << sweep_inflight
-     << ", \"probe_interval_ms\": " << opt.probe_interval_ms << "},\n";
+     << ", \"sweep_inflight\": " << sweep_inflight << "},\n";
 
   os << " \"fixed_sweep\": [\n";
-  for (std::size_t i = 0; i < fixed_sweep.size(); ++i) {
-    os << "  {\"level\": " << fixed_sweep[i].level
-       << ", \"mean_qps\": " << fixed_sweep[i].mean_qps << ", \"passes\": [";
-    for (std::size_t p = 0; p < fixed_sweep[i].reports.size(); ++p) {
-      if (p > 0) os << ", ";
-      write_report(os, fixed_sweep[i].reports[p]);
-    }
-    os << "]}" << (i + 1 < fixed_sweep.size() ? "," : "") << "\n";
+  for (std::size_t level = 1; level <= opt.max_level; ++level) {
+    os << "  ";
+    write_sweep_point(os, points[level]);
+    os << (level < opt.max_level ? "," : "") << "\n";
   }
   os << " ],\n";
-  os << " \"best_fixed\": {\"level\": " << best_level
-     << ", \"qps\": " << best_qps << "},\n";
-
-  os << " \"probing\": {\n  \"converged_level\": " << converged_level
-     << ",\n  \"qps\": " << probing.report.qps
-     << ",\n  \"tail_qps\": " << probing_tail_qps
-     << ",\n  \"converged_fixed_qps\": " << converged_fixed_qps
-     << ",\n  \"qps_vs_best_fixed\": "
-     << (best_qps > 0.0 ? probing_qps / best_qps : 0.0)
-     << ",\n  \"within_10pct\": " << (within_10pct ? "true" : "false")
-     << ",\n  \"report\": ";
-  write_report(os, probing.report);
-  os << ",\n  \"trace\": [\n";
-  for (std::size_t i = 0; i < probing.trace.size(); ++i) {
-    const auto& t = probing.trace[i];
-    os << "   {\"t_ms\": " << t.t_ms << ", \"level\": " << t.level
-       << ", \"throughput\": " << t.throughput << ", \"exhausted\": "
-       << (t.exhausted ? "true" : "false") << "}"
-       << (i + 1 < probing.trace.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n },\n";
+  os << " \"best_fixed\": {\"level\": " << best->level
+     << ", \"qps\": " << best->median_qps << "},\n";
+  os << " \"default\": ";
+  write_sweep_point(os, dflt);
+  os << ",\n \"default_vs_best_fixed\": " << ratio
+     << ",\n \"within_5pct\": " << (within_5pct ? "true" : "false") << ",\n";
 
   os << " \"offered_load_sweep\": [\n";
   for (std::size_t i = 0; i < offered_sweep.size(); ++i) {
@@ -390,15 +313,17 @@ int run_sweeps(int argc, char** argv) {
   std::error_code ec;
   fs::remove_all(scratch, ec);
 
-  if (!within_10pct) {
+  if (!within_5pct) {
     std::fprintf(stderr,
-                 "perf_service: FAIL — probing qps %.1f < 90%% of best "
+                 "perf_service: FAIL — default qps %.1f < 95%% of best "
                  "fixed qps %.1f\n",
-                 probing_qps, best_qps);
+                 dflt.median_qps, best->median_qps);
     return 1;
   }
-  std::printf("perf_service: wrote %s (knee level %zu, %.1f qps)\n",
-              opt.out.c_str(), best_level, best_qps);
+  std::printf("perf_service: wrote %s (best fixed %zu tickets, %.1f qps; "
+              "default %zu tickets, %.1f qps)\n",
+              opt.out.c_str(), best->level, best->median_qps, dflt.level,
+              dflt.median_qps);
   return 0;
 }
 

@@ -23,10 +23,6 @@ jvm::MethodId ExecutorContext::method(std::string_view name,
   return cluster_.methods().intern(name, kind);
 }
 
-hw::AddressSpace& ExecutorContext::address_space() {
-  return cluster_.address_space();
-}
-
 std::uint64_t ExecutorContext::pipeline_slice_instrs() const {
   return std::max<std::uint64_t>(cluster_.config().snapshot_interval / 4, 1);
 }

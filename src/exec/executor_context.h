@@ -103,7 +103,7 @@ struct ThreadState {
   hw::PmuCounters unit_start_counters;
 };
 
-class ExecutorContext final : public jvm::StackTraceSource {
+class ExecutorContext final {
  public:
   ExecutorContext(Cluster& cluster, std::uint32_t core, Rng rng);
 
@@ -111,9 +111,6 @@ class ExecutorContext final : public jvm::StackTraceSource {
   bool is_profiled() const;
 
   jvm::CallStack& stack() { return stack_; }
-  std::span<const jvm::MethodId> get_stack_trace() const override {
-    return stack_.frames();
-  }
 
   /// Intern a method in the cluster-wide registry.
   jvm::MethodId method(std::string_view name, jvm::OpKind kind);
@@ -171,9 +168,6 @@ class ExecutorContext final : public jvm::StackTraceSource {
   /// Snapshot/overwrite the full thread state (checkpoint save/restore).
   ThreadState capture_state() const;
   void restore_state(const ThreadState& st);
-
-  /// Cluster-wide simulated address space for data-structure regions.
-  hw::AddressSpace& address_space();
 
   const hw::PmuCounters& counters() const { return counters_; }
   std::uint64_t instructions() const { return counters_.instructions; }

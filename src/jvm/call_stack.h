@@ -1,9 +1,9 @@
-// Shadow call stacks + the JVMTI-like stack-trace interface.
+// Shadow call stacks.
 //
 // Workload kernels maintain their simulated thread's call stack with RAII
 // MethodScope guards; SimProf's call-stack collector reads it through
-// StackTraceSource::get_stack_trace — the same shape as JVMTI GetStackTrace,
-// which is all the real agent uses.
+// CallStack::frames() — the same shape as JVMTI GetStackTrace, which is all
+// the real agent uses.
 #pragma once
 
 #include <cstdint>
@@ -51,15 +51,6 @@ class MethodScope {
 
  private:
   CallStack& stack_;
-};
-
-/// JVMTI-GetStackTrace-shaped read interface: SimProf's collector depends on
-/// this, not on the execution engine, so any substrate that can produce
-/// stacks (a real JVMTI agent, a trace replayer) plugs in.
-class StackTraceSource {
- public:
-  virtual ~StackTraceSource() = default;
-  virtual std::span<const MethodId> get_stack_trace() const = 0;
 };
 
 }  // namespace simprof::jvm

@@ -28,8 +28,11 @@ struct Event {
   char phase;  // 'X' complete, 'i' instant
   std::uint32_t pid;
   std::uint32_t tid;
-  double ts_us;
-  double dur_us;  // 'X' only
+  // Bounds in the timeline's own tick: ns on the wall clock, cycles on the
+  // virtual one. span_rollup nests spans by these exact values; µs exist
+  // only for output, where ts + dur can round past a tied next start.
+  std::uint64_t start_tick;
+  std::uint64_t end_tick;  // == start_tick for an instant
   std::string name;
   std::string args_json;  // pre-rendered "{…}" or empty
 };
@@ -77,6 +80,19 @@ std::string render_args(std::initializer_list<TraceArg> args) {
   return out;
 }
 
+double ticks_per_us(std::uint32_t pid) {
+  return pid == kWallPid ? 1000.0 : kVirtualClockGhz * 1000.0;
+}
+
+double ts_us(const Event& ev) {
+  return static_cast<double>(ev.start_tick) / ticks_per_us(ev.pid);
+}
+
+double dur_us(const Event& ev) {
+  return static_cast<double>(ev.end_tick - ev.start_tick) /
+         ticks_per_us(ev.pid);
+}
+
 void push_event(Event ev) {
   TraceState& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
@@ -95,9 +111,9 @@ void append_event_json(std::string& out, const Event& ev) {
   std::snprintf(buf, sizeof(buf), ", \"ph\": \"%c\", \"pid\": %u, \"tid\": %u",
                 ev.phase, ev.pid, ev.tid);
   out += buf;
-  out += ", \"ts\": " + json_number(ev.ts_us);
+  out += ", \"ts\": " + json_number(ts_us(ev));
   if (ev.phase == 'X') {
-    out += ", \"dur\": " + json_number(ev.dur_us);
+    out += ", \"dur\": " + json_number(dur_us(ev));
   } else if (ev.phase == 'i') {
     out += ", \"s\": \"t\"";
   }
@@ -225,7 +241,8 @@ std::vector<SpanRollupRow> span_rollup() {
   // break the rollup's cross-thread-count (name, count) identity.
   struct Ev {
     std::uint32_t pid, tid;
-    double ts, dur;
+    std::uint64_t start, end;  // ticks
+    double dur;
     const std::string* name;
   };
   TraceState& s = state();
@@ -236,25 +253,26 @@ std::vector<SpanRollupRow> span_rollup() {
     for (const Event& ev : s.events) {
       if (ev.phase != 'X') continue;
       if (std::string_view(ev.name).substr(0, 5) == "pool.") continue;
-      evs.push_back(Ev{ev.pid, ev.tid, ev.ts_us, ev.dur_us, &ev.name});
+      evs.push_back(
+          Ev{ev.pid, ev.tid, ev.start_tick, ev.end_tick, dur_us(ev), &ev.name});
     }
     // NOTE: `name` points into s.events; we finish all reads below before
     // releasing anything, and events are only cleared by clear_trace() which
     // takes the same mutex — but we must not hold pointers past this scope.
     // So do the whole aggregation under the lock.
     std::map<std::pair<bool, std::string>, SpanRollupRow> rows;
-    // Per-lane stack pass: sort a lane's events by (ts asc, dur desc, name)
-    // so parents precede their children, then track nesting with a stack to
-    // apportion self time.
+    // Per-lane stack pass: sort a lane's events by (start asc, end desc,
+    // name) so parents precede their children, then track nesting with a
+    // stack to apportion self time.
     std::stable_sort(evs.begin(), evs.end(), [](const Ev& a, const Ev& b) {
       if (a.pid != b.pid) return a.pid < b.pid;
       if (a.tid != b.tid) return a.tid < b.tid;
-      if (a.ts != b.ts) return a.ts < b.ts;
-      if (a.dur != b.dur) return a.dur > b.dur;
+      if (a.start != b.start) return a.start < b.start;
+      if (a.end != b.end) return a.end > b.end;
       return *a.name < *b.name;
     });
     struct Frame {
-      double end;
+      std::uint64_t end;
       double child_us = 0.0;
       const std::string* name;
       bool virt;
@@ -278,7 +296,7 @@ std::vector<SpanRollupRow> span_rollup() {
         cur_tid = ev.tid;
         have_lane = true;
       }
-      while (!stack.empty() && stack.back().end <= ev.ts) pop_frame();
+      while (!stack.empty() && stack.back().end <= ev.start) pop_frame();
       if (!stack.empty()) stack.back().child_us += ev.dur;
       const bool virt = ev.pid == kVirtualPid;
       SpanRollupRow& row = rows[{virt, *ev.name}];
@@ -289,7 +307,7 @@ std::vector<SpanRollupRow> span_rollup() {
       ++row.count;
       row.total_us += ev.dur;
       row.max_us = std::max(row.max_us, ev.dur);
-      stack.push_back(Frame{ev.ts + ev.dur, 0.0, ev.name, virt});
+      stack.push_back(Frame{ev.end, 0.0, ev.name, virt});
       durs.push_back(ev.dur);
     }
     while (!stack.empty()) pop_frame();
@@ -340,13 +358,12 @@ ObsSpan::ObsSpan(const char* name, std::initializer_list<TraceArg> args) {
 ObsSpan::~ObsSpan() {
   if (!armed_) return;
   unregister_open_span(this);
-  const std::uint64_t end_ns = now_ns();
   Event ev;
   ev.phase = 'X';
   ev.pid = kWallPid;
   ev.tid = this_thread_tag();
-  ev.ts_us = static_cast<double>(start_ns_) / 1000.0;
-  ev.dur_us = static_cast<double>(end_ns - start_ns_) / 1000.0;
+  ev.start_tick = start_ns_;
+  ev.end_tick = now_ns();
   ev.name = name_;
   ev.args_json = std::move(args_json_);
   push_event(std::move(ev));
@@ -358,8 +375,7 @@ void trace_instant(const char* name, std::initializer_list<TraceArg> args) {
   ev.phase = 'i';
   ev.pid = kWallPid;
   ev.tid = this_thread_tag();
-  ev.ts_us = static_cast<double>(now_ns()) / 1000.0;
-  ev.dur_us = 0.0;
+  ev.start_tick = ev.end_tick = now_ns();
   ev.name = name;
   ev.args_json = render_args(args);
   push_event(std::move(ev));
@@ -369,14 +385,12 @@ void trace_virtual_span(std::string_view name, std::uint64_t start_cycles,
                         std::uint64_t end_cycles, std::uint32_t vtid,
                         std::initializer_list<TraceArg> args) {
   if (!trace_enabled()) return;
-  const double cycles_per_us = kVirtualClockGhz * 1000.0;
   Event ev;
   ev.phase = 'X';
   ev.pid = kVirtualPid;
   ev.tid = vtid;
-  ev.ts_us = static_cast<double>(start_cycles) / cycles_per_us;
-  ev.dur_us =
-      static_cast<double>(end_cycles - start_cycles) / cycles_per_us;
+  ev.start_tick = start_cycles;
+  ev.end_tick = end_cycles;
   ev.name = std::string(name);
   ev.args_json = render_args(args);
   push_event(std::move(ev));
@@ -386,13 +400,11 @@ void trace_virtual_instant(std::string_view name, std::uint64_t cycles,
                            std::uint32_t vtid,
                            std::initializer_list<TraceArg> args) {
   if (!trace_enabled()) return;
-  const double cycles_per_us = kVirtualClockGhz * 1000.0;
   Event ev;
   ev.phase = 'i';
   ev.pid = kVirtualPid;
   ev.tid = vtid;
-  ev.ts_us = static_cast<double>(cycles) / cycles_per_us;
-  ev.dur_us = 0.0;
+  ev.start_tick = ev.end_tick = cycles;
   ev.name = std::string(name);
   ev.args_json = render_args(args);
   push_event(std::move(ev));

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/analysis.h"
 #include "obs/obs.h"
@@ -59,9 +60,17 @@ struct ServiceServer::Connection {
   std::atomic<bool> dead{false};
 };
 
-ServiceServer::ServiceServer(ServiceConfig cfg)
-    : cfg_(std::move(cfg)), probe_(cfg_.admission) {
+ServiceServer::ServiceServer(ServiceConfig cfg) : cfg_(std::move(cfg)) {
   SIMPROF_EXPECTS(!cfg_.socket_path.empty(), "service: socket_path required");
+  if (cfg_.tickets == 0) {
+    cfg_.tickets =
+        std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  }
+  if (cfg_.tickets > kMaxTickets) {
+    throw std::invalid_argument("service: " + std::to_string(cfg_.tickets) +
+                                " tickets is above the ceiling of " +
+                                std::to_string(kMaxTickets));
+  }
   cfg_.lab.use_cache = true;
   cfg_.lab.threads = cfg_.request_threads;
 }
@@ -75,22 +84,14 @@ void ServiceServer::start() {
   SIMPROF_EXPECTS(!started_.exchange(true), "service: start() called twice");
   listen_fd_ = listen_unix(cfg_.socket_path);
   start_time_ = Clock::now();
-  // A pinned level never rises, so only its workers start; a probing
-  // server may admit up to max_concurrency.
-  const std::size_t workers = cfg_.fixed_concurrency
-                                  ? admitted_level()
-                                  : cfg_.admission.max_concurrency;
-  svc_metrics().admission_level.set(static_cast<double>(admitted_level()));
-  svc_metrics().workers.set(static_cast<double>(workers));
+  svc_metrics().admission_level.set(static_cast<double>(cfg_.tickets));
+  svc_metrics().workers.set(static_cast<double>(cfg_.tickets));
   SIMPROF_LOG(kInfo) << "svc: listening on " << cfg_.socket_path
-                     << " workers=" << workers
-                     << " tickets=" << admitted_level()
-                     << (cfg_.fixed_concurrency ? " (fixed)" : " (probing)");
-  workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
+                     << " tickets=" << cfg_.tickets;
+  workers_.reserve(cfg_.tickets);
+  for (std::size_t i = 0; i < cfg_.tickets; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
-  prober_ = std::thread([this] { probe_loop(); });
   listener_ = std::thread([this] { listener_loop(); });
 }
 
@@ -103,7 +104,6 @@ void ServiceServer::request_stop() {
     if (stop_.exchange(true, std::memory_order_acq_rel)) return;
   }
   cv_.notify_all();
-  probe_cv_.notify_all();
 }
 
 void ServiceServer::wait() {
@@ -113,7 +113,6 @@ void ServiceServer::wait() {
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
-  if (prober_.joinable()) prober_.join();
   // Every queued request has been answered; now wake the readers (blocked
   // in recv) and join them.
   {
@@ -132,15 +131,6 @@ void ServiceServer::wait() {
                      << completed_.load() << " rejected="
                      << (rejected_quota_.load() + rejected_queue_full_.load() +
                          rejected_shutdown_.load());
-}
-
-std::size_t ServiceServer::admitted_level() const {
-  if (cfg_.fixed_concurrency) {
-    return std::clamp(cfg_.admission.initial_concurrency,
-                      cfg_.admission.min_concurrency,
-                      cfg_.admission.max_concurrency);
-  }
-  return probe_.concurrency();
 }
 
 core::WorkloadLab ServiceServer::make_lab(double scale,
@@ -329,7 +319,6 @@ void ServiceServer::admit(const std::shared_ptr<Connection>& conn,
     }
     queue_.push_back({conn, header, std::move(body), Clock::now()});
     conn->inflight.fetch_add(1, std::memory_order_relaxed);
-    if (active_ >= admitted_level()) window_exhausted_ = true;
     svc_metrics().queue_depth.set(static_cast<double>(queue_.size()));
   }
   auto& m = svc_metrics();
@@ -346,69 +335,20 @@ void ServiceServer::worker_loop() {
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [&] {
-        if (stop_.load(std::memory_order_relaxed) && queue_.empty()) {
-          return true;
-        }
-        return !queue_.empty() && active_ < admitted_level();
+        return !queue_.empty() || stop_.load(std::memory_order_relaxed);
       });
       if (queue_.empty()) return;  // stop_ && drained
       req = std::move(queue_.front());
       queue_.pop_front();
       ++active_;
-      if (!queue_.empty() && active_ >= admitted_level()) {
-        window_exhausted_ = true;
-      }
       m.queue_depth.set(static_cast<double>(queue_.size()));
       m.inflight.set(static_cast<double>(active_));
     }
     m.queue_wait_ms.observe(ms_since(req.enqueued));
     execute(req);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      ++window_completions_;
-      m.inflight.set(static_cast<double>(active_));
-    }
-    cv_.notify_all();
-  }
-}
-
-void ServiceServer::probe_loop() {
-  auto window_start = Clock::now();
-  std::unique_lock<std::mutex> plk(probe_mu_);
-  for (;;) {
-    probe_cv_.wait_for(
-        plk, std::chrono::milliseconds(cfg_.admission.probe_interval_ms),
-        [&] { return stop_.load(std::memory_order_acquire); });
-    if (stop_.load(std::memory_order_acquire)) return;
-
-    std::uint64_t completions = 0;
-    bool exhausted = false;
-    bool idle = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      completions = window_completions_;
-      exhausted = window_exhausted_;
-      window_completions_ = 0;
-      window_exhausted_ = false;
-      idle = completions == 0 && !exhausted && queue_.empty() && active_ == 0;
-    }
-    const double dt_sec =
-        std::chrono::duration<double>(Clock::now() - window_start).count();
-    window_start = Clock::now();
-    if (idle || dt_sec <= 0.0) continue;  // an idle daemon holds its level
-
-    const double throughput = static_cast<double>(completions) / dt_sec;
-    if (!cfg_.fixed_concurrency) {
-      probe_.on_probe(throughput, exhausted);
-      cv_.notify_all();  // the admitted level may have moved
-    }
-    svc_metrics().admission_level.set(static_cast<double>(admitted_level()));
-    {
-      std::lock_guard<std::mutex> lock(trace_mu_);
-      trace_.push_back(
-          {ms_since(start_time_), admitted_level(), throughput, exhausted});
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    --active_;
+    m.inflight.set(static_cast<double>(active_));
   }
 }
 
@@ -593,17 +533,12 @@ ServerStats ServiceServer::stats() const {
     s.queue_depth = queue_.size();
     s.inflight = active_;
   }
-  s.admission_level = admitted_level();
+  s.admission_level = cfg_.tickets;
   if (started_.load(std::memory_order_acquire)) {
     s.uptime_sec =
         std::chrono::duration<double>(Clock::now() - start_time_).count();
   }
   return s;
-}
-
-std::vector<AdmissionTracePoint> ServiceServer::admission_trace() const {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  return trace_;
 }
 
 }  // namespace simprof::service

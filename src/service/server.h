@@ -11,14 +11,9 @@
 //                      request queue  ◀── typed rejections happen here:
 //                           │             kOverQuota (client in-flight cap),
 //                           ▼             kQueueFull, kShuttingDown
-//   workers (max_concurrency threads gated to probe.concurrency() tickets;
-//           a fixed server starts only its admitted level's workers)
+//   workers (one thread per admission ticket; one per core by default)
 //           │ WorkloadLab::run_batch — concurrent identical configs collapse
 //           │ to ONE oracle pass via the lab's single-flight (lab.batch_dedup)
-//           ▼
-//   probe thread: every probe_interval_ms feeds (completions/sec, tickets
-//   exhausted?) to the ThroughputProbe (admission.h), which walks the
-//   admitted ticket count to the knee of the measured saturation curve.
 //
 // Per-client quotas: at most client_max_inflight queued+running requests
 // per connection, and streaming requests run their StreamingPhaseFormer
@@ -30,8 +25,8 @@
 // lab cache key covers every parameter), and the analysis runs through the
 // same core/analysis.h calls as the one-shot CLI, so daemon results are
 // bit-identical to it for the same config+seed (service_test compares the
-// profile_bytes blob and the selections). Admission control only
-// decides *when* a request runs, never what it computes.
+// profile_bytes blob and the selections). The ticket count only decides
+// *when* a request runs, never what it computes.
 #pragma once
 
 #include <atomic>
@@ -47,7 +42,6 @@
 #include <vector>
 
 #include "core/lab.h"
-#include "service/admission.h"
 #include "service/protocol.h"
 
 namespace simprof::service {
@@ -58,10 +52,10 @@ struct ServiceConfig {
   /// scale/seed override it; use_cache is forced on — the shared warm cache
   /// is the point of a resident daemon.
   core::LabConfig lab;
-  AdmissionConfig admission;
-  /// Pin the admitted concurrency to admission.initial_concurrency instead
-  /// of probing (the bench's exhaustive-sweep mode).
-  bool fixed_concurrency = false;
+  /// Requests that run at once, one worker thread each. 0 means the host's
+  /// core count (std::thread::hardware_concurrency(), at least 1); the
+  /// server resolves it at construction, so config().tickets is the count.
+  std::size_t tickets = 0;
   /// Request queue capacity; arrivals beyond it get kQueueFull.
   std::size_t max_queue = 64;
   /// Per-connection cap on queued+running requests; beyond it, kOverQuota.
@@ -75,13 +69,9 @@ struct ServiceConfig {
   std::size_t request_threads = 1;
 };
 
-/// One probe-window observation, for the bench's convergence trace.
-struct AdmissionTracePoint {
-  double t_ms = 0.0;        ///< since server start
-  std::size_t level = 0;    ///< admitted tickets after this window
-  double throughput = 0.0;  ///< completions/sec observed in the window
-  bool exhausted = false;
-};
+/// The most tickets a server takes. Each ticket is a thread and the count
+/// comes from outside the program, so the constructor rejects more.
+inline constexpr std::size_t kMaxTickets = 256;
 
 struct ServerStats {
   std::uint64_t accepted = 0;
@@ -94,19 +84,20 @@ struct ServerStats {
   std::uint64_t stream_updates = 0;
   std::size_t queue_depth = 0;
   std::size_t inflight = 0;
-  std::size_t admission_level = 0;
+  std::size_t admission_level = 0;  ///< the ticket count
   double uptime_sec = 0.0;
 };
 
 class ServiceServer {
  public:
+  /// Throws std::invalid_argument when cfg.tickets exceeds kMaxTickets.
   explicit ServiceServer(ServiceConfig cfg);
   ~ServiceServer();
 
   ServiceServer(const ServiceServer&) = delete;
   ServiceServer& operator=(const ServiceServer&) = delete;
 
-  /// Bind the socket and spawn listener/worker/probe threads. Throws on
+  /// Bind the socket and spawn the listener and worker threads. Throws on
   /// bind failure.
   void start();
 
@@ -121,7 +112,6 @@ class ServiceServer {
   bool stopping() const { return stop_.load(std::memory_order_acquire); }
 
   ServerStats stats() const;
-  std::vector<AdmissionTracePoint> admission_trace() const;
   const ServiceConfig& config() const { return cfg_; }
 
  private:
@@ -138,7 +128,6 @@ class ServiceServer {
   void listener_loop();
   void reader_loop(std::shared_ptr<Connection> conn);
   void worker_loop();
-  void probe_loop();
 
   void handle_frame(const std::shared_ptr<Connection>& conn,
                     const std::string& payload);
@@ -153,7 +142,6 @@ class ServiceServer {
               Status status, const std::string& message);
   bool send_payload(const std::shared_ptr<Connection>& conn,
                     const std::string& payload);
-  std::size_t admitted_level() const;
   core::WorkloadLab make_lab(double scale, std::uint64_t seed) const;
 
   ServiceConfig cfg_;
@@ -163,20 +151,13 @@ class ServiceServer {
   std::atomic<bool> joined_{false};
   std::chrono::steady_clock::time_point start_time_;
 
-  ThroughputProbe probe_;
-
-  mutable std::mutex mu_;  ///< guards queue_, active_, window flags
+  mutable std::mutex mu_;  ///< guards queue_, active_
   std::condition_variable cv_;
   std::deque<QueuedRequest> queue_;
   std::size_t active_ = 0;
-  std::uint64_t window_completions_ = 0;
-  bool window_exhausted_ = false;
 
   std::thread listener_;
   std::vector<std::thread> workers_;
-  std::thread prober_;
-  std::condition_variable probe_cv_;  ///< interruptible probe sleep
-  std::mutex probe_mu_;
 
   mutable std::mutex conns_mu_;
   struct ReaderSlot {
@@ -185,9 +166,6 @@ class ServiceServer {
   };
   std::vector<ReaderSlot> readers_;
   std::uint64_t next_conn_id_ = 0;
-
-  mutable std::mutex trace_mu_;
-  std::vector<AdmissionTracePoint> trace_;
 
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> rejected_quota_{0};

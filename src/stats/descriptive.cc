@@ -34,10 +34,6 @@ double sample_stddev(std::span<const double> xs) {
   return std::sqrt(sample_variance(xs));
 }
 
-double population_stddev(std::span<const double> xs) {
-  return std::sqrt(population_variance(xs));
-}
-
 double coefficient_of_variation(std::span<const double> xs) {
   const double m = mean(xs);
   if (m == 0.0) return 0.0;

@@ -25,8 +25,6 @@ double population_variance(std::span<const double> xs);
 /// Sample standard deviation — the paper's s_h (Eq. 5).
 double sample_stddev(std::span<const double> xs);
 
-double population_stddev(std::span<const double> xs);
-
 /// Coefficient of variation: stddev/mean (sample stddev); 0 if mean is 0.
 double coefficient_of_variation(std::span<const double> xs);
 

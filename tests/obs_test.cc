@@ -759,6 +759,26 @@ TEST(SpanRollupTest, SelfTimeCountsAndPoolExclusion) {
   EXPECT_DOUBLE_EQ(rows[1].self_us, 2.0);
 }
 
+TEST(SpanRollupTest, SpansMeetingAtOneCycleDoNotNest) {
+  TraceGuard guard;
+  start_tracing();
+  // A write span ending at the cycle the next task starts, as on a core
+  // lane between two waves. In floating µs 8002/2000 + 1999/2000 rounds
+  // past 10001/2000, so comparing µs would charge the task to the write.
+  trace_virtual_span("write", 8'002, 10'001, 0);
+  trace_virtual_span("task", 10'001, 20'001, 0);
+  stop_tracing();
+
+  const auto rows = span_rollup();
+  ASSERT_EQ(rows.size(), 2u);
+  for (const auto& row : rows) {
+    EXPECT_EQ(row.count, 1u) << row.name;
+    EXPECT_GE(row.self_us, 0.0) << row.name;
+    EXPECT_LE(row.self_us, row.total_us) << row.name;
+    EXPECT_DOUBLE_EQ(row.self_us, row.total_us) << row.name;
+  }
+}
+
 TEST(SpanRollupTest, NameCountIdenticalAcrossThreadCounts) {
   LogGuard log_guard;
   std::ostringstream sink;

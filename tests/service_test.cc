@@ -1,6 +1,6 @@
-// Service daemon suite: protocol round-trips, ThroughputProbe convergence
-// on synthetic saturation curves, and an in-process ServiceServer driven
-// over a real Unix socket — bit-identity with the one-shot lab, N
+// Service daemon suite: protocol round-trips, the ticket count's default
+// and ceiling, and an in-process ServiceServer driven over a real Unix
+// socket — bit-identity with the one-shot lab, N
 // concurrent same-config clients collapsing to one oracle pass, typed
 // over-quota / queue-full / shutting-down rejections, per-request stream
 // updates under the retention quota, and graceful drain.
@@ -8,10 +8,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +22,6 @@
 #include "core/sampling.h"
 #include "features/feature_mode.h"
 #include "obs/obs.h"
-#include "service/admission.h"
 #include "service/client.h"
 #include "service/loadgen.h"
 #include "service/protocol.h"
@@ -54,8 +54,7 @@ ServiceConfig small_service(const ScratchDir& dir) {
   cfg.lab.scale = 0.05;
   cfg.lab.graph_scale_override = 12;
   cfg.lab.cache_dir = dir.str() + "/cache";
-  cfg.admission.initial_concurrency = 2;
-  cfg.admission.max_concurrency = 4;
+  cfg.tickets = 2;
   return cfg;
 }
 
@@ -290,80 +289,21 @@ TEST(ServiceProtocol, StatusTaxonomy) {
 }
 
 // ---------------------------------------------------------------------------
-// Throughput-probing admission control, driven on synthetic saturation
-// curves (the probe is pure state, so these converge deterministically).
+// Ticket count. Construction starts no thread, so the ceiling is tested
+// without ever starting that many.
 
-/// Concave saturation curve with its knee at `knee`: linear gain up to the
-/// knee, then slight degradation (contention) past it.
-double synthetic_throughput(std::size_t level, std::size_t knee) {
-  const auto l = static_cast<double>(level);
-  const auto k = static_cast<double>(knee);
-  return level <= knee ? 10.0 * l : 10.0 * k - 0.5 * (l - k);
-}
-
-AdmissionConfig probe_config(std::size_t initial) {
-  AdmissionConfig cfg;
-  cfg.min_concurrency = 1;
-  cfg.max_concurrency = 16;
-  cfg.initial_concurrency = initial;
-  return cfg;
-}
-
-TEST(ThroughputProbe, ClimbsFromBelowToTheKnee) {
-  ThroughputProbe probe(probe_config(1));
-  for (int i = 0; i < 60; ++i) {
-    // Offered load far above capacity: tickets always exhausted.
-    probe.on_probe(synthetic_throughput(probe.concurrency(), 4), true);
-  }
-  EXPECT_EQ(probe.stable_concurrency(), 4u);
-  EXPECT_GE(probe.concurrency(), 3u);
-  EXPECT_LE(probe.concurrency(), 5u);
-}
-
-TEST(ThroughputProbe, WalksDownFromAboveTheKnee) {
-  // Over-provisioned start under sustained saturation: the failed-up-probe
-  // → down-probe chain must walk the level back to the knee even though
-  // tickets are exhausted every single window.
-  ThroughputProbe probe(probe_config(16));
-  for (int i = 0; i < 120; ++i) {
-    probe.on_probe(synthetic_throughput(probe.concurrency(), 4), true);
-  }
-  EXPECT_EQ(probe.stable_concurrency(), 4u);
-}
-
-TEST(ThroughputProbe, HoldsTheKneeOnceFound) {
-  ThroughputProbe probe(probe_config(4));
-  for (int i = 0; i < 200; ++i) {
-    probe.on_probe(synthetic_throughput(probe.concurrency(), 4), true);
-    // Probe excursions are one step around the stable point, never a drift.
-    EXPECT_GE(probe.concurrency(), 3u);
-    EXPECT_LE(probe.concurrency(), 5u);
-    EXPECT_EQ(probe.stable_concurrency(), 4u);
-  }
-  EXPECT_EQ(probe.probes(), 200u);
-}
-
-TEST(ThroughputProbe, IdleAndGarbageInputsAreSafe) {
-  ThroughputProbe probe(probe_config(2));
-  probe.on_probe(std::nan(""), false);
-  probe.on_probe(-5.0, true);
-  for (int i = 0; i < 20; ++i) probe.on_probe(0.0, false);
-  EXPECT_GE(probe.concurrency(), 1u);
-  EXPECT_LE(probe.concurrency(), 16u);
-  EXPECT_EQ(probe.stable_concurrency(), probe.concurrency());
-}
-
-TEST(ThroughputProbe, RespectsConfiguredBounds) {
-  AdmissionConfig cfg = probe_config(1);
-  cfg.max_concurrency = 3;
-  ThroughputProbe probe(cfg);
-  for (int i = 0; i < 50; ++i) {
-    // Monotonically improving curve: wants to climb forever, capped at 3.
-    probe.on_probe(10.0 * static_cast<double>(probe.concurrency()), true);
-    EXPECT_LE(probe.concurrency(), 3u);
-    EXPECT_GE(probe.concurrency(), 1u);
-  }
-  EXPECT_EQ(probe.stable_concurrency(), 3u);
+TEST(ServiceServer, TicketCountDefaultsToCoresAndIsBounded) {
+  ScratchDir dir;
+  ServiceConfig cfg = small_service(dir);
+  cfg.tickets = 0;
+  EXPECT_EQ(ServiceServer(cfg).config().tickets,
+            std::max<std::size_t>(std::thread::hardware_concurrency(), 1));
+  cfg.tickets = kMaxTickets;
+  EXPECT_EQ(ServiceServer(cfg).config().tickets, kMaxTickets);
+  cfg.tickets = kMaxTickets + 1;
+  EXPECT_THROW(ServiceServer{cfg}, std::invalid_argument);
+  cfg.tickets = 100'000;
+  EXPECT_THROW(ServiceServer{cfg}, std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -446,10 +386,8 @@ TEST(ServiceServer, ProfileBitIdenticalToDirectLab) {
 TEST(ServiceServer, ConcurrentSameConfigClientsShareOneOraclePass) {
   ScratchDir dir;
   ServiceConfig cfg = small_service(dir);
-  // All four clients dispatch concurrently: fixed tickets = worker count.
-  cfg.fixed_concurrency = true;
-  cfg.admission.initial_concurrency = 4;
-  cfg.admission.max_concurrency = 4;
+  // All four clients dispatch concurrently: one ticket each.
+  cfg.tickets = 4;
   ServiceServer server(cfg);
   server.start();
 
@@ -492,17 +430,7 @@ TEST(ServiceServer, ConcurrentSameConfigClientsShareOneOraclePass) {
 TEST(ServiceServer, FixedServerStartsOnlyItsAdmittedWorkers) {
   ScratchDir dir;
   ServiceConfig cfg = small_service(dir);
-  cfg.admission.max_concurrency = 16;
-  {
-    // A probing server may admit up to the ceiling: all its workers start.
-    ServiceServer probing(cfg);
-    probing.start();
-    EXPECT_EQ(obs::metrics().gauge("svc.workers").value(), 16.0);
-    probing.request_stop();
-    probing.wait();
-  }
-  cfg.fixed_concurrency = true;
-  cfg.admission.initial_concurrency = 2;
+  cfg.tickets = 2;
   ServiceServer server(cfg);
   server.start();
   EXPECT_EQ(obs::metrics().gauge("svc.workers").value(), 2.0);

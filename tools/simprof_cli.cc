@@ -174,21 +174,20 @@ const std::vector<CommandSpec> kCommands = {
     {"serve",
      "",
      "run the resident profiling daemon on a Unix socket: shared lab "
-     "cache, request queue, per-client quotas and throughput-probing "
-     "admission control (SIGINT/SIGTERM drains and exits cleanly)",
+     "cache, request queue, per-client quotas and a fixed number of "
+     "admission tickets (SIGINT/SIGTERM drains and exits cleanly)",
      {{"socket", "PATH", "Unix-domain socket path to listen on (required)"},
       {"max-queue", "N", "request queue capacity (default 64)"},
       {"client-inflight", "N",
        "per-connection in-flight request quota (default 8)"},
-      {"tickets", "N", "initial admitted concurrency (default 2)"},
-      {"tickets-min", "N", "admission floor (default 1)"},
+      {"tickets", "N",
+       "requests run at once, one worker thread each (default 0: the "
+       "host's core count; at most 256)"},
       {"tickets-max", "N",
-       "admission ceiling: the most requests run at once (default 16); a "
-       "probing server starts this many workers, a --fixed one starts "
-       "--tickets"},
+       "ignored: kept so scripts written for the removed throughput prober "
+       "still run"},
       {"fixed", "",
-       "pin concurrency to --tickets instead of throughput probing"},
-      {"probe-interval-ms", "MS", "probe window length (default 200)"},
+       "ignored: tickets are always fixed; kept so older scripts still run"},
       {"stream-retain-cap", "N",
        "hard cap on a streaming request's retained units — the per-client "
        "memory quota (default 0 = uncapped)"},
@@ -925,42 +924,36 @@ int cmd_serve(const Args& args) {
   cfg.max_queue = args.num("max-queue", cfg.max_queue);
   cfg.client_max_inflight =
       args.num("client-inflight", cfg.client_max_inflight);
-  cfg.admission.initial_concurrency = args.num<std::size_t>("tickets", 2);
-  cfg.admission.min_concurrency = args.num<std::size_t>("tickets-min", 1);
-  cfg.admission.max_concurrency = args.num<std::size_t>("tickets-max", 16);
-  cfg.admission.probe_interval_ms =
-      args.num("probe-interval-ms", cfg.admission.probe_interval_ms);
+  cfg.tickets = args.num("tickets", cfg.tickets);
   cfg.stream_retain_cap = args.num("stream-retain-cap", cfg.stream_retain_cap);
   cfg.request_threads = args.num("request-threads", cfg.request_threads);
-  cfg.fixed_concurrency = args.has("fixed");
-
-  obs::ledger().set_config("socket", cfg.socket_path);
-  obs::ledger().set_config("tickets_max",
-                           std::to_string(cfg.admission.max_concurrency));
-  obs::ledger().set_config("admission",
-                           cfg.fixed_concurrency ? "fixed" : "probing");
 
 #ifdef M_ARENA_MAX
   // glibc gives each new thread its own malloc arena (up to 8 per core), and
-  // an arena keeps the memory its thread freed: each of the (up to 16)
-  // workers a request lands on would keep that request's peak. With two arenas the
-  // RSS levels off under distinct-key traffic; one slowed warm requests by
-  // a third.
+  // an arena keeps the memory its thread freed: each worker (one per
+  // ticket) a request lands on would keep that request's peak. With two
+  // arenas the RSS levels off under distinct-key traffic; one slowed warm
+  // requests by a third.
   ::mallopt(M_ARENA_MAX, 2);
 #endif
-  service::ServiceServer server(cfg);
-  server.start();
-  g_serve_instance.store(&server, std::memory_order_release);
-  std::cout << "serving on " << cfg.socket_path
-            << " (tickets " << cfg.admission.min_concurrency << ".."
-            << cfg.admission.max_concurrency << ", "
-            << (cfg.fixed_concurrency ? "fixed" : "probing")
-            << "; SIGINT/SIGTERM drains and exits)\n"
+  std::optional<service::ServiceServer> server;
+  try {
+    server.emplace(cfg);
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(e.what());
+  }
+  const std::size_t tickets = server->config().tickets;
+  obs::ledger().set_config("socket", cfg.socket_path);
+  obs::ledger().set_config("tickets", std::to_string(tickets));
+  server->start();
+  g_serve_instance.store(&*server, std::memory_order_release);
+  std::cout << "serving on " << cfg.socket_path << " (" << tickets
+            << " tickets; SIGINT/SIGTERM drains and exits)\n"
             << std::flush;
-  server.wait();  // blocks until the signal watcher requests the drain
+  server->wait();  // blocks until the signal watcher requests the drain
   g_serve_instance.store(nullptr, std::memory_order_release);
 
-  const service::ServerStats stats = server.stats();
+  const service::ServerStats stats = server->stats();
   obs::ledger().set_quality("service_requests",
                             static_cast<double>(stats.completed));
   obs::ledger().set_quality(
@@ -976,7 +969,7 @@ int cmd_serve(const Args& args) {
   std::cout << "served " << stats.completed << " requests ("
             << stats.rejected << " rejected, " << stats.errors
             << " errors) in " << Table::num(stats.uptime_sec, 1)
-            << "s; final admission level " << stats.admission_level << '\n';
+            << "s at " << stats.admission_level << " tickets\n";
   return 0;
 }
 
