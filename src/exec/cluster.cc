@@ -9,7 +9,10 @@
 namespace simprof::exec {
 
 Cluster::Cluster(const ClusterConfig& cfg)
-    : cfg_(cfg), memory_(cfg.memory), scheduler_rng_(cfg.seed) {
+    : cfg_(cfg),
+      memory_(cfg.memory),
+      scheduler_rng_(cfg.seed),
+      stage_lane_{obs::next_virtual_pid(), obs::kVirtualStageLane} {
   SIMPROF_EXPECTS(cfg.unit_instrs > 0 && cfg.snapshot_interval > 0,
                   "intervals must be positive");
   SIMPROF_EXPECTS(cfg.unit_instrs % cfg.snapshot_interval == 0,
@@ -41,15 +44,14 @@ void Cluster::run_stage(std::string_view stage_name, std::size_t num_tasks,
   stages.increment();
   task_count.add(num_tasks);
   ++stages_run_;
-  const std::string name(stage_name);
   obs::ObsSpan stage_span("exec.stage",
                           {{"stage", stage_name}, {"tasks", num_tasks}});
-  const bool tracing = obs::trace_enabled();
-  const std::uint64_t stage_start_cycles =
-      tracing ? contexts_[cfg_.profiled_core]->counters().cycles : 0;
+  const hw::PmuCounters& profiled = contexts_[cfg_.profiled_core]->counters();
+  obs::VirtualSpan stage_vspan(stage_lane_, stage_name, profiled.cycles);
+  const std::string task_name = std::string(stage_name) + "/task";
   const std::uint64_t allocated = address_space_.bytes_allocated();
   const std::uint32_t cores = num_cores();
-  SIMPROF_LOG(kDebug) << "exec: stage " << name << " (" << num_tasks
+  SIMPROF_LOG(kDebug) << "exec: stage " << stage_name << " (" << num_tasks
                       << " tasks over " << cores << " cores)";
 
   // Deal tasks to cores round-robin, then run wave by wave. Within a wave
@@ -65,14 +67,12 @@ void Cluster::run_stage(std::string_view stage_name, std::size_t num_tasks,
     for (std::uint32_t c = 0; c < wave_width; ++c) {
       ExecutorContext& ctx = *contexts_[c];
       if (thread_per_task) ctx.begin_new_thread();
-      const std::uint64_t task_start_cycles =
-          tracing ? ctx.counters().cycles : 0;
+      obs::VirtualSpan task_span(ctx.trace_lane(), task_name,
+                                 ctx.counters().cycles);
       body(next + c, ctx);
-      if (tracing) {
-        obs::trace_virtual_span(
-            name + "/task", task_start_cycles, ctx.counters().cycles, c,
-            {{"task", next + c}, {"wave", wave}, {"stage", stage_name}});
-      }
+      task_span.close(ctx.counters().cycles, {{"task", next + c},
+                                              {"wave", wave},
+                                              {"stage", stage_name}});
     }
     next += wave_width;
     ++wave;
@@ -80,12 +80,7 @@ void Cluster::run_stage(std::string_view stage_name, std::size_t num_tasks,
   memory_.set_llc_pressure(1);
   SIMPROF_ASSERT(address_space_.bytes_allocated() == allocated,
                  "a task allocated a simulated region");
-  if (tracing) {
-    obs::trace_virtual_span(name, stage_start_cycles,
-                            contexts_[cfg_.profiled_core]->counters().cycles,
-                            obs::kVirtualStageLane,
-                            {{"tasks", num_tasks}, {"waves", wave}});
-  }
+  stage_vspan.close(profiled.cycles, {{"tasks", num_tasks}, {"waves", wave}});
 }
 
 void Cluster::finish() {

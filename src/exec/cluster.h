@@ -19,6 +19,7 @@
 #include "hw/access_stream.h"
 #include "hw/memory_system.h"
 #include "jvm/method.h"
+#include "obs/trace.h"
 #include "support/rng.h"
 
 namespace simprof::exec {
@@ -67,6 +68,9 @@ class Cluster {
   void set_tape_sink(OpTapeSink* s) { tape_sink_ = s; }
   OpTapeSink* tape_sink() const { return tape_sink_; }
 
+  /// This cluster's pid on the virtual trace timeline (one per cluster).
+  std::uint32_t trace_pid() const { return stage_lane_.pid; }
+
   /// Stages executed so far (schedule-position bookkeeping).
   std::uint64_t stages_run() const { return stages_run_; }
 
@@ -92,6 +96,7 @@ class Cluster {
   OpTapeSink* tape_sink_ = nullptr;
   std::uint64_t stages_run_ = 0;
   Rng scheduler_rng_;
+  obs::VirtualLane stage_lane_;  ///< per-stage summary spans
 };
 
 }  // namespace simprof::exec

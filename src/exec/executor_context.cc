@@ -9,7 +9,10 @@
 namespace simprof::exec {
 
 ExecutorContext::ExecutorContext(Cluster& cluster, std::uint32_t core, Rng rng)
-    : cluster_(cluster), core_(core), rng_(rng) {
+    : cluster_(cluster),
+      core_(core),
+      rng_(rng),
+      trace_lane_{cluster.trace_pid(), core} {
   next_snapshot_at_ = cluster_.config().snapshot_interval;
   next_unit_at_ = cluster_.config().unit_instrs;
 }
@@ -180,7 +183,7 @@ void ExecutorContext::maybe_fire_boundaries() {
       static obs::Counter& migrations =
           obs::metrics().counter("exec.migrations");
       migrations.increment();
-      obs::trace_virtual_instant("migration", counters_.cycles, core_,
+      obs::trace_virtual_instant(trace_lane_, "migration", counters_.cycles,
                                  {{"instructions", ip}});
     }
     // Unit boundary mechanics are done; tell the governor a unit starts. A

@@ -34,6 +34,7 @@
 #include "hw/memory_system.h"
 #include "jvm/call_stack.h"
 #include "jvm/method.h"
+#include "obs/trace.h"
 #include "support/rng.h"
 
 namespace simprof::exec {
@@ -149,8 +150,8 @@ class ExecutorContext final {
   /// profiling hooks. It adds the instructions it was handed to
   /// skipped_instrs() and only takes the migration draw of each unit
   /// boundary they cross, so the thread's generator stays in step with the
-  /// oracle pass. Engines test stopped() to suppress trace spans whose cycle
-  /// bounds would be stale.
+  /// oracle pass. Engines leave a trace span unclosed on a stopped core,
+  /// whose cycle bounds would be stale.
   void stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
@@ -186,6 +187,9 @@ class ExecutorContext final {
   /// units observe the interleaved pipeline mixture.
   std::uint64_t pipeline_slice_instrs() const;
 
+  /// This core's lane on the cluster's virtual trace timeline.
+  obs::VirtualLane& trace_lane() { return trace_lane_; }
+
  private:
   void charge_cycles(double cycles) {
     cycles_acc_ += cycles;
@@ -205,6 +209,7 @@ class ExecutorContext final {
   double cycles_acc_ = 0.0;
   std::uint64_t thread_id_ = 0;
   PipelineBatcher* batcher_ = nullptr;
+  obs::VirtualLane trace_lane_;
 
   // Profiling bookkeeping (profiled core only).
   std::uint64_t next_snapshot_at_ = 0;

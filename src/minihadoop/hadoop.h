@@ -232,10 +232,11 @@ class MapReduceJob {
     ++total_spills_;
     static obs::Counter& spill_count = obs::metrics().counter("hadoop.spills");
     spill_count.increment();
-    // A stopped core carries no simulated cycle times; suppress spans.
-    const bool tracing = obs::trace_enabled() && !ctx.stopped();
-    const std::uint64_t spill_start_cycles =
-        tracing ? ctx.counters().cycles : 0;
+    // A stopped core carries no simulated cycle times; its span stays
+    // unclosed and records nothing.
+    const bool live = !ctx.stopped();
+    obs::VirtualSpan spill_span(ctx.trace_lane(), "hadoop.sort_and_spill",
+                                ctx.counters().cycles);
     // QuickSort over the buffered key-value index — recursive partition
     // passes with data-dependent sizes (Figure 15's high-CoV sort phase).
     {
@@ -285,11 +286,10 @@ class MapReduceJob {
                            /*compressed=*/false, cfg_.costs);
       }
     }
-    if (tracing) {
-      obs::trace_virtual_span("hadoop.sort_and_spill", spill_start_cycles,
-                              ctx.counters().cycles, ctx.core(),
-                              {{"pairs", run.size()},
-                               {"combined", static_cast<bool>(spec_.combine_fn)}});
+    if (live) {
+      spill_span.close(ctx.counters().cycles,
+                       {{"pairs", run.size()},
+                        {"combined", static_cast<bool>(spec_.combine_fn)}});
     }
     spills.push_back(std::move(run));
     buffer.clear();
@@ -327,8 +327,9 @@ class MapReduceJob {
     const auto total_bytes = static_cast<std::uint64_t>(
         spec_.pair_bytes * static_cast<double>(total));
 
-    // A stopped core carries no simulated cycle times; suppress spans.
-    const bool tracing = obs::trace_enabled() && !ctx.stopped();
+    // A stopped core carries no simulated cycle times; its spans stay
+    // unclosed and record nothing.
+    const bool live = !ctx.stopped();
     static obs::Counter& shuffle_bytes =
         obs::metrics().counter("hadoop.shuffle_bytes");
     shuffle_bytes.add(total_bytes);
@@ -336,16 +337,15 @@ class MapReduceJob {
     // the scan rate when compression is on).
     {
       jvm::MethodScope sh(ctx.stack(), methods_.shuffle_fetch);
-      const std::uint64_t start_cycles = tracing ? ctx.counters().cycles : 0;
+      obs::VirtualSpan span(ctx.trace_lane(), "hadoop.shuffle_fetch",
+                            ctx.counters().cycles);
       const double rate = cfg_.costs.scan_instrs_per_byte *
                           (cfg_.compress_map_output ? 1.6 : 1.0);
       exec::scan_region(ctx, reduce_region_, total_bytes, rate);
-      if (tracing) {
-        obs::trace_virtual_span(
-            "hadoop.shuffle_fetch", start_cycles, ctx.counters().cycles,
-            ctx.core(),
-            {{"reducer", r}, {"bytes", total_bytes},
-             {"segments", runs.size()}});
+      if (live) {
+        span.close(ctx.counters().cycles, {{"reducer", r},
+                                           {"bytes", total_bytes},
+                                           {"segments", runs.size()}});
       }
     }
     // Merge the sorted segments and fold each key's value group through the
@@ -355,7 +355,8 @@ class MapReduceJob {
     std::vector<Pair> out;
     {
       jvm::MethodScope mg(ctx.stack(), methods_.merger_merge);
-      const std::uint64_t start_cycles = tracing ? ctx.counters().cycles : 0;
+      obs::VirtualSpan span(ctx.trace_lane(), "hadoop.merge",
+                            ctx.counters().cycles);
       std::vector<V> group;
       K key{};
       support::merge_by_key(runs, [&](const Pair& kv) {
@@ -371,10 +372,9 @@ class MapReduceJob {
                        static_cast<std::uint32_t>(
                            std::max<std::size_t>(runs.size(), 1)),
                        cfg_.costs);
-      if (tracing) {
-        obs::trace_virtual_span(
-            "hadoop.merge", start_cycles, ctx.counters().cycles, ctx.core(),
-            {{"reducer", r}, {"pairs", total}, {"runs", runs.size()}});
+      if (live) {
+        span.close(ctx.counters().cycles,
+                   {{"reducer", r}, {"pairs", total}, {"runs", runs.size()}});
       }
     }
     segments_[r] = {};  // fully consumed

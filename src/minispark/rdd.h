@@ -447,11 +447,11 @@ class ReduceByKeyRDD final : public ShuffledRDD<K, V> {
 
     // Partition and write the shuffle output.
     jvm::MethodScope write(ctx.stack(), m.shuffle_write);
-    // A stopped core carries no simulated cycle times — emitting a span
-    // from it would plot stale bounds in the trace.
-    const bool tracing = obs::trace_enabled() && !ctx.stopped();
-    const std::uint64_t write_start_cycles =
-        tracing ? ctx.counters().cycles : 0;
+    // A stopped core carries no simulated cycle times — closing a span on
+    // it would plot stale bounds in the trace, so it stays unclosed.
+    const bool live = !ctx.stopped();
+    obs::VirtualSpan write_span(ctx.trace_lane(), "spark.shuffle_write",
+                                ctx.counters().cycles);
     for (const Pair& kv : combined) {
       const std::uint32_t r = detail::hash_to_partition(
           static_cast<std::uint64_t>(kv.first), this->partitions_);
@@ -467,11 +467,10 @@ class ReduceByKeyRDD final : public ShuffledRDD<K, V> {
       exec::write_stream(ctx, map_region_ + (1ULL << 25), bytes,
                          /*compressed=*/false, costs);
     }
-    if (tracing) {
-      obs::trace_virtual_span(
-          "spark.shuffle_write", write_start_cycles, ctx.counters().cycles,
-          ctx.core(),
-          {{"partition", p}, {"records", combined.size()}, {"bytes", bytes}});
+    if (live) {
+      write_span.close(ctx.counters().cycles, {{"partition", p},
+                                               {"records", combined.size()},
+                                               {"bytes", bytes}});
     }
   }
 

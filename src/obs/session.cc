@@ -23,9 +23,12 @@ RunSession::RunSession(const RunSessionConfig& config)
     ledger().set_output_path(config.manifest_out);
   }
 
-  // Tracing feeds --trace-out and the manifest's span rollup; it only
-  // observes, so arming it cannot perturb results (obs/trace.h).
-  if (!trace_out_.empty() || ledger().enabled()) start_tracing();
+  // Tracing feeds the manifest's span rollup, which needs no event buffer,
+  // and --trace-out, which does. It only observes, so arming it cannot
+  // perturb results (obs/trace.h).
+  if (!trace_out_.empty() || ledger().enabled()) {
+    start_tracing(/*buffer_events=*/!trace_out_.empty());
+  }
 
   if (config.heartbeat) start_heartbeat(*config.heartbeat);
 }

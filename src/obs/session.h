@@ -2,7 +2,8 @@
 // wraps around one run. Front ends parse their own flags; the session acts
 // on the parsed values. The constructor begins the run ledger, applies the
 // log level, arms tracing when a trace file or a manifest will be written
-// (span rollups need trace events) and optionally starts the heartbeat.
+// (buffering events only for the trace file; the manifest's span rollup is
+// built as spans close) and optionally starts the heartbeat.
 // flush() writes the trace, metrics snapshot and manifest exactly once.
 #pragma once
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -19,7 +20,6 @@ namespace simprof::obs {
 namespace {
 
 constexpr std::uint32_t kWallPid = 1;
-constexpr std::uint32_t kVirtualPid = 2;
 
 /// Hard cap on buffered events; overflow is counted, not collected.
 constexpr std::size_t kMaxEvents = 4u << 20;
@@ -29,28 +29,50 @@ struct Event {
   std::uint32_t pid;
   std::uint32_t tid;
   // Bounds in the timeline's own tick: ns on the wall clock, cycles on the
-  // virtual one. span_rollup nests spans by these exact values; µs exist
-  // only for output, where ts + dur can round past a tied next start.
+  // virtual one.
   std::uint64_t start_tick;
   std::uint64_t end_tick;  // == start_tick for an instant
   std::string name;
   std::string args_json;  // pre-rendered "{…}" or empty
 };
 
+/// One rollup row in integer ticks (ns or cycles).
+struct RowTicks {
+  std::uint64_t count = 0, total = 0, self = 0, max = 0;
+};
+
+/// An armed ObsSpan, for the flight recorder's live dump.
+struct OpenSpan {
+  const char* name;
+  std::uint32_t tid;
+  std::uint64_t start_ns;
+};
+
 struct TraceState {
   std::mutex mu;
   std::vector<Event> events;
   std::set<std::pair<std::uint32_t, std::uint32_t>> seen_lanes;  // (pid, tid)
+  std::map<std::string, RowTicks, std::less<>> rows[2];  // [virtual][name]
+  std::map<std::uint64_t, OpenSpan> open;  // armed wall spans, oldest first
+  std::uint64_t next_open = 0;
   std::chrono::steady_clock::time_point origin;
-  std::uint64_t dropped = 0;
 };
 
 std::atomic<bool> g_enabled{false};
+std::atomic<bool> g_buffering{false};
+std::atomic<std::uint32_t> g_next_virtual_pid{kFirstVirtualPid};
+thread_local ObsSpan* tls_open_span = nullptr;  // innermost armed ObsSpan
+
+// Registered at load, so every metrics snapshot carries them.
+Counter& g_dropped = metrics().counter("trace.dropped_events");
+Gauge& g_buffered = metrics().gauge("obs.trace_events_buffered");
 
 TraceState& state() {
   static TraceState* s = new TraceState;  // leaky: usable from static dtors
   return *s;
 }
+
+bool buffering() { return g_buffering.load(std::memory_order_relaxed); }
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -84,24 +106,36 @@ double ticks_per_us(std::uint32_t pid) {
   return pid == kWallPid ? 1000.0 : kVirtualClockGhz * 1000.0;
 }
 
-double ts_us(const Event& ev) {
-  return static_cast<double>(ev.start_tick) / ticks_per_us(ev.pid);
-}
-
-double dur_us(const Event& ev) {
-  return static_cast<double>(ev.end_tick - ev.start_tick) /
-         ticks_per_us(ev.pid);
-}
-
-void push_event(Event ev) {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
+void push_event_locked(TraceState& s, Event ev) {
   if (s.events.size() >= kMaxEvents) {
-    ++s.dropped;
+    g_dropped.increment();
     return;
   }
   s.seen_lanes.emplace(ev.pid, ev.tid);
   s.events.push_back(std::move(ev));
+  g_buffered.set(static_cast<double>(s.events.size()));
+}
+
+/// Add a closed span to its rollup row and, when buffering, to the event
+/// buffer. `child` is the inclusive time of the spans nested directly
+/// inside it, so its self time is its duration minus `child`.
+void record_span_locked(TraceState& s, std::uint32_t pid, std::uint32_t tid,
+                        std::string_view name, std::uint64_t start,
+                        std::uint64_t end, std::uint64_t child,
+                        std::string args_json) {
+  const std::uint64_t dur = end - start;
+  auto& rows = s.rows[pid != kWallPid];
+  auto it = rows.find(name);
+  if (it == rows.end()) it = rows.emplace(std::string(name), RowTicks{}).first;
+  RowTicks& row = it->second;
+  ++row.count;
+  row.total += dur;
+  row.self += dur - child;
+  row.max = std::max(row.max, dur);
+  if (buffering()) {
+    push_event_locked(s, Event{'X', pid, tid, start, end, std::string(name),
+                               std::move(args_json)});
+  }
 }
 
 void append_event_json(std::string& out, const Event& ev) {
@@ -111,10 +145,13 @@ void append_event_json(std::string& out, const Event& ev) {
   std::snprintf(buf, sizeof(buf), ", \"ph\": \"%c\", \"pid\": %u, \"tid\": %u",
                 ev.phase, ev.pid, ev.tid);
   out += buf;
-  out += ", \"ts\": " + json_number(ts_us(ev));
+  const double per_us = ticks_per_us(ev.pid);
+  out += ", \"ts\": " + json_number(static_cast<double>(ev.start_tick) / per_us);
   if (ev.phase == 'X') {
-    out += ", \"dur\": " + json_number(dur_us(ev));
-  } else if (ev.phase == 'i') {
+    out += ", \"dur\": " +
+           json_number(static_cast<double>(ev.end_tick - ev.start_tick) /
+                       per_us);
+  } else {
     out += ", \"s\": \"t\"";
   }
   if (!ev.args_json.empty()) out += ", \"args\": " + ev.args_json;
@@ -140,51 +177,17 @@ std::string lane_name(std::uint32_t pid, std::uint32_t tid) {
   return "core " + std::to_string(tid);
 }
 
-/// Registry of currently-open wall-clock spans, keyed by the ObsSpan's
-/// address (spans are neither copyable nor movable, so the address is
-/// stable for the span's lifetime). Feeds the flight recorder's live dump.
-struct OpenRec {
-  const char* name;
-  std::uint32_t tid;
-  std::uint64_t start_ns;
-  std::uint64_t seq;  // registration order (oldest first)
-};
-
-struct OpenSpanState {
-  std::mutex mu;
-  std::uint64_t next_seq = 0;
-  std::map<const void*, OpenRec> spans;
-};
-
-OpenSpanState& open_state() {
-  static OpenSpanState* s = new OpenSpanState;  // leaky, like state()
-  return *s;
-}
-
-void register_open_span(const void* key, const char* name,
-                        std::uint64_t start_ns) {
-  OpenSpanState& s = open_state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.spans.emplace(key,
-                  OpenRec{name, this_thread_tag(), start_ns, s.next_seq++});
-}
-
-void unregister_open_span(const void* key) {
-  OpenSpanState& s = open_state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.spans.erase(key);
-}
-
 }  // namespace
 
 bool trace_enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
-void start_tracing() {
+void start_tracing(bool buffer_events) {
   TraceState& s = state();
   {
     std::lock_guard<std::mutex> lock(s.mu);
     s.origin = std::chrono::steady_clock::now();
   }
+  g_buffering.store(buffer_events, std::memory_order_relaxed);
   g_enabled.store(true, std::memory_order_relaxed);
 }
 
@@ -195,7 +198,8 @@ void clear_trace() {
   std::lock_guard<std::mutex> lock(s.mu);
   s.events.clear();
   s.seen_lanes.clear();
-  s.dropped = 0;
+  for (auto& rows : s.rows) rows.clear();
+  g_buffered.set(0.0);
 }
 
 std::string trace_to_json() {
@@ -208,135 +212,56 @@ std::string trace_to_json() {
     first = false;
     appender();
   };
-  for (std::uint32_t pid : {kWallPid, kVirtualPid}) {
-    const std::string pname =
-        pid == kWallPid ? "wall-clock" : "virtual-clock";
-    bool has_lane = false;
-    for (const auto& [lp, lt] : s.seen_lanes) {
-      if (lp != pid) continue;
-      if (!has_lane) {
-        emit([&] { append_metadata_json(out, pid, 0, "process_name", pname); });
-        has_lane = true;
-      }
+  std::uint32_t named_pid = 0;  // pids start at 1
+  for (const auto& [pid, tid] : s.seen_lanes) {
+    if (pid != named_pid) {
+      named_pid = pid;
       emit([&] {
-        append_metadata_json(out, pid, lt, "thread_name", lane_name(pid, lt));
+        append_metadata_json(out, pid, 0, "process_name",
+                             pid == kWallPid ? "wall-clock" : "virtual-clock");
       });
     }
+    emit([&] {
+      append_metadata_json(out, pid, tid, "thread_name", lane_name(pid, tid));
+    });
   }
   for (const Event& ev : s.events) {
     emit([&] { append_event_json(out, ev); });
   }
   out += "\n]}\n";
-  if (s.dropped > 0) {
-    SIMPROF_LOG(kWarn) << "trace: " << s.dropped
+  if (const std::uint64_t dropped = g_dropped.value(); dropped > 0) {
+    SIMPROF_LOG(kWarn) << "trace: " << dropped
                        << " events dropped (buffer cap " << kMaxEvents << ")";
   }
   return out;
 }
 
 std::vector<SpanRollupRow> span_rollup() {
-  // Snapshot the complete events, dropping scheduling internals ("pool.*"):
-  // pool.parallel_for only exists on the parallel path (the serial inline
-  // path never emits it), so its count varies with --threads and would
-  // break the rollup's cross-thread-count (name, count) identity.
-  struct Ev {
-    std::uint32_t pid, tid;
-    std::uint64_t start, end;  // ticks
-    double dur;
-    const std::string* name;
-  };
   TraceState& s = state();
-  std::vector<Ev> evs;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    evs.reserve(s.events.size());
-    for (const Event& ev : s.events) {
-      if (ev.phase != 'X') continue;
-      if (std::string_view(ev.name).substr(0, 5) == "pool.") continue;
-      evs.push_back(
-          Ev{ev.pid, ev.tid, ev.start_tick, ev.end_tick, dur_us(ev), &ev.name});
+  std::lock_guard<std::mutex> lock(s.mu);
+  std::vector<SpanRollupRow> out;
+  for (const bool virt : {false, true}) {
+    const double per_us = ticks_per_us(virt ? kFirstVirtualPid : kWallPid);
+    for (const auto& [name, t] : s.rows[virt]) {
+      out.push_back(SpanRollupRow{name, virt, t.count,
+                                  static_cast<double>(t.total) / per_us,
+                                  static_cast<double>(t.self) / per_us,
+                                  static_cast<double>(t.max) / per_us});
     }
-    // NOTE: `name` points into s.events; we finish all reads below before
-    // releasing anything, and events are only cleared by clear_trace() which
-    // takes the same mutex — but we must not hold pointers past this scope.
-    // So do the whole aggregation under the lock.
-    std::map<std::pair<bool, std::string>, SpanRollupRow> rows;
-    // Per-lane stack pass: sort a lane's events by (start asc, end desc,
-    // name) so parents precede their children, then track nesting with a
-    // stack to apportion self time.
-    std::stable_sort(evs.begin(), evs.end(), [](const Ev& a, const Ev& b) {
-      if (a.pid != b.pid) return a.pid < b.pid;
-      if (a.tid != b.tid) return a.tid < b.tid;
-      if (a.start != b.start) return a.start < b.start;
-      if (a.end != b.end) return a.end > b.end;
-      return *a.name < *b.name;
-    });
-    struct Frame {
-      std::uint64_t end;
-      double child_us = 0.0;
-      const std::string* name;
-      bool virt;
-    };
-    std::vector<Frame> stack;
-    auto flush_top = [&](const Frame& f, double dur) {
-      rows[{f.virt, *f.name}].self_us += dur - f.child_us;
-    };
-    std::uint32_t cur_pid = 0, cur_tid = 0;
-    bool have_lane = false;
-    std::vector<double> durs;  // parallel to stack: each frame's duration
-    auto pop_frame = [&] {
-      flush_top(stack.back(), durs.back());
-      stack.pop_back();
-      durs.pop_back();
-    };
-    for (const Ev& ev : evs) {
-      if (!have_lane || ev.pid != cur_pid || ev.tid != cur_tid) {
-        while (!stack.empty()) pop_frame();
-        cur_pid = ev.pid;
-        cur_tid = ev.tid;
-        have_lane = true;
-      }
-      while (!stack.empty() && stack.back().end <= ev.start) pop_frame();
-      if (!stack.empty()) stack.back().child_us += ev.dur;
-      const bool virt = ev.pid == kVirtualPid;
-      SpanRollupRow& row = rows[{virt, *ev.name}];
-      if (row.count == 0) {
-        row.name = *ev.name;
-        row.virtual_timeline = virt;
-      }
-      ++row.count;
-      row.total_us += ev.dur;
-      row.max_us = std::max(row.max_us, ev.dur);
-      stack.push_back(Frame{ev.end, 0.0, ev.name, virt});
-      durs.push_back(ev.dur);
-    }
-    while (!stack.empty()) pop_frame();
-    std::vector<SpanRollupRow> out;
-    out.reserve(rows.size());
-    for (auto& [key, row] : rows) out.push_back(std::move(row));
-    return out;
   }
+  return out;
 }
 
 std::vector<OpenSpanInfo> open_spans() {
-  OpenSpanState& s = open_state();
+  TraceState& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
   const std::uint64_t now = now_ns();
-  std::vector<std::pair<std::uint64_t, OpenSpanInfo>> tmp;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    tmp.reserve(s.spans.size());
-    for (const auto& [key, rec] : s.spans) {
-      tmp.emplace_back(
-          rec.seq,
-          OpenSpanInfo{rec.name, rec.tid,
-                       static_cast<double>(now - rec.start_ns) / 1000.0});
-    }
-  }
-  std::sort(tmp.begin(), tmp.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<OpenSpanInfo> out;
-  out.reserve(tmp.size());
-  for (auto& [seq, info] : tmp) out.push_back(std::move(info));
+  for (const auto& [seq, span] : s.open) {
+    out.push_back(OpenSpanInfo{
+        span.name, span.tid,
+        static_cast<double>(now - span.start_ns) / 1000.0});
+  }
   return out;
 }
 
@@ -350,64 +275,72 @@ ObsSpan::ObsSpan(const char* name, std::initializer_list<TraceArg> args) {
   if (!trace_enabled()) return;
   armed_ = true;
   name_ = name;
-  args_json_ = render_args(args);
+  parent_ = std::exchange(tls_open_span, this);
+  if (buffering()) args_json_ = render_args(args);
+  TraceState& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
   start_ns_ = now_ns();
-  register_open_span(this, name_, start_ns_);
+  open_seq_ = s.next_open++;
+  s.open.emplace(open_seq_, OpenSpan{name_, this_thread_tag(), start_ns_});
 }
 
 ObsSpan::~ObsSpan() {
   if (!armed_) return;
-  unregister_open_span(this);
-  Event ev;
-  ev.phase = 'X';
-  ev.pid = kWallPid;
-  ev.tid = this_thread_tag();
-  ev.start_tick = start_ns_;
-  ev.end_tick = now_ns();
-  ev.name = name_;
-  ev.args_json = std::move(args_json_);
-  push_event(std::move(ev));
+  tls_open_span = parent_;
+  TraceState& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
+  const std::uint64_t end_ns = now_ns();
+  s.open.erase(open_seq_);
+  if (parent_ != nullptr) parent_->child_ns_ += end_ns - start_ns_;
+  record_span_locked(s, kWallPid, this_thread_tag(), name_, start_ns_, end_ns,
+                     child_ns_, std::move(args_json_));
 }
 
-void trace_instant(const char* name, std::initializer_list<TraceArg> args) {
+std::uint32_t next_virtual_pid() {
+  return g_next_virtual_pid.fetch_add(1, std::memory_order_relaxed);
+}
+
+VirtualSpan::VirtualSpan(VirtualLane& lane, std::string_view name,
+                         std::uint64_t start_cycles) {
   if (!trace_enabled()) return;
-  Event ev;
-  ev.phase = 'i';
-  ev.pid = kWallPid;
-  ev.tid = this_thread_tag();
-  ev.start_tick = ev.end_tick = now_ns();
-  ev.name = name;
-  ev.args_json = render_args(args);
-  push_event(std::move(ev));
+  lane_ = &lane;
+  parent_ = std::exchange(lane.top, this);
+  name_ = name;
+  start_cycles_ = start_cycles;
 }
 
-void trace_virtual_span(std::string_view name, std::uint64_t start_cycles,
-                        std::uint64_t end_cycles, std::uint32_t vtid,
+VirtualSpan::~VirtualSpan() { pop(); }
+
+void VirtualSpan::pop() {
+  if (lane_ == nullptr) return;
+  assert(lane_->top == this && "virtual spans close innermost first");
+  lane_->top = parent_;
+  lane_ = nullptr;
+}
+
+void VirtualSpan::close(std::uint64_t end_cycles,
                         std::initializer_list<TraceArg> args) {
-  if (!trace_enabled()) return;
-  Event ev;
-  ev.phase = 'X';
-  ev.pid = kVirtualPid;
-  ev.tid = vtid;
-  ev.start_tick = start_cycles;
-  ev.end_tick = end_cycles;
-  ev.name = std::string(name);
-  ev.args_json = render_args(args);
-  push_event(std::move(ev));
+  if (lane_ == nullptr) return;
+  const std::uint32_t pid = lane_->pid;
+  const std::uint32_t tid = lane_->tid;
+  pop();
+  if (parent_ != nullptr) parent_->child_cycles_ += end_cycles - start_cycles_;
+  std::string args_json = buffering() ? render_args(args) : std::string();
+  TraceState& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
+  record_span_locked(s, pid, tid, name_, start_cycles_, end_cycles,
+                     child_cycles_, std::move(args_json));
 }
 
-void trace_virtual_instant(std::string_view name, std::uint64_t cycles,
-                           std::uint32_t vtid,
+void trace_virtual_instant(const VirtualLane& lane, std::string_view name,
+                           std::uint64_t cycles,
                            std::initializer_list<TraceArg> args) {
-  if (!trace_enabled()) return;
-  Event ev;
-  ev.phase = 'i';
-  ev.pid = kVirtualPid;
-  ev.tid = vtid;
-  ev.start_tick = ev.end_tick = cycles;
-  ev.name = std::string(name);
-  ev.args_json = render_args(args);
-  push_event(std::move(ev));
+  if (!trace_enabled() || !buffering()) return;
+  Event ev{'i', lane.pid, lane.tid, cycles, cycles, std::string(name),
+           render_args(args)};
+  TraceState& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
+  push_event_locked(s, std::move(ev));
 }
 
 }  // namespace simprof::obs

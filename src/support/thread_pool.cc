@@ -153,8 +153,6 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   const std::size_t helpers = std::min(workers(), parallelism - 1);
   jobs.increment();
   total_chunks.add(chunks);
-  obs::ObsSpan span("pool.parallel_for",
-                    {{"chunks", chunks}, {"grain", grain}, {"helpers", helpers}});
 
   static obs::Gauge& queue_depth = obs::metrics().gauge("pool.queue_depth");
   static obs::QuantileHistogram& queue_wait_ms =

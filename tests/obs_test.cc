@@ -348,13 +348,17 @@ TEST(TraceTest, DisabledEmittersBufferNothing) {
   ASSERT_FALSE(trace_enabled());
   {
     ObsSpan span("should_not_appear", {{"x", 1}});
-    trace_instant("nor_this");
-    trace_virtual_span("virtual_off", 0, 100, 0);
+    VirtualLane lane;
+    VirtualSpan vspan(lane, "virtual_off", 0);
+    vspan.close(100);
+    trace_virtual_instant(lane, "nor_virtual", 50);
+    EXPECT_EQ(lane.top, nullptr);
   }
   const std::string json = trace_to_json();
   EXPECT_TRUE(json_well_formed(json)) << json;
   EXPECT_EQ(json.find("should_not_appear"), std::string::npos);
   EXPECT_EQ(json.find("\"ph\": \"X\""), std::string::npos);
+  EXPECT_TRUE(span_rollup().empty());
 }
 
 TEST(TraceTest, ChromeTraceJsonWellFormedAndComplete) {
@@ -367,10 +371,13 @@ TEST(TraceTest, ChromeTraceJsonWellFormedAndComplete) {
                             {"hit", true},
                             {"path", "a\"b\\c\n"}});
     ObsSpan inner("inner");
-    trace_instant("tick", {{"n", -3}});
   }
-  trace_virtual_span("stage/task", 2'000, 6'000, 1, {{"task", 0}});
-  trace_virtual_instant("migration", 4'000, 1, {{"instructions", 123}});
+  VirtualLane core1{kFirstVirtualPid, 1};
+  {
+    VirtualSpan task(core1, "stage/task", 2'000);
+    task.close(6'000, {{"task", 0}, {"n", -3}});
+  }
+  trace_virtual_instant(core1, "migration", 4'000, {{"instructions", 123}});
   stop_tracing();
 
   const std::string json = trace_to_json();
@@ -384,7 +391,7 @@ TEST(TraceTest, ChromeTraceJsonWellFormedAndComplete) {
 
   // Every emitted event is present; the string arg survived escaping.
   for (const char* name :
-       {"outer", "inner", "tick", "stage/task", "migration"}) {
+       {"outer", "inner", "stage/task", "migration"}) {
     EXPECT_NE(json.find(name), std::string::npos) << name;
   }
   EXPECT_NE(json.find("a\\\"b\\\\c\\n"), std::string::npos);
@@ -739,24 +746,67 @@ TEST(SpanRollupTest, SelfTimeCountsAndPoolExclusion) {
   TraceGuard guard;
   start_tracing();
   // Virtual spans make the arithmetic exact: µs = cycles / 2000 at 2 GHz.
-  trace_virtual_span("stage", 0, 8'000, 1);          // 4 µs, nests the task
-  trace_virtual_span("stage/task", 2'000, 6'000, 1); // 2 µs inside span 1
-  trace_virtual_span("stage", 10'000, 14'000, 1);    // 2 µs, leaf
-  trace_virtual_span("pool.parallel_for", 0, 2'000, 2);  // must be excluded
+  VirtualLane core1{kFirstVirtualPid, 1};
+  VirtualLane core2{kFirstVirtualPid, 2};
+  {
+    VirtualSpan stage(core1, "stage", 0);  // 4 µs, nests the task
+    {
+      VirtualSpan task(core1, "stage/task", 2'000);  // 2 µs inside it
+      task.close(6'000);
+    }
+    stage.close(8'000);
+  }
+  {
+    VirtualSpan leaf(core1, "stage", 10'000);  // 2 µs, leaf
+    leaf.close(14'000);
+  }
+  {
+    // No name is excluded: a pool.* span rolls up like any other.
+    VirtualSpan pool(core2, "pool.parallel_for", 0);
+    pool.close(2'000);
+  }
   stop_tracing();
 
   const auto rows = span_rollup();
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].name, "stage");
-  EXPECT_TRUE(rows[0].virtual_timeline);
-  EXPECT_EQ(rows[0].count, 2u);
-  EXPECT_DOUBLE_EQ(rows[0].total_us, 6.0);
-  EXPECT_DOUBLE_EQ(rows[0].self_us, 4.0);  // 6 µs minus the nested 2 µs
-  EXPECT_DOUBLE_EQ(rows[0].max_us, 4.0);
-  EXPECT_EQ(rows[1].name, "stage/task");
-  EXPECT_EQ(rows[1].count, 1u);
-  EXPECT_DOUBLE_EQ(rows[1].total_us, 2.0);
-  EXPECT_DOUBLE_EQ(rows[1].self_us, 2.0);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].name, "pool.parallel_for");
+  EXPECT_EQ(rows[0].count, 1u);
+  EXPECT_DOUBLE_EQ(rows[0].total_us, 1.0);
+  EXPECT_EQ(rows[1].name, "stage");
+  EXPECT_TRUE(rows[1].virtual_timeline);
+  EXPECT_EQ(rows[1].count, 2u);
+  EXPECT_DOUBLE_EQ(rows[1].total_us, 6.0);
+  EXPECT_DOUBLE_EQ(rows[1].self_us, 4.0);  // 6 µs minus the nested 2 µs
+  EXPECT_DOUBLE_EQ(rows[1].max_us, 4.0);
+  EXPECT_EQ(rows[2].name, "stage/task");
+  EXPECT_EQ(rows[2].count, 1u);
+  EXPECT_DOUBLE_EQ(rows[2].total_us, 2.0);
+  EXPECT_DOUBLE_EQ(rows[2].self_us, 2.0);
+}
+
+TEST(SpanRollupTest, UnclosedVirtualSpanRecordsNothing) {
+  TraceGuard guard;
+  start_tracing();
+  VirtualLane core0;
+  {
+    VirtualSpan task(core0, "task", 0);
+    {
+      VirtualSpan unwound(core0, "unwound", 2'000);  // never closed
+      EXPECT_EQ(core0.top, &unwound);
+    }
+    EXPECT_EQ(core0.top, &task);
+    task.close(4'000);
+    task.close(8'000);  // a second close does nothing
+  }
+  EXPECT_EQ(core0.top, nullptr);
+  stop_tracing();
+
+  const auto rows = span_rollup();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].name, "task");
+  EXPECT_EQ(rows[0].count, 1u);
+  EXPECT_DOUBLE_EQ(rows[0].total_us, 2.0);
+  EXPECT_DOUBLE_EQ(rows[0].self_us, 2.0);  // the unwound child is not charged
 }
 
 TEST(SpanRollupTest, SpansMeetingAtOneCycleDoNotNest) {
@@ -765,8 +815,15 @@ TEST(SpanRollupTest, SpansMeetingAtOneCycleDoNotNest) {
   // A write span ending at the cycle the next task starts, as on a core
   // lane between two waves. In floating µs 8002/2000 + 1999/2000 rounds
   // past 10001/2000, so comparing µs would charge the task to the write.
-  trace_virtual_span("write", 8'002, 10'001, 0);
-  trace_virtual_span("task", 10'001, 20'001, 0);
+  VirtualLane core0;
+  {
+    VirtualSpan write(core0, "write", 8'002);
+    write.close(10'001);
+  }
+  {
+    VirtualSpan task(core0, "task", 10'001);
+    task.close(20'001);
+  }
   stop_tracing();
 
   const auto rows = span_rollup();
@@ -810,6 +867,109 @@ TEST(SpanRollupTest, NameCountIdenticalAcrossThreadCounts) {
   for (const auto& [virt, name, count] : parallel4) {
     EXPECT_NE(name.rfind("pool.", 0), 0u) << name;
   }
+}
+
+/// The rollup's virtual-timeline rows.
+std::vector<SpanRollupRow> virtual_rows() {
+  std::vector<SpanRollupRow> out;
+  for (auto& row : span_rollup()) {
+    if (row.virtual_timeline) out.push_back(std::move(row));
+  }
+  return out;
+}
+
+/// Runs one two-task stage of 30k instructions per task on a fresh cluster.
+std::uint32_t run_tiny_stage() {
+  exec::Cluster cluster(simprof::testing::tiny_cluster_config());
+  cluster.run_stage("tiny", 2, [](std::size_t, exec::ExecutorContext& ctx) {
+    ctx.compute(30'000);
+  });
+  return cluster.trace_pid();
+}
+
+TEST(SpanRollupTest, ClustersOfOneProcessDoNotNestAcrossEachOther) {
+  TraceGuard guard;
+  start_tracing();
+  run_tiny_stage();
+  stop_tracing();
+  const auto one = virtual_rows();
+  ASSERT_EQ(one.size(), 2u);  // "tiny" and "tiny/task"
+  clear_trace();
+
+  // Both clusters start their clocks at cycle 0 on lanes with the same core
+  // ids; neither may nest inside the other, and each has its own trace pid.
+  start_tracing();
+  const std::uint32_t pid_a = run_tiny_stage();
+  const std::uint32_t pid_b = run_tiny_stage();
+  stop_tracing();
+  EXPECT_NE(pid_a, pid_b);
+  const auto two = virtual_rows();
+  ASSERT_EQ(two.size(), one.size());
+  for (std::size_t i = 0; i < two.size(); ++i) {
+    EXPECT_EQ(two[i].name, one[i].name);
+    EXPECT_EQ(two[i].count, 2 * one[i].count) << two[i].name;
+    EXPECT_GT(one[i].total_us, 0.0) << two[i].name;
+    EXPECT_DOUBLE_EQ(two[i].total_us, 2 * one[i].total_us) << two[i].name;
+    EXPECT_DOUBLE_EQ(two[i].self_us, two[i].total_us) << two[i].name;
+  }
+  const std::string json = trace_to_json();
+  for (const std::uint32_t pid : {pid_a, pid_b}) {
+    const std::string process = "{\"name\": \"process_name\", \"ph\": \"M\", "
+                                "\"pid\": " + std::to_string(pid) +
+                                ", \"tid\": 0, \"args\": {\"name\": "
+                                "\"virtual-clock\"}}";
+    EXPECT_NE(json.find(process), std::string::npos) << pid;
+  }
+}
+
+TEST(SpanRollupTest, ConcurrentNestedSpansRollUpExactly) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kIters = 500;
+  TraceGuard guard;
+  start_tracing(/*buffer_events=*/false);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      VirtualLane lane{kFirstVirtualPid, static_cast<std::uint32_t>(t)};
+      for (std::uint64_t i = 0; i < kIters; ++i) {
+        ObsSpan wall_outer("mt.wall_outer");
+        ObsSpan wall_inner("mt.wall_inner");
+        const std::uint64_t base = i * 10'000;
+        VirtualSpan outer(lane, "mt.outer", base);  // 4 µs
+        {
+          VirtualSpan inner(lane, "mt.inner", base + 2'000);  // 2 µs
+          inner.close(base + 6'000);
+        }
+        outer.close(base + 8'000);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  stop_tracing();
+
+  const auto rows = span_rollup();
+  ASSERT_EQ(rows.size(), 4u);
+  constexpr std::uint64_t kSpans = kThreads * kIters;
+  for (const auto& row : rows) {
+    EXPECT_EQ(row.count, kSpans) << row.name;
+    EXPECT_GE(row.self_us, 0.0) << row.name;
+    EXPECT_LE(row.self_us, row.total_us) << row.name;
+  }
+  // Wall rows first: the inner span is the outer one's only child.
+  EXPECT_EQ(rows[0].name, "mt.wall_inner");
+  EXPECT_DOUBLE_EQ(rows[0].self_us, rows[0].total_us);
+  EXPECT_EQ(rows[1].name, "mt.wall_outer");
+  EXPECT_NEAR(rows[1].self_us + rows[0].total_us, rows[1].total_us,
+              1e-9 * rows[1].total_us);
+  EXPECT_EQ(rows[2].name, "mt.inner");
+  EXPECT_EQ(rows[2].total_us, 2.0 * kSpans);
+  EXPECT_EQ(rows[2].self_us, 2.0 * kSpans);
+  EXPECT_EQ(rows[2].max_us, 2.0);
+  EXPECT_EQ(rows[3].name, "mt.outer");
+  EXPECT_EQ(rows[3].total_us, 4.0 * kSpans);
+  EXPECT_EQ(rows[3].self_us, 2.0 * kSpans);
+  EXPECT_EQ(rows[3].max_us, 4.0);
+  EXPECT_EQ(trace_to_json().find("mt."), std::string::npos);  // rows only
 }
 
 // ---------------------------------------------------------------------------
@@ -953,6 +1113,51 @@ TEST(RunSessionTest, TraceOutWritesValidTraceJson) {
   EXPECT_NE(json.find("session_span"), std::string::npos);
 }
 
+TEST(RunSessionTest, ManifestWithoutTraceOutCollectsRowsOnly) {
+  LogGuard log_guard;
+  std::ostringstream sink;
+  set_log_sink(&sink);
+  LedgerGuard guard;
+  TraceGuard trace_guard;
+  ScratchDir dir;
+  const std::string path = std::string(dir.c_str()) + "/m.json";
+  {
+    RunSession session(session_config(path));
+    ASSERT_TRUE(trace_enabled());
+    {
+      ObsSpan outer("rows.outer", {{"x", 1}});
+      ObsSpan inner("rows.inner");
+    }
+    VirtualLane lane;
+    {
+      VirtualSpan span(lane, "rows.virtual", 0);
+      span.close(2'000, {{"task", 0}});
+    }
+    trace_virtual_instant(lane, "rows.migration", 1'000);
+
+    const auto rows = span_rollup();
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_EQ(rows[0].name, "rows.inner");
+    EXPECT_EQ(rows[1].name, "rows.outer");
+    EXPECT_EQ(rows[2].name, "rows.virtual");
+    const auto trace = parse_json(trace_to_json());
+    ASSERT_TRUE(trace.has_value());
+    const JsonValue* events = trace->find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    EXPECT_TRUE(events->as_array().empty());
+    EXPECT_EQ(metrics().gauge("obs.trace_events_buffered").value(), 0.0);
+    session.flush(0);
+  }
+  const auto manifest = load_json_file(path);
+  ASSERT_TRUE(manifest.has_value());
+  const JsonValue* rollup = manifest->find("span_rollup");
+  ASSERT_NE(rollup, nullptr);
+  EXPECT_EQ(rollup->as_array().size(), 3u);
+  const std::string text = read_text(path);
+  EXPECT_NE(text.find("\"obs.trace_events_buffered\": 0"), std::string::npos);
+  EXPECT_NE(text.find("\"trace.dropped_events\""), std::string::npos);
+}
+
 TEST(RunSessionTest, FlushRecordsExitCodeAndWritesManifestOnce) {
   LogGuard log_guard;
   std::ostringstream sink;
@@ -963,7 +1168,7 @@ TEST(RunSessionTest, FlushRecordsExitCodeAndWritesManifestOnce) {
   const std::string path = std::string(dir.c_str()) + "/m.json";
   {
     RunSession session(session_config(path));
-    EXPECT_TRUE(trace_enabled());  // span rollups need trace events
+    EXPECT_TRUE(trace_enabled());  // the manifest's span rollup needs spans
     session.flush(1);
     const auto parsed = load_json_file(path);
     ASSERT_TRUE(parsed.has_value());
