@@ -1,11 +1,13 @@
 // The shared analysis layer (core/analysis.h): the batch path equals
 // form_phases plus the sampler it wraps in every feature mode × estimator
-// cell, in-order streaming finalizes to the batch model and selection, the
-// SPRC selector decoding rejects out-of-range wire values, and the measured
+// cell, in-order streaming finalizes to the batch model and selection,
+// streaming's interim selections are pinned, the SPRC selector decoding rejects out-of-range wire values, and the measured
 // estimate applies a selection's weights to measured CPIs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -126,6 +128,63 @@ TEST(Analysis, InOrderStreamingFinalizesToBatch) {
         EXPECT_GE(s.phase_count, 1u);
       }
     }
+  }
+}
+
+// What a streaming request outputs: every interim selection (recluster,
+// population, phase count, unit ids, estimate bits) and the final labels,
+// per feature mode and under a retention cap. The digests were recorded
+// while the former still kept a live classifier and mini-batch-refined
+// centers beside its reclusters; neither fed these outputs.
+TEST(Analysis, StreamingInterimSelectionsPinned) {
+  const ThreadProfile p = fixture();
+  struct Pin {
+    features::FeatureMode mode;
+    std::size_t max_retained_units;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {features::FeatureMode::kFreq, 0, 6903043785384113432ULL},
+      {features::FeatureMode::kMav, 0, 7402903229089515203ULL},
+      {features::FeatureMode::kCombined, 0, 1758666620803298223ULL},
+      {features::FeatureMode::kFreq, 60, 7602655841769275583ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::string(features::to_string(pin.mode)) + " retain " +
+                 std::to_string(pin.max_retained_units));
+    ProfileAnalysisRequest req;
+    req.options.features = pin.mode;
+    req.seed = 11;
+    req.sample_n = 8;
+    req.interim_n = 8;
+    req.stream.emplace();
+    req.stream->max_retained_units = pin.max_retained_units;
+
+    std::uint64_t h = testing::kFnv1aOffset;
+    std::size_t interims = 0;
+    const ProfileAnalysis got =
+        analyze_profile(p, req, [&](const InterimSelection& s) {
+          ++interims;
+          h = testing::fnv1a_mix(h, s.recluster);
+          h = testing::fnv1a_mix(h, s.units_ingested);
+          h = testing::fnv1a_mix(h, s.units_retained);
+          h = testing::fnv1a_mix(h, s.phase_count);
+          ASSERT_TRUE(s.selection.has_value());
+          for (const std::uint64_t id : s.selection->unit_ids) {
+            h = testing::fnv1a_mix(h, id);
+          }
+          h = testing::fnv1a_mix(
+              h, std::bit_cast<std::uint64_t>(s.selection->plan.estimated_cpi));
+        });
+    for (const std::size_t label : got.model.labels) {
+      h = testing::fnv1a_mix(h, label);
+    }
+    ASSERT_TRUE(got.selection.has_value());
+    for (const std::uint64_t id : got.selection->unit_ids) {
+      h = testing::fnv1a_mix(h, id);
+    }
+    EXPECT_GT(interims, 1u);
+    EXPECT_EQ(h, pin.digest);
   }
 }
 
