@@ -127,17 +127,6 @@ void BM_SilhouetteSampled(benchmark::State& state) {
 }
 BENCHMARK(BM_SilhouetteSampled);
 
-void BM_SilhouetteSimplified(benchmark::State& state) {
-  Rng rng(3);
-  stats::Matrix pts = synthetic_features(2000, 100, 4, rng);
-  auto res = stats::kmeans(pts, 4, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        stats::simplified_silhouette(pts, res.centers, res.labels));
-  }
-}
-BENCHMARK(BM_SilhouetteSimplified);
-
 // Ablation: feature-selection cost and clustering cost vs feature count —
 // why the paper caps at the top K = 100 methods.
 void BM_FRegression(benchmark::State& state) {

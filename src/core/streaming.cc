@@ -1,9 +1,7 @@
 #include "core/streaming.h"
 
+#include <algorithm>
 #include <chrono>
-#include <limits>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/obs.h"
@@ -11,8 +9,6 @@
 
 namespace simprof::core {
 namespace {
-
-constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
 /// Geometric recluster schedule: recluster when the retained population
 /// reaches this multiple of its size at the previous recluster. 1.5 means
@@ -26,7 +22,6 @@ static_assert(kReclusterGrowth >= 1.0,
 StreamingPhaseFormer::StreamingPhaseFormer(StreamingConfig cfg)
     : cfg_(std::move(cfg)) {
   SIMPROF_EXPECTS(cfg_.warmup_units > 0, "warmup_units must be positive");
-  SIMPROF_EXPECTS(cfg_.refine_batch > 0, "refine_batch must be positive");
 }
 
 void StreamingPhaseFormer::adopt_method_table(const ThreadProfile& source) {
@@ -52,8 +47,8 @@ void StreamingPhaseFormer::adopt_method_table(const ThreadProfile& source) {
   verified_table_size_ = source.method_names.size();
 }
 
-std::size_t StreamingPhaseFormer::ingest(const ThreadProfile& source,
-                                         std::size_t unit_index) {
+void StreamingPhaseFormer::ingest(const ThreadProfile& source,
+                                  std::size_t unit_index) {
   SIMPROF_EXPECTS(unit_index < source.num_units(), "unit out of range");
   static obs::Counter& ingested =
       obs::metrics().counter("stream.units_ingested");
@@ -70,7 +65,6 @@ std::size_t StreamingPhaseFormer::ingest(const ThreadProfile& source,
   ++total_ingested_;
   ingested.increment();
 
-  std::size_t label = kNoPhase;
   const std::size_t n = profile_.num_units();
   const bool due =
       reclusters_ == 0
@@ -78,20 +72,11 @@ std::size_t StreamingPhaseFormer::ingest(const ThreadProfile& source,
           : static_cast<double>(n) >=
                 kReclusterGrowth *
                     static_cast<double>(last_recluster_units_);
-  if (due) {
-    recluster();
-    label = live_labels_.back();
-  } else if (has_model()) {
-    label = classify_latest();
-    live_labels_.push_back(label);
-  } else {
-    live_labels_.push_back(kNoPhase);
-  }
+  if (due) recluster();
 
   ingest_ms.observe(std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count());
-  return label;
 }
 
 void StreamingPhaseFormer::ingest_range(const ThreadProfile& source,
@@ -99,76 +84,6 @@ void StreamingPhaseFormer::ingest_range(const ThreadProfile& source,
   SIMPROF_EXPECTS(begin <= end && end <= source.num_units(),
                   "ingest_range out of range");
   for (std::size_t u = begin; u < end; ++u) ingest(source, u);
-}
-
-std::size_t StreamingPhaseFormer::classify_latest() {
-  // Vectorize the newest unit into the model's feature space (same
-  // accumulate + L1-normalize-over-selected semantics as vectorize_unit,
-  // via the method-id fast path valid inside the adopted table; MAV
-  // contributions are the block-normalized entries, exactly what the
-  // training rows stored).
-  const std::size_t d = model_.centers.cols();
-  if (d == 0) return 0;  // single-phase collapse: everything is phase 0
-  const UnitRecord& rec = profile_.units.back();
-  const auto mode = cfg_.formation.features;
-  std::vector<double> v(d, 0.0);
-  double sum = 0.0;
-  if (mode != features::FeatureMode::kMav) {
-    double total = 0.0;
-    if (mode == features::FeatureMode::kCombined) {
-      for (const std::uint32_t c : rec.counts) {
-        total += static_cast<double>(c);
-      }
-    }
-    for (std::size_t i = 0; i < rec.methods.size(); ++i) {
-      const std::size_t m = rec.methods[i];
-      if (m >= feature_of_method_.size()) continue;  // arrived post-fit
-      const std::size_t f = feature_of_method_[m];
-      if (f == kNone) continue;
-      double val = static_cast<double>(rec.counts[i]);
-      if (mode == features::FeatureMode::kCombined) {
-        if (total <= 0.0) continue;
-        val /= total;
-      }
-      v[f] += val;
-      sum += val;
-    }
-  }
-  if (mode != features::FeatureMode::kFreq) {
-    cols_scratch_.clear();
-    vals_scratch_.clear();
-    features::append_mav_entries(rec.mav, 0, cols_scratch_, vals_scratch_);
-    for (std::size_t i = 0; i < cols_scratch_.size(); ++i) {
-      const std::size_t f = feature_of_mav_[cols_scratch_[i]];
-      if (f == kNone) continue;
-      v[f] += vals_scratch_[i];
-      sum += vals_scratch_[i];
-    }
-  }
-  if (sum > 0.0) {
-    for (double& x : v) x /= sum;
-  }
-  const std::size_t label =
-      stats::nearest_center(center_tracker_.centers(), v);
-
-  // Buffer for mini-batch refinement; flush a full batch through
-  // partial_fit so the centers track drift between reclusters.
-  if (pending_rows_ < pending_.rows()) {
-    auto dst = pending_.row(pending_rows_);
-    for (std::size_t j = 0; j < d; ++j) dst[j] = v[j];
-    ++pending_rows_;
-  }
-  if (pending_rows_ == pending_.rows()) flush_refinement();
-  return label;
-}
-
-void StreamingPhaseFormer::flush_refinement() {
-  if (pending_rows_ == 0 || pending_.rows() == 0) return;
-  static obs::Counter& refinements =
-      obs::metrics().counter("stream.refinements");
-  center_tracker_.partial_fit(pending_, cfg_.formation.threads);
-  refinements.increment();
-  pending_rows_ = 0;
 }
 
 void StreamingPhaseFormer::recluster() {
@@ -208,38 +123,6 @@ void StreamingPhaseFormer::recluster() {
   snapshot.normalize_rows_l1();
   model_ = form_phases_from_sparse(profile_, snapshot, cfg_.formation);
 
-  // Re-seed the mini-batch tracker from the fresh centers, learning rates
-  // warm-started with the phase populations.
-  std::vector<std::uint64_t> counts;
-  counts.reserve(model_.phases.size());
-  for (const PhaseStats& p : model_.phases) counts.push_back(p.count);
-  center_tracker_ = stats::MiniBatchKMeans(model_.centers, std::move(counts));
-  pending_ = stats::Matrix(cfg_.refine_batch, model_.centers.cols());
-  pending_rows_ = 0;
-
-  // Method id → feature position, by name (feature identity is the name;
-  // inside the adopted table ids are stable so the map is a flat vector).
-  // MAV features map by their fixed column index instead.
-  std::unordered_map<std::string_view, std::size_t> pos;
-  pos.reserve(model_.feature_names.size());
-  feature_of_mav_.fill(kNone);
-  for (std::size_t f = 0; f < model_.feature_names.size(); ++f) {
-    if (cfg_.formation.features != features::FeatureMode::kFreq) {
-      if (auto mc = features::mav_feature_index(model_.feature_names[f])) {
-        feature_of_mav_[*mc] = f;
-        continue;
-      }
-    }
-    pos.emplace(model_.feature_names[f], f);
-  }
-  feature_of_method_.assign(profile_.num_methods(), kNone);
-  for (std::size_t m = 0; m < profile_.num_methods(); ++m) {
-    if (auto it = pos.find(profile_.method_names[m]); it != pos.end()) {
-      feature_of_method_[m] = it->second;
-    }
-  }
-
-  live_labels_ = model_.labels;
   last_recluster_units_ = profile_.num_units();
   ++reclusters_;
   reclusters.increment();

@@ -5,20 +5,14 @@
 // executing*, so selections can start before the last unit lands. The
 // StreamingPhaseFormer accepts sampling units one at a time (or in
 // micro-batches via repeated ingest calls), accumulates their raw
-// method-frequency rows incrementally in the CSR builder, and maintains a
-// live cluster model three ways at once:
-//
-//   * periodic reclusters — full form_phases_from_sparse passes over a
-//     normalized snapshot of the accumulated matrix, on a geometric
-//     schedule (warmup_units, then whenever the population has grown by
-//     1.5×). Each recluster re-runs feature selection AND the
-//     silhouette k-sweep, so k is revisited as the workload reveals itself;
-//   * mini-batch refinement — between reclusters, arriving units nudge the
-//     centers with stats::MiniBatchKMeans (per-center learning rate 1/n_c),
-//     so the model tracks drift at O(d) per unit;
-//   * live classification — every ingested unit is immediately assigned to
-//     its nearest current center and the label recorded, so callers can
-//     stratify/select without waiting for the next recluster.
+// method-frequency rows incrementally in the CSR builder, and keeps one
+// model: the latest recluster. A recluster is a full
+// form_phases_from_sparse pass over a normalized snapshot of the
+// accumulated matrix, run on a geometric schedule (warmup_units, then
+// whenever the population has grown by 1.5×). Each one re-runs feature
+// selection AND the silhouette k-sweep, so k is revisited as the workload
+// reveals itself, and the update hook hands the fresh model to the caller
+// for an interim selection.
 //
 // Equivalence contract (enforced by tests/core_streaming_test.cc): with
 // max_retained_units = 0, ingesting a profile's units in order and calling
@@ -29,7 +23,7 @@
 // the same structure within test tolerance. Determinism: ingestion is
 // serial by construction and every parallel stage below it is bit-identical
 // for any thread count, so the same arrival order gives the same model at
-// any `threads` value.
+// every recluster at any `threads` value.
 //
 // Memory bound: per-former state is O(Σ nnz of retained units) for the CSR
 // rows plus O(retained units) bookkeeping. With max_retained_units = n the
@@ -38,14 +32,13 @@
 // window).
 #pragma once
 
-#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "core/phase.h"
 #include "core/profile.h"
-#include "stats/kmeans.h"
 #include "stats/sparse.h"
 
 namespace simprof::core {
@@ -56,11 +49,8 @@ struct StreamingConfig {
   /// batch path, which is what makes finalize() comparable to it).
   PhaseFormationConfig formation;
   /// Units to accumulate before the first recluster. Below this the former
-  /// has no model and ingest() returns kNoPhase.
+  /// has no model.
   std::size_t warmup_units = 16;
-  /// Units per mini-batch center refinement between reclusters (pending
-  /// units buffer up and flush through MiniBatchKMeans::partial_fit).
-  std::size_t refine_batch = 8;
   /// Memory bound: retain at most this many newest units (0 = retain all,
   /// required for exact batch equivalence). Eviction happens at recluster
   /// boundaries, oldest first.
@@ -69,18 +59,15 @@ struct StreamingConfig {
 
 class StreamingPhaseFormer {
  public:
-  /// ingest() result before the first recluster: no model, no phase yet.
-  static constexpr std::size_t kNoPhase = static_cast<std::size_t>(-1);
-
   explicit StreamingPhaseFormer(StreamingConfig cfg = {});
 
   /// Ingest one sampling unit from `source` (typically the unit that just
   /// completed in a live run). Method ids are adopted verbatim — the
   /// internal method table is extended to cover the source's and names must
   /// agree where they overlap, so in-order full ingestion reconstructs the
-  /// source profile exactly. Returns the unit's live phase label under the
-  /// current centers, or kNoPhase while still warming up.
-  std::size_t ingest(const ThreadProfile& source, std::size_t unit_index);
+  /// source profile exactly. Reclusters (and fires the update hook) when
+  /// the schedule says the population is due.
+  void ingest(const ThreadProfile& source, std::size_t unit_index);
 
   /// Ingest a contiguous micro-batch [begin, end) of source units, in
   /// order. Equivalent to calling ingest() per unit.
@@ -94,14 +81,9 @@ class StreamingPhaseFormer {
   std::size_t reclusters() const { return reclusters_; }
   bool has_model() const { return reclusters_ > 0; }
 
-  /// The latest reclustered model (refined centers live in center_tracker_;
-  /// this is the last full-pass model). Valid once has_model().
+  /// The latest reclustered model. Valid once has_model(); its labels cover
+  /// the units retained at that recluster.
   const PhaseModel& model() const { return model_; }
-
-  /// Live labels of the retained units under the current model: recluster
-  /// labels for units present at the last recluster, nearest-center labels
-  /// for units that arrived since. Index-aligned with profile().units.
-  const std::vector<std::size_t>& live_labels() const { return live_labels_; }
 
   /// The internal accumulated profile (retained units, adopted method
   /// table). Feed this plus model() to the samplers for live selections.
@@ -109,7 +91,7 @@ class StreamingPhaseFormer {
 
   /// Invoked after every recluster (model just replaced), e.g. to emit an
   /// interim sample plan before the run finishes. The reference is `*this`;
-  /// the hook may read model()/profile()/live_labels() but must not ingest.
+  /// the hook may read model()/profile() but must not ingest.
   using UpdateHook = std::function<void(const StreamingPhaseFormer&)>;
   void set_update_hook(UpdateHook hook) { hook_ = std::move(hook); }
 
@@ -122,23 +104,11 @@ class StreamingPhaseFormer {
  private:
   void adopt_method_table(const ThreadProfile& source);
   void recluster();
-  void flush_refinement();
-  std::size_t classify_latest();
 
   StreamingConfig cfg_;
   ThreadProfile profile_;        ///< retained units + adopted method table
   stats::SparseMatrix raw_;      ///< raw-count CSR rows, one per retained unit
   PhaseModel model_;
-  stats::MiniBatchKMeans center_tracker_;  ///< refined copy of model_.centers
-  /// method id → feature position in model_ feature space (kNone if the
-  /// method was not selected); rebuilt at each recluster.
-  std::vector<std::size_t> feature_of_method_;
-  /// MAV column → feature position (kNone if not selected); used by the
-  /// live classifier under kMav/kCombined feature modes.
-  std::array<std::size_t, hw::kMavDim> feature_of_mav_{};
-  std::vector<std::size_t> live_labels_;
-  stats::Matrix pending_;        ///< vectorized units awaiting partial_fit
-  std::size_t pending_rows_ = 0;
   std::size_t total_ingested_ = 0;
   std::size_t reclusters_ = 0;
   std::size_t last_recluster_units_ = 0;

@@ -169,66 +169,6 @@ KMeansResult kmeans(const Matrix& points, std::size_t k, Rng& rng,
   return kmeans_with_norms(points, norms, k, rng.next_u64(), cfg);
 }
 
-std::size_t nearest_center(const Matrix& centers,
-                           std::span<const double> point) {
-  SIMPROF_EXPECTS(centers.rows() > 0, "no centers");
-  double best = std::numeric_limits<double>::max();
-  std::size_t best_c = 0;
-  for (std::size_t c = 0; c < centers.rows(); ++c) {
-    const double d2 = squared_distance(centers.row(c), point);
-    if (d2 < best) {
-      best = d2;
-      best_c = c;
-    }
-  }
-  return best_c;
-}
-
-MiniBatchKMeans::MiniBatchKMeans(Matrix centers,
-                                 std::vector<std::uint64_t> counts)
-    : centers_(std::move(centers)), counts_(std::move(counts)) {
-  counts_.resize(centers_.rows(), 1);
-  for (auto& c : counts_) c = std::max<std::uint64_t>(c, 1);
-}
-
-std::vector<std::size_t> MiniBatchKMeans::partial_fit(const Matrix& batch,
-                                                      std::size_t threads) {
-  SIMPROF_EXPECTS(centers_.rows() > 0, "mini-batch k-means with no centers");
-  SIMPROF_EXPECTS(batch.cols() == centers_.cols(),
-                  "batch/center dimension mismatch");
-  const std::size_t n = batch.rows();
-  std::vector<std::size_t> labels(n, 0);
-  if (n == 0) return labels;
-
-  // Assignment against the entry snapshot of the centers (blocked kernel,
-  // deterministic for any thread count).
-  const DistanceTable table(centers_);
-  const std::vector<double> norms = row_squared_norms(batch);
-  std::vector<double> dist2(n, 0.0);
-  support::parallel_for(
-      threads, 0, n, kRowGrain,
-      [&](std::size_t, std::size_t b, std::size_t e) {
-        table.nearest(batch, norms, b, e,
-                      std::span<std::size_t>(labels).subspan(b, e - b),
-                      std::span<double>(dist2).subspan(b, e - b));
-      });
-
-  // Serial per-row center update in row order (deterministic): each
-  // assigned row pulls its center by 1/n_c.
-  const std::size_t d = centers_.cols();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t c = labels[i];
-    ++counts_[c];
-    const double eta = 1.0 / static_cast<double>(counts_[c]);
-    auto dst = centers_.row(c);
-    const auto src = batch.row(i);
-    for (std::size_t j = 0; j < d; ++j) {
-      dst[j] += eta * (src[j] - dst[j]);
-    }
-  }
-  return labels;
-}
-
 ChooseKResult choose_k(const Matrix& points, Rng& rng,
                        const ChooseKConfig& cfg) {
   SIMPROF_EXPECTS(!points.empty(), "choose_k on empty matrix");

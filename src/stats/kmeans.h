@@ -42,48 +42,6 @@ struct KMeansResult {
 KMeansResult kmeans(const Matrix& points, std::size_t k, Rng& rng,
                     const KMeansConfig& cfg = {});
 
-/// Index of the nearest row of `centers` to `point` (Euclidean). For whole
-/// profiles use the bulk nearest_centers (matrix.h) — it uses the blocked
-/// kernel and the pool.
-std::size_t nearest_center(const Matrix& centers,
-                           std::span<const double> point);
-
-/// Mini-batch k-means (Sculley, WWW'10): incremental center refinement for
-/// the streaming phase former. Centers are seeded from a full Lloyd fit
-/// (the latest recluster) and nudged toward newly arrived points with a
-/// per-center learning rate 1/count, so the model tracks drift between the
-/// expensive re-silhouetting passes without touching retained units.
-///
-/// Determinism: assignment uses the blocked DistanceTable kernel over row
-/// chunks (safe on any thread count — labels are a pure function of the
-/// operands), and the center update walks batch rows serially in row order,
-/// so partial_fit is bit-identical for any `threads` value.
-class MiniBatchKMeans {
- public:
-  MiniBatchKMeans() = default;
-  /// Seed from an existing clustering. `counts` are the per-center
-  /// assignment counts of that clustering (they set the initial learning
-  /// rates); missing/short counts default to 1 so a fresh center still
-  /// moves. k is centers.rows().
-  explicit MiniBatchKMeans(Matrix centers,
-                           std::vector<std::uint64_t> counts = {});
-
-  std::size_t k() const { return centers_.rows(); }
-  const Matrix& centers() const { return centers_; }
-  const std::vector<std::uint64_t>& counts() const { return counts_; }
-
-  /// Assign each row of `batch` to its nearest center, then move each
-  /// center toward its assigned rows: c ← c + (x − c)/n_c per row, with
-  /// n_c incremented first. Returns the per-row labels (computed against
-  /// the centers as they stood at entry, like one Lloyd half-step).
-  std::vector<std::size_t> partial_fit(const Matrix& batch,
-                                       std::size_t threads = 0);
-
- private:
-  Matrix centers_;
-  std::vector<std::uint64_t> counts_;
-};
-
 struct ChooseKConfig {
   /// Upper bound of the k sweep (paper: k swept from 1 to 20). The sweep is
   /// clamped to min(max_k, points.rows()) — a profile with fewer units than
@@ -109,7 +67,7 @@ struct ChooseKResult {
   std::vector<double> scores;  ///< silhouette per k (index 0 ↔ k = 1)
 };
 
-/// Sweep k = 1..max_k, score with the (simplified) silhouette coefficient and
+/// Sweep k = 1..max_k, score with the sampled silhouette coefficient and
 /// return the smallest k whose score is ≥ score_fraction × best score. The
 /// sweep runs across the pool: each k gets an independent fixed-seed stream
 /// derived from one draw of `rng`, and results merge in k order, so the

@@ -15,10 +15,9 @@ namespace {
 /// Rows per chunk of the O(n²) exact pass; the chunk's distance block is
 /// kGrainExact × n doubles, sized to stay cache-resident.
 constexpr std::size_t kGrainExact = 32;
-constexpr std::size_t kGrainSimplified = 256;
 
-/// counts per cluster + the ≥ 2 non-empty precondition shared by the exact
-/// and simplified variants.
+/// counts per cluster + the ≥ 2 non-empty precondition of the exact
+/// silhouette.
 bool cluster_counts(std::span<const std::size_t> labels,
                     std::size_t num_clusters,
                     std::vector<std::size_t>& counts) {
@@ -154,52 +153,6 @@ double sampled_silhouette(const Matrix& points,
     sub_labels[j] = labels[picks[j]];
   }
   return exact_silhouette(sub, sub_labels, num_clusters, threads);
-}
-
-double simplified_silhouette(const Matrix& points, const Matrix& centers,
-                             std::span<const std::size_t> labels,
-                             std::size_t threads) {
-  const std::size_t n = points.rows();
-  const std::size_t k = centers.rows();
-  SIMPROF_EXPECTS(labels.size() == n, "labels length mismatch");
-  if (n == 0 || k < 2) return 0.0;
-
-  std::vector<std::size_t> counts;
-  if (!cluster_counts(labels, k, counts)) return 0.0;
-
-  const std::vector<double> norms = row_squared_norms(points);
-  const DistanceTable table(centers);
-
-  const std::size_t num_chunks = (n + kGrainSimplified - 1) / kGrainSimplified;
-  std::vector<double> partial(num_chunks, 0.0);
-  support::parallel_for(
-      threads, 0, n, kGrainSimplified,
-      [&](std::size_t chunk, std::size_t cb, std::size_t ce) {
-        std::vector<double> block((ce - cb) * k);
-        table.squared_distances(points, norms, cb, ce, block);
-        double acc = 0.0;
-        for (std::size_t i = cb; i < ce; ++i) {
-          // Singleton cluster → s(i) = 0, matching the exact variant (and
-          // sklearn): a(i) is undefined for a lone member, and the
-          // center-distance proxy (≈ 0 for a singleton whose center is the
-          // point itself) would inflate the score to ~1.
-          if (counts[labels[i]] <= 1) continue;
-          const double* d2 = block.data() + (i - cb) * k;
-          const double a = std::sqrt(d2[labels[i]]);
-          double b = std::numeric_limits<double>::max();
-          for (std::size_t c = 0; c < k; ++c) {
-            if (c == labels[i] || counts[c] == 0) continue;
-            b = std::min(b, std::sqrt(d2[c]));
-          }
-          const double denom = std::max(a, b);
-          acc += (denom > 0.0) ? (b - a) / denom : 0.0;
-        }
-        partial[chunk] = acc;
-      });
-
-  double total = 0.0;
-  for (const double p : partial) total += p;
-  return total / static_cast<double>(n);
 }
 
 }  // namespace simprof::stats

@@ -4,11 +4,12 @@
 // exact coefficient is O(n²·d); for the per-unit feature matrices SimProf
 // clusters (hundreds to thousands of units) choose_k scores each k with the
 // *sampled* exact silhouette (a seeded subsample of at most
-// kDefaultSilhouetteSample points, stats/kmeans.cc). The simplified
-// silhouette (distances to centroids, O(n·k·d)) inflates on unstructured
-// data as k grows, and the full exact version is kept for validation.
+// kDefaultSilhouetteSample points, stats/kmeans.cc); the full exact version
+// is kept for validation. (The simplified silhouette — distances to
+// centroids, O(n·k·d) — is not offered: it inflates on unstructured data
+// as k grows.)
 //
-// All three variants run their pairwise-distance passes through the blocked
+// Both variants run their pairwise-distance passes through the blocked
 // ‖x‖²+‖y‖²−2·x·y kernel (stats/matrix.h DistanceTable) over row chunks on
 // support::ThreadPool, with per-chunk partial sums merged in chunk order —
 // the score is bit-identical for any thread count.
@@ -33,14 +34,6 @@ inline constexpr std::size_t kDefaultSilhouetteSample = 400;
 double exact_silhouette(const Matrix& points,
                         std::span<const std::size_t> labels,
                         std::size_t num_clusters, std::size_t threads = 0);
-
-/// Simplified silhouette: a(i) = distance to own centroid, b(i) = distance
-/// to the nearest other centroid, s(i) = (b-a)/max(a,b). Returns 0 when
-/// fewer than 2 clusters are non-empty. Fast (O(n·k·d)) but inflates on
-/// unstructured data as k grows — use the sampled exact version to choose k.
-double simplified_silhouette(const Matrix& points, const Matrix& centers,
-                             std::span<const std::size_t> labels,
-                             std::size_t threads = 0);
 
 /// Exact silhouette over a seeded random subsample of at most `max_points`
 /// points. Exact silhouette resists the over-fitting inflation the paper

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -123,22 +126,37 @@ TEST(StreamingPhaseFormer, ShuffledArrivalConvergesWithinTolerance) {
 TEST(StreamingPhaseFormer, SameArrivalOrderBitIdenticalAcrossThreadCounts) {
   const auto p = testing::synthetic_profile(
       {{60, 0.5, 0.02, 1}, {60, 2.0, 0.05, 2}, {60, 1.2, 0.03, 3}});
-  StreamingConfig one;
-  one.formation.threads = 1;
-  StreamingConfig eight;
-  eight.formation.threads = 8;
-
-  StreamingPhaseFormer f1{one};
-  StreamingPhaseFormer f8{eight};
-  std::vector<std::size_t> labels1, labels8;
-  for (std::size_t u = 0; u < p.num_units(); ++u) {
-    labels1.push_back(f1.ingest(p, u));
-    labels8.push_back(f8.ingest(p, u));
+  // Every recluster along the way must agree, not just the end state: the
+  // hook records each interim model's k, labels and center bits.
+  const auto run = [&](std::size_t threads) {
+    StreamingConfig cfg;
+    cfg.formation.threads = threads;
+    StreamingPhaseFormer former{cfg};
+    std::vector<PhaseModel> models;
+    former.set_update_hook(
+        [&](const StreamingPhaseFormer& f) { models.push_back(f.model()); });
+    former.ingest_range(p, 0, p.num_units());
+    former.finalize();
+    return models;
+  };
+  const std::vector<PhaseModel> one = run(1);
+  const std::vector<PhaseModel> eight = run(8);
+  ASSERT_GT(one.size(), 1u);
+  ASSERT_EQ(one.size(), eight.size());
+  for (std::size_t r = 0; r < one.size(); ++r) {
+    SCOPED_TRACE("recluster " + std::to_string(r + 1));
+    EXPECT_EQ(one[r].k, eight[r].k);
+    EXPECT_EQ(one[r].labels, eight[r].labels);
+    const auto c1 = one[r].centers.flat();
+    const auto c8 = eight[r].centers.flat();
+    ASSERT_EQ(c1.size(), c8.size());
+    for (std::size_t i = 0; i < c1.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(c1[i]),
+                std::bit_cast<std::uint64_t>(c8[i]))
+          << "center flat index " << i;
+    }
   }
-  // Every live classification along the way must agree, not just the end
-  // state — this covers the mini-batch refinement path too.
-  EXPECT_EQ(labels1, labels8);
-  expect_models_bit_identical(f1.finalize(), f8.finalize());
+  expect_models_bit_identical(one.back(), eight.back());
 }
 
 TEST(StreamingPhaseFormer, WarmupReturnsNoPhaseThenLabels) {
@@ -148,16 +166,14 @@ TEST(StreamingPhaseFormer, WarmupReturnsNoPhaseThenLabels) {
   cfg.warmup_units = 16;
   StreamingPhaseFormer former{cfg};
   for (std::size_t u = 0; u + 1 < cfg.warmup_units; ++u) {
-    EXPECT_EQ(former.ingest(p, u), StreamingPhaseFormer::kNoPhase);
+    former.ingest(p, u);
     EXPECT_FALSE(former.has_model());
+    EXPECT_EQ(former.reclusters(), 0u);
   }
-  const std::size_t first = former.ingest(p, cfg.warmup_units - 1);
+  former.ingest(p, cfg.warmup_units - 1);
   EXPECT_TRUE(former.has_model());
-  EXPECT_LT(first, former.model().k);
-  for (std::size_t u = cfg.warmup_units; u < p.num_units(); ++u) {
-    EXPECT_LT(former.ingest(p, u), former.model().k);
-  }
-  ASSERT_EQ(former.live_labels().size(), former.units_retained());
+  EXPECT_EQ(former.reclusters(), 1u);
+  EXPECT_EQ(former.model().labels.size(), cfg.warmup_units);
 }
 
 TEST(StreamingPhaseFormer, UpdateHookFiresPerReclusterAndCanSampleLive) {
@@ -191,7 +207,6 @@ TEST(StreamingPhaseFormer, RetentionCapBoundsMemoryAndStillForms) {
   const PhaseModel model = former.finalize();
   EXPECT_EQ(former.units_ingested(), p.num_units());
   EXPECT_EQ(former.units_retained(), cfg.max_retained_units);
-  EXPECT_EQ(former.live_labels().size(), cfg.max_retained_units);
   EXPECT_GE(model.k, 1u);
   EXPECT_EQ(model.labels.size(), cfg.max_retained_units);
 }

@@ -94,14 +94,10 @@ TEST(ParallelDeterminism, SilhouettesIdenticalAcrossThreadCounts) {
   Rng rng(21);
   const stats::KMeansResult r = stats::kmeans(pts, 4, rng, kcfg);
   const double exact1 = stats::exact_silhouette(pts, r.labels, 4, 1);
-  const double simpl1 =
-      stats::simplified_silhouette(pts, r.centers, r.labels, 1);
   const double sampl1 =
       stats::sampled_silhouette(pts, r.labels, 4, 100, 1234, 1);
   for (std::size_t t : thread_sweep()) {
     EXPECT_EQ(stats::exact_silhouette(pts, r.labels, 4, t), exact1);
-    EXPECT_EQ(stats::simplified_silhouette(pts, r.centers, r.labels, t),
-              simpl1);
     EXPECT_EQ(stats::sampled_silhouette(pts, r.labels, 4, 100, 1234, t),
               sampl1);
   }

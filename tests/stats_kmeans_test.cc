@@ -112,14 +112,6 @@ TEST(KMeans, InvalidKThrows) {
   EXPECT_THROW(kmeans(pts, 4, rng), ContractViolation);
 }
 
-TEST(KMeans, NearestCenter) {
-  Matrix centers(2, 2);
-  centers.at(0, 0) = 0.0;
-  centers.at(1, 0) = 10.0;
-  std::vector<double> p{7.0, 0.0};
-  EXPECT_EQ(nearest_center(centers, p), 1u);
-}
-
 TEST(Silhouette, HighForSeparatedLowForMixed) {
   Rng rng(23);
   Matrix good = gaussian_blobs({{0, 0}, {20, 0}}, 30, 0.2, rng);
@@ -138,26 +130,21 @@ TEST(Silhouette, HighForSeparatedLowForMixed) {
 TEST(Silhouette, SimplifiedTracksExactOrdering) {
   Rng rng(31);
   Matrix pts = gaussian_blobs({{0, 0}, {8, 0}, {0, 8}}, 25, 0.5, rng);
-  // Score the same data under k = 2, 3, 4 clusterings; both silhouette
-  // variants must agree that k = 3 is at least as good as 2 and 4.
-  double exact[3], simple[3];
+  // Score the same data under k = 2, 3, 4 clusterings; the exact
+  // silhouette must rate k = 3 at least as good as 2 and 4.
+  double exact[3];
   for (std::size_t k = 2; k <= 4; ++k) {
     KMeansResult r = kmeans(pts, k, rng);
     exact[k - 2] = exact_silhouette(pts, r.labels, k);
-    simple[k - 2] = simplified_silhouette(pts, r.centers, r.labels);
   }
   EXPECT_GE(exact[1], exact[0]);
   EXPECT_GE(exact[1], exact[2]);
-  EXPECT_GE(simple[1], simple[0]);
-  EXPECT_GE(simple[1], simple[2]);
 }
 
 TEST(Silhouette, FewerThanTwoClustersScoresZero) {
   Matrix pts(3, 1);
   std::vector<std::size_t> labels{0, 0, 0};
   EXPECT_DOUBLE_EQ(exact_silhouette(pts, labels, 1), 0.0);
-  Matrix centers(1, 1);
-  EXPECT_DOUBLE_EQ(simplified_silhouette(pts, centers, labels), 0.0);
 }
 
 TEST(ChooseK, FindsThreeBlobs) {
@@ -311,58 +298,6 @@ TEST(FRegression, SingleSurvivingColumnScoresDefined) {
   EXPECT_TRUE(std::isfinite(scores[0]));
   EXPECT_GT(scores[0], 0.0);
   EXPECT_EQ(top_k_indices(scores, 5), (std::vector<std::size_t>{0}));
-}
-
-TEST(MiniBatchKMeans, MovesCentersWithPerCenterLearningRate) {
-  Matrix centers(2, 1);
-  centers.at(0, 0) = 0.0;
-  centers.at(1, 0) = 10.0;
-  MiniBatchKMeans mb(centers);  // counts default to 1
-
-  Matrix batch(3, 1);
-  batch.at(0, 0) = 1.0;
-  batch.at(1, 0) = 1.0;
-  batch.at(2, 0) = 9.0;
-  const auto labels = mb.partial_fit(batch, 1);
-  EXPECT_EQ(labels, (std::vector<std::size_t>{0, 0, 1}));
-
-  // Center 0 sees two pulls: 0 → 0 + (1−0)/2 = 0.5 → 0.5 + (1−0.5)/3.
-  EXPECT_DOUBLE_EQ(mb.centers().at(0, 0), 0.5 + (1.0 - 0.5) / 3.0);
-  // Center 1 sees one: 10 → 10 + (9−10)/2.
-  EXPECT_DOUBLE_EQ(mb.centers().at(1, 0), 9.5);
-  EXPECT_EQ(mb.counts(), (std::vector<std::uint64_t>{3, 2}));
-}
-
-TEST(MiniBatchKMeans, BitIdenticalAcrossThreadCounts) {
-  Rng rng(79);
-  Matrix batch = gaussian_blobs({{0, 0}, {8, 8}, {-4, 6}}, 40, 1.0, rng);
-  Matrix centers(3, 2);
-  centers.at(0, 0) = 0.0;
-  centers.at(0, 1) = 0.0;
-  centers.at(1, 0) = 8.0;
-  centers.at(1, 1) = 8.0;
-  centers.at(2, 0) = -4.0;
-  centers.at(2, 1) = 6.0;
-
-  MiniBatchKMeans a(centers), b(centers);
-  const auto la = a.partial_fit(batch, 1);
-  const auto lb = b.partial_fit(batch, 8);
-  EXPECT_EQ(la, lb);
-  const auto fa = a.centers().flat();
-  const auto fb = b.centers().flat();
-  ASSERT_EQ(fa.size(), fb.size());
-  for (std::size_t i = 0; i < fa.size(); ++i) {
-    EXPECT_EQ(fa[i], fb[i]) << "flat index " << i;
-  }
-}
-
-TEST(MiniBatchKMeans, EmptyBatchIsANoOp) {
-  Matrix centers(2, 2);
-  centers.at(1, 0) = 3.0;
-  MiniBatchKMeans mb(centers);
-  Matrix batch(0, 2);
-  EXPECT_TRUE(mb.partial_fit(batch).empty());
-  EXPECT_EQ(mb.counts(), (std::vector<std::uint64_t>{1, 1}));
 }
 
 // Property: k-means inertia never increases when k grows (best-of restarts

@@ -1,9 +1,6 @@
 // Regression tests for silhouette scoring of degenerate clusterings,
 // chiefly the singleton-cluster convention (see DESIGN.md §6d): a point
 // alone in its cluster has a(i) undefined, so s(i) = 0 (sklearn convention).
-// The simplified variant used to compute a(i) = distance-to-own-centroid = 0
-// for such a point and score it s(i) ≈ 1, inflating every k that shaved a
-// stray point into its own cluster.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,30 +12,16 @@
 namespace simprof::stats {
 namespace {
 
-// The exact failing input: two points in cluster 0, one singleton cluster 1.
-//   A=0, B=1 (cluster 0, centroid 0.5), C=10 (cluster 1, centroid 10).
+// Two points in cluster 0, one singleton cluster 1: A=0, B=1, C=10.
 struct SingletonFixture {
   Matrix points{3, 1};
-  Matrix centers{2, 1};
   std::vector<std::size_t> labels{0, 0, 1};
   SingletonFixture() {
     points.at(0, 0) = 0.0;
     points.at(1, 0) = 1.0;
     points.at(2, 0) = 10.0;
-    centers.at(0, 0) = 0.5;
-    centers.at(1, 0) = 10.0;
   }
 };
-
-TEST(SimplifiedSilhouette, SingletonClusterScoresZero) {
-  SingletonFixture f;
-  // s(A) = (10-0.5)/10, s(B) = (9-0.5)/9, s(C) = 0 (singleton).
-  const double expected = (9.5 / 10.0 + 8.5 / 9.0 + 0.0) / 3.0;
-  const double inflated = (9.5 / 10.0 + 8.5 / 9.0 + 1.0) / 3.0;  // old bug
-  const double s = simplified_silhouette(f.points, f.centers, f.labels);
-  EXPECT_NEAR(s, expected, 1e-12);
-  EXPECT_LT(s, inflated - 0.1);
-}
 
 TEST(ExactSilhouette, SingletonClusterScoresZero) {
   SingletonFixture f;
@@ -46,15 +29,6 @@ TEST(ExactSilhouette, SingletonClusterScoresZero) {
   const double expected = (9.0 / 10.0 + 8.0 / 9.0 + 0.0) / 3.0;
   const double s = exact_silhouette(f.points, f.labels, 2);
   EXPECT_NEAR(s, expected, 1e-12);
-}
-
-TEST(SimplifiedSilhouette, AllSingletonsScoreZero) {
-  Matrix points(2, 1);
-  points.at(0, 0) = 0.0;
-  points.at(1, 0) = 5.0;
-  Matrix centers = points;
-  const std::vector<std::size_t> labels{0, 1};
-  EXPECT_DOUBLE_EQ(simplified_silhouette(points, centers, labels), 0.0);
 }
 
 }  // namespace

@@ -115,8 +115,6 @@ const std::vector<CommandSpec> kCommands = {
        "ingestion finishes"},
       {"stream-warmup", "N",
        "units before the first streaming recluster (default 16)"},
-      {"stream-batch", "N",
-       "mini-batch size for streaming center refinement (default 8)"},
       {"stream-retain", "N",
        "streaming retention cap in units, 0 = retain all (default 0)"},
       features_flag("feature space for --stream phase formation"),
@@ -491,11 +489,10 @@ int cmd_profile(const Args& args) {
   stream.interim_n = 16;
   stream.stream.emplace();
   stream.stream->warmup_units = args.num<std::size_t>("stream-warmup", 16);
-  stream.stream->refine_batch = args.num<std::size_t>("stream-batch", 8);
   stream.stream->max_retained_units =
       args.num<std::size_t>("stream-retain", 0);
-  if (stream.stream->warmup_units == 0 || stream.stream->refine_batch == 0) {
-    throw UsageError("--stream-warmup and --stream-batch must be positive");
+  if (stream.stream->warmup_units == 0) {
+    throw UsageError("--stream-warmup must be positive");
   }
 
   core::WorkloadLab lab(cfg);
