@@ -159,6 +159,55 @@ TEST(StreamingPhaseFormer, SameArrivalOrderBitIdenticalAcrossThreadCounts) {
   expect_models_bit_identical(one.back(), eight.back());
 }
 
+TEST(StreamingPhaseFormer, EveryReclusterIsBatchFormationOfItsRetainedUnits) {
+  // Each recluster's model is exactly what batch form_phases makes of the
+  // units the former retains at that moment: k, labels, silhouette scores
+  // and center bits, in every feature mode, with and without eviction.
+  const auto p = testing::synthetic_profile(
+      {{50, 0.5, 0.02, 1}, {50, 2.0, 0.05, 2}, {50, 1.2, 0.03, 3}});
+  for (const auto mode :
+       {features::FeatureMode::kFreq, features::FeatureMode::kMav,
+        features::FeatureMode::kCombined}) {
+    for (const std::size_t retain : {std::size_t{0}, std::size_t{40}}) {
+      SCOPED_TRACE(std::string(features::to_string(mode)) + " retain " +
+                   std::to_string(retain));
+      StreamingConfig cfg;
+      cfg.formation.features = mode;
+      cfg.max_retained_units = retain;
+      StreamingPhaseFormer former{cfg};
+      std::size_t checked = 0;
+      former.set_update_hook([&](const StreamingPhaseFormer& f) {
+        ++checked;
+        const PhaseModel batch = form_phases(f.profile(), cfg.formation);
+        const PhaseModel& got = f.model();
+        ASSERT_EQ(got.k, batch.k) << "recluster " << f.reclusters();
+        EXPECT_EQ(got.labels, batch.labels) << "recluster " << f.reclusters();
+        ASSERT_EQ(got.silhouette_scores.size(),
+                  batch.silhouette_scores.size());
+        for (std::size_t i = 0; i < got.silhouette_scores.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.silhouette_scores[i]),
+                    std::bit_cast<std::uint64_t>(batch.silhouette_scores[i]));
+        }
+        const auto cg = got.centers.flat();
+        const auto cb = batch.centers.flat();
+        ASSERT_EQ(cg.size(), cb.size());
+        for (std::size_t i = 0; i < cg.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(cg[i]),
+                    std::bit_cast<std::uint64_t>(cb[i]))
+              << "recluster " << f.reclusters() << " center flat index " << i;
+        }
+      });
+      former.ingest_range(p, 0, p.num_units());
+      former.finalize();
+      EXPECT_EQ(checked, former.reclusters());
+      EXPECT_GT(checked, 2u);
+      if (retain > 0) {
+        EXPECT_EQ(former.units_retained(), retain);
+      }
+    }
+  }
+}
+
 TEST(StreamingPhaseFormer, WarmupReturnsNoPhaseThenLabels) {
   const auto p = testing::synthetic_profile(
       {{30, 0.5, 0.02, 1}, {30, 2.0, 0.05, 2}});
