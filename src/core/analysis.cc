@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 
+#include "core/streaming.h"
 #include "data/catalog.h"
 #include "support/assert.h"
 
@@ -148,9 +149,8 @@ ProfileAnalysis analyze_profile(
 
   // Units arrive in order and every recluster yields an interim selection
   // long before the last unit is ingested.
-  StreamingConfig sc = *request.stream;
-  sc.formation = formation_config(request.options);
-  StreamingPhaseFormer former(sc);
+  StreamingPhaseFormer former(
+      {formation_config(request.options), *request.stream});
   former.set_update_hook([&](const StreamingPhaseFormer& f) {
     if (!on_interim) return;
     on_interim({f.reclusters(), f.units_ingested(), f.units_retained(),

@@ -21,7 +21,6 @@
 #include "core/lab.h"
 #include "core/sampling.h"
 #include "core/sensitivity.h"
-#include "core/streaming.h"
 #include "features/feature_mode.h"
 
 namespace simprof::core {
@@ -85,9 +84,10 @@ struct ProfileAnalysisRequest {
   std::uint64_t seed = 1;     ///< sampling seed of every selection
   std::size_t sample_n = 0;   ///< final selection size (0 = none)
   std::size_t interim_n = 0;  ///< selection size at each recluster
-  /// Set: units stream through a StreamingPhaseFormer in arrival order (its
-  /// `formation` comes from `options`). Unset: batch formation.
-  std::optional<StreamingConfig> stream;
+  /// Set: units stream through a StreamingPhaseFormer in arrival order,
+  /// forming phases under `options` and retaining at most this many newest
+  /// units (0 = all). Unset: batch formation.
+  std::optional<std::size_t> stream;
 };
 
 /// State after one streaming recluster.

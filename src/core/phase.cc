@@ -86,34 +86,24 @@ void accumulate_unit(const PhaseModel& model, const ThreadProfile& profile,
   }
 }
 
-}  // namespace
-
-stats::Matrix build_feature_matrix(const ThreadProfile& profile,
-                                   features::FeatureMode mode) {
-  stats::Matrix m(profile.num_units(),
-                  features::feature_space_cols(mode, profile.num_methods()));
-  std::vector<std::uint32_t> cols;
-  std::vector<double> vals;
-  for (std::size_t u = 0; u < profile.num_units(); ++u) {
-    unit_feature_entries(profile.units[u], profile.num_methods(), cols, vals,
-                         mode);
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      m.at(u, cols[i]) = vals[i];
-    }
-  }
-  m.normalize_rows_l1();
-  return m;
-}
-
+/// One unit's raw CSR row in the chosen feature space. Under kFreq:
+/// method-id/count pairs sorted by method id with duplicate ids collapsed
+/// last-entry-wins — the semantics of assigning the entries in order, and
+/// bitwise the historical layout. Under kMav/kCombined the
+/// block-normalized MAV entries come first at columns [0, hw::kMavDim)
+/// (features::append_mav_entries) and kCombined method entries follow at
+/// +kMavDim, scaled to count/total so each unit's method block carries mass
+/// 1 like each MAV block. Shared by the dense and CSR builders, so both
+/// store bitwise the same entries. Output lands in `cols`/`vals` (cleared
+/// first); `num_methods` bounds the ids.
 void unit_feature_entries(const UnitRecord& rec, std::size_t num_methods,
                           std::vector<std::uint32_t>& cols,
                           std::vector<double>& vals,
                           features::FeatureMode mode) {
   cols.clear();
   vals.clear();
-  // MAV entries first (fixed columns [0, kMavDim) under kMav/kCombined);
-  // method columns, when present, sit above them so the streaming former
-  // can grow the method space in place by appending at the end of the row.
+  // MAV entries first (fixed columns [0, kMavDim) under kMav/kCombined),
+  // method columns, when present, above them.
   if (mode != features::FeatureMode::kFreq) {
     features::append_mav_entries(rec.mav, 0, cols, vals);
     if (mode == features::FeatureMode::kMav) return;
@@ -158,6 +148,25 @@ void unit_feature_entries(const UnitRecord& rec, std::size_t num_methods,
   }
 }
 
+}  // namespace
+
+stats::Matrix build_feature_matrix(const ThreadProfile& profile,
+                                   features::FeatureMode mode) {
+  stats::Matrix m(profile.num_units(),
+                  features::feature_space_cols(mode, profile.num_methods()));
+  std::vector<std::uint32_t> cols;
+  std::vector<double> vals;
+  for (std::size_t u = 0; u < profile.num_units(); ++u) {
+    unit_feature_entries(profile.units[u], profile.num_methods(), cols, vals,
+                         mode);
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      m.at(u, cols[i]) = vals[i];
+    }
+  }
+  m.normalize_rows_l1();
+  return m;
+}
+
 stats::SparseMatrix build_sparse_feature_matrix(const ThreadProfile& profile,
                                                 features::FeatureMode mode) {
   stats::SparseMatrix m(
@@ -177,23 +186,11 @@ stats::SparseMatrix build_sparse_feature_matrix(const ThreadProfile& profile,
 PhaseModel form_phases(const ThreadProfile& profile,
                        const PhaseFormationConfig& cfg) {
   SIMPROF_EXPECTS(profile.num_units() > 0, "cannot form phases of nothing");
-  // 1. Vectorize call stacks in CSR form (full method space, row-normalized)
-  // — built once per profile; the dense form only ever materializes for the
-  // selected top-K columns.
+  // 1. Vectorize call stacks in CSR form (full feature space,
+  // row-normalized); the dense form only ever materializes for the selected
+  // top-K columns.
   const stats::SparseMatrix sparse =
       build_sparse_feature_matrix(profile, cfg.features);
-  return form_phases_from_sparse(profile, sparse, cfg);
-}
-
-PhaseModel form_phases_from_sparse(const ThreadProfile& profile,
-                                   const stats::SparseMatrix& sparse,
-                                   const PhaseFormationConfig& cfg) {
-  SIMPROF_EXPECTS(profile.num_units() > 0, "cannot form phases of nothing");
-  SIMPROF_EXPECTS(
-      sparse.rows() == profile.num_units() &&
-          sparse.cols() == features::feature_space_cols(
-                               cfg.features, profile.num_methods()),
-      "feature matrix shape does not match profile/feature mode");
   obs::ObsSpan span("phase.form_phases", {{"units", profile.num_units()},
                                           {"methods", profile.num_methods()}});
   static obs::Counter& formations =

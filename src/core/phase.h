@@ -1,7 +1,9 @@
 // Phase formation (Section III-B): vectorize sampling-unit call stacks into
 // method-frequency feature vectors, select the top-K methods most correlated
 // with IPC (univariate linear-regression test), and cluster units into
-// phases with k-means, choosing k by the silhouette rule.
+// phases with k-means, choosing k by the silhouette rule. form_phases is
+// the one entry point: batch analysis and every recluster of the streaming
+// former (streaming.h) run it.
 //
 // Also implements the phase-homogeneity analysis of Figure 6 (population /
 // weighted / maximum CoV of CPI) and the dominant-operation phase typing of
@@ -116,35 +118,9 @@ stats::SparseMatrix build_sparse_feature_matrix(
     const ThreadProfile& profile,
     features::FeatureMode mode = features::FeatureMode::kFreq);
 
-/// One unit's raw CSR row in the chosen feature space. Under kFreq:
-/// method-id/count pairs sorted by method id with duplicate ids collapsed
-/// last-entry-wins — exactly the assignment semantics of the dense builder,
-/// and bitwise the historical layout. Under kMav/kCombined the
-/// block-normalized MAV entries come first at columns [0, hw::kMavDim)
-/// (features::append_mav_entries) and kCombined method entries follow at
-/// +kMavDim, scaled to count/total so each unit's method block carries mass
-/// 1 like each MAV block. Shared by build_sparse_feature_matrix and the
-/// streaming former's per-unit ingest so both paths produce bitwise the
-/// same stored entries. Output lands in `cols`/`vals` (cleared first);
-/// `num_methods` bounds the ids.
-void unit_feature_entries(
-    const UnitRecord& rec, std::size_t num_methods,
-    std::vector<std::uint32_t>& cols, std::vector<double>& vals,
-    features::FeatureMode mode = features::FeatureMode::kFreq);
-
 /// Fit phases on a profile.
 PhaseModel form_phases(const ThreadProfile& profile,
                        const PhaseFormationConfig& cfg = {});
-
-/// The back half of form_phases, starting from an already-built unit ×
-/// method feature matrix (CSR, L1-row-normalized, full method space —
-/// exactly what build_sparse_feature_matrix returns). form_phases delegates
-/// here; the streaming former calls it directly at each recluster with the
-/// snapshot of its incrementally grown matrix, which is how the streaming
-/// path inherits batch bit-identity for free.
-PhaseModel form_phases_from_sparse(const ThreadProfile& profile,
-                                   const stats::SparseMatrix& features,
-                                   const PhaseFormationConfig& cfg = {});
 
 /// Vectorize one unit into a model's feature space (L1-normalized over the
 /// selected features; methods are matched by name).

@@ -8,21 +8,9 @@
 #include "support/assert.h"
 
 namespace simprof::core {
-namespace {
-
-/// Geometric recluster schedule: recluster when the retained population
-/// reaches this multiple of its size at the previous recluster. 1.5 means
-/// ~2.7 full passes per doubling — O(log n) reclusters over a run.
-constexpr double kReclusterGrowth = 1.5;
-static_assert(kReclusterGrowth >= 1.0,
-              "a growth below 1 would recluster in place forever");
-
-}  // namespace
 
 StreamingPhaseFormer::StreamingPhaseFormer(StreamingConfig cfg)
-    : cfg_(std::move(cfg)) {
-  SIMPROF_EXPECTS(cfg_.warmup_units > 0, "warmup_units must be positive");
-}
+    : cfg_(std::move(cfg)) {}
 
 void StreamingPhaseFormer::adopt_method_table(const ThreadProfile& source) {
   // Ids are adopted verbatim, so the source table must be a consistent
@@ -57,18 +45,14 @@ void StreamingPhaseFormer::ingest(const ThreadProfile& source,
   const auto t0 = std::chrono::steady_clock::now();
 
   adopt_method_table(source);
-  const UnitRecord& rec = source.units[unit_index];
-  unit_feature_entries(rec, profile_.num_methods(), cols_scratch_,
-                       vals_scratch_, cfg_.formation.features);
-  raw_.append_row_grow(cols_scratch_, vals_scratch_);
-  profile_.units.push_back(rec);
+  profile_.units.push_back(source.units[unit_index]);
   ++total_ingested_;
   ingested.increment();
 
   const std::size_t n = profile_.num_units();
   const bool due =
       reclusters_ == 0
-          ? n >= cfg_.warmup_units
+          ? n >= kStreamWarmupUnits
           : static_cast<double>(n) >=
                 kReclusterGrowth *
                     static_cast<double>(last_recluster_units_);
@@ -102,26 +86,8 @@ void StreamingPhaseFormer::recluster() {
     profile_.units.erase(profile_.units.begin(),
                          profile_.units.begin() +
                              static_cast<std::ptrdiff_t>(drop));
-    stats::SparseMatrix rebuilt;
-    for (const UnitRecord& rec : profile_.units) {
-      unit_feature_entries(rec, profile_.num_methods(), cols_scratch_,
-                           vals_scratch_, cfg_.formation.features);
-      rebuilt.append_row_grow(cols_scratch_, vals_scratch_);
-    }
-    raw_ = std::move(rebuilt);
   }
-
-  // Snapshot the accumulated raw matrix at the full current feature space
-  // and normalize — bitwise what build_sparse_feature_matrix would produce
-  // for the retained profile, which is what makes finalize() bit-identical
-  // to the batch path. (Under kMav/kCombined the MAV block occupies the
-  // fixed low columns, so growing the method space still appends at the
-  // end.)
-  stats::SparseMatrix snapshot = raw_;
-  snapshot.grow_cols(features::feature_space_cols(cfg_.formation.features,
-                                                  profile_.num_methods()));
-  snapshot.normalize_rows_l1();
-  model_ = form_phases_from_sparse(profile_, snapshot, cfg_.formation);
+  model_ = form_phases(profile_, cfg_.formation);
 
   last_recluster_units_ = profile_.num_units();
   ++reclusters_;

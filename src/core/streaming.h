@@ -4,53 +4,56 @@
 // cluster; a profiling daemon wants phase structure *while the run is still
 // executing*, so selections can start before the last unit lands. The
 // StreamingPhaseFormer accepts sampling units one at a time (or in
-// micro-batches via repeated ingest calls), accumulates their raw
-// method-frequency rows incrementally in the CSR builder, and keeps one
-// model: the latest recluster. A recluster is a full
-// form_phases_from_sparse pass over a normalized snapshot of the
-// accumulated matrix, run on a geometric schedule (warmup_units, then
-// whenever the population has grown by 1.5×). Each one re-runs feature
-// selection AND the silhouette k-sweep, so k is revisited as the workload
-// reveals itself, and the update hook hands the fresh model to the caller
-// for an interim selection.
+// micro-batches via repeated ingest calls) into a retained profile and
+// keeps one model: the latest recluster. A recluster is batch form_phases
+// over the retained units, run on a geometric schedule (kStreamWarmupUnits,
+// then whenever the population has grown by kReclusterGrowth). Each one
+// re-runs feature selection AND the silhouette k-sweep, so k is revisited
+// as the workload reveals itself, and the update hook hands the fresh model
+// to the caller for an interim selection.
 //
-// Equivalence contract (enforced by tests/core_streaming_test.cc): with
+// Equivalence contract (enforced by tests/core_streaming_test.cc): every
+// recluster's model is form_phases of profile() at that moment, so with
 // max_retained_units = 0, ingesting a profile's units in order and calling
 // finalize() yields a PhaseModel bit-identical to batch form_phases on that
-// profile — the snapshot the final recluster sees is bitwise the matrix the
-// batch builder would have built (shared unit_feature_entries row
-// construction, same normalization order). Shuffled arrival converges to
-// the same structure within test tolerance. Determinism: ingestion is
-// serial by construction and every parallel stage below it is bit-identical
-// for any thread count, so the same arrival order gives the same model at
-// every recluster at any `threads` value.
+// profile. Shuffled arrival converges to the same structure within test
+// tolerance. Determinism: ingestion is serial by construction and every
+// parallel stage of form_phases is bit-identical for any thread count, so
+// the same arrival order gives the same model at every recluster at any
+// `threads` value.
 //
-// Memory bound: per-former state is O(Σ nnz of retained units) for the CSR
-// rows plus O(retained units) bookkeeping. With max_retained_units = n the
-// former evicts the oldest units at each recluster, bounding state to the
-// newest n units (and trading away exact batch equivalence for a sliding
-// window).
+// Memory bound: per-former state is the retained units' records plus the
+// latest model; feature matrices exist only inside a recluster. With
+// max_retained_units = n the former evicts the oldest units at each
+// recluster, bounding state to the newest n units (and trading away exact
+// batch equivalence for a sliding window).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <vector>
+#include <utility>
 
 #include "core/phase.h"
 #include "core/profile.h"
-#include "stats/sparse.h"
 
 namespace simprof::core {
+
+/// Units to accumulate before the first recluster. Below this the former
+/// has no model.
+inline constexpr std::size_t kStreamWarmupUnits = 16;
+/// Geometric recluster schedule: after the first, recluster when the
+/// retained population reaches this multiple of its size at the previous
+/// recluster. 1.5 means ~2.7 full passes per doubling — O(log n) reclusters
+/// over a run.
+inline constexpr double kReclusterGrowth = 1.5;
+static_assert(kReclusterGrowth >= 1.0,
+              "a growth below 1 would recluster in place forever");
 
 struct StreamingConfig {
   /// Formation parameters used at every recluster (threads, feature
   /// selection, choose_k, merge threshold, seed — identical meaning to the
   /// batch path, which is what makes finalize() comparable to it).
   PhaseFormationConfig formation;
-  /// Units to accumulate before the first recluster. Below this the former
-  /// has no model.
-  std::size_t warmup_units = 16;
   /// Memory bound: retain at most this many newest units (0 = retain all,
   /// required for exact batch equivalence). Eviction happens at recluster
   /// boundaries, oldest first.
@@ -106,15 +109,12 @@ class StreamingPhaseFormer {
   void recluster();
 
   StreamingConfig cfg_;
-  ThreadProfile profile_;        ///< retained units + adopted method table
-  stats::SparseMatrix raw_;      ///< raw-count CSR rows, one per retained unit
+  ThreadProfile profile_;  ///< retained units + adopted method table
   PhaseModel model_;
   std::size_t total_ingested_ = 0;
   std::size_t reclusters_ = 0;
   std::size_t last_recluster_units_ = 0;
   UpdateHook hook_;
-  std::vector<std::uint32_t> cols_scratch_;
-  std::vector<double> vals_scratch_;
   /// Last source table adopt_method_table verified, so ingesting a run of
   /// units from the same (unmodified) profile checks names once, not per
   /// unit.

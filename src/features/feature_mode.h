@@ -4,8 +4,8 @@
 // The oracle pass attaches one hw::MavBlock to every sampling unit (reuse-
 // distance histogram + per-level access mix, see hw/mav.h). This library
 // turns those raw counters into feature columns that plug into the existing
-// CSR pipeline (core::unit_feature_entries and the matrix builders) under
-// three modes:
+// CSR pipeline (the feature-matrix builders of core/phase.h) under three
+// modes:
 //
 //   kFreq      — method-frequency features only: bitwise the historical
 //                layout and values, so every pre-MAV profile, model and test
@@ -14,16 +14,17 @@
 //                level slots, each histogram block normalized by its own
 //                total so blocks carry equal mass regardless of access count.
 //   kCombined  — MAV columns first at [0, kMavDim), method columns shifted
-//                up by kMavDim. MAV-first is load-bearing: the streaming
-//                former grows the method space in place by appending columns
-//                at the end of the CSR rows, which only works if the
-//                fixed-width MAV block never moves.
+//                up by kMavDim, so the MAV block keeps fixed column ids
+//                whatever the method count. Top-K selection orders the
+//                kept features (and breaks score ties) by column id, so
+//                this layout is part of every combined model's bytes and
+//                stays as it is.
 //
 // Per-entry values are chosen so that L1-row-normalization commutes with
 // column selection: renormalizing any selected subset of a row equals
 // renormalizing the same subset of the raw entries. That invariance is what
-// lets vectorize_unit / streaming classification accumulate raw per-entry
-// values and renormalize over the selected features only, in every mode.
+// lets vectorize_unit / vectorize_units accumulate raw per-entry values and
+// renormalize over the selected features only, in every mode.
 #pragma once
 
 #include <cstddef>

@@ -408,8 +408,7 @@ void ServiceServer::run_profile(QueuedRequest& req, const ProfileRequest& q) {
       retain = retain == 0 ? cfg_.stream_retain_cap
                            : std::min(retain, cfg_.stream_retain_cap);
     }
-    analysis.stream.emplace();
-    analysis.stream->max_retained_units = retain;
+    analysis.stream = retain;
   }
 
   core::WorkloadLab lab = make_lab(q.scale, q.seed);

@@ -29,32 +29,6 @@ void SparseMatrix::append_row(std::span<const std::uint32_t> cols,
   row_ptr_.push_back(col_.size());
 }
 
-void SparseMatrix::append_row_grow(std::span<const std::uint32_t> cols,
-                                   std::span<const double> vals) {
-  SIMPROF_EXPECTS(rows_filled() == rows_,
-                  "append_row_grow on a partially declared matrix");
-  SIMPROF_EXPECTS(cols.size() == vals.size(), "cols/vals length mismatch");
-  std::uint32_t prev = std::numeric_limits<std::uint32_t>::max();
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    SIMPROF_EXPECTS(prev == std::numeric_limits<std::uint32_t>::max() ||
-                        cols[i] > prev,
-                    "sparse row columns must be strictly increasing");
-    prev = cols[i];
-  }
-  if (!cols.empty()) {
-    cols_ = std::max<std::size_t>(cols_, std::size_t{cols.back()} + 1);
-  }
-  ++rows_;
-  col_.insert(col_.end(), cols.begin(), cols.end());
-  val_.insert(val_.end(), vals.begin(), vals.end());
-  row_ptr_.push_back(col_.size());
-}
-
-void SparseMatrix::grow_cols(std::size_t cols) {
-  SIMPROF_EXPECTS(cols >= cols_, "grow_cols cannot shrink the column space");
-  cols_ = cols;
-}
-
 SparseMatrix::RowView SparseMatrix::row(std::size_t r) const {
   SIMPROF_EXPECTS(r < rows_filled(), "sparse row out of range");
   const std::size_t b = row_ptr_[r];

@@ -1,8 +1,8 @@
 // Compressed-sparse-row feature matrix — the sparse sibling of stats::Matrix
 // for the unit × method frequency matrices of phase formation. A profile's
 // units touch a few dozen methods each out of thousands, so the dense matrix
-// is ~99% zeros; the CSR form is built once per profile and densified only
-// for the selected top-K feature columns.
+// is ~99% zeros; the CSR form is built once per form_phases call and
+// densified only for the selected top-K feature columns.
 //
 // Bit-compatibility contract with the dense path: values are stored exactly
 // as the dense matrix would hold them, rows normalize by the same sums
@@ -37,21 +37,6 @@ class SparseMatrix {
   /// (appending past the declared shape is a contract violation).
   void append_row(std::span<const std::uint32_t> cols,
                   std::span<const double> vals);
-
-  /// Streaming builder form: append a row to a matrix whose final shape is
-  /// not known up front — rows() grows by one and cols() widens to cover
-  /// the highest referenced column. `cols` must still be strictly
-  /// increasing. Entries land in the same CSR arrays as append_row, so a
-  /// matrix grown row-by-row is indistinguishable from one declared with
-  /// the final shape and filled with append_row.
-  void append_row_grow(std::span<const std::uint32_t> cols,
-                       std::span<const double> vals);
-
-  /// Widen the column space (no entries added) — the streaming former calls
-  /// this when the method table grows past the widest stored row, so the
-  /// snapshot it clusters covers every method seen so far. Shrinking is a
-  /// contract violation.
-  void grow_cols(std::size_t cols);
 
   /// How many rows have been appended so far.
   std::size_t rows_filled() const { return row_ptr_.size() - 1; }

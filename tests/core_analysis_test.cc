@@ -157,8 +157,7 @@ TEST(Analysis, StreamingInterimSelectionsPinned) {
     req.seed = 11;
     req.sample_n = 8;
     req.interim_n = 8;
-    req.stream.emplace();
-    req.stream->max_retained_units = pin.max_retained_units;
+    req.stream = pin.max_retained_units;
 
     std::uint64_t h = testing::kFnv1aOffset;
     std::size_t interims = 0;

@@ -211,18 +211,16 @@ TEST(StreamingPhaseFormer, EveryReclusterIsBatchFormationOfItsRetainedUnits) {
 TEST(StreamingPhaseFormer, WarmupReturnsNoPhaseThenLabels) {
   const auto p = testing::synthetic_profile(
       {{30, 0.5, 0.02, 1}, {30, 2.0, 0.05, 2}});
-  StreamingConfig cfg;
-  cfg.warmup_units = 16;
-  StreamingPhaseFormer former{cfg};
-  for (std::size_t u = 0; u + 1 < cfg.warmup_units; ++u) {
+  StreamingPhaseFormer former{{}};
+  for (std::size_t u = 0; u + 1 < kStreamWarmupUnits; ++u) {
     former.ingest(p, u);
     EXPECT_FALSE(former.has_model());
     EXPECT_EQ(former.reclusters(), 0u);
   }
-  former.ingest(p, cfg.warmup_units - 1);
+  former.ingest(p, kStreamWarmupUnits - 1);
   EXPECT_TRUE(former.has_model());
   EXPECT_EQ(former.reclusters(), 1u);
-  EXPECT_EQ(former.model().labels.size(), cfg.warmup_units);
+  EXPECT_EQ(former.model().labels.size(), kStreamWarmupUnits);
 }
 
 TEST(StreamingPhaseFormer, UpdateHookFiresPerReclusterAndCanSampleLive) {
@@ -305,14 +303,13 @@ TEST(StreamingPhaseFormer, ManyConcurrentFormersEvictUnderQuotaIndependently) {
 }
 
 TEST(StreamingPhaseFormer, SmallStreamsFormWithoutAborting) {
-  // Early-stream snapshots have fewer units than the k-sweep's max_k; the
-  // sweep clamps instead of contract-aborting, for n = 1, 2 and k_max − 1.
+  // A stream can end with fewer units than the k-sweep's max_k; finalize()
+  // clamps the sweep instead of contract-aborting, for n = 1, 2 (before the
+  // warmup recluster) and k_max − 1.
   for (const std::size_t n : {std::size_t{1}, std::size_t{2},
                               std::size_t{19}}) {
     const auto p = testing::synthetic_profile({{n, 1.0, 0.05, 1}});
-    StreamingConfig cfg;
-    cfg.warmup_units = 1;  // recluster from the first unit
-    StreamingPhaseFormer former{cfg};
+    StreamingPhaseFormer former{{}};
     former.ingest_range(p, 0, p.num_units());
     const PhaseModel model = former.finalize();
     EXPECT_GE(model.k, 1u);

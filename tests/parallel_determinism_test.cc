@@ -209,18 +209,6 @@ TEST(ParallelDeterminism, DenseAndSparseFeatureMatricesMatchEveryMode) {
               features::feature_space_cols(mode, profile.num_methods()))
         << "mode=" << features::to_string(mode);
     expect_same_matrix(sparse.to_dense(), dense);
-
-    // And the models formed from each are bitwise the same.
-    core::PhaseFormationConfig cfg;
-    cfg.features = mode;
-    cfg.threads = 1;
-    const core::PhaseModel from_dense_path = core::form_phases(profile, cfg);
-    const core::PhaseModel from_sparse =
-        core::form_phases_from_sparse(profile, sparse, cfg);
-    EXPECT_EQ(from_sparse.k, from_dense_path.k);
-    EXPECT_EQ(from_sparse.labels, from_dense_path.labels);
-    EXPECT_EQ(from_sparse.feature_names, from_dense_path.feature_names);
-    expect_same_matrix(from_sparse.centers, from_dense_path.centers);
   }
 }
 

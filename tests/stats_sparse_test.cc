@@ -154,55 +154,5 @@ TEST(SparseFRegression, MatchesDenseBitwise) {
   for (std::size_t f = 40; f < 48; ++f) EXPECT_EQ(base[f], 0.0);
 }
 
-TEST(SparseMatrixGrow, AppendRowGrowMatchesDeclaredShape) {
-  // A matrix grown row-by-row (the streaming ingest path) must be
-  // indistinguishable — bitwise — from one declared with the final shape.
-  const std::vector<std::vector<std::uint32_t>> cols{
-      {0, 3}, {1}, {0, 2, 5}, {}};
-  const std::vector<std::vector<double>> vals{
-      {2.0, 4.0}, {1.0}, {3.0, 5.0, 7.0}, {}};
-
-  stats::SparseMatrix declared(4, 6);
-  stats::SparseMatrix grown;
-  for (std::size_t r = 0; r < cols.size(); ++r) {
-    declared.append_row(cols[r], vals[r]);
-    grown.append_row_grow(cols[r], vals[r]);
-  }
-  EXPECT_EQ(grown.rows(), 4u);
-  EXPECT_EQ(grown.cols(), 6u);  // widest referenced column + 1
-  expect_same_matrix(grown.to_dense(), declared.to_dense());
-
-  // grow_cols widens the snapshot without disturbing stored entries, and
-  // normalization after growth matches the declared path.
-  stats::SparseMatrix wide = grown;
-  wide.grow_cols(9);
-  stats::SparseMatrix declared_wide(4, 9);
-  for (std::size_t r = 0; r < cols.size(); ++r) {
-    declared_wide.append_row(cols[r], vals[r]);
-  }
-  wide.normalize_rows_l1();
-  declared_wide.normalize_rows_l1();
-  expect_same_matrix(wide.to_dense(), declared_wide.to_dense());
-}
-
-TEST(SparseMatrixGrow, ContractViolations) {
-  stats::SparseMatrix grown;
-  const std::vector<std::uint32_t> bad{2, 2};
-  const std::vector<double> v{1.0, 1.0};
-  EXPECT_THROW(grown.append_row_grow(bad, v), ContractViolation);
-
-  stats::SparseMatrix m(2, 3);
-  m.append_row(std::vector<std::uint32_t>{0}, std::vector<double>{1.0});
-  // Mixing the growable builder into a partially declared matrix would
-  // corrupt the declared shape contract.
-  EXPECT_THROW(m.append_row_grow(std::vector<std::uint32_t>{1},
-                                 std::vector<double>{1.0}),
-               ContractViolation);
-
-  stats::SparseMatrix g2;
-  g2.append_row_grow(std::vector<std::uint32_t>{4}, std::vector<double>{1.0});
-  EXPECT_THROW(g2.grow_cols(3), ContractViolation);  // shrinking
-}
-
 }  // namespace
 }  // namespace simprof

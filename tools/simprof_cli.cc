@@ -31,6 +31,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -41,9 +42,11 @@
 #include "core/analysis.h"
 #include "core/checkpoint.h"
 #include "data/catalog.h"
+#include "obs/json.h"
 #include "obs/obs.h"
 #include "service/loadgen.h"
 #include "service/server.h"
+#include "support/serialize.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
 #include "verify/fault_inject.h"
@@ -113,8 +116,6 @@ const std::vector<CommandSpec> kCommands = {
        "feed units through the online phase former in arrival order and "
        "emit interim stratified selections at every recluster, before "
        "ingestion finishes"},
-      {"stream-warmup", "N",
-       "units before the first streaming recluster (default 16)"},
       {"stream-retain", "N",
        "streaming retention cap in units, 0 = retain all (default 0)"},
       features_flag("feature space for --stream phase formation"),
@@ -487,13 +488,7 @@ int cmd_profile(const Args& args) {
   stream.options = analysis_options(args);
   stream.seed = cfg.seed;
   stream.interim_n = 16;
-  stream.stream.emplace();
-  stream.stream->warmup_units = args.num<std::size_t>("stream-warmup", 16);
-  stream.stream->max_retained_units =
-      args.num<std::size_t>("stream-retain", 0);
-  if (stream.stream->warmup_units == 0) {
-    throw UsageError("--stream-warmup must be positive");
-  }
+  stream.stream = args.num<std::size_t>("stream-retain", 0);
 
   core::WorkloadLab lab(cfg);
   obs::ledger().set_config("workload", workload);
@@ -503,8 +498,10 @@ int cmd_profile(const Args& args) {
   std::cout << "running " << workload << " (input " << input << ", scale "
             << cfg.scale << ") ...\n";
   auto run = lab.run(workload, input);
-  std::ofstream os(out, std::ios::binary | std::ios::trunc);
-  run.profile.save(os);
+  if (!publish_file(out, [&](std::ostream& os) { run.profile.save(os); })) {
+    std::cerr << "error: cannot write profile " << out << '\n';
+    return 1;
+  }
   obs::ledger().set_quality("units", static_cast<double>(run.profile.num_units()));
   obs::ledger().set_quality("oracle_cpi", run.profile.oracle_cpi());
   std::cout << "wrote " << run.profile.num_units() << " sampling units ("
@@ -813,17 +810,16 @@ int cmd_report(const Args& args) {
   std::string md = report.to_markdown();
   if (!series_md.empty()) md += "\n" + series_md;
   std::cout << md;
+  bool written = true;
   if (const std::string f = args.opt("md", ""); !f.empty()) {
-    std::ofstream out(f, std::ios::trunc);
-    out << md;
+    written = obs::write_json_file(f, md, "markdown report") && written;
   }
   if (const std::string f = args.opt("json", ""); !f.empty()) {
-    std::ofstream out(f, std::ios::trunc);
-    out << report.to_json();
+    written = obs::write_json_file(f, report.to_json(), "report") && written;
   }
   obs::ledger().set_quality("regressions",
                             static_cast<double>(report.regressions()));
-  return report.regressions() > 0 ? 1 : 0;
+  return report.regressions() > 0 || !written ? 1 : 0;
 }
 
 void print_version() {
@@ -1020,7 +1016,7 @@ int cmd_loadgen(const Args& args) {
             << Table::num(report.p99_ms, 1) << "ms\n";
 
   if (const std::string f = args.opt("json", ""); !f.empty()) {
-    std::ofstream out(f, std::ios::trunc);
+    std::ostringstream out;
     out << "{\n  \"completed\": " << report.completed
         << ",\n  \"rejected\": " << report.rejected
         << ",\n  \"errors\": " << report.errors
@@ -1030,6 +1026,7 @@ int cmd_loadgen(const Args& args) {
         << ",\n  \"p50_ms\": " << report.p50_ms
         << ",\n  \"p90_ms\": " << report.p90_ms
         << ",\n  \"p99_ms\": " << report.p99_ms << "\n}\n";
+    if (!obs::write_json_file(f, out.str(), "loadgen report")) return 1;
   }
   return report.errors > 0 ? 1 : 0;
 }
