@@ -45,7 +45,12 @@ void StreamingPhaseFormer::ingest(const ThreadProfile& source,
   const auto t0 = std::chrono::steady_clock::now();
 
   adopt_method_table(source);
-  profile_.units.push_back(source.units[unit_index]);
+  const UnitRecord& rec = source.units[unit_index];
+  for (const jvm::MethodId m : rec.methods) {
+    SIMPROF_EXPECTS(m < profile_.num_methods(),
+                    "method id outside profile table");
+  }
+  profile_.units.push_back(rec);
   ++total_ingested_;
   ingested.increment();
 

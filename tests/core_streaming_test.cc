@@ -327,6 +327,20 @@ TEST(StreamingPhaseFormer, ConflictingMethodTableIsRejected) {
   EXPECT_THROW(former.ingest(q, 0), ContractViolation);
 }
 
+TEST(StreamingPhaseFormer, UnitOutsideItsMethodTableIsRejectedAtIngest) {
+  // The bad unit never reaches the retained profile, so later reclusters
+  // still form.
+  const auto p = testing::synthetic_profile({{20, 1.0, 0.05, 1}});
+  auto bad = p;
+  bad.units[1].methods[1] = static_cast<jvm::MethodId>(bad.num_methods());
+  StreamingPhaseFormer former{{}};
+  former.ingest(p, 0);
+  EXPECT_THROW(former.ingest(bad, 1), ContractViolation);
+  EXPECT_EQ(former.units_retained(), 1u);
+  former.ingest_range(p, 1, p.num_units());
+  EXPECT_EQ(former.finalize().labels.size(), p.num_units());
+}
+
 TEST(StreamingPhaseFormer, FinalizeWithoutIngestIsRejected) {
   StreamingPhaseFormer former{{}};
   EXPECT_THROW(former.finalize(), ContractViolation);
