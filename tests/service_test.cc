@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
@@ -71,6 +72,19 @@ T roundtrip(const T& v) {
 std::uint64_t counter_value(const char* name) {
   return obs::metrics().counter(name).value();
 }
+
+/// A registry counter's rise since construction. The svc.* counters are
+/// process-wide, so a test reads only what its own traffic added.
+class CounterDelta {
+ public:
+  explicit CounterDelta(const char* name)
+      : name_(name), start_(counter_value(name)) {}
+  std::uint64_t operator()() const { return counter_value(name_) - start_; }
+
+ private:
+  const char* name_;
+  std::uint64_t start_;
+};
 
 // ---------------------------------------------------------------------------
 // Wire protocol.
@@ -330,6 +344,51 @@ TEST(ServiceServer, HelloStatsAndUnknownWorkload) {
   const ServerStats s = server.stats();
   EXPECT_EQ(s.completed, 0u);
   EXPECT_EQ(s.errors, 0u);
+}
+
+TEST(ServiceServer, StatsReplyMatchesTheRegistry) {
+  ScratchDir dir;
+  ServiceConfig cfg = small_service(dir);
+  cfg.client_max_inflight = 1;
+  ServiceServer server(cfg);
+  server.start();
+  ServiceClient client(cfg.socket_path);
+  const StatsResult before = client.stats();
+  const CounterDelta accepted("svc.accepted");
+  const CounterDelta rejected("svc.rejected");
+  const CounterDelta completed("svc.completed");
+
+  // Three in flight against a quota of 1 on a cold cache: some requests
+  // complete, the overflow is rejected over quota.
+  LoadgenConfig lg;
+  lg.socket_path = cfg.socket_path;
+  lg.clients = 1;
+  lg.requests_per_client = 6;
+  lg.inflight_per_client = 3;
+  const LoadgenReport report = run_loadgen(lg);
+  ASSERT_GT(report.completed, 0u);
+  ASSERT_GT(report.rejected, 0u);
+
+  // A request is counted after its response is sent: wait until none is
+  // queued or running.
+  StatsResult after = client.stats();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((after.inflight != 0 || after.queue_depth != 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    after = client.stats();
+  }
+  ASSERT_EQ(after.inflight, 0u);
+  ASSERT_EQ(after.queue_depth, 0u);
+
+  EXPECT_EQ(after.accepted - before.accepted, accepted());
+  EXPECT_EQ(after.rejected - before.rejected, rejected());
+  EXPECT_EQ(after.completed - before.completed, completed());
+  EXPECT_EQ(completed(), report.completed);
+  EXPECT_EQ(rejected(), report.rejected);
+  server.request_stop();
+  server.wait();
 }
 
 TEST(ServiceServer, ProfileBitIdenticalToDirectLab) {
