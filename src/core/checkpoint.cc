@@ -367,7 +367,6 @@ void CheckpointRecorder::publish_window() {
                          << ", skipping checkpoint";
       return;
     }
-    ++saved_;
     saves.increment();
     save_bytes.add(archive_.size());
     SIMPROF_LOG(kDebug) << "ckpt: saved unit " << window_unit_ << " ("
@@ -487,7 +486,6 @@ void CheckpointReplayer::replay(const exec::ClusterConfig& cc) {
       const std::uint64_t after_ip = start * cc.unit_instrs;
       if (after_ip > before_ip) ff_instrs_ += after_ip - before_ip;
       ++restores_;
-      restored_bytes_ += bytes;
       restore_ctr.increment();
       restore_bytes.add(bytes);
       restore_ms.observe(std::chrono::duration<double, std::milli>(

@@ -134,15 +134,12 @@ class CheckpointRecorder final : public exec::UnitGovernor,
   /// Publish the still-open window. Idempotent.
   void finalize();
 
-  std::size_t saved() const { return saved_; }
-
  private:
   void publish_window();
 
   std::string dir_;
   std::string cache_key_;
   std::uint64_t stride_;
-  std::size_t saved_ = 0;
   bool dir_ready_ = false;
 
   bool window_open_ = false;
@@ -202,7 +199,6 @@ class CheckpointReplayer final : public UnitRecordCollector {
   void replay(const exec::ClusterConfig& cc);
 
   std::size_t restores() const { return restores_; }
-  std::uint64_t restored_bytes() const { return restored_bytes_; }
   /// Instructions skipped entirely (the workload never runs) by restoring
   /// past them.
   std::uint64_t fast_forwarded_instrs() const { return ff_instrs_; }
@@ -213,7 +209,6 @@ class CheckpointReplayer final : public UnitRecordCollector {
   std::vector<std::uint64_t> available_;  ///< archived unit indices, sorted
 
   std::size_t restores_ = 0;
-  std::uint64_t restored_bytes_ = 0;
   std::uint64_t ff_instrs_ = 0;
 };
 

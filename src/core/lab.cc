@@ -9,7 +9,6 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
-#include <unordered_map>
 
 #include "core/checkpoint.h"
 #include "obs/obs.h"
@@ -325,90 +324,30 @@ MeasureResult WorkloadLab::measure_units(
 std::vector<LabRun> WorkloadLab::run_batch(const std::vector<BatchItem>& items) {
   static obs::Counter& batches = obs::metrics().counter("lab.batch_runs");
   static obs::Counter& batch_items = obs::metrics().counter("lab.batch_items");
-  static obs::Counter& dedup = obs::metrics().counter("lab.batch_dedup");
+  static obs::Counter& batch_done =
+      obs::metrics().counter("progress.batch_done");
   const std::size_t n = items.size();
   std::vector<LabRun> out(n);
   if (n == 0) return out;
   batches.increment();
   batch_items.add(n);
 
-  // Group items by cache key: one oracle pass / decode per distinct
-  // configuration, duplicates copy the representative's result.
-  struct Unique {
-    std::size_t item;       ///< first item with this key
-    std::uint64_t seed;
-    bool expect_hit;        ///< cache file present at scheduling time
-  };
-  std::vector<Unique> uniq;
-  std::vector<std::size_t> uniq_of(n);
-  {
-    std::unordered_map<std::string, std::size_t> first_of;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t seed = items[i].seed.value_or(cfg_.seed);
-      std::string path =
-          cache_path(items[i].workload, items[i].graph_input, seed);
-      auto [it, inserted] = first_of.emplace(std::move(path), uniq.size());
-      if (inserted) {
-        const bool hit =
-            cfg_.use_cache && std::filesystem::exists(it->first);
-        uniq.push_back({i, seed, hit});
-      } else {
-        dedup.increment();
-      }
-      uniq_of[i] = it->second;
-    }
-  }
-
-  // Cache-aware schedule: misses (full simulations, the long poles) are
-  // dispatched first so they start immediately; hits decode alongside them.
-  // Execution order cannot affect results — each run is a pure function of
-  // its configuration.
-  std::vector<std::size_t> order;
-  order.reserve(uniq.size());
-  for (std::size_t u = 0; u < uniq.size(); ++u) {
-    if (!uniq[u].expect_hit) order.push_back(u);
-  }
-  const std::size_t scheduled_misses = order.size();
-  for (std::size_t u = 0; u < uniq.size(); ++u) {
-    if (uniq[u].expect_hit) order.push_back(u);
-  }
-
-  obs::ObsSpan span("lab.run_batch",
-                    {{"items", n},
-                     {"unique", uniq.size()},
-                     {"scheduled_misses", scheduled_misses}});
+  obs::ObsSpan span("lab.run_batch", {{"items", n}});
   // Progress feed for the heartbeat: total published once, done ticks as
-  // each unique configuration completes (observation only — never read back
-  // by the batch itself).
-  static obs::Counter& batch_done =
-      obs::metrics().counter("progress.batch_done");
-  obs::metrics()
-      .gauge("progress.batch_total")
-      .set(static_cast<double>(uniq.size()));
-  std::vector<LabRun> results(uniq.size());
+  // each item completes (observation only — never read back by the batch).
+  obs::metrics().gauge("progress.batch_total").set(static_cast<double>(n));
+  // Items sharing a cache key meet in run_config's per-key single-flight: one
+  // runs the oracle pass and the others decode its published profile. The
+  // pass queues no pool work, so a worker blocked on the key lock cannot
+  // starve it.
   support::parallel_for(
-      cfg_.threads, 0, order.size(), 1,
-      [&](std::size_t, std::size_t b, std::size_t e) {
-        for (std::size_t j = b; j < e; ++j) {
-          const Unique& u = uniq[order[j]];
-          const BatchItem& item = items[u.item];
-          results[order[j]] =
-              run_config(item.workload, item.graph_input, u.seed);
+      cfg_.threads, 0, n, 1, [&](std::size_t, std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) {
+          out[i] = run_config(items[i].workload, items[i].graph_input,
+                              items[i].seed.value_or(cfg_.seed));
           batch_done.increment();
         }
       });
-
-  // Fan the unique results back out in item order (the last consumer of a
-  // result moves it, earlier duplicates copy).
-  std::vector<std::size_t> last_user(uniq.size());
-  for (std::size_t i = 0; i < n; ++i) last_user[uniq_of[i]] = i;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (last_user[uniq_of[i]] == i) {
-      out[i] = std::move(results[uniq_of[i]]);
-    } else {
-      out[i] = results[uniq_of[i]];
-    }
-  }
   return out;
 }
 

@@ -3,12 +3,12 @@
 // so the oracle pass per (workload, input, scale, seed) runs exactly once
 // across all benches and examples.
 //
-// run_batch executes many configurations concurrently on the shared
-// support::ThreadPool: duplicate cache keys are single-flighted (one oracle
-// pass, counted in lab.batch_dedup), and misses are scheduled before hits so
-// simulations start immediately while cached profiles decode alongside them.
-// Profiles are a pure function of their configuration, so batch output is
-// bit-identical to running the items serially, for any thread count.
+// run_batch runs many configurations concurrently on the shared
+// support::ThreadPool, in item order. Its only dedup is run()'s per-key
+// single-flight: items sharing a cache key run one oracle pass, and the
+// others decode its published profile. Profiles are a pure function of their
+// configuration, so batch output is bit-identical to running the items
+// serially, for any thread count.
 #pragma once
 
 #include <optional>
@@ -99,8 +99,9 @@ class WorkloadLab {
              const std::string& graph_input = "Google");
 
   /// Run every item, concurrently on the thread pool (cfg.threads workers;
-  /// 0 = global default). Results are returned in item order and are
-  /// bit-identical to calling run() serially per item.
+  /// 0 = global default), through run()'s single-flight. Results are
+  /// returned in item order and are bit-identical to calling run() serially
+  /// per item.
   std::vector<LabRun> run_batch(const std::vector<BatchItem>& items);
 
   /// Measure only the given sampling units of a configuration. When a prior

@@ -34,6 +34,8 @@ struct SvcMetrics {
       obs::metrics().counter("svc.rejected.shutdown");
   obs::Counter& bad_request = obs::metrics().counter("svc.bad_request");
   obs::Counter& completed = obs::metrics().counter("svc.completed");
+  /// Non-ok responses to accepted work.
+  obs::Counter& errors = obs::metrics().counter("svc.errors");
   obs::Counter& stream_updates = obs::metrics().counter("svc.stream_updates");
   obs::QuantileHistogram& queue_wait_ms =
       obs::metrics().quantile_histogram("svc.queue_wait_ms");
@@ -83,7 +85,6 @@ ServiceServer::~ServiceServer() {
 void ServiceServer::start() {
   SIMPROF_EXPECTS(!started_.exchange(true), "service: start() called twice");
   listen_fd_ = listen_unix(cfg_.socket_path);
-  start_time_ = Clock::now();
   svc_metrics().admission_level.set(static_cast<double>(cfg_.tickets));
   svc_metrics().workers.set(static_cast<double>(cfg_.tickets));
   SIMPROF_LOG(kInfo) << "svc: listening on " << cfg_.socket_path
@@ -128,9 +129,8 @@ void ServiceServer::wait() {
   readers_.clear();
   ::unlink(cfg_.socket_path.c_str());
   SIMPROF_LOG(kInfo) << "svc: drained and stopped; completed="
-                     << completed_.load() << " rejected="
-                     << (rejected_quota_.load() + rejected_queue_full_.load() +
-                         rejected_shutdown_.load());
+                     << svc_metrics().completed.value()
+                     << " rejected=" << svc_metrics().rejected.value();
 }
 
 core::WorkloadLab ServiceServer::make_lab(double scale,
@@ -205,14 +205,21 @@ void ServiceServer::handle_frame(const std::shared_ptr<Connection>& conn,
       send_payload(conn, pack_message(MsgKind::kHelloAck, h.request_id));
       return;
     case MsgKind::kStatsRequest: {
-      const ServerStats s = stats();
+      // Read under mu_: a worker counts its request before it takes mu_ to
+      // retire it, so a reply showing nothing in flight counts every
+      // finished request.
+      const auto& m = svc_metrics();
       StatsResult out;
-      out.accepted = s.accepted;
-      out.rejected = s.rejected;
-      out.completed = s.completed;
-      out.queue_depth = s.queue_depth;
-      out.inflight = s.inflight;
-      out.admission_level = s.admission_level;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        out.accepted = m.accepted.value();
+        out.rejected = m.rejected.value();
+        out.completed = m.completed.value();
+        out.queue_depth = static_cast<std::uint64_t>(m.queue_depth.value());
+        out.inflight = static_cast<std::uint64_t>(m.inflight.value());
+        out.admission_level =
+            static_cast<std::uint64_t>(m.admission_level.value());
+      }
       send_payload(conn,
                    pack_response(h.request_id, Status::kOk, "",
                                  [&](BinaryWriter& w) { out.write(w); }));
@@ -255,15 +262,12 @@ void ServiceServer::reject(const std::shared_ptr<Connection>& conn,
   switch (status) {
     case Status::kOverQuota:
       m.rejected_quota.increment();
-      rejected_quota_.fetch_add(1, std::memory_order_relaxed);
       break;
     case Status::kQueueFull:
       m.rejected_queue_full.increment();
-      rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
       break;
     case Status::kShuttingDown:
       m.rejected_shutdown.increment();
-      rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
       break;
     default:
       break;
@@ -324,7 +328,6 @@ void ServiceServer::admit(const std::shared_ptr<Connection>& conn,
   auto& m = svc_metrics();
   m.accepted.increment();
   m.queued.increment();
-  accepted_.fetch_add(1, std::memory_order_relaxed);
   cv_.notify_one();
 }
 
@@ -378,10 +381,9 @@ void ServiceServer::execute(QueuedRequest& req) {
     message = e.what();
   }
   if (status != Status::kOk) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    svc_metrics().errors.increment();
     send_payload(req.conn, pack_response(req.header.request_id, status, message));
   } else {
-    completed_.fetch_add(1, std::memory_order_relaxed);
     svc_metrics().completed.increment();
   }
   svc_metrics().request_ms.observe(
@@ -412,11 +414,11 @@ void ServiceServer::run_profile(QueuedRequest& req, const ProfileRequest& q) {
   }
 
   core::WorkloadLab lab = make_lab(q.scale, q.seed);
-  auto runs = lab.run_batch({{q.workload, q.input, q.seed}});
-  const core::ThreadProfile& profile = runs.front().profile;
+  const core::LabRun run = lab.run(q.workload, q.input);
+  const core::ThreadProfile& profile = run.profile;
 
   ProfileResult res;
-  res.from_cache = runs.front().from_cache ? 1 : 0;
+  res.from_cache = run.from_cache ? 1 : 0;
   res.units = profile.num_units();
   res.methods = profile.num_methods();
   res.oracle_cpi = profile.num_units() > 0 ? profile.oracle_cpi() : 0.0;
@@ -440,7 +442,6 @@ void ServiceServer::run_profile(QueuedRequest& req, const ProfileRequest& q) {
             u.estimated_cpi = s.selection->plan.estimated_cpi;
             u.selected_units = s.selection->unit_ids;
           }
-          stream_updates_.fetch_add(1, std::memory_order_relaxed);
           svc_metrics().stream_updates.increment();
           send_payload(req.conn, pack_message(MsgKind::kStreamUpdate,
                                               req.header.request_id,
@@ -515,29 +516,6 @@ bool ServiceServer::send_payload(const std::shared_ptr<Connection>& conn,
     return false;
   }
   return true;
-}
-
-ServerStats ServiceServer::stats() const {
-  ServerStats s;
-  s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.rejected_quota = rejected_quota_.load(std::memory_order_relaxed);
-  s.rejected_queue_full = rejected_queue_full_.load(std::memory_order_relaxed);
-  s.rejected_shutdown = rejected_shutdown_.load(std::memory_order_relaxed);
-  s.rejected = s.rejected_quota + s.rejected_queue_full + s.rejected_shutdown;
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.errors = errors_.load(std::memory_order_relaxed);
-  s.stream_updates = stream_updates_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s.queue_depth = queue_.size();
-    s.inflight = active_;
-  }
-  s.admission_level = cfg_.tickets;
-  if (started_.load(std::memory_order_acquire)) {
-    s.uptime_sec =
-        std::chrono::duration<double>(Clock::now() - start_time_).count();
-  }
-  return s;
 }
 
 }  // namespace simprof::service

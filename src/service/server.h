@@ -12,8 +12,11 @@
 //                           │             kOverQuota (client in-flight cap),
 //                           ▼             kQueueFull, kShuttingDown
 //   workers (one thread per admission ticket; one per core by default)
-//           │ WorkloadLab::run_batch — concurrent identical configs collapse
-//           │ to ONE oracle pass via the lab's single-flight (lab.batch_dedup)
+//           │ WorkloadLab::run — concurrent identical configs collapse to
+//           │ ONE oracle pass via the lab's single-flight (lab.batch_dedup)
+//
+// Bookkeeping lives only in the metrics registry (svc.* counters and
+// gauges); the kStatsRequest reply and the CLI's summary read it there.
 //
 // Per-client quotas: at most client_max_inflight queued+running requests
 // per connection, and streaming requests run their StreamingPhaseFormer
@@ -73,21 +76,6 @@ struct ServiceConfig {
 /// comes from outside the program, so the constructor rejects more.
 inline constexpr std::size_t kMaxTickets = 256;
 
-struct ServerStats {
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t rejected_quota = 0;
-  std::uint64_t rejected_queue_full = 0;
-  std::uint64_t rejected_shutdown = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t errors = 0;          ///< non-ok responses to accepted work
-  std::uint64_t stream_updates = 0;
-  std::size_t queue_depth = 0;
-  std::size_t inflight = 0;
-  std::size_t admission_level = 0;  ///< the ticket count
-  double uptime_sec = 0.0;
-};
-
 class ServiceServer {
  public:
   /// Throws std::invalid_argument when cfg.tickets exceeds kMaxTickets.
@@ -111,7 +99,6 @@ class ServiceServer {
 
   bool stopping() const { return stop_.load(std::memory_order_acquire); }
 
-  ServerStats stats() const;
   const ServiceConfig& config() const { return cfg_; }
 
  private:
@@ -149,9 +136,10 @@ class ServiceServer {
   std::atomic<bool> started_{false};
   std::atomic<bool> stop_{false};
   std::atomic<bool> joined_{false};
-  std::chrono::steady_clock::time_point start_time_;
 
-  mutable std::mutex mu_;  ///< guards queue_, active_
+  /// Guards queue_ and active_; the svc.queue_depth and svc.inflight
+  /// gauges are set under it.
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<QueuedRequest> queue_;
   std::size_t active_ = 0;
@@ -166,14 +154,6 @@ class ServiceServer {
   };
   std::vector<ReaderSlot> readers_;
   std::uint64_t next_conn_id_ = 0;
-
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> rejected_quota_{0};
-  std::atomic<std::uint64_t> rejected_queue_full_{0};
-  std::atomic<std::uint64_t> rejected_shutdown_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> stream_updates_{0};
 };
 
 }  // namespace simprof::service

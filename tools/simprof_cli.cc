@@ -19,14 +19,17 @@
 #include <malloc.h>
 #endif
 #include <pthread.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cctype>
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -490,6 +493,14 @@ int cmd_profile(const Args& args) {
   stream.interim_n = 16;
   stream.stream = args.num<std::size_t>("stream-retain", 0);
 
+  // An unwritable --out fails here, not after the oracle pass.
+  const std::filesystem::path out_dir =
+      std::filesystem::path(out).parent_path();
+  if (::access(out_dir.empty() ? "." : out_dir.c_str(), W_OK | X_OK) != 0) {
+    std::cerr << "error: cannot write profile " << out << '\n';
+    return 1;
+  }
+
   core::WorkloadLab lab(cfg);
   obs::ledger().set_config("workload", workload);
   obs::ledger().set_config("input", input);
@@ -938,6 +949,7 @@ int cmd_serve(const Args& args) {
   const std::size_t tickets = server->config().tickets;
   obs::ledger().set_config("socket", cfg.socket_path);
   obs::ledger().set_config("tickets", std::to_string(tickets));
+  const auto started = std::chrono::steady_clock::now();
   server->start();
   g_serve_instance.store(&*server, std::memory_order_release);
   std::cout << "serving on " << cfg.socket_path << " (" << tickets
@@ -945,24 +957,27 @@ int cmd_serve(const Args& args) {
             << std::flush;
   server->wait();  // blocks until the signal watcher requests the drain
   g_serve_instance.store(nullptr, std::memory_order_release);
+  const double uptime_sec = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - started)
+                                .count();
 
-  const service::ServerStats stats = server->stats();
+  auto& metrics = obs::metrics();
+  const std::uint64_t completed = metrics.counter("svc.completed").value();
+  const double admission_level = metrics.gauge("svc.admission_level").value();
   obs::ledger().set_quality("service_requests",
-                            static_cast<double>(stats.completed));
+                            static_cast<double>(completed));
   obs::ledger().set_quality(
-      "service_qps", stats.uptime_sec > 0.0
-                         ? static_cast<double>(stats.completed) /
-                               stats.uptime_sec
-                         : 0.0);
-  auto& request_ms = obs::metrics().quantile_histogram("svc.request_ms");
+      "service_qps",
+      uptime_sec > 0.0 ? static_cast<double>(completed) / uptime_sec : 0.0);
+  auto& request_ms = metrics.quantile_histogram("svc.request_ms");
   obs::ledger().set_quality("service_p50_ms", request_ms.quantile(0.50));
   obs::ledger().set_quality("service_p99_ms", request_ms.quantile(0.99));
-  obs::ledger().set_quality("service_admission_level",
-                            static_cast<double>(stats.admission_level));
-  std::cout << "served " << stats.completed << " requests ("
-            << stats.rejected << " rejected, " << stats.errors
-            << " errors) in " << Table::num(stats.uptime_sec, 1)
-            << "s at " << stats.admission_level << " tickets\n";
+  obs::ledger().set_quality("service_admission_level", admission_level);
+  std::cout << "served " << completed << " requests ("
+            << metrics.counter("svc.rejected").value() << " rejected, "
+            << metrics.counter("svc.errors").value() << " errors) in "
+            << Table::num(uptime_sec, 1) << "s at " << admission_level
+            << " tickets\n";
   return 0;
 }
 
