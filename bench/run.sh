@@ -24,8 +24,7 @@ case $name in
     target=perf_core
     set -- --benchmark_filter='BM_KMeans|BM_ChooseK|BM_Silhouette|BM_FormPhases' "$@" ;;
   service) target=perf_service ;;
-  streaming) target=perf_streaming ;;
-  *) echo "usage: bench/run.sh checkpoint|estimators|lab_pipeline|oracle|phase_formation|service|streaming [flags]" >&2
+  *) echo "usage: bench/run.sh checkpoint|estimators|lab_pipeline|oracle|phase_formation|service [flags]" >&2
      exit 2 ;;
 esac
 case $target in

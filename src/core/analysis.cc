@@ -4,20 +4,12 @@
 #include <cmath>
 #include <map>
 
-#include "core/streaming.h"
 #include "data/catalog.h"
 #include "support/assert.h"
 
 namespace simprof::core {
 
 namespace {
-
-PhaseFormationConfig formation_config(const AnalysisOptions& options) {
-  PhaseFormationConfig cfg;
-  cfg.features = options.features;
-  cfg.threads = options.threads;
-  return cfg;
-}
 
 Selection select(const ThreadProfile& profile, SamplePlan plan) {
   Selection s;
@@ -77,7 +69,10 @@ Estimator estimator_from_wire(std::uint8_t value) {
 
 PhaseModel analyze_phases(const ThreadProfile& profile,
                           const AnalysisOptions& options) {
-  return form_phases(profile, formation_config(options));
+  PhaseFormationConfig cfg;
+  cfg.features = options.features;
+  cfg.threads = options.threads;
+  return form_phases(profile, cfg);
 }
 
 SamplePlan stratified_sample(const ThreadProfile& profile,
@@ -130,37 +125,17 @@ SamplePlan sample_with(const ThreadProfile& profile,
   }
 }
 
-ProfileAnalysis analyze_profile(
-    const ThreadProfile& profile, const ProfileAnalysisRequest& request,
-    const std::function<void(const InterimSelection&)>& on_interim) {
-  const auto selection = [&](const ThreadProfile& p, const PhaseModel& m,
-                             std::size_t want) -> std::optional<Selection> {
-    if (want == 0 || p.num_units() == 0) return std::nullopt;
-    return select(p, stratified_sample(p, m, std::min(want, p.num_units()),
-                                       request.seed,
-                                       request.options.estimator));
-  };
+ProfileAnalysis analyze_profile(const ThreadProfile& profile,
+                                const ProfileAnalysisRequest& request) {
   ProfileAnalysis out;
-  if (!request.stream) {
-    out.model = analyze_phases(profile, request.options);
-    out.selection = selection(profile, out.model, request.sample_n);
-    return out;
+  out.model = analyze_phases(profile, request.options);
+  if (request.sample_n > 0 && profile.num_units() > 0) {
+    out.selection = select(
+        profile, stratified_sample(profile, out.model,
+                                   std::min(request.sample_n,
+                                            profile.num_units()),
+                                   request.seed, request.options.estimator));
   }
-
-  // Units arrive in order and every recluster yields an interim selection
-  // long before the last unit is ingested.
-  StreamingPhaseFormer former(
-      {formation_config(request.options), *request.stream});
-  former.set_update_hook([&](const StreamingPhaseFormer& f) {
-    if (!on_interim) return;
-    on_interim({f.reclusters(), f.units_ingested(), f.units_retained(),
-                f.model().k,
-                selection(f.profile(), f.model(), request.interim_n)});
-  });
-  former.ingest_range(profile, 0, profile.num_units());
-  out.model = former.finalize();
-  out.reclusters = former.reclusters();
-  out.selection = selection(former.profile(), out.model, request.sample_n);
   return out;
 }
 

@@ -2,16 +2,15 @@
 //
 // The CLI verbs, the daemon's request handlers and the estimator bench all
 // decide the same things: the feature space phases are formed in, the
-// stratified estimator, batch versus streaming formation with its interim
-// and final selections, how a sensitivity study trains and classifies, and
-// what a measured sample estimates. This module decides each of them once.
+// stratified estimator, the selection drawn over the formed phases, how a
+// sensitivity study trains and classifies, and what a measured sample
+// estimates. This module decides each of them once.
 // A front-end decodes its input (flags or SPRC frames), calls in here, and
 // prints or encodes the result, so CLI/daemon agreement holds by
 // construction (DESIGN.md §6k).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -81,35 +80,20 @@ SamplePlan sample_with(const ThreadProfile& profile,
 
 struct ProfileAnalysisRequest {
   AnalysisOptions options;
-  std::uint64_t seed = 1;     ///< sampling seed of every selection
-  std::size_t sample_n = 0;   ///< final selection size (0 = none)
-  std::size_t interim_n = 0;  ///< selection size at each recluster
-  /// Set: units stream through a StreamingPhaseFormer in arrival order,
-  /// forming phases under `options` and retaining at most this many newest
-  /// units (0 = all). Unset: batch formation.
-  std::optional<std::size_t> stream;
-};
-
-/// State after one streaming recluster.
-struct InterimSelection {
-  std::size_t recluster = 0;
-  std::size_t units_ingested = 0;
-  std::size_t units_retained = 0;
-  std::size_t phase_count = 0;
-  std::optional<Selection> selection;  ///< absent when interim_n is 0
+  std::uint64_t seed = 1;    ///< sampling seed of the selection
+  std::size_t sample_n = 0;  ///< selection size (0 = none)
 };
 
 struct ProfileAnalysis {
   PhaseModel model;
-  /// Over the analysed (for streaming: retained) units; absent when
-  /// sample_n is 0. Selection sizes are capped at the unit count.
+  /// Absent when sample_n is 0 or the profile has no units; the size is
+  /// capped at the unit count.
   std::optional<Selection> selection;
-  std::size_t reclusters = 0;  ///< streaming only
 };
 
-ProfileAnalysis analyze_profile(
-    const ThreadProfile& profile, const ProfileAnalysisRequest& request,
-    const std::function<void(const InterimSelection&)>& on_interim = {});
+/// Batch phase formation plus a stratified selection over the phases.
+ProfileAnalysis analyze_profile(const ThreadProfile& profile,
+                                const ProfileAnalysisRequest& request);
 
 struct SensitivityStudy {
   BatchItem train;

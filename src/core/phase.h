@@ -2,8 +2,7 @@
 // method-frequency feature vectors, select the top-K methods most correlated
 // with IPC (univariate linear-regression test), and cluster units into
 // phases with k-means, choosing k by the silhouette rule. form_phases is
-// the one entry point: batch analysis and every recluster of the streaming
-// former (streaming.h) run it.
+// the one entry point.
 //
 // Also implements the phase-homogeneity analysis of Figure 6 (population /
 // weighted / maximum CoV of CPI) and the dominant-operation phase typing of

@@ -531,14 +531,13 @@ std::string fmt(double v) {
 /// Direction table for quality figures: true → higher is better.
 bool quality_higher_is_better(std::string_view key, bool& known) {
   known = true;
-  if (key == "silhouette" || key == "stream_silhouette" ||
-      key == "service_qps" || key == "loadgen_qps") {
+  if (key == "silhouette" || key == "service_qps" ||
+      key == "loadgen_qps") {
     return true;
   }
   if (key == "sampling_error_frac" || key == "ci_rel_width" ||
       key == "mav_sampling_error_frac" || key == "two_phase_ci_rel_width" ||
-      key == "cov_weighted" || key == "cov" ||
-      key == "stream_batch_phase_delta" || key == "service_p50_ms" ||
+      key == "cov_weighted" || key == "cov" || key == "service_p50_ms" ||
       key == "service_p99_ms" || key == "loadgen_p50_ms" ||
       key == "loadgen_p99_ms") {
     return false;

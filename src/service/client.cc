@@ -35,8 +35,7 @@ ServiceClient::~ServiceClient() {
 
 std::pair<Status, std::string> ServiceClient::call(
     MsgKind kind, const std::function<void(BinaryWriter&)>& body,
-    std::string& result_body,
-    const std::function<void(const StreamUpdate&)>& on_update) {
+    std::string& result_body) {
   const std::uint64_t id = ++next_request_id_;
   if (!write_frame(fd_, pack_message(kind, id, body))) {
     return {Status::kInternalError, "send failed: daemon gone"};
@@ -46,11 +45,6 @@ std::pair<Status, std::string> ServiceClient::call(
     std::istringstream is(payload);
     BinaryReader r(is);
     const MessageHeader h = read_header(r);
-    if (h.kind == MsgKind::kStreamUpdate && h.request_id == id) {
-      const StreamUpdate u = StreamUpdate::read(r);
-      if (on_update) on_update(u);
-      continue;
-    }
     if (h.kind != MsgKind::kResponse || h.request_id != id) continue;
     const auto status = static_cast<Status>(r.u32());
     std::string message = r.str();
@@ -74,14 +68,12 @@ Result parse_result(const std::string& body) {
 
 }  // namespace
 
-ServiceClient::ProfileReply ServiceClient::profile(
-    const ProfileRequest& req,
-    const std::function<void(const StreamUpdate&)>& on_update) {
+ServiceClient::ProfileReply ServiceClient::profile(const ProfileRequest& req) {
   ProfileReply reply;
   std::string body;
   std::tie(reply.status, reply.message) =
       call(MsgKind::kProfileRequest,
-           [&](BinaryWriter& w) { req.write(w); }, body, on_update);
+           [&](BinaryWriter& w) { req.write(w); }, body);
   if (reply.status == Status::kOk) {
     reply.result = parse_result<ProfileResult>(body);
   }

@@ -40,11 +40,8 @@ class ServiceClient {
     MeasureResultMsg result;
   };
 
-  /// Send and block for the final response. Stream updates arriving for
-  /// this request invoke `on_update` in arrival order before the reply.
-  ProfileReply profile(
-      const ProfileRequest& req,
-      const std::function<void(const StreamUpdate&)>& on_update = {});
+  /// Send and block for the final response.
+  ProfileReply profile(const ProfileRequest& req);
   SensitivityReply sensitivity(const SensitivityRequest& req);
   MeasureReply measure(const MeasureRequest& req);
   StatsResult stats();
@@ -54,8 +51,7 @@ class ServiceClient {
   /// Returns (status, message) and leaves the result body in `result_body`.
   std::pair<Status, std::string> call(
       MsgKind kind, const std::function<void(BinaryWriter&)>& body,
-      std::string& result_body,
-      const std::function<void(const StreamUpdate&)>& on_update = {});
+      std::string& result_body);
 
   int fd_ = -1;
   std::uint64_t next_request_id_ = 0;

@@ -21,7 +21,6 @@ struct ClientTally {
   std::uint64_t completed = 0;
   std::uint64_t rejected = 0;
   std::uint64_t errors = 0;
-  std::uint64_t stream_updates = 0;
   std::vector<double> latencies_ms;
 };
 
@@ -52,8 +51,6 @@ ClientTally run_client(const LoadgenConfig& cfg, std::size_t client_index) {
     q.seed = cfg.vary_seed ? cfg.seed + req_index : cfg.seed;
     q.analyze = cfg.analyze ? 1 : 0;
     q.sample_n = cfg.sample_n;
-    q.stream = cfg.stream ? 1 : 0;
-    q.stream_retain = cfg.stream_retain;
     q.features = cfg.features;
     q.estimator = cfg.estimator;
     const auto payload = pack_message(MsgKind::kProfileRequest, id,
@@ -88,10 +85,6 @@ ClientTally run_client(const LoadgenConfig& cfg, std::size_t client_index) {
       h = read_header(r);
     } catch (const SerializeError&) {
       break;
-    }
-    if (h.kind == MsgKind::kStreamUpdate) {
-      ++tally.stream_updates;
-      continue;
     }
     if (h.kind != MsgKind::kResponse) continue;
     const auto it = outstanding.find(h.request_id);
@@ -144,7 +137,6 @@ LoadgenReport run_loadgen(const LoadgenConfig& cfg) {
     report.completed += t.completed;
     report.rejected += t.rejected;
     report.errors += t.errors;
-    report.stream_updates += t.stream_updates;
     report.latencies_ms.insert(report.latencies_ms.end(),
                                t.latencies_ms.begin(), t.latencies_ms.end());
   }

@@ -28,8 +28,6 @@ struct LoadgenConfig {
   std::uint64_t seed = 42;
   bool analyze = true;
   std::uint64_t sample_n = 8;
-  bool stream = false;
-  std::uint64_t stream_retain = 0;
   /// features::FeatureMode ordinal for phase formation (protocol v2).
   std::uint8_t features = 0;
   /// 0 = Neyman, 1 = two-phase stratified estimation (protocol v2).
@@ -44,7 +42,6 @@ struct LoadgenReport {
   std::uint64_t completed = 0;
   std::uint64_t rejected = 0;        ///< typed kOverQuota/kQueueFull/kShuttingDown
   std::uint64_t errors = 0;          ///< transport failures + error statuses
-  std::uint64_t stream_updates = 0;
   double elapsed_sec = 0.0;
   double qps = 0.0;                  ///< completed / elapsed
   double p50_ms = 0.0;

@@ -81,11 +81,6 @@ ProfileResult ProfileResult::read(BinaryReader& r) {
   return read_fields<ProfileResult>(r);
 }
 
-void StreamUpdate::write(BinaryWriter& w) const { write_fields(*this, w); }
-StreamUpdate StreamUpdate::read(BinaryReader& r) {
-  return read_fields<StreamUpdate>(r);
-}
-
 void SensitivityRequest::write(BinaryWriter& w) const {
   write_fields(*this, w);
 }

@@ -8,11 +8,7 @@
 //
 // Requests flow client → server; the server answers every request with
 // exactly one kResponse frame echoing the request_id (status + message +
-// kind-specific result body on kOk). Streaming profile requests may emit
-// any number of kStreamUpdate frames for the same request_id *before* the
-// final kResponse — interim simulation-point selections from the
-// StreamingPhaseFormer's update hook, so a client can start consuming
-// selections while ingestion is still running.
+// kind-specific result body on kOk).
 //
 // Each message struct lists its fields once, in wire order, in a static
 // fields(message, fn) that calls fn(field...); protocol.cc's one visitor
@@ -37,8 +33,10 @@ namespace simprof::service {
 inline constexpr std::uint32_t kProtocolMagic = 0x43525053;  // "SPRC"
 /// v2: ProfileRequest carries the feature mode + estimator selectors (and
 /// ProfileResult echoes them), so a client can pin the analysis
-/// configuration per request.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+/// configuration per request. v3: the request's streaming fields and the
+/// interim-selection frame are gone; any other version is answered
+/// kBadRequest.
+inline constexpr std::uint32_t kProtocolVersion = 3;
 /// Frame payload cap — a profile blob for the largest lab run is well under
 /// this; anything bigger is a corrupt or hostile length prefix.
 inline constexpr std::uint64_t kMaxFrameBytes = 256ull << 20;
@@ -50,8 +48,7 @@ enum class MsgKind : std::uint32_t {
   kSensitivityRequest = 4,
   kMeasureRequest = 5,
   kStatsRequest = 6,
-  kStreamUpdate = 7,
-  kResponse = 8,
+  kResponse = 8,  ///< 7 was v2's interim-selection frame
 };
 
 /// Typed outcome of a request. Everything except kOk is a *rejection or
@@ -77,10 +74,7 @@ struct MessageHeader {
 
 /// Profile request: run (workload, input, scale, seed) through the lab
 /// (cached + single-flighted), optionally form phases and select `sample_n`
-/// simulation points. `stream` routes analysis through a per-request
-/// StreamingPhaseFormer whose `stream_retain` bounds retained units (the
-/// per-client memory quota; 0 = retain all) and whose recluster hook sends
-/// kStreamUpdate frames. `want_profile_bytes` returns the exact
+/// simulation points. `want_profile_bytes` returns the exact
 /// ThreadProfile::save blob for bit-identity checks against the one-shot
 /// CLI.
 struct ProfileRequest {
@@ -91,8 +85,6 @@ struct ProfileRequest {
   std::uint8_t analyze = 1;
   std::uint64_t sample_n = 8;
   std::uint8_t want_profile_bytes = 0;
-  std::uint8_t stream = 0;
-  std::uint64_t stream_retain = 0;
   /// features::FeatureMode for phase formation (v2). The oracle pass and
   /// its cache key are mode-independent — distinct modes over the same
   /// workload config still dedup into one lab run; only the analysis
@@ -104,8 +96,7 @@ struct ProfileRequest {
   template <typename Self, typename Fn>
   static void fields(Self& m, Fn&& fn) {
     fn(m.workload, m.input, m.scale, m.seed, m.analyze, m.sample_n,
-       m.want_profile_bytes, m.stream, m.stream_retain, m.features,
-       m.estimator);
+       m.want_profile_bytes, m.features, m.estimator);
   }
   void write(BinaryWriter& w) const;
   static ProfileRequest read(BinaryReader& r);
@@ -133,25 +124,6 @@ struct ProfileResult {
   }
   void write(BinaryWriter& w) const;
   static ProfileResult read(BinaryReader& r);
-};
-
-/// Interim selection emitted after each recluster of a streaming profile
-/// request, before the final response.
-struct StreamUpdate {
-  std::uint64_t recluster = 0;
-  std::uint64_t units_ingested = 0;
-  std::uint64_t units_retained = 0;
-  std::uint64_t phase_count = 0;
-  double estimated_cpi = 0.0;
-  std::vector<std::uint64_t> selected_units;
-
-  template <typename Self, typename Fn>
-  static void fields(Self& m, Fn&& fn) {
-    fn(m.recluster, m.units_ingested, m.units_retained, m.phase_count,
-       m.estimated_cpi, m.selected_units);
-  }
-  void write(BinaryWriter& w) const;
-  static StreamUpdate read(BinaryReader& r);
 };
 
 /// Input-sensitivity request: train on `workload`, classify each reference

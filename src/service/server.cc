@@ -36,7 +36,6 @@ struct SvcMetrics {
   obs::Counter& completed = obs::metrics().counter("svc.completed");
   /// Non-ok responses to accepted work.
   obs::Counter& errors = obs::metrics().counter("svc.errors");
-  obs::Counter& stream_updates = obs::metrics().counter("svc.stream_updates");
   obs::QuantileHistogram& queue_wait_ms =
       obs::metrics().quantile_histogram("svc.queue_wait_ms");
   obs::QuantileHistogram& request_ms =
@@ -44,7 +43,6 @@ struct SvcMetrics {
   obs::Gauge& queue_depth = obs::metrics().gauge("svc.queue_depth");
   obs::Gauge& inflight = obs::metrics().gauge("svc.inflight");
   obs::Gauge& admission_level = obs::metrics().gauge("svc.admission_level");
-  obs::Gauge& workers = obs::metrics().gauge("svc.workers");
 };
 
 SvcMetrics& svc_metrics() {
@@ -86,7 +84,6 @@ void ServiceServer::start() {
   SIMPROF_EXPECTS(!started_.exchange(true), "service: start() called twice");
   listen_fd_ = listen_unix(cfg_.socket_path);
   svc_metrics().admission_level.set(static_cast<double>(cfg_.tickets));
-  svc_metrics().workers.set(static_cast<double>(cfg_.tickets));
   SIMPROF_LOG(kInfo) << "svc: listening on " << cfg_.socket_path
                      << " tickets=" << cfg_.tickets;
   workers_.reserve(cfg_.tickets);
@@ -403,15 +400,6 @@ void ServiceServer::run_profile(QueuedRequest& req, const ProfileRequest& q) {
   analysis.options.threads = cfg_.request_threads;
   analysis.seed = q.seed;
   analysis.sample_n = static_cast<std::size_t>(q.sample_n);
-  analysis.interim_n = analysis.sample_n;
-  if (q.stream) {
-    std::size_t retain = static_cast<std::size_t>(q.stream_retain);
-    if (cfg_.stream_retain_cap > 0) {
-      retain = retain == 0 ? cfg_.stream_retain_cap
-                           : std::min(retain, cfg_.stream_retain_cap);
-    }
-    analysis.stream = retain;
-  }
 
   core::WorkloadLab lab = make_lab(q.scale, q.seed);
   const core::LabRun run = lab.run(q.workload, q.input);
@@ -431,24 +419,7 @@ void ServiceServer::run_profile(QueuedRequest& req, const ProfileRequest& q) {
   res.estimator = q.estimator;
 
   if (q.analyze && profile.num_units() > 0) {
-    auto analysed = core::analyze_profile(
-        profile, analysis, [&](const core::InterimSelection& s) {
-          StreamUpdate u;
-          u.recluster = s.recluster;
-          u.units_ingested = s.units_ingested;
-          u.units_retained = s.units_retained;
-          u.phase_count = s.phase_count;
-          if (s.selection) {
-            u.estimated_cpi = s.selection->plan.estimated_cpi;
-            u.selected_units = s.selection->unit_ids;
-          }
-          svc_metrics().stream_updates.increment();
-          send_payload(req.conn, pack_message(MsgKind::kStreamUpdate,
-                                              req.header.request_id,
-                                              [&](BinaryWriter& w) {
-                                                u.write(w);
-                                              }));
-        });
+    auto analysed = core::analyze_profile(profile, analysis);
     res.phase_count = analysed.model.k;
     if (analysed.selection) {
       const core::SamplePlan& plan = analysed.selection->plan;

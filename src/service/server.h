@@ -18,11 +18,8 @@
 // Bookkeeping lives only in the metrics registry (svc.* counters and
 // gauges); the kStatsRequest reply and the CLI's summary read it there.
 //
-// Per-client quotas: at most client_max_inflight queued+running requests
-// per connection, and streaming requests run their StreamingPhaseFormer
-// with max_retained_units capped by stream_retain_cap — the per-client
-// memory bound. Interim selections stream back as kStreamUpdate frames
-// from the former's update hook, before the final response.
+// Per-client quota: at most client_max_inflight queued+running requests
+// per connection.
 //
 // Determinism: request execution is a pure function of the request (the
 // lab cache key covers every parameter), and the analysis runs through the
@@ -63,9 +60,6 @@ struct ServiceConfig {
   std::size_t max_queue = 64;
   /// Per-connection cap on queued+running requests; beyond it, kOverQuota.
   std::size_t client_max_inflight = 8;
-  /// Hard cap a streaming request's max_retained_units is clamped to (the
-  /// per-client memory quota; 0 lets clients retain everything).
-  std::size_t stream_retain_cap = 0;
   /// Threads each request's lab/analysis stages may use. 1 keeps requests
   /// independent (concurrency comes from admission tickets); >1 funnels
   /// concurrent requests through the shared pool's job queue.

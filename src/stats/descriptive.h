@@ -49,16 +49,13 @@ CovSummary grouped_cov(std::span<const double> values,
 double pearson(std::span<const double> xs, std::span<const double> ys);
 
 /// Incremental moment accumulator (Welford's online algorithm) — the
-/// streaming sibling of mean/sample_variance above, used by the streaming
-/// phase former to keep per-phase CPI statistics current between full
-/// reclusters without retaining the observations.
+/// streaming sibling of mean/sample_variance above, for statistics over
+/// observations that are not retained.
 ///
 /// Small-sample conventions match the batch estimators: count < 2 yields
 /// variance/stddev 0, an empty accumulator reports mean/min/max 0. merge()
 /// folds another accumulator in with Chan's parallel update; a fixed fold
-/// order yields a deterministic (though not bitwise batch-identical) result,
-/// which is why the former rebuilds its accumulators from the retained units
-/// at every recluster — the streamed values only bridge the gap in between.
+/// order yields a deterministic (though not bitwise batch-identical) result.
 class RunningMoments {
  public:
   void push(double x);

@@ -1,8 +1,8 @@
 // The shared analysis layer (core/analysis.h): the batch path equals
 // form_phases plus the sampler it wraps in every feature mode × estimator
-// cell, in-order streaming finalizes to the batch model and selection,
-// streaming's interim selections are pinned, the SPRC selector decoding rejects out-of-range wire values, and the measured
-// estimate applies a selection's weights to measured CPIs.
+// cell, its labels and selections are pinned, the SPRC selector decoding
+// rejects out-of-range wire values, and the measured estimate applies a
+// selection's weights to measured CPIs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -87,94 +87,38 @@ TEST(Analysis, NoSampleSizeMeansNoSelection) {
   EXPECT_FALSE(analyze_profile(fixture(), req).selection.has_value());
 }
 
-TEST(Analysis, InOrderStreamingFinalizesToBatch) {
-  const ThreadProfile p = fixture();
-  for (const auto mode : kModes) {
-    for (const auto est : kEstimators) {
-      SCOPED_TRACE(std::string(features::to_string(mode)) + "|" +
-                   std::string(to_string(est)));
-      ProfileAnalysisRequest batch_req;
-      batch_req.options.features = mode;
-      batch_req.options.estimator = est;
-      batch_req.seed = 3;
-      batch_req.sample_n = 12;
-      ProfileAnalysisRequest stream_req = batch_req;
-      stream_req.interim_n = 8;
-      stream_req.stream.emplace();
-
-      std::vector<InterimSelection> interim;
-      const ProfileAnalysis streamed = analyze_profile(
-          p, stream_req,
-          [&](const InterimSelection& s) { interim.push_back(s); });
-      const ProfileAnalysis batch = analyze_profile(p, batch_req);
-
-      EXPECT_EQ(streamed.model.k, batch.model.k);
-      EXPECT_EQ(streamed.model.labels, batch.model.labels);
-      EXPECT_EQ(streamed.model.silhouette_scores,
-                batch.model.silhouette_scores);
-      ASSERT_TRUE(streamed.selection.has_value());
-      ASSERT_TRUE(batch.selection.has_value());
-      expect_same_plan(streamed.selection->plan, batch.selection->plan);
-      EXPECT_EQ(streamed.selection->unit_ids, batch.selection->unit_ids);
-
-      // Interim selections arrive at every recluster, before the last unit.
-      ASSERT_FALSE(interim.empty());
-      EXPECT_LT(interim.front().units_ingested, p.num_units());
-      EXPECT_GE(streamed.reclusters, interim.size());
-      for (const InterimSelection& s : interim) {
-        ASSERT_TRUE(s.selection.has_value());
-        EXPECT_EQ(s.selection->plan.sample_size(),
-                  std::min<std::size_t>(8, s.units_retained));
-        EXPECT_GE(s.phase_count, 1u);
-      }
-    }
-  }
-}
-
-// What a streaming request outputs: every interim selection (recluster,
-// population, phase count, unit ids, estimate bits) and the final labels,
-// per feature mode and under a retention cap. The digests were recorded
-// while the former still kept a live classifier and mini-batch-refined
-// centers beside its reclusters; neither fed these outputs.
-TEST(Analysis, StreamingInterimSelectionsPinned) {
+// What a profile request outputs: the final labels, the selected unit ids
+// and the estimate bits, per feature mode and estimator, so a change to any
+// batch output shows here.
+TEST(Analysis, FinalLabelsAndSelectionPinned) {
   const ThreadProfile p = fixture();
   struct Pin {
     features::FeatureMode mode;
-    std::size_t max_retained_units;
+    Estimator estimator;
     std::uint64_t digest;
   };
   const Pin pins[] = {
-      {features::FeatureMode::kFreq, 0, 6903043785384113432ULL},
-      {features::FeatureMode::kMav, 0, 7402903229089515203ULL},
-      {features::FeatureMode::kCombined, 0, 1758666620803298223ULL},
-      {features::FeatureMode::kFreq, 60, 7602655841769275583ULL},
+      {features::FeatureMode::kFreq, Estimator::kNeyman,
+       2648836864805793592ULL},
+      {features::FeatureMode::kMav, Estimator::kNeyman,
+       743762642745468209ULL},
+      {features::FeatureMode::kCombined, Estimator::kNeyman,
+       1905157898179094909ULL},
+      {features::FeatureMode::kFreq, Estimator::kTwoPhase,
+       5693445878089966002ULL},
   };
   for (const Pin& pin : pins) {
-    SCOPED_TRACE(std::string(features::to_string(pin.mode)) + " retain " +
-                 std::to_string(pin.max_retained_units));
+    SCOPED_TRACE(std::string(features::to_string(pin.mode)) + "|" +
+                 std::string(to_string(pin.estimator)));
     ProfileAnalysisRequest req;
     req.options.features = pin.mode;
+    req.options.estimator = pin.estimator;
     req.seed = 11;
     req.sample_n = 8;
-    req.interim_n = 8;
-    req.stream = pin.max_retained_units;
+    const ProfileAnalysis got = analyze_profile(p, req);
 
     std::uint64_t h = testing::kFnv1aOffset;
-    std::size_t interims = 0;
-    const ProfileAnalysis got =
-        analyze_profile(p, req, [&](const InterimSelection& s) {
-          ++interims;
-          h = testing::fnv1a_mix(h, s.recluster);
-          h = testing::fnv1a_mix(h, s.units_ingested);
-          h = testing::fnv1a_mix(h, s.units_retained);
-          h = testing::fnv1a_mix(h, s.phase_count);
-          ASSERT_TRUE(s.selection.has_value());
-          for (const std::uint64_t id : s.selection->unit_ids) {
-            h = testing::fnv1a_mix(h, id);
-          }
-          h = testing::fnv1a_mix(
-              h, std::bit_cast<std::uint64_t>(s.selection->plan.estimated_cpi));
-        });
+    h = testing::fnv1a_mix(h, got.model.k);
     for (const std::size_t label : got.model.labels) {
       h = testing::fnv1a_mix(h, label);
     }
@@ -182,7 +126,8 @@ TEST(Analysis, StreamingInterimSelectionsPinned) {
     for (const std::uint64_t id : got.selection->unit_ids) {
       h = testing::fnv1a_mix(h, id);
     }
-    EXPECT_GT(interims, 1u);
+    h = testing::fnv1a_mix(
+        h, std::bit_cast<std::uint64_t>(got.selection->plan.estimated_cpi));
     EXPECT_EQ(h, pin.digest);
   }
 }

@@ -2,8 +2,8 @@
 // and ceiling, and an in-process ServiceServer driven over a real Unix
 // socket — bit-identity with the one-shot lab, N
 // concurrent same-config clients collapsing to one oracle pass, typed
-// over-quota / queue-full / shutting-down rejections, per-request stream
-// updates under the retention quota, and graceful drain.
+// over-quota / queue-full / shutting-down rejections, a typed refusal of
+// an older protocol version, and graceful drain.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -99,8 +99,6 @@ TEST(ServiceProtocol, ProfileMessagesRoundTrip) {
   q.analyze = 0;
   q.sample_n = 3;
   q.want_profile_bytes = 1;
-  q.stream = 1;
-  q.stream_retain = 77;
   q.features = 2;   // combined
   q.estimator = 1;  // two-phase
   const ProfileRequest q2 = roundtrip(q);
@@ -111,8 +109,6 @@ TEST(ServiceProtocol, ProfileMessagesRoundTrip) {
   EXPECT_EQ(q2.analyze, q.analyze);
   EXPECT_EQ(q2.sample_n, q.sample_n);
   EXPECT_EQ(q2.want_profile_bytes, q.want_profile_bytes);
-  EXPECT_EQ(q2.stream, q.stream);
-  EXPECT_EQ(q2.stream_retain, q.stream_retain);
   EXPECT_EQ(q2.features, q.features);
   EXPECT_EQ(q2.estimator, q.estimator);
 
@@ -137,18 +133,6 @@ TEST(ServiceProtocol, ProfileMessagesRoundTrip) {
   EXPECT_EQ(res2.oracle_cpi, res.oracle_cpi);
   EXPECT_EQ(res2.features, res.features);
   EXPECT_EQ(res2.estimator, res.estimator);
-
-  StreamUpdate u;
-  u.recluster = 4;
-  u.units_ingested = 120;
-  u.units_retained = 50;
-  u.phase_count = 2;
-  u.estimated_cpi = 0.9;
-  u.selected_units = {1, 2, 3};
-  const StreamUpdate u2 = roundtrip(u);
-  EXPECT_EQ(u2.recluster, u.recluster);
-  EXPECT_EQ(u2.units_retained, u.units_retained);
-  EXPECT_EQ(u2.selected_units, u.selected_units);
 }
 
 TEST(ServiceProtocol, SensitivityMeasureStatsRoundTrip) {
@@ -197,7 +181,7 @@ std::pair<std::size_t, std::uint64_t> encoded(const T& v) {
 }
 
 TEST(ServiceProtocol, EncodedBytesPinned) {
-  // Protocol version 2's encoding of every message, each field set to a
+  // Protocol version 3's encoding of every message, each field set to a
   // non-default value: a change to any field's order, width or framing
   // shows here, not only as a failed round trip.
   using Pin = std::pair<std::size_t, std::uint64_t>;
@@ -209,11 +193,9 @@ TEST(ServiceProtocol, EncodedBytesPinned) {
   q.analyze = 0;
   q.sample_n = 3;
   q.want_profile_bytes = 1;
-  q.stream = 1;
-  q.stream_retain = 77;
   q.features = 2;
   q.estimator = 1;
-  EXPECT_EQ(encoded(q), (Pin{64, 0xab6f0715c580a1bbULL}));
+  EXPECT_EQ(encoded(q), (Pin{55, 0xa415759cca4a0001ULL}));
 
   ProfileResult res;
   res.from_cache = 1;
@@ -229,15 +211,6 @@ TEST(ServiceProtocol, EncodedBytesPinned) {
   res.features = 1;
   res.estimator = 1;
   EXPECT_EQ(encoded(res), (Pin{132, 0xe1785ee761481c50ULL}));
-
-  StreamUpdate u;
-  u.recluster = 2;
-  u.units_ingested = 40;
-  u.units_retained = 32;
-  u.phase_count = 4;
-  u.estimated_cpi = 1.5;
-  u.selected_units = {1, 8};
-  EXPECT_EQ(encoded(u), (Pin{64, 0xe289a3e3cad8b561ULL}));
 
   SensitivityRequest s;
   s.workload = "wc_sp";
@@ -292,6 +265,12 @@ TEST(ServiceProtocol, HeaderValidatesMagicAndVersion) {
   std::istringstream bis(bad);
   BinaryReader br(bis);
   EXPECT_THROW(read_header(br), SerializeError);
+
+  std::string old = ok;
+  old[4] = static_cast<char>(kProtocolVersion - 1);  // version's low byte
+  std::istringstream ois(old);
+  BinaryReader obr(ois);
+  EXPECT_THROW(read_header(obr), SerializeError);
 }
 
 TEST(ServiceProtocol, StatusTaxonomy) {
@@ -496,7 +475,7 @@ TEST(ServiceServer, StartsOneWorkerPerTicket) {
   const CounterDelta completed("svc.completed");
   ServiceServer server(cfg);
   server.start();
-  EXPECT_EQ(obs::metrics().gauge("svc.workers").value(), 2.0);
+  EXPECT_EQ(obs::metrics().gauge("svc.admission_level").value(), 2.0);
 
   // Four concurrent requests from two clients all finish on two workers.
   constexpr std::size_t kRequests = 4;
@@ -658,34 +637,56 @@ TEST(ServiceServer, FullQueueIsATypedRejection) {
   EXPECT_EQ(rejected_queue_full(), 1u);
 }
 
-TEST(ServiceServer, StreamingProfileSendsInterimSelections) {
+TEST(ServiceServer, OlderProtocolVersionIsATypedBadRequest) {
   ScratchDir dir;
   ServiceConfig cfg = small_service(dir);
-  cfg.stream_retain_cap = 12;  // per-client memory quota, below the 18 units
-  const CounterDelta stream_updates("svc.stream_updates");
+  const CounterDelta accepted("svc.accepted");
+  const CounterDelta bad_request("svc.bad_request");
   ServiceServer server(cfg);
   server.start();
 
-  ProfileRequest q;
-  q.workload = "grep_sp";
-  q.stream = 1;
-  q.stream_retain = 64;  // asks high; the server clamps to its cap
-  q.sample_n = 4;
-  std::vector<StreamUpdate> updates;
-  ServiceClient client(cfg.socket_path);
-  const auto reply = client.profile(
-      q, [&](const StreamUpdate& u) { updates.push_back(u); });
+  // A well-framed version-2 profile request, body in v2's field order (the
+  // streaming u8 and u64 sat between want_profile_bytes and features).
+  std::string frame;
+  BinaryWriter w(frame);
+  w.u32(kProtocolMagic);
+  w.u32(2);
+  w.u32(static_cast<std::uint32_t>(MsgKind::kProfileRequest));
+  w.u64(7);
+  w.str("grep_sp");
+  w.str("Google");
+  w.f64(0.05);
+  w.u64(42);
+  w.u8(1);   // analyze
+  w.u64(8);  // sample_n
+  w.u8(0);   // want_profile_bytes
+  w.u8(1);   // v2: streaming on
+  w.u64(0);  // v2: retention cap
+  w.u8(0);   // features
+  w.u8(0);   // estimator
+
+  const int fd = connect_unix(cfg.socket_path);
+  ASSERT_TRUE(write_frame(fd, frame));
+  std::string payload;
+  ASSERT_TRUE(read_frame(fd, payload));
+  std::istringstream is(payload);
+  BinaryReader r(is);
+  EXPECT_EQ(read_header(r).kind, MsgKind::kResponse);
+  EXPECT_EQ(static_cast<Status>(r.u32()), Status::kBadRequest);
+
+  // The connection stays usable: a current-version frame is answered.
+  ASSERT_TRUE(write_frame(fd, pack_message(MsgKind::kHello, 8)));
+  ASSERT_TRUE(read_frame(fd, payload));
+  std::istringstream his(payload);
+  BinaryReader hr(his);
+  const MessageHeader ack = read_header(hr);
+  EXPECT_EQ(ack.kind, MsgKind::kHelloAck);
+  EXPECT_EQ(ack.request_id, 8u);
+  ::close(fd);
   server.request_stop();
   server.wait();
-
-  ASSERT_EQ(reply.status, Status::kOk) << reply.message;
-  EXPECT_GE(reply.result.phase_count, 1u);
-  ASSERT_FALSE(updates.empty());  // 18 units > 16-unit warmup → ≥1 recluster
-  for (const StreamUpdate& u : updates) {
-    EXPECT_LE(u.units_retained, 12u) << "retention quota exceeded";
-    EXPECT_GE(u.phase_count, 1u);
-  }
-  EXPECT_EQ(stream_updates(), updates.size());
+  EXPECT_EQ(accepted(), 0u);
+  EXPECT_EQ(bad_request(), 1u);
 }
 
 TEST(ServiceServer, GracefulDrainFinishesInFlightAndRejectsNew) {

@@ -6,10 +6,10 @@
 // thread profile; the analysis subcommands operate on saved profiles, so a
 // profile collected once can be explored offline — the same split as the
 // real tool's agent/analyzer. Every analysis decision (feature space,
-// estimator, batch or streaming formation, selections, sensitivity, the
-// measured estimate) lives in core/analysis.h, shared with the daemon: a verb
-// here only decodes its flags, calls that module and prints the result. All
-// flags are decoded before any lab work starts; a malformed value exits 2.
+// estimator, selections, sensitivity, the measured estimate) lives in
+// core/analysis.h, shared with the daemon: a verb here only decodes its
+// flags, calls that module and prints the result. All flags are decoded
+// before any lab work starts; a malformed value exits 2.
 //
 // Every invocation (unless --no-manifest) writes a schema-versioned run
 // manifest at exit — build sha, config, metrics, span rollup, quality — and
@@ -114,15 +114,7 @@ const std::vector<CommandSpec> kCommands = {
      {{"input", "NAME", "Table II graph input (default Google)"},
       {"scale", "S", "workload scale factor (default 1.0)"},
       {"seed", "N", "simulation seed (default 42)"},
-      {"out", "FILE", "output profile path"},
-      {"stream", "",
-       "feed units through the online phase former in arrival order and "
-       "emit interim stratified selections at every recluster, before "
-       "ingestion finishes"},
-      {"stream-retain", "N",
-       "streaming retention cap in units, 0 = retain all (default 0)"},
-      features_flag("feature space for --stream phase formation"),
-      estimator_flag("stratified estimator for --stream interim selections")}},
+      {"out", "FILE", "output profile path"}}},
     {"phases",
      "<profile.sprf>",
      "form phases from a saved profile and print the phase table",
@@ -190,9 +182,6 @@ const std::vector<CommandSpec> kCommands = {
        "still run"},
       {"fixed", "",
        "ignored: tickets are always fixed; kept so older scripts still run"},
-      {"stream-retain-cap", "N",
-       "hard cap on a streaming request's retained units — the per-client "
-       "memory quota (default 0 = uncapped)"},
       {"request-threads", "N",
        "threads each request's lab/analysis may use (default 1; "
        "concurrency comes from admission tickets)"}}},
@@ -215,9 +204,6 @@ const std::vector<CommandSpec> kCommands = {
        "use seed+i per request so each request is a distinct oracle pass"},
       {"no-analyze", "", "skip phase formation + sampling on the daemon"},
       {"sample", "N", "simulation points per request (default 8)"},
-      {"stream", "", "request streaming analysis with interim selections"},
-      {"stream-retain", "N",
-       "requested streaming retention cap in units (default 0)"},
       features_flag("feature space for daemon-side analysis"),
       estimator_flag("stratified estimator for daemon-side selections"),
       {"json", "FILE", "write the loadgen report as JSON"}}},
@@ -484,14 +470,6 @@ int cmd_profile(const Args& args) {
   cfg.use_cache = false;
   const std::string input = args.opt("input", "Google");
   const std::string out = args.opt("out", workload + "-" + input + ".sprf");
-  // --stream replays the collected units through the streaming former in
-  // arrival order (standing in for the live unit-boundary hook of a
-  // profiling daemon) with an interim selection at every recluster.
-  core::ProfileAnalysisRequest stream;
-  stream.options = analysis_options(args);
-  stream.seed = cfg.seed;
-  stream.interim_n = 16;
-  stream.stream = args.num<std::size_t>("stream-retain", 0);
 
   // An unwritable --out fails here, not after the oracle pass.
   const std::filesystem::path out_dir =
@@ -519,39 +497,6 @@ int cmd_profile(const Args& args) {
             << run.profile.num_methods() << " methods) to " << out
             << "\noracle CPI " << Table::num(run.profile.oracle_cpi(), 4)
             << ", records out " << run.result.records_out << '\n';
-  if (!args.has("stream")) return 0;
-
-  const core::ProfileAnalysis streamed = core::analyze_profile(
-      run.profile, stream, [](const core::InterimSelection& s) {
-        const core::SamplePlan& plan = s.selection->plan;
-        std::cout << "stream: recluster " << s.recluster << " @ "
-                  << s.units_ingested << " units -> k=" << s.phase_count
-                  << ", interim selection " << plan.sample_size()
-                  << " points, est CPI " << Table::num(plan.estimated_cpi, 4)
-                  << '\n';
-      });
-
-  // Quality figures vs the batch model on the same profile — the manifest
-  // carries both the streamed structure and its distance from batch, so
-  // `simprof report` gates streaming drift across runs.
-  const core::PhaseModel batch = core::analyze_phases(run.profile,
-                                                      stream.options);
-  const std::size_t k = streamed.model.k;
-  const double phase_delta =
-      static_cast<double>(k > batch.k ? k - batch.k : batch.k - k);
-  obs::ledger().set_config("stream", "1");
-  set_analysis_config(stream.options);
-  obs::ledger().set_quality("stream_phase_count", static_cast<double>(k));
-  if (k >= 1 && k <= streamed.model.silhouette_scores.size()) {
-    obs::ledger().set_quality("stream_silhouette",
-                              streamed.model.silhouette_scores[k - 1]);
-  }
-  obs::ledger().set_quality("stream_reclusters",
-                            static_cast<double>(streamed.reclusters));
-  obs::ledger().set_quality("stream_batch_phase_delta", phase_delta);
-  std::cout << "stream: final k=" << k << " after " << streamed.reclusters
-            << " reclusters (batch k=" << batch.k << ", delta "
-            << phase_delta << ")\n";
   return 0;
 }
 
@@ -929,7 +874,6 @@ int cmd_serve(const Args& args) {
   cfg.client_max_inflight =
       args.num("client-inflight", cfg.client_max_inflight);
   cfg.tickets = args.num("tickets", cfg.tickets);
-  cfg.stream_retain_cap = args.num("stream-retain-cap", cfg.stream_retain_cap);
   cfg.request_threads = args.num("request-threads", cfg.request_threads);
 
 #ifdef M_ARENA_MAX
@@ -993,14 +937,12 @@ int cmd_loadgen(const Args& args) {
   cfg.scale = args.num("scale", cfg.scale);
   cfg.seed = args.num("seed", cfg.seed);
   cfg.sample_n = args.num("sample", cfg.sample_n);
-  cfg.stream_retain = args.num("stream-retain", cfg.stream_retain);
   cfg.workloads = split_csv(args.opt("workloads", "grep_sp"));
   if (cfg.workloads.empty()) {
     throw UsageError("--workloads needs at least one name");
   }
   cfg.input = args.opt("input", "Google");
   cfg.analyze = !args.has("no-analyze");
-  cfg.stream = args.has("stream");
   cfg.vary_seed = args.has("vary-seed");
   const core::AnalysisOptions options = analysis_options(args);
   cfg.features = static_cast<std::uint8_t>(options.features);
@@ -1023,8 +965,7 @@ int cmd_loadgen(const Args& args) {
             << cfg.requests_per_client << " requests (inflight "
             << cfg.inflight_per_client << ")\n"
             << "completed " << report.completed << ", rejected "
-            << report.rejected << ", errors " << report.errors
-            << ", stream updates " << report.stream_updates << '\n'
+            << report.rejected << ", errors " << report.errors << '\n'
             << "qps " << Table::num(report.qps, 2) << ", p50 "
             << Table::num(report.p50_ms, 1) << "ms, p90 "
             << Table::num(report.p90_ms, 1) << "ms, p99 "
@@ -1035,7 +976,6 @@ int cmd_loadgen(const Args& args) {
     out << "{\n  \"completed\": " << report.completed
         << ",\n  \"rejected\": " << report.rejected
         << ",\n  \"errors\": " << report.errors
-        << ",\n  \"stream_updates\": " << report.stream_updates
         << ",\n  \"elapsed_sec\": " << report.elapsed_sec
         << ",\n  \"qps\": " << report.qps
         << ",\n  \"p50_ms\": " << report.p50_ms
