@@ -8,7 +8,6 @@
 
 #include "core/phase.h"
 #include "support/assert.h"
-#include "support/rng.h"
 #include "test_util.h"
 
 namespace simprof::core {
@@ -24,39 +23,26 @@ TEST(FeatureMatrix, RowNormalizedMethodFrequencies) {
 }
 
 TEST(FormPhases, SeparatesTwoDistinctPhases) {
-  const auto in_order = testing::synthetic_profile(
+  auto p = testing::synthetic_profile(
       {{40, 0.5, 0.02, 1}, {40, 2.0, 0.05, 2}});
-  // The same units in a seeded random order: formation must not depend on
-  // the order units arrive in.
-  auto shuffled = in_order;
-  Rng rng(0xABCDEF);
-  for (std::size_t i = shuffled.units.size(); i > 1; --i) {
-    std::swap(shuffled.units[i - 1],
-              shuffled.units[static_cast<std::size_t>(rng.next_below(i))]);
-  }
-  const ThreadProfile* const profiles[] = {&in_order, &shuffled};
-  for (const ThreadProfile* p : profiles) {
-    SCOPED_TRACE(p == &in_order ? "in order" : "shuffled");
-    const PhaseModel model = form_phases(*p);
-    EXPECT_EQ(model.k, 2u);
-    // All units dominated by method 1 share a label, likewise method 2.
-    const std::size_t l0 = model.labels[0];
-    const bool first_is_1 = p->units[0].methods[1] == 1;
-    for (std::size_t u = 0; u < p->num_units(); ++u) {
-      if ((p->units[u].methods[1] == 1) == first_is_1) {
-        EXPECT_EQ(model.labels[u], l0);
-      } else {
-        EXPECT_NE(model.labels[u], l0);
-      }
+  const PhaseModel model = form_phases(p);
+  EXPECT_EQ(model.k, 2u);
+  // All units dominated by method 1 share a label, likewise method 2.
+  const std::size_t l0 = model.labels[0];
+  for (std::size_t u = 0; u < p.num_units(); ++u) {
+    if (p.units[u].methods[1] == 1) {
+      EXPECT_EQ(model.labels[u], l0);
+    } else {
+      EXPECT_NE(model.labels[u], l0);
     }
-    // Phase stats reflect the construction.
-    double means[2] = {model.phases[0].mean_cpi, model.phases[1].mean_cpi};
-    std::sort(means, means + 2);
-    EXPECT_NEAR(means[0], 0.5, 0.05);
-    EXPECT_NEAR(means[1], 2.0, 0.10);
-    EXPECT_EQ(model.phases[0].count + model.phases[1].count, 80u);
-    EXPECT_NEAR(model.phases[0].weight + model.phases[1].weight, 1.0, 1e-12);
   }
+  // Phase stats reflect the construction.
+  double means[2] = {model.phases[0].mean_cpi, model.phases[1].mean_cpi};
+  std::sort(means, means + 2);
+  EXPECT_NEAR(means[0], 0.5, 0.05);
+  EXPECT_NEAR(means[1], 2.0, 0.10);
+  EXPECT_EQ(model.phases[0].count + model.phases[1].count, 80u);
+  EXPECT_NEAR(model.phases[0].weight + model.phases[1].weight, 1.0, 1e-12);
 }
 
 TEST(FormPhases, UniformProfileCollapsesToOnePhase) {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/phase.h"
@@ -163,26 +162,6 @@ TEST(ParallelDeterminism, FormPhasesIdenticalAcrossThreadCounts) {
     EXPECT_EQ(model.representative_units, base.representative_units)
         << "threads=" << t;
     expect_same_matrix(model.centers, base.centers);
-  }
-
-  // Concurrent callers, as the daemon's tickets make them: half run inline,
-  // half share the pool's job queue, and each gets the serial model.
-  constexpr std::size_t kCallers = 4;
-  std::vector<core::PhaseModel> models(kCallers);
-  std::vector<std::thread> callers;
-  for (std::size_t i = 0; i < kCallers; ++i) {
-    callers.emplace_back([&, i] {
-      core::PhaseFormationConfig c;
-      c.threads = i % 2 == 0 ? 1 : 2;
-      models[i] = core::form_phases(profile, c);
-    });
-  }
-  for (auto& t : callers) t.join();
-  for (std::size_t i = 0; i < kCallers; ++i) {
-    EXPECT_EQ(models[i].labels, base.labels) << "caller " << i;
-    EXPECT_EQ(models[i].silhouette_scores, base.silhouette_scores)
-        << "caller " << i;
-    expect_same_matrix(models[i].centers, base.centers);
   }
 }
 
